@@ -1,7 +1,9 @@
 """opacue: exact and approximate opacity verification.
 
-Finite metric transition systems are verified exactly via forward/backward
-subset constructions; continuous-space discrete-time control systems are
+Finite metric transition systems are verified exactly by one forward
+subset search over n-bit state sets that stops at the first revealing
+class; the paper's observer, estimator and product constructions are kept
+as independent oracles. Continuous-space discrete-time control systems are
 handled soundly through opacity-preserving grid abstractions, candidate
 barrier-certificate checking, and small-gain composition of two-subsystem
 interconnections.
@@ -38,7 +40,7 @@ from .control import (
     evaluate_quantization_inequality,
     parse_control_system,
 )
-from .delayed import verify_delayed_opacity
+from .delayed import product_opacity, verify_delayed_opacity
 from .errors import (
     DimensionError,
     DomainError,
@@ -62,6 +64,7 @@ from .observer import (
     Observer,
     ObserverState,
     build_observer,
+    observer_verdict,
     verify_state_opacity,
 )
 from .polynomial import Polynomial, parse_polynomial

@@ -44,7 +44,7 @@ from .errors import (
     ValidationError,
 )
 from .estimator import build_initial_estimator, verify_initial_opacity_via_estimator
-from .observer import DEFAULT_STATE_CAP, build_observer, verify_state_opacity
+from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
 from .polynomial import parse_polynomial
 from .simrel import AbstractionStatus, max_initsop_relation, opacity_via_abstraction
 from .system import NotionKind, OpacityNotion, parse_system, serialize_system
@@ -129,11 +129,10 @@ def _cmd_observer(args: argparse.Namespace) -> int:
     notion = _notion_from(args)
     if notion.kind not in (NotionKind.INITIAL_STATE, NotionKind.CURRENT_STATE):
         raise ValidationError("observer export supports initial-state/current-state")
-    cap = _cap_from(args)
-    obs = build_observer(system, args.delta, cap)
+    obs = build_observer(system, args.delta, _cap_from(args))
     if args.export_dot:
         Path(args.export_dot).write_text(observer_dot(obs, notion), encoding="utf-8")
-    verdict = verify_state_opacity(system, args.delta, notion, cap)
+    verdict = observer_verdict(obs, notion)
     _emit(verdict.to_report(system))
     return EXIT_PASS if verdict.opaque else EXIT_FAIL
 
@@ -269,9 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="measurement precision threshold (no default)")
         p.add_argument("--cap", type=int, default=None,
                        help="state cap (default: OPACUE_CAP or 2,000,000)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads (construction is deterministic "
-                            "regardless; the current implementation is sequential)")
 
     p = sub.add_parser("verify", help="decide opacity of a finite system")
     common(p)
@@ -283,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include wall_ms in the report (breaks byte-identity)")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("observer", help="build the forward observer")
+    p = sub.add_parser("observer", help="build the paper's forward pair observer")
     common(p)
     p.add_argument("--notion", default="initial-state",
                    choices=["initial-state", "current-state"])
@@ -347,8 +343,6 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         return 0
     try:
-        if args.threads is not None and args.threads < 1:
-            raise ValidationError("--threads must be at least 1")
         return args.fn(args)
     except ResourceError as exc:
         print(f"error: {exc}", file=_sys.stderr)

@@ -1,24 +1,49 @@
-"""K-step and infinite-step opacity via the forward/backward product method.
+"""K-step and infinite-step opacity: the decision path and the paper's
+product method.
 
 A visit to a secret state at instant n of a path is exposed iff every path
 whose output history is delta-close over the *whole* observation window sat
-on a secret state at instant n. Matching decomposes at instant n: the
-forward observer yields the set of states reachable at n under delta-close
-prefixes, the backward estimator yields the set of states admitting a
-delta-close continuation over the suffix, and the instant is revealed iff
-the intersection of the two sets is entirely secret. K-step opacity limits
-the suffix walk to K backward steps; infinite-step allows any length.
+on a secret state at instant n. K-step opacity limits the window after n
+to K steps; infinite-step allows any length.
+
+`verify_delayed_opacity` decides both with two n-bit subset searches of
+`opacue.search`:
+
+- forward phase: the current-state search, tracking the set F of states
+  reachable at n under delta-close prefixes. A secret class whose F lies
+  inside the secret set is exposed at once;
+- survivor phase: from every secret class it tracks F minus the secret
+  set, the runs that sat on a non-secret state at instant n, for at most
+  K more steps. The instant is exposed when that set dies out.
+
+`product_opacity` is the paper's forward/backward product method, kept as
+an independent oracle. Matching decomposes at instant n: the forward
+observer yields the states reachable at n under delta-close prefixes, the
+backward estimator the states admitting a delta-close continuation over
+the suffix, and the instant is revealed iff the intersection of the two
+sets is entirely secret.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .estimator import build_initial_estimator
-from .observer import DEFAULT_STATE_CAP, build_observer
-from .system import MetricSystem, NotionKind, OpacityNotion
+from .observer import DEFAULT_STATE_CAP, build_observer, current_state_search
+from .search import post_step, search
+from .system import MetricSystem, NotionKind, OpacityNotion, check_delta
 from .verdict import Verdict, Witness
 
-__all__ = ["verify_delayed_opacity"]
+__all__ = ["product_opacity", "verify_delayed_opacity"]
+
+
+def _check_delayed_notion(notion: OpacityNotion) -> None:
+    if notion.kind is NotionKind.PRE:
+        raise NotImplementedError("pre-opacity verification is not implemented")
+    if notion.kind not in (NotionKind.K_STEP, NotionKind.INFINITE_STEP):
+        raise ValidationError(
+            f"expected k-step or infinite-step, "
+            f"got {notion.label()}"
+        )
 
 
 def verify_delayed_opacity(
@@ -27,14 +52,54 @@ def verify_delayed_opacity(
     notion: OpacityNotion,
     cap: int = DEFAULT_STATE_CAP,
 ) -> Verdict:
-    """Decide delta-approximate K-step or infinite-step opacity exactly."""
-    if notion.kind is NotionKind.PRE:
-        raise NotImplementedError("pre-opacity verification is not implemented")
-    if notion.kind not in (NotionKind.K_STEP, NotionKind.INFINITE_STEP):
-        raise ValidationError(
-            f"verify_delayed_opacity handles k-step/infinite-step, "
-            f"got {notion.label()}"
-        )
+    """Decide delta-approximate K-step or infinite-step opacity exactly.
+
+    Both search phases count their classes against one `cap`. A witness
+    is a shortest exposing prefix followed by a shortest suffix from it.
+    """
+    _check_delayed_notion(notion)
+    check_delta(delta)
+    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    forward = current_state_search(sys, close, cap)
+    if forward.hit is not None:
+        states, inputs = forward.path(forward.hit)
+        witness = Witness(states, inputs, revealing_instant=len(states) - 1)
+        return Verdict(False, notion, delta, witness,
+                       {"classes": len(forward.classes)})
+
+    secret = sys.secret_bits
+    origins: dict[tuple[int, int], int] = {}  # survivor seed -> forward class
+    for i, (x, bits) in enumerate(forward.classes):
+        if (secret >> x) & 1:
+            origins.setdefault((x, bits & ~secret), i)
+    survivors = search(
+        origins, post_step(sys, close), lambda x, bits: bits == 0, cap,
+        max_depth=notion.k if notion.kind is NotionKind.K_STEP else None,
+        spent=len(forward.classes),
+    )
+    stats = {"classes": len(forward.classes) + len(survivors.classes)}
+    if survivors.hit is None:
+        return Verdict(True, notion, delta, None, stats)
+    seed = survivors.classes[survivors.root(survivors.hit)]
+    prefix_states, prefix_inputs = forward.path(origins[seed])
+    suffix_states, suffix_inputs = survivors.path(survivors.hit)
+    witness = Witness(
+        states=prefix_states + suffix_states[1:],
+        inputs=prefix_inputs + suffix_inputs,
+        revealing_instant=len(prefix_states) - 1,
+    )
+    return Verdict(False, notion, delta, witness, stats)
+
+
+def product_opacity(
+    sys: MetricSystem,
+    delta: float,
+    notion: OpacityNotion,
+    cap: int = DEFAULT_STATE_CAP,
+) -> Verdict:
+    """Decide K-step or infinite-step opacity by the observer x estimator
+    product. Slower than `verify_delayed_opacity`; kept as its oracle."""
+    _check_delayed_notion(notion)
     kmax = notion.k if notion.kind is NotionKind.K_STEP else None
 
     obs = build_observer(sys, delta, cap)

@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ResourceError, ValidationError
+from .errors import ResourceError
 from .observer import DEFAULT_STATE_CAP
-from .system import MetricSystem, OpacityNotion, iter_bits
+from .system import MetricSystem, OpacityNotion, check_delta, iter_bits
 from .verdict import Verdict, Witness
 
 __all__ = ["EstimatorState", "InitialStateEstimator", "build_initial_estimator",
@@ -67,8 +67,7 @@ def build_initial_estimator(
     sys: MetricSystem, delta: float, cap: int = DEFAULT_STATE_CAP
 ) -> InitialStateEstimator:
     """Materialize the reachable part of the backward initial-state estimator."""
-    if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     n = sys.n_states
     close = [sys.close_bits(x, delta) for x in range(n)]
     pred_any = sys.pred_any

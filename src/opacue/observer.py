@@ -1,13 +1,24 @@
-"""Forward subset construction deciding approximate state-based opacity.
+"""Initial-state and current-state opacity: the decision path and the
+paper's pair observer.
 
-Each observer state is a pair (reference state, set of initial/current
-state pairs). The reference component fixes what counts as delta-close at
-every instant; the pair set tracks every run of the system whose output
-history is pointwise delta-close to the reference run, remembering where
-each such run started.
+`verify_state_opacity` decides both notions with the n-bit subset search
+of `opacue.search` and stops at the first revealing class. No notion needs
+to know where a run started, only where the runs that can still explain
+the reference run are now:
 
-Pair sets live in a single int of n*n bits (bit i*n + c == pair (i, c)),
-so interning an observer state is one dict lookup on (ref, pairs).
+- initial-state: the set holds the current states of runs from non-secret
+  initial states; the secret is revealed when that set becomes empty;
+- current-state: the set holds the current states of all runs; the secret
+  is revealed when the reference state is secret and the set lies inside
+  the secret set.
+
+`build_observer` is the paper's construction, kept as an independent
+oracle and for DOT export. Each observer state is a pair (reference state,
+set of initial/current state pairs); the pair set tracks every run whose
+output history is pointwise delta-close to the reference run, remembering
+where each such run started. Pair sets live in a single int of n*n bits
+(bit i*n + c == pair (i, c)). `observer_verdict` reads a verdict off a
+built observer.
 """
 
 from __future__ import annotations
@@ -16,13 +27,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ResourceError, ValidationError
-from .system import MetricSystem, NotionKind, OpacityNotion, iter_bits
+from .search import Search, post_step, search
+from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits
 from .verdict import Verdict, Witness
 
 DEFAULT_STATE_CAP = 2_000_000
 
 __all__ = ["DEFAULT_STATE_CAP", "ObserverState", "Observer", "build_observer",
-           "verify_state_opacity"]
+           "observer_verdict", "verify_state_opacity"]
 
 
 @dataclass(frozen=True)
@@ -114,8 +126,7 @@ def build_observer(
     to the new reference state. Raises ResourceError past `cap` interned
     states.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     n = sys.n_states
     rowmask = (1 << n) - 1
     ones = 0
@@ -176,6 +187,30 @@ def build_observer(
     )
 
 
+def _check_state_notion(notion: OpacityNotion) -> bool:
+    """True for initial-state, False for current-state; raise otherwise."""
+    if notion.kind is NotionKind.PRE:
+        raise NotImplementedError("pre-opacity verification is not implemented")
+    if notion.kind not in (NotionKind.INITIAL_STATE, NotionKind.CURRENT_STATE):
+        raise ValidationError(
+            f"expected initial-state or current-state, "
+            f"got {notion.label()}"
+        )
+    return notion.kind is NotionKind.INITIAL_STATE
+
+
+def current_state_search(sys: MetricSystem, close: list[int], cap: int) -> Search:
+    """Search for a class whose reference state is secret and whose set of
+    current states lies inside the secret set."""
+    secret = sys.secret_bits
+    return search(
+        [(x, sys.initial_bits & close[x]) for x in sorted(sys.initial)],
+        post_step(sys, close),
+        lambda x, bits: (secret >> x) & 1 and bits & ~secret == 0,
+        cap,
+    )
+
+
 def verify_state_opacity(
     sys: MetricSystem,
     delta: float,
@@ -184,30 +219,50 @@ def verify_state_opacity(
 ) -> Verdict:
     """Decide delta-approximate initial-state or current-state opacity.
 
+    Searches (reference state, n-bit set) classes breadth-first and stops
+    at the first revealing one; its reference path is the witness, the
+    same one the pair observer yields. Raises ResourceError past `cap`
+    interned classes.
+    """
+    initial_notion = _check_state_notion(notion)
+    check_delta(delta)
+    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    if initial_notion:
+        secret = sys.secret_bits
+        nonsecret = sys.initial_bits & ~secret
+        seeds = [(x, nonsecret & close[x]) for x in sorted(sys.initial)
+                 if (secret >> x) & 1]
+        found = search(seeds, post_step(sys, close), lambda x, bits: bits == 0, cap)
+    else:
+        found = current_state_search(sys, close, cap)
+    stats = {"classes": len(found.classes)}
+    if found.hit is None:
+        return Verdict(True, notion, delta, None, stats)
+    states, inputs = found.path(found.hit)
+    instant = None if initial_notion else len(states) - 1
+    witness = Witness(states=states, inputs=inputs, revealing_instant=instant)
+    return Verdict(False, notion, delta, witness, stats)
+
+
+def observer_verdict(obs: Observer, notion: OpacityNotion) -> Verdict:
+    """Read an initial-state or current-state verdict off a built observer.
+
     The system is opaque iff no reachable observer state projects its pair
     set entirely into the secret set (initial components for initial-state,
     current components for current-state). A failure ships the reference
     path to the first revealing state in BFS order.
     """
-    if notion.kind is NotionKind.PRE:
-        raise NotImplementedError("pre-opacity verification is not implemented")
-    if notion.kind not in (NotionKind.INITIAL_STATE, NotionKind.CURRENT_STATE):
-        raise ValidationError(
-            f"verify_state_opacity handles initial-state/current-state, "
-            f"got {notion.label()}"
-        )
-    obs = build_observer(sys, delta, cap)
-    secret = sys.secret_bits
+    initial_notion = _check_state_notion(notion)
+    secret = obs.sys.secret_bits
     stats = {
         "observer_states": len(obs.states),
         "transitions": len(obs.transitions),
     }
-    initial_notion = notion.kind is NotionKind.INITIAL_STATE
     for i in range(len(obs.states)):
         proj = obs.int_bits(i) if initial_notion else obs.cur_bits(i)
         if proj & ~secret == 0:
             states, inputs = obs.path_to(i)
             instant = None if initial_notion else len(states) - 1
             witness = Witness(states=states, inputs=inputs, revealing_instant=instant)
-            return Verdict(False, notion, delta, witness, stats)
-    return Verdict(True, notion, delta, None, stats)
+            return Verdict(False, notion, obs.delta, witness, stats)
+    return Verdict(True, notion, obs.delta, None, stats)

@@ -11,13 +11,14 @@ soundly to the finer system.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
 from .errors import DimensionError, PrecisionError, ValidationError
 from .observer import DEFAULT_STATE_CAP, verify_state_opacity
-from .system import MetricSystem, OpacityNotion, delta_close, iter_bits
+from .system import MetricSystem, OpacityNotion, check_delta, delta_close, iter_bits
 from .verdict import Verdict
 
 __all__ = [
@@ -259,10 +260,13 @@ def opacity_via_abstraction(
     on the abstract side is exactly the literal a user would write (e.g.
     delta=0.3, epsilon=0.1 queries exactly 0.1).
     """
+    check_delta(delta)
+    if not 0 <= epsilon < math.inf:
+        raise ValidationError(
+            f"epsilon must be a finite nonnegative number, got {epsilon}"
+        )
     d_delta = Decimal(str(delta))
     d_eps = Decimal(str(epsilon))
-    if epsilon < 0 or delta < 0:
-        raise ValidationError("delta and epsilon must be nonnegative")
     if d_eps > d_delta / 2:
         raise PrecisionError(
             f"epsilon={epsilon} exceeds delta/2={delta / 2}; the transfer "

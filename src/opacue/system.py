@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -27,6 +28,7 @@ __all__ = [
     "parse_system",
     "serialize_system",
     "bits_of",
+    "check_delta",
     "iter_bits",
 ]
 
@@ -74,6 +76,18 @@ class OutputMetric:
         return d
 
 
+def check_delta(delta: float) -> None:
+    """Raise ValidationError unless delta is a finite nonnegative number.
+
+    A NaN threshold would make every comparison false and silently empty
+    every closeness set; an infinite one cannot be written as JSON.
+    """
+    if not 0 <= delta < math.inf:
+        raise ValidationError(
+            f"delta must be a finite nonnegative number, got {delta}"
+        )
+
+
 def delta_close(
     metric: OutputMetric,
     y: Sequence[float],
@@ -86,8 +100,7 @@ def delta_close(
     extra tolerance is applied, since verdicts depend on the sharp
     threshold.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     return metric.dist(y, y2) <= delta
 
 
@@ -175,6 +188,10 @@ class MetricSystem:
             if len(y) != dim:
                 raise ValidationError(
                     f"state {self.names[i]!r}: output arity {len(y)} != {dim}"
+                )
+            if not all(math.isfinite(v) for v in y):
+                raise ValidationError(
+                    f"state {self.names[i]!r}: output {list(y)} is not finite"
                 )
         for label, group in (("initial", self.initial), ("secret", self.secret)):
             for i in group:

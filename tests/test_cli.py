@@ -118,6 +118,68 @@ def test_estimator_export_dot(capsys, tmp_path):
     assert dot.read_text().startswith("digraph estimator")
 
 
+def _rejected(capsys, *argv):
+    """Exit 3, an error on stderr and nothing on stdout."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "finite" in err, (argv, code, out, err)
+
+
+def test_verify_rejects_non_finite_delta(capsys):
+    for delta in ("nan", "inf", "-inf"):
+        for notion in (["initial-state"], ["current-state"], ["k-step", "--k", "1"],
+                       ["infinite-step"]):
+            _rejected(capsys, "verify", "--system", C2, f"--delta={delta}",
+                      "--notion", *notion)
+
+
+def test_observer_rejects_non_finite_delta(capsys):
+    for delta in ("nan", "inf", "-inf"):
+        _rejected(capsys, "observer", "--system", C2, f"--delta={delta}")
+
+
+def test_estimator_rejects_non_finite_delta(capsys):
+    for delta in ("nan", "inf", "-inf"):
+        _rejected(capsys, "estimator", "--system", C2, f"--delta={delta}")
+
+
+def test_nan_output_in_system_file_is_rejected(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "gridworld_c2.json").read_text())
+    doc["states"][3]["output"] = [float("nan")]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    code, out, err = run(capsys, "verify", "--system", str(path),
+                         "--notion", "initial-state", "--delta", "0")
+    assert (code, out) == (3, "") and "not finite" in err
+
+
+def test_verify_stats_count_search_classes(capsys):
+    _, out, _ = run(capsys, "verify", "--system", C1,
+                    "--notion", "initial-state", "--delta", "0")
+    stats = json.loads(out)["stats"]
+    assert list(stats) == ["classes"] and stats["classes"] > 0
+
+
+def test_observer_subcommand_builds_the_observer_once(capsys, monkeypatch):
+    import opacue.cli
+    import opacue.observer
+
+    calls = []
+    original = opacue.observer.build_observer
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(opacue.cli, "build_observer", counted)
+    monkeypatch.setattr(opacue.observer, "build_observer", counted)
+    code, out, _ = run(capsys, "observer", "--system", C1, "--delta", "0")
+    assert code == 1 and len(calls) == 1
+    report = json.loads(out)
+    assert report["witness"]["states"][0] == "5:0:5"
+    assert report["stats"]["observer_states"] > 0
+
+
 def test_simrel_identity(capsys):
     code, out, _ = run(capsys, "simrel", "--system", C1, "--abstract", C1,
                        "--epsilon", "0")

@@ -1,16 +1,23 @@
-"""K-step and infinite-step opacity: product method versus the oracle."""
+"""K-step and infinite-step opacity: the engine and the product method
+versus the oracle."""
 
 import random
 
 import pytest
 
 from opacue.brute import brute_force_opacity, confirm_witness
-from opacue.delayed import verify_delayed_opacity
+from opacue.delayed import product_opacity, verify_delayed_opacity
 from opacue.errors import ValidationError
 from opacue.observer import verify_state_opacity
 from opacue.system import MetricSystem, OpacityNotion
 
 from .conftest import random_system
+
+
+def both_routes(sys_, delta, notion):
+    """The engine's verdict and the product method's."""
+    return (verify_delayed_opacity(sys_, delta, notion),
+            product_opacity(sys_, delta, notion))
 
 
 def delayed_reveal_system():
@@ -36,20 +43,21 @@ def test_k_zero_equals_current_state():
         sys_ = random_system(rng)
         for delta in (0.0, 0.1, 0.5):
             current = verify_state_opacity(sys_, delta, OpacityNotion.current_state())
-            k0 = verify_delayed_opacity(sys_, delta, OpacityNotion.k_step(0))
-            assert current.opaque == k0.opaque
+            for k0 in both_routes(sys_, delta, OpacityNotion.k_step(0)):
+                assert current.opaque == k0.opaque
 
 
 def test_delayed_reveal_instance():
     sys_ = delayed_reveal_system()
     assert verify_state_opacity(sys_, 0.0, OpacityNotion.current_state()).opaque
-    assert verify_delayed_opacity(sys_, 0.0, OpacityNotion.k_step(0)).opaque
+    for k0 in both_routes(sys_, 0.0, OpacityNotion.k_step(0)):
+        assert k0.opaque
     for notion in (OpacityNotion.k_step(1), OpacityNotion.k_step(5),
                    OpacityNotion.infinite_step()):
-        verdict = verify_delayed_opacity(sys_, 0.0, notion)
-        assert not verdict.opaque
-        assert confirm_witness(sys_, 0.0, notion, verdict.witness)
-        assert verdict.witness.revealing_instant == 1
+        for verdict in both_routes(sys_, 0.0, notion):
+            assert not verdict.opaque
+            assert confirm_witness(sys_, 0.0, notion, verdict.witness)
+            assert verdict.witness.revealing_instant == 1
         # the independent oracle agrees
         assert not brute_force_opacity(sys_, 0.0, notion).opaque
 
@@ -78,11 +86,11 @@ def test_product_method_agrees_with_oracle():
         for delta in (0.0, 0.1, 0.5):
             for notion in (OpacityNotion.k_step(1), OpacityNotion.k_step(2),
                            OpacityNotion.infinite_step()):
-                got = verify_delayed_opacity(sys_, delta, notion)
                 want = brute_force_opacity(sys_, delta, notion)
-                assert got.opaque == want.opaque
-                if not got.opaque:
-                    assert confirm_witness(sys_, delta, notion, got.witness)
+                for got in both_routes(sys_, delta, notion):
+                    assert got.opaque == want.opaque
+                    if not got.opaque:
+                        assert confirm_witness(sys_, delta, notion, got.witness)
 
 
 def test_delayed_witness_respects_the_delay_bound():
@@ -90,12 +98,12 @@ def test_delayed_witness_respects_the_delay_bound():
     found = 0
     for _ in range(200):
         sys_ = random_system(rng, max_states=4)
-        verdict = verify_delayed_opacity(sys_, 0.1, OpacityNotion.k_step(1))
-        if not verdict.opaque:
-            w = verdict.witness
-            assert len(w.states) - 1 - w.revealing_instant <= 1
-            found += 1
-    assert found > 20
+        for verdict in both_routes(sys_, 0.1, OpacityNotion.k_step(1)):
+            if not verdict.opaque:
+                w = verdict.witness
+                assert len(w.states) - 1 - w.revealing_instant <= 1
+                found += 1
+    assert found > 40
 
 
 def test_rejects_wrong_notions():
@@ -104,3 +112,17 @@ def test_rejects_wrong_notions():
         verify_delayed_opacity(sys_, 0.0, OpacityNotion.pre())
     with pytest.raises(ValidationError):
         verify_delayed_opacity(sys_, 0.0, OpacityNotion.initial_state())
+    with pytest.raises(NotImplementedError):
+        product_opacity(sys_, 0.0, OpacityNotion.pre())
+    with pytest.raises(ValidationError):
+        product_opacity(sys_, 0.0, OpacityNotion.initial_state())
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_delta_is_rejected(delta):
+    sys_ = delayed_reveal_system()
+    for notion in (OpacityNotion.k_step(1), OpacityNotion.infinite_step()):
+        with pytest.raises(ValidationError):
+            verify_delayed_opacity(sys_, delta, notion)
+        with pytest.raises(ValidationError):
+            product_opacity(sys_, delta, notion)

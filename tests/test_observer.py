@@ -6,10 +6,16 @@ import pytest
 
 from opacue.brute import brute_force_opacity, confirm_witness
 from opacue.errors import ResourceError, ValidationError
-from opacue.observer import build_observer, verify_state_opacity
+from opacue.observer import build_observer, observer_verdict, verify_state_opacity
 from opacue.system import MetricSystem, OpacityNotion, iter_bits
 
 from .conftest import random_system
+
+
+def both_routes(sys_, delta, notion):
+    """The engine's verdict and the pair observer's."""
+    return (verify_state_opacity(sys_, delta, notion),
+            observer_verdict(build_observer(sys_, delta), notion))
 
 
 def two_state(delta_outputs=(0.00, 0.05)):
@@ -76,16 +82,16 @@ def test_empty_initial_set_vacuously_opaque():
 
 
 def test_gridworld_controller1_not_opaque_witness_from_cell5(gridworld_c1):
-    verdict = verify_state_opacity(gridworld_c1, 0.0, OpacityNotion.initial_state())
-    assert not verdict.opaque
-    assert gridworld_c1.names[verdict.witness.states[0]] == "5:0:5"
-    assert confirm_witness(gridworld_c1, 0.0, OpacityNotion.initial_state(),
-                           verdict.witness)
+    for verdict in both_routes(gridworld_c1, 0.0, OpacityNotion.initial_state()):
+        assert not verdict.opaque
+        assert gridworld_c1.names[verdict.witness.states[0]] == "5:0:5"
+        assert confirm_witness(gridworld_c1, 0.0, OpacityNotion.initial_state(),
+                               verdict.witness)
 
 
 def test_gridworld_controller2_opaque(gridworld_c2):
-    verdict = verify_state_opacity(gridworld_c2, 0.0, OpacityNotion.initial_state())
-    assert verdict.opaque
+    for verdict in both_routes(gridworld_c2, 0.0, OpacityNotion.initial_state()):
+        assert verdict.opaque
 
 
 def test_rejects_pre_and_delayed_notions(gridworld_c1):
@@ -95,6 +101,20 @@ def test_rejects_pre_and_delayed_notions(gridworld_c1):
         verify_state_opacity(gridworld_c1, 0.0, OpacityNotion.k_step(1))
     with pytest.raises(ValidationError):
         verify_state_opacity(gridworld_c1, -0.5, OpacityNotion.initial_state())
+    obs = build_observer(gridworld_c1, 0.0)
+    with pytest.raises(NotImplementedError):
+        observer_verdict(obs, OpacityNotion.pre())
+    with pytest.raises(ValidationError):
+        observer_verdict(obs, OpacityNotion.k_step(1))
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+def test_non_finite_delta_is_rejected(gridworld_c2, delta):
+    for notion in (OpacityNotion.initial_state(), OpacityNotion.current_state()):
+        with pytest.raises(ValidationError):
+            verify_state_opacity(gridworld_c2, delta, notion)
+    with pytest.raises(ValidationError):
+        build_observer(gridworld_c2, delta)
 
 
 def test_resource_cap(gridworld_c1):
@@ -119,10 +139,10 @@ def test_witnesses_confirmed_by_definition_replay():
         sys_ = random_system(rng)
         for delta in (0.0, 0.1):
             for notion in (OpacityNotion.initial_state(), OpacityNotion.current_state()):
-                verdict = verify_state_opacity(sys_, delta, notion)
-                if not verdict.opaque:
-                    assert confirm_witness(sys_, delta, notion, verdict.witness)
-                    confirmed += 1
+                for verdict in both_routes(sys_, delta, notion):
+                    if not verdict.opaque:
+                        assert confirm_witness(sys_, delta, notion, verdict.witness)
+                        confirmed += 1
     assert confirmed > 50  # the corpus must actually exercise failures
 
 
@@ -132,8 +152,9 @@ def test_agreement_with_brute_force_small_batch():
         sys_ = random_system(rng)
         for delta in (0.0, 0.1):
             for notion in (OpacityNotion.initial_state(), OpacityNotion.current_state()):
-                assert (verify_state_opacity(sys_, delta, notion).opaque
-                        == brute_force_opacity(sys_, delta, notion).opaque)
+                engine, paper = both_routes(sys_, delta, notion)
+                oracle = brute_force_opacity(sys_, delta, notion)
+                assert engine.opaque == paper.opaque == oracle.opaque
 
 
 def test_delta_zero_matches_symbolic_equality_variant():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from opacue.brute import brute_force_opacity
-from opacue.errors import DimensionError, PrecisionError
+from opacue.errors import DimensionError, PrecisionError, ValidationError
 from opacue.simrel import (
     AbstractionStatus,
     SimRelation,
@@ -211,6 +211,14 @@ def test_precision_gate():
     sys_ = MetricSystem(("x",), ("u",), ((0.0,),), (0,), (), ())
     with pytest.raises(PrecisionError):
         opacity_via_abstraction(sys_, sys_, epsilon=0.2, delta=0.3)
+
+
+def test_transfer_rejects_non_finite_thresholds():
+    sys_ = MetricSystem(("x",), ("u",), ((0.0,),), (0,), (), ())
+    for epsilon, delta in ((0.0, float("nan")), (0.0, float("inf")),
+                           (float("nan"), 0.3), (float("inf"), 0.3)):
+        with pytest.raises(ValidationError, match="finite"):
+            opacity_via_abstraction(sys_, sys_, epsilon=epsilon, delta=delta)
 
 
 def test_epsilon_zero_identical_systems_reduces_to_direct_verification():

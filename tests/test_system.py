@@ -200,6 +200,14 @@ def test_parse_rejects_wrong_output_arity():
         parse_system(json.dumps(doc))
 
 
+def test_parse_rejects_non_finite_outputs():
+    for value in ("NaN", "Infinity", "-Infinity"):
+        text = ('{"states": [{"name": "a", "output": [0.0, %s]}], "inputs": ["u"], '
+                '"initial": ["a"], "secret": [], "transitions": []}' % value)
+        with pytest.raises(ValidationError, match="not finite"):
+            parse_system(text)
+
+
 def test_parse_rejects_duplicate_transitions():
     doc = {
         "states": [{"name": "a", "output": [0.0]}],
