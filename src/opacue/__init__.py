@@ -57,6 +57,7 @@ from .estimator import (
     EstimatorState,
     InitialStateEstimator,
     build_initial_estimator,
+    estimator_verdict,
     verify_initial_opacity_via_estimator,
 )
 from .observer import (

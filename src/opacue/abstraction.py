@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .boxes import BoxUnion, grid, grid_interval, nearest_lattice
 from .control import DtControlSystem, QuantizationCheck, QuantizationParams, check_quantization
-from .errors import DomainError, QuantizationError, ResourceError, ValidationError
+from .errors import DomainError, QuantizationError, ResourceError
 from .observer import DEFAULT_STATE_CAP
 from .system import MetricSystem
 
@@ -47,7 +47,6 @@ class Abstraction:
     system: MetricSystem
     eta: float
     mu: float
-    delta_output: float
     certified: bool
     check: QuantizationCheck
 
@@ -55,7 +54,6 @@ class Abstraction:
 def build_abstraction(
     cs: DtControlSystem,
     params: QuantizationParams,
-    delta_output: float = 0.0,
     allow_unsound: bool = False,
     cap: int = DEFAULT_STATE_CAP,
 ) -> Abstraction:
@@ -63,12 +61,8 @@ def build_abstraction(
 
     Refuses to build when the quantization inequality fails unless
     `allow_unsound` is set, in which case the result is stamped
-    certificate-free. `delta_output` records the measurement threshold the
-    abstraction is meant to be queried at; it does not affect the
-    construction.
+    certificate-free.
     """
-    if delta_output < 0:
-        raise ValidationError("delta_output must be nonnegative")
     _span_guards(cs, params)
     qcheck = check_quantization(cs.iss_cert, params)
     if not qcheck.passed and not allow_unsound:
@@ -119,7 +113,6 @@ def build_abstraction(
         system=system,
         eta=params.eta,
         mu=params.mu,
-        delta_output=delta_output,
         certified=qcheck.passed,
         check=qcheck,
     )

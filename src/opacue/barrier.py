@@ -15,11 +15,12 @@ every matching one); the two orders are kept as distinct code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import grid
 from .control import DtControlSystem
-from .errors import QuantizationError, ValidationError
+from .errors import QuantizationError
+from .system import check_delta, check_threshold
 
 __all__ = [
     "Evaluator",
@@ -40,6 +41,10 @@ Evaluator = Callable[[Sequence[float]], float]
 DEFAULT_MARGIN = 1e-9
 
 Pair = tuple[tuple[float, ...], tuple[float, ...]]
+# One sampled condition instance: the augmented point and its slack.
+Sample = tuple[tuple[float, ...], float]
+# The value a violated sample reports, given its slack; None if not violated.
+Rule = Callable[[float], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,7 @@ def build_regions(
     by exact membership in each region predicate, so any reported witness
     genuinely belongs to its region.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
+    check_delta(delta)
     for label, span in _region_spans(cs):
         if resolution > span:
             raise QuantizationError(
@@ -134,14 +138,12 @@ class CheckReport:
         return self.violations[0] if self.violations else None
 
     def to_report(self) -> dict:
+        first = self.witness
         return {
             "status": self.status,
             "conclusive": self.conclusive,
-            "condition": None if not self.violations else self.violations[0].condition,
-            "witness": None if not self.violations else {
-                "point": list(self.violations[0].point),
-                "value": self.violations[0].value,
-            },
+            "condition": first and first.condition,
+            "witness": first and {"point": list(first.point), "value": first.value},
             "violations": len(self.violations),
             "min_margin": dict(self.min_margin),
             "sample_counts": dict(self.sample_counts),
@@ -168,11 +170,34 @@ def decrease_exists_forall(slack: list[list[float]]) -> float:
     return max(min(row) for row in slack)
 
 
-def _finish(
-    violations: list[Violation],
-    margins: dict[str, Optional[float]],
-    counts: dict[str, int],
-) -> CheckReport:
+def _above(margin: float) -> Rule:
+    """Violation rule of "B > margin": B itself, whenever B <= margin."""
+    return lambda value: value if value <= margin else None
+
+
+def _negative(slack: float) -> Optional[float]:
+    """Violation rule of "slack >= 0": the shortfall -slack."""
+    return -slack if slack < 0 else None
+
+
+def _scan(conditions: Sequence[tuple[str, Iterable[Sample], Rule]]) -> CheckReport:
+    """Scan every sample of every (name, samples, rule) condition, in order.
+
+    Every sample is scanned, so the report counts every violation.
+    """
+    violations: list[Violation] = []
+    margins: dict[str, Optional[float]] = {}
+    counts: dict[str, int] = {}
+    for name, samples, rule in conditions:
+        worst, count = None, 0
+        for point, slack in samples:
+            count += 1
+            if worst is None or slack < worst:
+                worst = slack
+            value = rule(slack)
+            if value is not None:
+                violations.append(Violation(name, point, value))
+        margins[name], counts[name] = worst, count
     falsified = bool(violations)
     return CheckReport(
         status="falsified" if falsified else "sample-passed",
@@ -183,10 +208,28 @@ def _finish(
     )
 
 
-def _track(margins: dict, key: str, value: float) -> None:
-    prev = margins[key]
-    if prev is None or value < prev:
-        margins[key] = value
+def _decrease(
+    candidate: Evaluator,
+    cs: DtControlSystem,
+    resolution: float,
+    pairs: Iterable[Pair],
+    quantify: Callable[[list[list[float]]], float],
+    margin: float,
+) -> Iterator[Sample]:
+    """At each pair, quantify (rows u, columns u_hat) the decrease slack
+    B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The successors f(x, u)
+    come from a table over grid points and inputs, built once per check.
+    """
+    inputs = grid(cs.input_box, resolution)
+    succ = {x: [cs.step(x, u) for u in inputs] for x in grid(cs.state_box, resolution)}
+
+    def slack(x: tuple[float, ...], xh: tuple[float, ...]) -> float:
+        base = candidate(x + xh)
+        return quantify([
+            [base - candidate(nx + nxh) - margin for nxh in succ[xh]] for nx in succ[x]
+        ])
+
+    return ((x + xh, slack(x, xh)) for x, xh in pairs)
 
 
 def check_opacity_barrier(
@@ -202,36 +245,15 @@ def check_opacity_barrier(
     output-distinguishable region, and on every augmented sample, for every
     grid input u there exists a grid input u_hat keeping B from increasing.
     """
+    check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
-    inputs = grid(cs.input_box, resolution)
-    violations: list[Violation] = []
-    margins: dict[str, Optional[float]] = {"initial": None, "unsafe": None, "decrease": None}
-    counts = {"initial": len(regions.r0), "unsafe": len(regions.ru), "decrease": len(regions.r)}
-
-    for x, xh in regions.r0:
-        value = candidate(x + xh)
-        _track(margins, "initial", -value)
-        if value > 0:
-            violations.append(Violation("initial", x + xh, value))
-    for x, xh in regions.ru:
-        value = candidate(x + xh)
-        _track(margins, "unsafe", value)
-        if value <= margin:
-            violations.append(Violation("unsafe", x + xh, value))
-    for x, xh in regions.r:
-        base = candidate(x + xh)
-        slack = [
-            [
-                base - candidate(cs.step(x, u) + cs.step(xh, uh))
-                for uh in inputs
-            ]
-            for u in inputs
-        ]
-        value = decrease_forall_exists(slack)
-        _track(margins, "decrease", value)
-        if value < 0:
-            violations.append(Violation("decrease", x + xh, -value))
-    return _finish(violations, margins, counts)
+    return _scan((
+        ("initial", ((x + xh, -candidate(x + xh)) for x, xh in regions.r0), _negative),
+        ("unsafe", ((x + xh, candidate(x + xh)) for x, xh in regions.ru),
+         _above(margin)),
+        ("decrease", _decrease(candidate, cs, resolution, regions.r,
+                               decrease_forall_exists, 0.0), _negative),
+    ))
 
 
 def _boundary_ring(points: list[tuple[float, ...]]) -> list[Pair]:
@@ -263,48 +285,21 @@ def check_lack_barrier(
     outermost grid ring of the box minus the unsafe region (the discrete
     stand-in for the domain boundary away from the unsafe set); and on every
     sample of the closure of R minus R_u there EXISTS a grid input u such
-    that FOR ALL grid inputs u_hat the candidate strictly decreases.
+    that FOR ALL grid inputs u_hat the candidate strictly decreases (by more
+    than the strictness margin).
     """
+    check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
-    inputs = grid(cs.input_box, resolution)
-    points = grid(cs.state_box, resolution)
-    violations: list[Violation] = []
-    margins: dict[str, Optional[float]] = {"initial": None, "boundary": None, "decrease": None}
 
-    def gap(x, xh) -> float:
-        ya, yb = cs.observe(x), cs.observe(xh)
-        return max(abs(i - j) for i, j in zip(ya, yb))
+    def close(x, xh) -> bool:
+        return max(abs(i - j) for i, j in zip(cs.observe(x), cs.observe(xh))) <= delta
 
-    boundary = [(x, xh) for x, xh in _boundary_ring(points) if gap(x, xh) <= delta]
-    close_pairs = [(x, xh) for x, xh in regions.r if gap(x, xh) <= delta]
-    counts = {
-        "initial": len(regions.r0),
-        "boundary": len(boundary),
-        "decrease": len(close_pairs),
-    }
-
-    for x, xh in regions.r0:
-        value = candidate(x + xh)
-        _track(margins, "initial", -value)
-        if value > 0:
-            violations.append(Violation("initial", x + xh, value))
-    for x, xh in boundary:
-        value = candidate(x + xh)
-        _track(margins, "boundary", value)
-        if value <= margin:
-            violations.append(Violation("boundary", x + xh, value))
-    for x, xh in close_pairs:
-        base = candidate(x + xh)
-        # Strict decrease: slack is the decrease beyond the strictness margin.
-        slack = [
-            [
-                base - candidate(cs.step(x, u) + cs.step(xh, uh)) - margin
-                for uh in inputs
-            ]
-            for u in inputs
-        ]
-        value = decrease_exists_forall(slack)
-        _track(margins, "decrease", value)
-        if value < 0:
-            violations.append(Violation("decrease", x + xh, -value))
-    return _finish(violations, margins, counts)
+    boundary = [p for p in _boundary_ring(grid(cs.state_box, resolution)) if close(*p)]
+    return _scan((
+        ("initial", ((x + xh, -candidate(x + xh)) for x, xh in regions.r0), _negative),
+        ("boundary", ((x + xh, candidate(x + xh)) for x, xh in boundary),
+         _above(margin)),
+        ("decrease", _decrease(candidate, cs, resolution,
+                               [p for p in regions.r if close(*p)],
+                               decrease_exists_forall, margin), _negative),
+    ))

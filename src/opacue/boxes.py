@@ -132,8 +132,14 @@ def _lattice_range(lo: float, hi: float, step: Decimal) -> range:
     return range(kmin, kmax + 1)
 
 
+def _check_step(step: float) -> None:
+    if not 0 < step < math.inf:
+        raise ValidationError(f"grid step must be a finite positive number, got {step}")
+
+
 def grid_interval(lo: float, hi: float, step: float) -> list[float]:
     """Lattice multiples of step inside the closed interval [lo, hi]."""
+    _check_step(step)
     dstep = Decimal(str(step))
     return [float(k * dstep) for k in _lattice_range(lo, hi, dstep)]
 
@@ -144,8 +150,7 @@ def grid(region: Box | BoxUnion, step: float) -> list[tuple[float, ...]]:
     Raises QuantizationError when the step exceeds the region's span, since
     such a grid can miss the region entirely.
     """
-    if step <= 0:
-        raise ValidationError(f"grid step must be positive, got {step}")
+    _check_step(step)
     boxes = (region,) if isinstance(region, Box) else region.boxes
     if isinstance(region, BoxUnion) and region.empty:
         return []

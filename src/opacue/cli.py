@@ -43,7 +43,7 @@ from .errors import (
     SmallGainError,
     ValidationError,
 )
-from .estimator import build_initial_estimator, verify_initial_opacity_via_estimator
+from .estimator import build_initial_estimator, estimator_verdict
 from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
 from .polynomial import parse_polynomial
 from .simrel import AbstractionStatus, max_initsop_relation, opacity_via_abstraction
@@ -143,7 +143,7 @@ def _cmd_estimator(args: argparse.Namespace) -> int:
     est = build_initial_estimator(system, args.delta, cap)
     if args.export_dot:
         Path(args.export_dot).write_text(estimator_dot(est), encoding="utf-8")
-    verdict = verify_initial_opacity_via_estimator(system, args.delta, cap)
+    verdict = estimator_verdict(est)
     _emit(verdict.to_report(system))
     return EXIT_PASS if verdict.opaque else EXIT_FAIL
 
@@ -168,12 +168,7 @@ def _cmd_simrel(args: argparse.Namespace) -> int:
 def _cmd_abstract(args: argparse.Namespace) -> int:
     cs = parse_control_system(_read(args.system))
     params = QuantizationParams(eta=args.eta, mu=args.mu, epsilon=args.epsilon)
-    result = build_abstraction(
-        cs, params,
-        delta_output=args.delta if args.delta is not None else 0.0,
-        allow_unsound=args.unsound,
-        cap=_cap_from(args),
-    )
+    result = build_abstraction(cs, params, allow_unsound=args.unsound, cap=_cap_from(args))
     text = serialize_system(result.system)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -223,7 +218,7 @@ def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]
                 initial=Interval(*entry["initial"]),
                 secret=Interval(*entry["secret"]),
             ))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"{key}: expected a, b, state, initial, secret") from exc
     return subs[0], subs[1]
 
@@ -305,8 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True, help="state grid step")
     p.add_argument("--mu", type=float, required=True, help="input grid step")
     p.add_argument("--epsilon", type=float, required=True, help="target precision")
-    p.add_argument("--delta", type=float, default=None,
-                   help="measurement threshold the abstraction will be queried at")
     p.add_argument("--unsound", action="store_true",
                    help="build even if the quantization inequality fails")
     p.add_argument("--out", default=None, help="write the abstraction here")

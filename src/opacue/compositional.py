@@ -9,12 +9,14 @@ maximum into certificates for the interconnection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+import math
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Optional, Sequence
 
 from .boxes import Box, BoxUnion, grid_interval
 from .control import DtControlSystem, IssCertificate
 from .errors import SmallGainError, ValidationError
+from .system import check_delta, check_threshold
 
 __all__ = [
     "Interval",
@@ -32,6 +34,9 @@ __all__ = [
 
 # Local simulation function V_i(x_i, xhat_i) and local barrier B_i(x_i, xhat_i).
 PairFn = Callable[[float, float], float]
+# One sampled condition instance: its witness point and its slack, where a
+# slack of None means the sample has no partner to match it.
+Sample = tuple[tuple[float, ...], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -40,8 +45,9 @@ class Interval:
     hi: float
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValidationError(f"interval needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValidationError(f"interval needs finite lo < hi, "
+                                  f"got [{self.lo}, {self.hi}]")
 
     def contains(self, v: float) -> bool:
         return self.lo <= v <= self.hi
@@ -60,6 +66,8 @@ class LinearSubsystem:
     def __post_init__(self):
         if not abs(self.a) < 1:
             raise ValidationError(f"subsystem needs |a| < 1, got a={self.a}")
+        if not math.isfinite(self.b):
+            raise ValidationError(f"subsystem needs a finite b, got b={self.b}")
         for label, iv in (("initial", self.initial), ("secret", self.secret)):
             if iv.lo < self.state.lo or iv.hi > self.state.hi:
                 raise ValidationError(f"{label} interval leaves the state interval")
@@ -80,12 +88,7 @@ class GainReport:
     small_gain_ok: bool
 
     def to_report(self) -> dict:
-        return {
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "product": self.product,
-            "small_gain_ok": self.small_gain_ok,
-        }
+        return asdict(self)
 
 
 def small_gain(sub1: LinearSubsystem, sub2: LinearSubsystem) -> GainReport:
@@ -165,6 +168,29 @@ def _lattice(iv: Interval, step: float) -> list[float]:
     return grid_interval(iv.lo, iv.hi, step)
 
 
+def _scan(samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tuple]]:
+    """(passed, smallest slack, witness) of one sampled condition.
+
+    Stops at the first sample with a negative slack or without a partner;
+    the witness is the worst sample seen, or the partnerless one.
+    """
+    worst = witness = None
+    for point, slack in samples:
+        if slack is None:
+            return False, worst, point
+        if worst is None or slack < worst:
+            worst, witness = slack, point
+        if slack < 0:
+            return False, worst, witness
+    return True, worst, None
+
+
+def _slack(eps: float, values: list[float], pick: Callable = min) -> Optional[float]:
+    """eps - pick(values): the slack of "some value is within eps" (min) or of
+    "every value is" (max); None when there is no value to match."""
+    return eps - pick(values) if values else None
+
+
 def _sim_conditions(
     sub: LinearSubsystem,
     partner: LinearSubsystem,
@@ -179,98 +205,45 @@ def _sim_conditions(
     xs = _lattice(sub.state, resolution)
     abstract = _lattice(sub.state, eta)
     abstract_secret = [p for p in abstract if sub.secret.contains(p)]
-    abstract_nonsecret_init = [p for p in abstract if not sub.secret.contains(p)]
+    abstract_nonsecret = [p for p in abstract if not sub.secret.contains(p)]
+    initial = [x for x in xs if sub.initial.contains(x)]
+    secret_init = [x for x in initial if sub.secret.contains(x)]
+    nonsecret_init = [x for x in initial if not sub.secret.contains(x)]
     ws = _lattice(partner.state, resolution)
     w_abstract = _lattice(partner.state, eta_partner)
-    checks: list[SimFunctionCheck] = []
 
-    # 1a: every secret initial sample is eps-tracked by an abstract secret state.
-    worst, witness, ok = None, None, True
-    for x0 in xs:
-        if not (sub.initial.contains(x0) and sub.secret.contains(x0)):
-            continue
-        best = min((v(x0, xh) for xh in abstract_secret), default=None)
-        if best is None:
-            ok, witness = False, (x0,)
-            break
-        slack = eps - best
-        if worst is None or slack < worst:
-            worst, witness = slack, (x0,)
-        if slack < 0:
-            ok = False
-            break
-    checks.append(SimFunctionCheck("1a", ok, worst, None if ok else witness))
+    def step_matching() -> Iterable[Sample]:
+        # From every eps-related pair, for all theta-close internal inputs:
+        # 3a: some abstract successor tracks the concrete step; 3b: the
+        # concrete step tracks every abstract successor (the concrete side
+        # is deterministic). 3b implies 3a, so the slack is that of 3b.
+        for x in xs:
+            for xh in abstract:
+                if v(x, xh) > eps:
+                    continue
+                for w in ws:
+                    for wh in w_abstract:
+                        if abs(w - wh) > theta:
+                            continue
+                        x_next, image = sub.step(x, w), sub.step(xh, wh)
+                        yield (x, xh, w, wh), _slack(eps, [
+                            v(x_next, p) for p in abstract if abs(p - image) <= eta
+                        ], max)
 
-    # 1b: every abstract non-secret state (all abstract states are initial)
-    # is eps-tracked by a non-secret initial sample.
-    worst, witness, ok = None, None, True
-    for xh in abstract_nonsecret_init:
-        cands = [
-            x0 for x0 in xs
-            if sub.initial.contains(x0) and not sub.secret.contains(x0)
-        ]
-        best = min((v(x0, xh) for x0 in cands), default=None)
-        if best is None:
-            ok, witness = False, (xh,)
-            break
-        slack = eps - best
-        if worst is None or slack < worst:
-            worst, witness = slack, (xh,)
-        if slack < 0:
-            ok = False
-            break
-    checks.append(SimFunctionCheck("1b", ok, worst, None if ok else witness))
-
-    # 2: V dominates the tracking distance everywhere.
-    worst, witness, ok = None, None, True
-    for x in xs:
-        for xh in abstract:
-            slack = v(x, xh) - abs(x - xh)
-            if worst is None or slack < worst:
-                worst, witness = slack, (x, xh)
-            if slack < 0:
-                ok = False
-                break
-        if not ok:
-            break
-    checks.append(SimFunctionCheck("2", ok, worst, None if ok else witness))
-
-    # 3: from every eps-related pair, for all theta-close internal inputs,
-    # concrete and abstract steps track each other within eps again.
-    worst, witness, ok = None, None, True
-    for x in xs:
-        for xh in abstract:
-            if v(x, xh) > eps:
-                continue
-            for w in ws:
-                for wh in w_abstract:
-                    if abs(w - wh) > theta:
-                        continue
-                    x_next = sub.step(x, w)
-                    image = sub.step(xh, wh)
-                    succs = [p for p in abstract if abs(p - image) <= eta]
-                    if not succs:
-                        ok, witness = False, (x, xh, w, wh)
-                        break
-                    # 3a: some abstract successor tracks the concrete step;
-                    # 3b: the concrete step tracks every abstract successor
-                    # (the concrete side is deterministic).
-                    slack_a = eps - min(v(x_next, p) for p in succs)
-                    slack_b = eps - max(v(x_next, p) for p in succs)
-                    slack = min(slack_a, slack_b)
-                    if worst is None or slack < worst:
-                        worst, witness = slack, (x, xh, w, wh)
-                    if slack < 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    checks.append(SimFunctionCheck("3", ok, worst, None if ok else witness))
-    return tuple(checks)
+    conditions = (
+        # 1a: every secret initial sample is eps-tracked by an abstract secret state.
+        ("1a", (((x0,), _slack(eps, [v(x0, xh) for xh in abstract_secret]))
+                for x0 in secret_init)),
+        # 1b: every abstract non-secret state (all abstract states are initial)
+        # is eps-tracked by a non-secret initial sample.
+        ("1b", (((xh,), _slack(eps, [v(x0, xh) for x0 in nonsecret_init]))
+                for xh in abstract_nonsecret)),
+        # 2: V dominates the tracking distance everywhere.
+        ("2", (((x, xh), v(x, xh) - abs(x - xh)) for x in xs for xh in abstract)),
+        ("3", step_matching()),
+    )
+    return tuple(SimFunctionCheck(name, *_scan(samples))
+                 for name, samples in conditions)
 
 
 def compose_simulation(
@@ -290,6 +263,8 @@ def compose_simulation(
     (eps_i, theta_i), then samples the interconnected step-matching
     condition for the composed function on the product grid.
     """
+    for name, value in zip(("eps1", "eps2", "theta1", "theta2"), (*eps, *theta)):
+        check_threshold(name, value)
     gains = _require_small_gain(sub1, sub2)
 
     local1 = _sim_conditions(sub1, sub2, v1, eps[0], theta[0], eta[0], eta[1], resolution)
@@ -301,43 +276,28 @@ def compose_simulation(
     eps_all = max(eps)
     xs1, xs2 = _lattice(sub1.state, resolution), _lattice(sub2.state, resolution)
     ab1, ab2 = _lattice(sub1.state, eta[0]), _lattice(sub2.state, eta[1])
-    worst, witness, ok = None, None, True
-    for x1 in xs1:
-        for x2 in xs2:
-            for xh1 in ab1:
-                for xh2 in ab2:
-                    if composed((x1, x2), (xh1, xh2)) > eps_all:
-                        continue
-                    n1 = sub1.step(x1, x2)
-                    n2 = sub2.step(x2, x1)
-                    img1 = sub1.step(xh1, xh2)
-                    img2 = sub2.step(xh2, xh1)
-                    succ1 = [p for p in ab1 if abs(p - img1) <= eta[0]]
-                    succ2 = [p for p in ab2 if abs(p - img2) <= eta[1]]
-                    if not succ1 or not succ2:
-                        ok, witness = False, (x1, x2, xh1, xh2)
-                        break
-                    values = [
-                        composed((n1, n2), (p1, p2)) for p1 in succ1 for p2 in succ2
-                    ]
-                    slack = min(eps_all - min(values), eps_all - max(values))
-                    if worst is None or slack < worst:
-                        worst, witness = slack, (x1, x2, xh1, xh2)
-                    if slack < 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    inter = (SimFunctionCheck("3-interconnected", ok, worst, None if ok else witness),)
+
+    def step_matching() -> Iterable[Sample]:
+        for x1 in xs1:
+            for x2 in xs2:
+                for xh1 in ab1:
+                    for xh2 in ab2:
+                        if composed((x1, x2), (xh1, xh2)) > eps_all:
+                            continue
+                        n1, n2 = sub1.step(x1, x2), sub2.step(x2, x1)
+                        img1, img2 = sub1.step(xh1, xh2), sub2.step(xh2, xh1)
+                        succ1 = [p for p in ab1 if abs(p - img1) <= eta[0]]
+                        succ2 = [p for p in ab2 if abs(p - img2) <= eta[1]]
+                        yield (x1, x2, xh1, xh2), _slack(eps_all, [
+                            composed((n1, n2), (p1, p2)) for p1 in succ1 for p2 in succ2
+                        ], max)
 
     return SimCompositionReport(
         gains=gains,
         local_checks=(local1, local2),
-        interconnected_checks=inter,
+        interconnected_checks=(
+            SimFunctionCheck("3-interconnected", *_scan(step_matching())),
+        ),
         composed=composed,
     )
 
@@ -366,12 +326,8 @@ class BarrierCompositionReport:
             "small_gain": self.gains.to_report(),
             "all_passed": self.all_passed,
             "checks": [
-                {
-                    "subsystem": c.subsystem,
-                    "condition": c.condition,
-                    "passed": c.passed,
-                    "min_margin": c.min_margin,
-                }
+                {key: getattr(c, key)
+                 for key in ("subsystem", "condition", "passed", "min_margin")}
                 for c in self.checks
             ],
         }
@@ -390,74 +346,31 @@ def _barrier_conditions(
     xs = _lattice(sub.state, resolution)
     ws = _lattice(partner.state, resolution)
     pairs = [(x, xh) for x in xs for xh in xs]
-    checks: list[BarrierConditionCheck] = []
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
 
-    # Lower bound by the augmented norm on the whole region.
-    worst, witness, ok = None, None, True
-    for x, xh in pairs:
-        slack = b((x, xh)) - norm(x, xh)
-        if worst is None or slack < worst:
-            worst, witness = slack, (x, xh)
-        if slack < 0:
-            ok = False
-            break
-    checks.append(BarrierConditionCheck(idx, "norm-lower-bound", ok, worst,
-                                        None if ok else witness))
+    def initial(x: float, xh: float) -> bool:
+        return (sub.initial.contains(x) and sub.secret.contains(x)
+                and sub.initial.contains(xh) and not sub.secret.contains(xh)
+                and abs(x - xh) <= delta)
 
-    # Nonpositive on the local augmented initial region.
-    worst, witness, ok = None, None, True
-    count = 0
-    for x, xh in pairs:
-        if not (sub.initial.contains(x) and sub.secret.contains(x)):
-            continue
-        if not (sub.initial.contains(xh) and not sub.secret.contains(xh)):
-            continue
-        if abs(x - xh) > delta:
-            continue
-        count += 1
-        slack = -b((x, xh))
-        if worst is None or slack < worst:
-            worst, witness = slack, (x, xh)
-        if slack < 0:
-            ok = False
-            break
-    checks.append(BarrierConditionCheck(idx, "initial", ok, worst,
-                                        None if ok else witness))
-
-    # Positive on the local output-distinguishable region.
-    worst, witness, ok = None, None, True
-    for x, xh in pairs:
-        if abs(x - xh) <= delta:
-            continue
-        slack = b((x, xh)) - margin
-        if worst is None or slack < worst:
-            worst, witness = slack, (x, xh)
-        if slack < 0:
-            ok = False
-            break
-    checks.append(BarrierConditionCheck(idx, "unsafe", ok, worst,
-                                        None if ok else witness))
-
-    # Gain-style decrease against the partner's augmented norm.
-    worst, witness, ok = None, None, True
-    for x, xh in pairs:
-        for w, wh in ((w, wh) for w in ws for wh in ws):
-            lhs = b((sub.step(x, w), sub.step(xh, wh)))
-            rhs = (1 - sub.a) * b((x, xh)) + sub.b * norm(w, wh)
-            slack = rhs - lhs
-            if worst is None or slack < worst:
-                worst, witness = slack, (x, xh, w, wh)
-            if slack < 0:
-                ok = False
-                break
-        if not ok:
-            break
-    checks.append(BarrierConditionCheck(idx, "decrease", ok, worst,
-                                        None if ok else witness))
-    return checks
+    conditions = (
+        # Lower bound by the augmented norm on the whole region.
+        ("norm-lower-bound", ((p, b(p) - norm(*p)) for p in pairs)),
+        # Nonpositive on the local augmented initial region.
+        ("initial", ((p, -b(p)) for p in pairs if initial(*p))),
+        # Positive on the local output-distinguishable region.
+        ("unsafe", ((p, b(p) - margin) for p in pairs if abs(p[0] - p[1]) > delta)),
+        # Gain-style decrease against the partner's augmented norm.
+        ("decrease", (
+            ((x, xh, w, wh), (1 - sub.a) * b((x, xh)) + sub.b * norm(w, wh)
+             - b((sub.step(x, w), sub.step(xh, wh))))
+            for x, xh in pairs for w in ws for wh in ws
+        )),
+    )
+    return [BarrierConditionCheck(idx, name, *_scan(samples))
+            for name, samples in conditions]
 
 
 def compose_barriers(
@@ -476,6 +389,8 @@ def compose_barriers(
     interconnected augmented point (x1, x2, xhat1, xhat2) and can be fed back
     into the opacity barrier checker for the interconnection.
     """
+    check_delta(delta)
+    check_threshold("margin", margin)
     gains = _require_small_gain(sub1, sub2)
     checks = _barrier_conditions(1, sub1, sub2, b1, delta, resolution, margin)
     checks += _barrier_conditions(2, sub2, sub1, b2, delta, resolution, margin)
@@ -484,6 +399,4 @@ def compose_barriers(
         x1, x2, xh1, xh2 = point
         return max(b1((x1, xh1)), b2((x2, xh2)))
 
-    return BarrierCompositionReport(
-        gains=gains, checks=tuple(checks), composed=composed
-    )
+    return BarrierCompositionReport(gains=gains, checks=tuple(checks), composed=composed)

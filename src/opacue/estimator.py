@@ -20,7 +20,7 @@ from .system import MetricSystem, OpacityNotion, check_delta, iter_bits
 from .verdict import Verdict, Witness
 
 __all__ = ["EstimatorState", "InitialStateEstimator", "build_initial_estimator",
-           "verify_initial_opacity_via_estimator"]
+           "estimator_verdict", "verify_initial_opacity_via_estimator"]
 
 
 @dataclass(frozen=True)
@@ -125,18 +125,15 @@ def build_initial_estimator(
     )
 
 
-def verify_initial_opacity_via_estimator(
-    sys: MetricSystem,
-    delta: float,
-    cap: int = DEFAULT_STATE_CAP,
-) -> Verdict:
-    """Decide delta-approximate initial-state opacity via the backward route.
+def estimator_verdict(est: InitialStateEstimator) -> Verdict:
+    """Read the initial-state verdict off a built estimator.
 
     The system is opaque iff every reachable estimator state whose reference
     component is a secret initial state still retains a non-secret initial
-    state in its estimate.
+    state in its estimate. A failure ships the forward path traced by the
+    walk to the first such state in BFS order.
     """
-    est = build_initial_estimator(sys, delta, cap)
+    sys, delta = est.sys, est.delta
     secret = sys.secret_bits
     initial = sys.initial_bits
     notion = OpacityNotion.initial_state()
@@ -153,3 +150,12 @@ def verify_initial_opacity_via_estimator(
             witness = Witness(states=states, inputs=inputs, revealing_instant=None)
             return Verdict(False, notion, delta, witness, stats)
     return Verdict(True, notion, delta, None, stats)
+
+
+def verify_initial_opacity_via_estimator(
+    sys: MetricSystem,
+    delta: float,
+    cap: int = DEFAULT_STATE_CAP,
+) -> Verdict:
+    """Decide delta-approximate initial-state opacity via the backward route."""
+    return estimator_verdict(build_initial_estimator(sys, delta, cap))

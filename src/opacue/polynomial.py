@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -92,5 +93,7 @@ def parse_polynomial(text: str | bytes) -> Polynomial:
         coef = term["coef"]
         if isinstance(coef, bool) or not isinstance(coef, (int, float)):
             raise ParseError(f"{where}.coef: expected a number")
+        if not abs(coef) <= sys.float_info.max:  # NaN, inf, or past float range
+            raise ParseError(f"{where}.coef: expected a finite number, got {coef}")
         terms.append((tuple(exps), float(coef)))
     return Polynomial(n_vars=doc["vars"], terms=tuple(terms))

@@ -11,14 +11,15 @@ soundly to the finer system.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .errors import DimensionError, PrecisionError, ValidationError
+from .errors import DimensionError, PrecisionError
 from .observer import DEFAULT_STATE_CAP, verify_state_opacity
-from .system import MetricSystem, OpacityNotion, check_delta, delta_close, iter_bits
+from .system import (
+    MetricSystem, OpacityNotion, check_delta, check_threshold, delta_close, iter_bits,
+)
 from .verdict import Verdict
 
 __all__ = [
@@ -261,10 +262,7 @@ def opacity_via_abstraction(
     delta=0.3, epsilon=0.1 queries exactly 0.1).
     """
     check_delta(delta)
-    if not 0 <= epsilon < math.inf:
-        raise ValidationError(
-            f"epsilon must be a finite nonnegative number, got {epsilon}"
-        )
+    check_threshold("epsilon", epsilon)
     d_delta = Decimal(str(delta))
     d_eps = Decimal(str(epsilon))
     if d_eps > d_delta / 2:

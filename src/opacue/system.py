@@ -29,6 +29,7 @@ __all__ = [
     "serialize_system",
     "bits_of",
     "check_delta",
+    "check_threshold",
     "iter_bits",
 ]
 
@@ -76,16 +77,21 @@ class OutputMetric:
         return d
 
 
-def check_delta(delta: float) -> None:
-    """Raise ValidationError unless delta is a finite nonnegative number.
+def check_threshold(name: str, value: float) -> None:
+    """Raise ValidationError unless value is a finite nonnegative number.
 
     A NaN threshold would make every comparison false and silently empty
-    every closeness set; an infinite one cannot be written as JSON.
+    every set it bounds; an infinite one cannot be written as JSON.
     """
-    if not 0 <= delta < math.inf:
+    if not 0 <= value < math.inf:
         raise ValidationError(
-            f"delta must be a finite nonnegative number, got {delta}"
+            f"{name} must be a finite nonnegative number, got {value}"
         )
+
+
+def check_delta(delta: float) -> None:
+    """Raise ValidationError unless delta is a finite nonnegative number."""
+    check_threshold("delta", delta)
 
 
 def delta_close(

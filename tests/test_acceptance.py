@@ -149,7 +149,7 @@ def test_criterion_4_abstraction_soundness():
         if not op.check_quantization(cs.iss_cert, params).passed:
             continue
         built += 1
-        abstraction = op.build_abstraction(cs, params, delta_output=delta)
+        abstraction = op.build_abstraction(cs, params)
         sampled = op.sample_system(cs, eta=0.025, mu=0.05)
         verdict = op.opacity_via_abstraction(sampled, abstraction.system,
                                              epsilon, delta)

@@ -12,7 +12,7 @@ from opacue.barrier import (
 )
 from opacue.boxes import Box, BoxUnion
 from opacue.control import DtControlSystem, IssCertificate
-from opacue.errors import QuantizationError
+from opacue.errors import QuantizationError, ValidationError
 from opacue.polynomial import Polynomial
 
 
@@ -216,3 +216,35 @@ def test_falsified_witness_recheckable():
     assert CONST_MINUS_ONE(w.point) <= 0  # fails "B > 0 on Ru"
     x, xh = w.point[:1], w.point[1:]
     assert abs(cs.observe(x)[0] - cs.observe(xh)[0]) > 0.1
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), -0.1])
+def test_bad_delta_is_rejected(delta):
+    # delta = NaN used to empty both sampled regions and pass on 0 samples
+    with pytest.raises(ValidationError, match="finite"):
+        build_regions(simple_cs(), delta=delta, resolution=0.1)
+
+
+@pytest.mark.parametrize("checker", [check_opacity_barrier, check_lack_barrier])
+@pytest.mark.parametrize("margin", [float("nan"), float("inf"), -1e-9])
+def test_bad_margin_is_rejected(checker, margin):
+    with pytest.raises(ValidationError, match="margin"):
+        checker(CONST_PLUS_ONE, simple_cs(), delta=0.3, resolution=0.1, margin=margin)
+
+
+def test_dynamics_evaluated_once_per_grid_point_and_input():
+    calls = []
+
+    class Counted(DtControlSystem):
+        def step(self, x, u):
+            calls.append((x, u))
+            return super().step(x, u)
+
+    base = simple_cs()
+    cs = Counted(**{f: getattr(base, f) for f in base.__dataclass_fields__})
+    candidate = poly({(2, 0): 1.0, (0, 2): 1.0, (1, 1): -2.0, (0, 0): -0.03})
+    for checker in (check_opacity_barrier, check_lack_barrier):
+        calls.clear()
+        checker(candidate, cs, delta=0.15, resolution=0.1)
+        # 11 grid points times 3 grid inputs, each evaluated exactly once
+        assert len(calls) == len(set(calls)) == 11 * 3

@@ -106,3 +106,12 @@ def test_nearest_lattice_snaps_and_clamps():
     assert nearest_lattice((0.24,), 0.5, box) == (0.0,)
     assert nearest_lattice((7.0,), 0.5, box) == (1.0,)
     assert nearest_lattice((-3.0,), 0.5, box) == (0.0,)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])
+def test_grids_reject_non_finite_or_non_positive_steps(step):
+    # grid_interval used to crash on NaN and 0 and return [] for a negative step
+    with pytest.raises(ValidationError, match="finite positive"):
+        grid_interval(0.0, 1.0, step)
+    with pytest.raises(ValidationError, match="finite positive"):
+        grid(Box(((0.0, 1.0),)), step)

@@ -288,6 +288,134 @@ def test_compose_gains_and_barriers(capsys, tmp_path):
     assert "checks" in report
 
 
+PLANT = {
+    "dim": 1, "state_box": [[0.0, 1.0]], "initial_box": [[0.0, 1.0]],
+    "secret_box": [[0.5, 1.0]], "input_box": [[0.0, 0.2]], "dynamics": ["0.5*x1"],
+    "output": ["x1"], "iss_cert": {"c": 1.0, "lambda": 0.5, "g": 0.0, "a": 1.0},
+}
+# (x - xh)^2 - 0.03
+GAP = {"vars": 2, "terms": [
+    {"exps": [2, 0], "coef": 1.0}, {"exps": [0, 2], "coef": 1.0},
+    {"exps": [1, 1], "coef": -2.0}, {"exps": [0, 0], "coef": -0.03},
+]}
+SUBS = {
+    "sub1": {"a": -0.4, "b": 0.3, "state": [0.0, 1.0], "initial": [0.0, 0.2],
+             "secret": [0.6, 1.0]},
+    "sub2": {"a": -0.5, "b": 0.2, "state": [0.0, 1.0], "initial": [0.0, 0.2],
+             "secret": [0.6, 1.0]},
+}
+AFFINE = {"vars": 2, "terms": [{"exps": [0, 0], "coef": 1.0},
+                               {"exps": [1, 0], "coef": 1.0},
+                               {"exps": [0, 1], "coef": 1.0}]}
+
+
+def _write(tmp_path, name, doc):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _barrier_argv(tmp_path, candidate=GAP, **flags):
+    values = {"delta": "0.15", "resolution": "0.1", **flags}
+    return ["barrier", "--system", _write(tmp_path, "plant.json", PLANT),
+            "--candidate", _write(tmp_path, "b.json", candidate), "--kind", "opacity",
+            *(f"--{key}={value}" for key, value in values.items())]
+
+
+def _compose_argv(tmp_path, subs=SUBS, **flags):
+    values = {"delta": "0.1", "resolution": "0.1", **flags}
+    barrier = _write(tmp_path, "b.json", AFFINE)
+    return ["compose", "--system", _write(tmp_path, "ic.json", subs),
+            "--barrier1", barrier, "--barrier2", barrier,
+            *(f"--{key}={value}" for key, value in values.items())]
+
+
+def test_barrier_and_compose_flags_accept_the_valid_cases(capsys, tmp_path):
+    code, out, _ = run(capsys, *_barrier_argv(tmp_path))
+    assert code == 2 and json.loads(out)["status"] == "sample-passed"
+    code, out, _ = run(capsys, *_compose_argv(tmp_path))
+    assert code == 2 and json.loads(out)["all_passed"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    {"delta": "nan"},  # used to check 0 samples and report sample-passed
+    {"delta": "inf"},  # used to report falsified
+    {"resolution": "nan"},  # used to crash with ValueError
+    {"margin": "nan"},
+    {"margin": "-0.5"},
+], ids=lambda flags: "-".join(f"{k}={v}" for k, v in flags.items()))
+def test_barrier_rejects_bad_sampling_numbers(capsys, tmp_path, flags):
+    _rejected(capsys, *_barrier_argv(tmp_path, **flags))
+
+
+@pytest.mark.parametrize("flags", [
+    {"resolution": "nan"},  # used to crash with ValueError
+    {"resolution": "0"},  # used to crash with decimal.InvalidOperation
+    {"resolution": "-0.1"},  # used to pass on 0 samples
+    {"margin": "nan"},  # used to pass
+    {"margin": "-0.5"},
+    {"delta": "nan"},
+    {"delta": "inf"},
+], ids=lambda flags: "-".join(f"{k}={v}" for k, v in flags.items()))
+def test_compose_rejects_bad_sampling_numbers(capsys, tmp_path, flags):
+    _rejected(capsys, *_compose_argv(tmp_path, **flags))
+
+
+@pytest.mark.parametrize("coef", [float("nan"), float("inf"), float("-inf")])
+def test_barrier_rejects_non_finite_candidate_coefficients(capsys, tmp_path, coef):
+    # a NaN coefficient used to sample-pass with a NaN margin in the report
+    candidate = {"vars": 2, "terms": [{"exps": [0, 0], "coef": coef}]}
+    _rejected(capsys, *_barrier_argv(tmp_path, candidate))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("b", float("nan")),  # used to print "gamma1": NaN and exit 1
+    ("b", float("inf")),
+    ("state", [0.0, float("inf")]),
+], ids=["b-nan", "b-inf", "state-inf"])
+def test_compose_rejects_non_finite_interconnections(capsys, tmp_path, field, value):
+    subs = json.loads(json.dumps(SUBS))
+    subs["sub1"][field] = value
+    path = _write(tmp_path, "ic.json", subs)
+    _rejected(capsys, "compose", "--system", path)
+    _rejected(capsys, *_compose_argv(tmp_path, subs))
+
+
+def test_compose_rejects_non_numeric_gain(capsys, tmp_path):
+    subs = json.loads(json.dumps(SUBS))
+    subs["sub1"]["a"] = "half"
+    code, out, err = run(capsys, "compose", "--system", _write(tmp_path, "ic.json", subs))
+    assert (code, out) == (3, "") and "sub1" in err
+
+
+def test_estimator_subcommand_builds_the_estimator_once(capsys, monkeypatch, tmp_path):
+    import opacue.cli
+    import opacue.estimator
+
+    calls = []
+    original = opacue.estimator.build_initial_estimator
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(opacue.cli, "build_initial_estimator", counted)
+    monkeypatch.setattr(opacue.estimator, "build_initial_estimator", counted)
+    code, out, _ = run(capsys, "estimator", "--system", C1, "--delta", "0",
+                       "--export-dot", str(tmp_path / "est.dot"))
+    assert code == 1 and len(calls) == 1
+    report = json.loads(out)
+    assert report["witness"]["states"][0] == "5:0:5"
+    assert report["stats"]["estimator_states"] > 0
+
+
+def test_abstract_has_no_delta_flag(capsys, tmp_path):
+    plant = _write(tmp_path, "plant.json", PLANT)
+    code, _, _ = run(capsys, "abstract", "--system", plant, "--eta", "0.5",
+                     "--mu", "0.1", "--epsilon", "1.5", "--delta", "0.1")
+    assert code == 3
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 3
 

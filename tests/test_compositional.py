@@ -143,3 +143,37 @@ def test_compose_barriers_reports_local_falsification():
     failing = [c for c in report.checks if not c.passed]
     assert failing and failing[0].condition == "norm-lower-bound"
     assert failing[0].witness is not None
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_subsystems_are_rejected(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        sub(b=bad)
+    with pytest.raises(ValidationError, match="finite"):
+        Interval(0.0, bad)
+    with pytest.raises(ValidationError, match="finite"):
+        Interval(bad, 1.0)
+
+
+@pytest.mark.parametrize("flags", [
+    {"delta": float("nan")}, {"delta": float("inf")}, {"delta": -0.1},
+    {"margin": float("nan")}, {"margin": -1e-9},
+    {"resolution": float("nan")}, {"resolution": 0.0}, {"resolution": -0.2},
+])
+def test_compose_barriers_rejects_bad_sampling_numbers(flags):
+    norm = lambda p: max(abs(p[0]), abs(p[1]))
+    args = {"delta": 0.5, "resolution": 0.2, "margin": 1e-9, **flags}
+    with pytest.raises(ValidationError, match="finite"):
+        compose_barriers(norm, norm, sub(), sub(), **args)
+
+
+@pytest.mark.parametrize("flags", [
+    {"eps": (float("nan"), 0.3)}, {"theta": (0.3, float("inf"))},
+    {"eta": (0.0, 0.05)}, {"resolution": float("nan")},
+])
+def test_compose_simulation_rejects_bad_sampling_numbers(flags):
+    v = lambda x, xh: abs(x - xh)
+    args = {"eps": (0.3, 0.3), "theta": (0.3, 0.3), "eta": (0.05, 0.05),
+            "resolution": 0.1, **flags}
+    with pytest.raises(ValidationError, match="finite"):
+        compose_simulation(sub(), sub(), v, v, **args)

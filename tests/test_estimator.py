@@ -8,6 +8,7 @@ from opacue.brute import confirm_witness
 from opacue.errors import ResourceError
 from opacue.estimator import (
     build_initial_estimator,
+    estimator_verdict,
     verify_initial_opacity_via_estimator,
 )
 from opacue.observer import verify_state_opacity
@@ -94,3 +95,9 @@ def test_estimator_witness_is_forward_path(gridworld_c1):
 def test_estimator_resource_cap(gridworld_c1):
     with pytest.raises(ResourceError):
         build_initial_estimator(gridworld_c1, 0.0, cap=3)
+
+
+def test_estimator_verdict_reads_a_built_estimator(gridworld_c1, gridworld_c2):
+    for sys_ in (gridworld_c1, gridworld_c2):
+        est = build_initial_estimator(sys_, 0.0)
+        assert estimator_verdict(est) == verify_initial_opacity_via_estimator(sys_, 0.0)

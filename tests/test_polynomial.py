@@ -69,3 +69,11 @@ def test_evaluation_matches_naive_monomial_sum():
             naive += mono
         got = poly(point)
         assert got == pytest.approx(naive, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("coef", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "huge-int"])
+def test_parse_rejects_non_finite_coefficients(coef):
+    text = '{"vars": 1, "terms": [{"exps": [1], "coef": %s}]}' % coef
+    with pytest.raises(ParseError, match="finite"):
+        parse_polynomial(text)
