@@ -21,7 +21,7 @@ __all__ = ["Box", "BoxUnion", "grid_interval", "grid", "nearest_lattice"]
 
 @dataclass(frozen=True)
 class Box:
-    """Product of closed intervals [lo_i, hi_i] with lo_i < hi_i."""
+    """Product of closed intervals [lo_i, hi_i] with finite lo_i < hi_i."""
 
     bounds: tuple[tuple[float, float], ...]
 
@@ -29,8 +29,9 @@ class Box:
         if not self.bounds:
             raise ValidationError("a box needs at least one dimension")
         for d, (lo, hi) in enumerate(self.bounds):
-            if not lo < hi:
-                raise ValidationError(f"box dimension {d}: need lo < hi, got [{lo}, {hi}]")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValidationError(
+                    f"box dimension {d}: need finite lo < hi, got [{lo}, {hi}]")
 
     @property
     def dim(self) -> int:

@@ -1,283 +1,194 @@
-"""Definition-level opacity search used as an independent oracle.
+"""Definition-level opacity search, and the breadth-first kernel of every
+independent oracle.
 
-The decision procedures here apply the opacity definitions literally:
-enumerate paths of the system breadth-first while tracking, as a bitset,
-the set of candidate states reached by runs whose entire output history is
+`brute_force_opacity` applies the opacity definitions literally: enumerate
+paths of the system breadth-first while tracking, as a bitset, the set of
+candidate states reached by runs whose entire output history is
 delta-close to the path walked so far (the "matching set"). Memoizing on
 (current state, matching set) makes the search terminate, and exhausting
-all classes makes the verdict exact. Nothing here shares code with the
-observer or estimator constructions.
+all classes makes the verdict exact.
+
+`explore` is the breadth-first search itself. The paper's pair observer
+and backward estimator are built on it too. Nothing here shares code with
+the decision engine of `opacue.search`, so the oracles stay independent
+cross-checks of its verdicts.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
-from .errors import ValidationError
-from .system import MetricSystem, NotionKind, OpacityNotion, iter_bits
+from .errors import ResourceError, ValidationError
+from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits
 from .verdict import Verdict, Witness
 
-__all__ = ["brute_force_opacity", "confirm_witness"]
+__all__ = ["Explored", "brute_force_opacity", "confirm_witness", "explore",
+           "subset_step", "trace", "union"]
+
+Class = tuple[int, int]  # (reference state, bitset)
+Step = Callable[[int, int], Iterable[tuple[int, int, int]]]
 
 
-def _union_succ(bits: int, succ_any) -> int:
-    out = 0
-    for x in iter_bits(bits):
-        out |= succ_any[x]
-    return out
-
-
-def _union_pred(bits: int, pred_any) -> int:
-    out = 0
-    for x in iter_bits(bits):
-        out |= pred_any[x]
-    return out
+def trace(parents: list[Optional[tuple[int, int]]], i: int) -> tuple[list[int], list[int]]:
+    """Class indices from i back to its seed along `parents` links, and the
+    inputs of the links taken."""
+    nodes = [i]
+    inputs: list[int] = []
+    while parents[i] is not None:
+        i, u = parents[i]
+        nodes.append(i)
+        inputs.append(u)
+    return nodes, inputs
 
 
 @dataclass
-class _Search:
-    """Shared bookkeeping for one breadth-first matching-set search."""
+class Explored:
+    """Classes interned by one `explore`, in BFS discovery order.
 
-    sys: MetricSystem
-    close: list[int]
-    classes: list[tuple[int, int]]
+    `parents[i]` is (parent class index, input index) for the first
+    discovery of class i, or None for a seed; `depths[i]` is its distance
+    from a seed. `edges` holds every step taken, as (class index, input
+    index, class index). `hit` is the index of the class the search
+    stopped at, or None if it ran out of classes.
+    """
+
+    classes: list[Class]
     parents: list[Optional[tuple[int, int]]]
     depths: list[int]
-    index: dict[tuple[int, int], int]
-    truncated: bool = False
+    edges: list[tuple[int, int, int]]
+    hit: Optional[int] = None
 
-    @classmethod
-    def fresh(cls, sys: MetricSystem, delta: float) -> "_Search":
-        close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
-        return cls(sys, close, [], [], [], {})
+    def path(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Reference states and inputs from a seed to class i."""
+        nodes, inputs = trace(self.parents, i)
+        return (tuple(self.classes[j][0] for j in reversed(nodes)),
+                tuple(reversed(inputs)))
 
-    def add(self, x: int, mset: int, parent: Optional[tuple[int, int]], depth: int) -> Optional[int]:
-        key = (x, mset)
-        if key in self.index:
-            return None
-        i = len(self.classes)
-        self.index[key] = i
-        self.classes.append(key)
-        self.parents.append(parent)
-        self.depths.append(depth)
-        return i
-
-    def path_to(self, i: int, tail: Optional[tuple[int, int]] = None):
-        states: list[int] = []
-        inputs: list[int] = []
-        if tail is not None:
-            u, x2 = tail
-            states.append(x2)
-            inputs.append(u)
-        cur: Optional[int] = i
-        while cur is not None:
-            states.append(self.classes[cur][0])
-            link = self.parents[cur]
-            if link is None:
-                break
-            cur, u = link
-            inputs.append(u)
-        states.reverse()
-        inputs.reverse()
-        return tuple(states), tuple(inputs)
+    def root(self, i: int) -> int:
+        """Index of the seed class that class i descends from."""
+        return trace(self.parents, i)[0][-1]
 
 
-def _expand(search: _Search, start_count: int, depth_limit: Optional[int], reveal):
-    """BFS over (state, matching set) classes; `reveal` inspects new classes.
+def explore(
+    seeds: Iterable[Class],
+    step: Step,
+    cap: Optional[int],
+    reveal: Callable[[int, int], bool],
+    max_depth: Optional[int] = None,
+) -> Explored:
+    """Intern classes breadth-first from `seeds` until one reveals.
 
-    `reveal` is called on every interned class index and may return a
-    Verdict-terminating payload; expansion stops at the first non-None
-    result, which preserves BFS discovery order of counterexamples.
+    `step(ref, bits)` yields (input, ref2, bits2) successors. Each new
+    class, seeds included, is tested with `reveal(ref, bits)` as it is
+    interned; the first that passes ends the search and becomes `hit`.
+    Classes at depth `max_depth` are not expanded. Raises ResourceError
+    when a class beyond the seeds would take the count past `cap` (None
+    for no cap).
     """
-    sys = search.sys
-    succ_any = sys.succ_any
-    post = sys.post_bits
-    queue = deque(range(start_count))
-    for i in queue:
-        hit = reveal(i)
-        if hit is not None:
-            return hit
-    while queue:
-        i = queue.popleft()
-        if depth_limit is not None and search.depths[i] >= depth_limit:
-            search.truncated = True
-            continue
-        x, mset = search.classes[i]
-        stepped = _union_succ(mset, succ_any)
-        for u in range(len(sys.inputs)):
-            for x2 in iter_bits(post[u][x]):
-                m2 = stepped & search.close[x2]
-                j = search.add(x2, m2, (i, u), search.depths[i] + 1)
-                if j is None:
-                    continue
-                hit = reveal(j)
-                if hit is not None:
-                    return hit
-                queue.append(j)
-    return None
+    found = Explored([], [], [], [])
+    classes, parents, depths, edges = found.classes, found.parents, found.depths, found.edges
+    index: dict[Class, int] = {}
+
+    def intern(key: Class, parent: Optional[tuple[int, int]], depth: int) -> bool:
+        index[key] = len(classes)
+        classes.append(key)
+        parents.append(parent)
+        depths.append(depth)
+        return reveal(*key)
+
+    for key in seeds:
+        if key not in index and intern(key, None, 0):
+            found.hit = len(classes) - 1
+            return found
+    head = 0
+    while head < len(classes):
+        if max_depth is None or depths[head] < max_depth:
+            for u, ref2, bits2 in step(*classes[head]):
+                key = (ref2, bits2)
+                if key not in index:
+                    if cap is not None and len(classes) >= cap:
+                        raise ResourceError(f"oracle exceeded the cap of {cap} states")
+                    if intern(key, (head, u), depths[head] + 1):
+                        found.hit = len(classes) - 1
+                        return found
+                edges.append((head, u, index[key]))
+        head += 1
+    return found
 
 
-def _verdict_stats(search: _Search, extra: Optional[_Search] = None) -> dict:
-    classes = len(search.classes)
-    if extra is not None:
-        classes += len(extra.classes)
-    exact = not search.truncated and (extra is None or not extra.truncated)
-    return {"classes": classes, "exact": exact}
+def union(bits: int, table) -> int:
+    """Union of table[x] over the members x of bits."""
+    out = 0
+    for x in iter_bits(bits):
+        out |= table[x]
+    return out
 
 
-def _brute_initial(sys: MetricSystem, delta: float, depth: Optional[int]) -> Verdict:
-    notion = OpacityNotion.initial_state()
-    search = _Search.fresh(sys, delta)
-    secret = sys.secret_bits
-    nonsecret_initial = sys.initial_bits & ~secret
-    for x0 in sorted(sys.initial):
-        if (secret >> x0) & 1:
-            m0 = nonsecret_initial & search.close[x0]
-            search.add(x0, m0, None, 0)
-    start_count = len(search.classes)
+def subset_step(spread: Callable[[int], int], close: list[int], moves) -> Step:
+    """Successors of a class for `explore`: the reference state takes each
+    move `moves[u][ref]` (a bitset of targets per input u), the tracked set
+    is mapped by `spread`, and only its members in `close[ref2]` stay."""
 
-    def reveal(i: int):
-        x, mset = search.classes[i]
-        if mset == 0:
-            states, inputs = search.path_to(i)
-            return Witness(states=states, inputs=inputs, revealing_instant=None)
-        return None
+    def step(ref: int, bits: int) -> Iterator[tuple[int, int, int]]:
+        spread_bits = spread(bits)
+        for u, targets in enumerate(moves):
+            for ref2 in iter_bits(targets[ref]):
+                yield u, ref2, spread_bits & close[ref2]
 
-    witness = _expand(search, start_count, depth, reveal)
-    stats = _verdict_stats(search)
-    if witness is not None:
-        return Verdict(False, notion, delta, witness, stats)
-    return Verdict(True, notion, delta, None, stats)
+    return step
 
 
-def _brute_current(sys: MetricSystem, delta: float, depth: Optional[int]) -> Verdict:
-    notion = OpacityNotion.current_state()
-    search = _Search.fresh(sys, delta)
-    secret = sys.secret_bits
-    for x0 in sorted(sys.initial):
-        f0 = sys.initial_bits & search.close[x0]
-        search.add(x0, f0, None, 0)
-    start_count = len(search.classes)
-
-    def reveal(i: int):
-        x, fset = search.classes[i]
-        if (secret >> x) & 1 and fset & ~secret == 0:
-            states, inputs = search.path_to(i)
-            return Witness(states=states, inputs=inputs,
-                           revealing_instant=len(states) - 1)
-        return None
-
-    witness = _expand(search, start_count, depth, reveal)
-    stats = _verdict_stats(search)
-    if witness is not None:
-        return Verdict(False, notion, delta, witness, stats)
-    return Verdict(True, notion, delta, None, stats)
-
-
-def _brute_delayed(
-    sys: MetricSystem, delta: float, notion: OpacityNotion, depth: Optional[int]
-) -> Verdict:
-    """Two-phase search for K-step / infinite-step opacity.
-
-    Phase 1 walks prefixes, tracking the full matching set F. At every class
-    whose state is secret, phase 2 continues the walk over suffixes tracking
-    only the runs that sat on a *non-secret* state at the secret instant;
-    the instant is revealed iff that survivor set dies within the allowed
-    delay.
-    """
-    secret = sys.secret_bits
-    kmax = notion.k if notion.kind is NotionKind.K_STEP else None
-
-    phase1 = _Search.fresh(sys, delta)
-    for x0 in sorted(sys.initial):
-        f0 = sys.initial_bits & phase1.close[x0]
-        phase1.add(x0, f0, None, 0)
-    _expand(phase1, len(phase1.classes), depth, lambda i: None)
-
-    phase2 = _Search.fresh(sys, delta)
-    sources: list[int] = []  # phase-2 class index -> phase-1 origin
-    succ_any = sys.succ_any
-    post = sys.post_bits
-
-    def witness_for(p1: int, p2: Optional[int], tail: Optional[tuple[int, int]]):
-        prefix_states, prefix_inputs = phase1.path_to(p1)
-        if p2 is None:
-            suffix_states: tuple[int, ...] = ()
-            suffix_inputs: tuple[int, ...] = ()
-        else:
-            suffix_states, suffix_inputs = phase2.path_to(p2, tail)
-            suffix_states = suffix_states[1:]
-        return Witness(
-            states=prefix_states + suffix_states,
-            inputs=prefix_inputs + suffix_inputs,
-            revealing_instant=len(prefix_states) - 1,
-        )
-
-    queue: deque[int] = deque()
-    for p1, (x, fset) in enumerate(phase1.classes):
-        if not (secret >> x) & 1:
-            continue
-        g0 = fset & ~secret
-        if g0 == 0:
-            stats = _verdict_stats(phase1, phase2)
-            return Verdict(False, notion, delta, witness_for(p1, None, None), stats)
-        j = phase2.add(x, g0, None, 0)
-        if j is not None:
-            sources.append(p1)
-            queue.append(j)
-
-    p2_limit = kmax if depth is None else (min(kmax, depth) if kmax is not None else depth)
-    while queue:
-        i = queue.popleft()
-        if p2_limit is not None and phase2.depths[i] >= p2_limit:
-            if kmax is None or phase2.depths[i] < kmax:
-                phase2.truncated = True
-            continue
-        x, gset = phase2.classes[i]
-        stepped = _union_succ(gset, succ_any)
-        for u in range(len(sys.inputs)):
-            for x2 in iter_bits(post[u][x]):
-                g2 = stepped & phase2.close[x2]
-                if g2 == 0:
-                    root = i
-                    while phase2.parents[root] is not None:
-                        root = phase2.parents[root][0]
-                    stats = _verdict_stats(phase1, phase2)
-                    return Verdict(False, notion, delta,
-                                   witness_for(sources[root], i, (u, x2)), stats)
-                j = phase2.add(x2, g2, (i, u), phase2.depths[i] + 1)
-                if j is not None:
-                    queue.append(j)
-
-    stats = _verdict_stats(phase1, phase2)
-    return Verdict(True, notion, delta, None, stats)
-
-
-def brute_force_opacity(
-    sys: MetricSystem,
-    delta: float,
-    notion: OpacityNotion,
-    depth: Optional[int] = None,
-) -> Verdict:
+def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion) -> Verdict:
     """Decide opacity by exhaustive matching-set search.
 
-    With depth=None the search runs to saturation and the verdict is exact;
-    otherwise exploration stops after `depth` steps and stats["exact"]
-    reports whether the class graph was exhausted anyway.
+    The search runs to saturation, so the verdict is exact; stats["classes"]
+    counts the classes interned. For K-step and infinite-step opacity a
+    prefix search tracks the full matching set F; from every class whose
+    state is secret, a survivor search tracks only the runs that sat on a
+    non-secret state at that instant (for at most K more steps), and the
+    instant is revealed iff that survivor set dies out.
     """
-    if delta < 0:
-        raise ValidationError(f"delta must be nonnegative, got {delta}")
-    if depth is not None and depth < 1:
-        raise ValidationError("depth must be positive")
+    check_delta(delta)
     if notion.kind is NotionKind.PRE:
         raise NotImplementedError("pre-opacity verification is not implemented")
+    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    step = subset_step(lambda bits: union(bits, sys.succ_any), close, sys.post_bits)
+    secret = sys.secret_bits
+    seeds = [(x, sys.initial_bits & close[x]) for x in sorted(sys.initial)]
+    searches = []
+    witness = None
+
     if notion.kind is NotionKind.INITIAL_STATE:
-        return _brute_initial(sys, delta, depth)
-    if notion.kind is NotionKind.CURRENT_STATE:
-        return _brute_current(sys, delta, depth)
-    return _brute_delayed(sys, delta, notion, depth)
+        found = explore([(x, bits & ~secret) for x, bits in seeds if (secret >> x) & 1],
+                        step, None, lambda x, bits: bits == 0)
+        searches.append(found)
+        if found.hit is not None:
+            witness = Witness(*found.path(found.hit))
+    elif notion.kind is NotionKind.CURRENT_STATE:
+        found = explore(seeds, step, None,
+                        lambda x, bits: (secret >> x) & 1 and bits & ~secret == 0)
+        searches.append(found)
+        if found.hit is not None:
+            witness = Witness(*found.path(found.hit), found.depths[found.hit])
+    else:
+        prefixes = explore(seeds, step, None, lambda x, bits: False)
+        origins: dict[Class, int] = {}  # survivor seed -> prefix class
+        for i, (x, bits) in enumerate(prefixes.classes):
+            if (secret >> x) & 1:
+                origins.setdefault((x, bits & ~secret), i)
+        survivors = explore(origins, step, None, lambda x, bits: bits == 0,
+                            notion.k if notion.kind is NotionKind.K_STEP else None)
+        searches += [prefixes, survivors]
+        if survivors.hit is not None:
+            seed = survivors.classes[survivors.root(survivors.hit)]
+            prefix_states, prefix_inputs = prefixes.path(origins[seed])
+            suffix_states, suffix_inputs = survivors.path(survivors.hit)
+            witness = Witness(prefix_states + suffix_states[1:],
+                              prefix_inputs + suffix_inputs, len(prefix_states) - 1)
+
+    stats = {"classes": sum(len(found.classes) for found in searches)}
+    return Verdict(witness is None, notion, delta, witness, stats)
 
 
 def confirm_witness(
@@ -307,7 +218,7 @@ def confirm_witness(
             return False
         mset = initial & ~secret & close[x0]
         for t in range(m):
-            mset = _union_succ(mset, sys.succ_any) & close[states[t + 1]]
+            mset = union(mset, sys.succ_any) & close[states[t + 1]]
         return mset == 0
 
     if notion.kind is NotionKind.CURRENT_STATE:
@@ -315,7 +226,7 @@ def confirm_witness(
             return False
         fset = initial & close[states[0]]
         for t in range(m):
-            fset = _union_succ(fset, sys.succ_any) & close[states[t + 1]]
+            fset = union(fset, sys.succ_any) & close[states[t + 1]]
         return fset & ~secret == 0
 
     if notion.kind in (NotionKind.K_STEP, NotionKind.INFINITE_STEP):
@@ -328,10 +239,10 @@ def confirm_witness(
             return False
         fset = initial & close[states[0]]
         for t in range(n_instant):
-            fset = _union_succ(fset, sys.succ_any) & close[states[t + 1]]
+            fset = union(fset, sys.succ_any) & close[states[t + 1]]
         bset = close[states[m]]
         for t in range(m - 1, n_instant - 1, -1):
-            bset = _union_pred(bset, sys.pred_any) & close[states[t]]
+            bset = union(bset, sys.pred_any) & close[states[t]]
         return fset & bset & ~secret == 0
 
     raise NotImplementedError("pre-opacity verification is not implemented")

@@ -2,7 +2,8 @@
 
 Exit codes: 0 opaque / pass / related, 1 not opaque / falsified / not
 related, 2 inconclusive or sample-passed (non-conclusive), 3 usage or
-validation errors, 4 resource cap exceeded.
+validation errors, 4 resource cap exceeded, 5 internal error (a defect in
+opacue; never a verdict).
 
 Reports are JSON on stdout; diagnostics go to stderr only. Identical
 inputs produce byte-identical reports; timing is therefore reported only
@@ -31,18 +32,7 @@ from .compositional import (
 )
 from .control import QuantizationParams, parse_control_system
 from .dotexport import estimator_dot, observer_dot
-from .errors import (
-    DimensionError,
-    DomainError,
-    InputError,
-    OpacueError,
-    ParseError,
-    PrecisionError,
-    QuantizationError,
-    ResourceError,
-    SmallGainError,
-    ValidationError,
-)
+from .errors import OpacueError, ParseError, ResourceError, ValidationError
 from .estimator import build_initial_estimator, estimator_verdict
 from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
 from .polynomial import parse_polynomial
@@ -54,6 +44,7 @@ EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
 EXIT_RESOURCE = 4
+EXIT_INTERNAL = 5
 
 _NOTIONS = {
     "initial-state": NotionKind.INITIAL_STATE,
@@ -218,7 +209,7 @@ def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]
                 initial=Interval(*entry["initial"]),
                 secret=Interval(*entry["secret"]),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{key}: expected a, b, state, initial, secret") from exc
     return subs[0], subs[1]
 
@@ -340,11 +331,12 @@ def main(argv=None) -> int:
     except ResourceError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, ValidationError, InputError, DimensionError,
-            QuantizationError, DomainError, PrecisionError, SmallGainError,
-            NotImplementedError, OpacueError) as exc:
+    except (OpacueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # InternalError or a defect: never a verdict
+        print(f"internal error: {type(exc).__name__}: {exc}", file=_sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

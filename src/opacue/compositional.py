@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .boxes import Box, BoxUnion, grid_interval
 from .control import DtControlSystem, IssCertificate
-from .errors import SmallGainError, ValidationError
+from .errors import QuantizationError, SmallGainError, ValidationError
 from .system import check_delta, check_threshold
 
 __all__ = [
@@ -391,6 +391,11 @@ def compose_barriers(
     """
     check_delta(delta)
     check_threshold("margin", margin)
+    for idx, sub in enumerate((sub1, sub2), 1):
+        span = sub.state.hi - sub.state.lo
+        if resolution > span:
+            raise QuantizationError(f"resolution {resolution} exceeds the span {span} "
+                                    f"of the state interval of subsystem {idx}")
     gains = _require_small_gain(sub1, sub2)
     checks = _barrier_conditions(1, sub1, sub2, b1, delta, resolution, margin)
     checks += _barrier_conditions(2, sub2, sub1, b2, delta, resolution, margin)

@@ -10,6 +10,7 @@ certificate itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -41,6 +42,10 @@ class IssCertificate:
     a: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.c, self.lam, self.g, self.a)):
+            raise ValidationError(
+                f"certificate parameters must be finite, got c={self.c}, "
+                f"lambda={self.lam}, g={self.g}, a={self.a}")
         if self.c < 1:
             raise ValidationError(f"certificate needs c >= 1, got {self.c}")
         if not 0 < self.lam < 1:
@@ -70,8 +75,8 @@ class QuantizationParams:
 
     def __post_init__(self):
         for name, val in (("eta", self.eta), ("mu", self.mu), ("epsilon", self.epsilon)):
-            if val <= 0:
-                raise ValidationError(f"{name} must be positive, got {val}")
+            if not 0 < val < math.inf:
+                raise ValidationError(f"{name} must be positive and finite, got {val}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +197,10 @@ def _parse_box(value, where: str) -> Box:
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool)
                         for v in pair)):
             raise ParseError(f"{where}[{d}]: expected a numeric [lo, hi] pair")
-        bounds.append((float(pair[0]), float(pair[1])))
+        try:
+            bounds.append((float(pair[0]), float(pair[1])))
+        except OverflowError:
+            raise ParseError(f"{where}[{d}]: bound out of float range") from None
     return Box(tuple(bounds))
 
 
@@ -244,6 +252,8 @@ def parse_control_system(text: str | bytes) -> DtControlSystem:
         )
     except KeyError as exc:
         raise ParseError(f"iss_cert: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError("iss_cert: c, lambda, g and a must be numbers") from exc
 
     for key in ("dynamics", "output"):
         if not (isinstance(doc[key], list)

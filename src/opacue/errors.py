@@ -2,7 +2,8 @@
 
 
 class OpacueError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises on bad input or an
+    exceeded resource cap."""
 
 
 class ParseError(OpacueError):
@@ -44,3 +45,8 @@ class PrecisionError(OpacueError):
 
 class SmallGainError(OpacueError):
     """The small-gain condition failed, so composition is not licensed."""
+
+
+class InternalError(Exception):
+    """A condition the code guarantees failed: a defect in opacue, not in
+    its input. Not an OpacueError, so it is never mistaken for one."""

@@ -6,7 +6,7 @@ k backward steps a state (x, q) says that q is exactly the set of states
 from which some forward run of length k is pointwise delta-close to the
 forward run x -> ... -> x_end the walk traversed. Initial-state opacity then
 reduces to checking q at states whose reference component is a secret
-initial state.
+initial state. The walk runs on the oracle kernel `brute.explore`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ResourceError
+from .brute import explore, subset_step, trace, union
+from .errors import InternalError
 from .observer import DEFAULT_STATE_CAP
-from .system import MetricSystem, OpacityNotion, check_delta, iter_bits
+from .system import MetricSystem, OpacityNotion, check_delta
 from .verdict import Verdict, Witness
 
 __all__ = ["EstimatorState", "InitialStateEstimator", "build_initial_estimator",
@@ -50,17 +51,8 @@ class InitialStateEstimator:
 
     def forward_path_from(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Forward system path starting at ref(i) traced by the backward walk."""
-        states: list[int] = [self.states[i].ref]
-        inputs: list[int] = []
-        cur = i
-        while True:
-            link = self.parents[cur]
-            if link is None:
-                break
-            cur, u = link
-            inputs.append(u)
-            states.append(self.states[cur].ref)
-        return tuple(states), tuple(inputs)
+        nodes, inputs = trace(self.parents, i)
+        return tuple(self.states[j].ref for j in nodes), tuple(inputs)
 
 
 def build_initial_estimator(
@@ -68,60 +60,20 @@ def build_initial_estimator(
 ) -> InitialStateEstimator:
     """Materialize the reachable part of the backward initial-state estimator."""
     check_delta(delta)
-    n = sys.n_states
-    close = [sys.close_bits(x, delta) for x in range(n)]
-    pred_any = sys.pred_any
-    pre = sys.pre_bits
-
-    states: list[EstimatorState] = []
-    index: dict[tuple[int, int], int] = {}
-    parents: list[Optional[tuple[int, int]]] = []
-    depths: list[int] = []
-    transitions: list[tuple[int, int, int]] = []
-
-    for x in range(n):
-        key = (x, close[x])
-        index[key] = len(states)
-        states.append(EstimatorState(x, close[x]))
-        parents.append(None)
-        depths.append(0)
-    initial_count = len(states)
-
-    head = 0
-    n_inputs = len(sys.inputs)
-    while head < len(states):
-        e = states[head]
-        back = 0
-        for x2 in iter_bits(e.estimate):
-            back |= pred_any[x2]
-        for u in range(n_inputs):
-            for x2 in iter_bits(pre[u][e.ref]):
-                q2 = back & close[x2]
-                # The reference run's own predecessor always survives.
-                assert q2, "internal error: empty estimate on reachable state"
-                key = (x2, q2)
-                j = index.get(key)
-                if j is None:
-                    if len(states) >= cap:
-                        raise ResourceError(
-                            f"estimator exceeded the cap of {cap} states"
-                        )
-                    j = len(states)
-                    index[key] = j
-                    states.append(EstimatorState(x2, q2))
-                    parents.append((head, u))
-                    depths.append(depths[head] + 1)
-                transitions.append((head, u, j))
-        head += 1
-
+    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    step = subset_step(lambda q: union(q, sys.pred_any), close, sys.pre_bits)
+    found = explore(enumerate(close), step, cap, lambda x, q: q == 0)
+    if found.hit is not None:
+        # The reference run's own predecessor always survives.
+        raise InternalError("empty estimate on a reachable estimator state")
     return InitialStateEstimator(
         sys=sys,
         delta=delta,
-        states=states,
-        initial_count=initial_count,
-        transitions=transitions,
-        parents=parents,
-        depths=depths,
+        states=[EstimatorState(x, q) for x, q in found.classes],
+        initial_count=sys.n_states,
+        transitions=found.edges,
+        parents=found.parents,
+        depths=found.depths,
     )
 
 

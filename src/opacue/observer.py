@@ -12,8 +12,8 @@ the reference run are now:
   is revealed when the reference state is secret and the set lies inside
   the secret set.
 
-`build_observer` is the paper's construction, kept as an independent
-oracle and for DOT export. Each observer state is a pair (reference state,
+`build_observer` is the paper's construction, built on the oracle kernel
+`brute.explore` and kept as an independent oracle and for DOT export. Each observer state is a pair (reference state,
 set of initial/current state pairs); the pair set tracks every run whose
 output history is pointwise delta-close to the reference run, remembering
 where each such run started. Pair sets live in a single int of n*n bits
@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ResourceError, ValidationError
+from .brute import explore, subset_step, trace, union
+from .errors import InternalError, ValidationError
 from .search import Search, post_step, search
 from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits
 from .verdict import Verdict, Witness
@@ -83,19 +84,9 @@ class Observer:
 
     def path_to(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Reference-state path and inputs from an initial state to state i."""
-        states: list[int] = []
-        inputs: list[int] = []
-        cur: Optional[int] = i
-        while cur is not None:
-            states.append(self.states[cur].ref)
-            link = self.parents[cur]
-            if link is None:
-                break
-            cur, u = link
-            inputs.append(u)
-        states.reverse()
-        inputs.reverse()
-        return tuple(states), tuple(inputs)
+        nodes, inputs = trace(self.parents, i)
+        return (tuple(self.states[j].ref for j in reversed(nodes)),
+                tuple(reversed(inputs)))
 
 
 def _advance(z: int, n: int, rowmask: int, succ_any) -> int:
@@ -105,12 +96,7 @@ def _advance(z: int, n: int, rowmask: int, succ_any) -> int:
     for _ in range(n):
         row = (z >> shift) & rowmask
         if row:
-            acc = 0
-            while row:
-                low = row & -row
-                acc |= succ_any[low.bit_length() - 1]
-                row ^= low
-            out |= acc << shift
+            out |= union(row, succ_any) << shift
         shift += n
     return out
 
@@ -129,61 +115,24 @@ def build_observer(
     check_delta(delta)
     n = sys.n_states
     rowmask = (1 << n) - 1
-    ones = 0
-    for i in range(n):
-        ones |= 1 << (i * n)
+    ones = sum(1 << (i * n) for i in range(n))
     close = [sys.close_bits(x, delta) for x in range(n)]
-    repclose = [close[x] * ones for x in range(n)]
-    succ_any = sys.succ_any
-    post = sys.post_bits
-
-    states: list[ObserverState] = []
-    index: dict[tuple[int, int], int] = {}
-    parents: list[Optional[tuple[int, int]]] = []
-    transitions: list[tuple[int, int, int]] = []
-
-    for x in sorted(sys.initial):
-        diag = 0
-        for i in iter_bits(sys.initial_bits & close[x]):
-            diag |= 1 << (i * n + i)
-        key = (x, diag)
-        index[key] = len(states)
-        states.append(ObserverState(x, diag))
-        parents.append(None)
-    initial_count = len(states)
-
-    head = 0
-    n_inputs = len(sys.inputs)
-    while head < len(states):
-        q = states[head]
-        adv = _advance(q.pairs, n, rowmask, succ_any)
-        for u in range(n_inputs):
-            for x2 in iter_bits(post[u][q.ref]):
-                z2 = adv & repclose[x2]
-                # Clause 2 always retains the reference run's own pair, so a
-                # reachable state can never carry an empty estimate.
-                assert z2, "internal error: empty estimate on reachable state"
-                key = (x2, z2)
-                j = index.get(key)
-                if j is None:
-                    if len(states) >= cap:
-                        raise ResourceError(
-                            f"observer exceeded the cap of {cap} states"
-                        )
-                    j = len(states)
-                    index[key] = j
-                    states.append(ObserverState(x2, z2))
-                    parents.append((head, u))
-                transitions.append((head, u, j))
-        head += 1
-
+    seeds = [(x, sum(1 << (i * n + i) for i in iter_bits(sys.initial_bits & close[x])))
+             for x in sorted(sys.initial)]
+    step = subset_step(lambda z: _advance(z, n, rowmask, sys.succ_any),
+                       [c * ones for c in close], sys.post_bits)
+    found = explore(seeds, step, cap, lambda x, pairs: pairs == 0)
+    if found.hit is not None:
+        # Clause 2 always retains the reference run's own pair, so a
+        # reachable state can never carry an empty estimate.
+        raise InternalError("empty estimate on a reachable observer state")
     return Observer(
         sys=sys,
         delta=delta,
-        states=states,
-        initial_count=initial_count,
-        transitions=transitions,
-        parents=parents,
+        states=[ObserverState(x, pairs) for x, pairs in found.classes],
+        initial_count=found.parents.count(None),
+        transitions=found.edges,
+        parents=found.parents,
     )
 
 

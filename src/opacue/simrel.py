@@ -166,8 +166,7 @@ def max_initsop_relation(
     matched by the partner (conditions 3a/3b) until the set is stable, then
     checks the initial-state existence conditions (1a/1b) on the survivors.
     """
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be nonnegative, got {epsilon}")
+    check_threshold("epsilon", epsilon)
     rows = _close_rows(concrete, abstract, epsilon)
     rows = _prune_to_fixpoint(concrete, abstract, rows)
 

@@ -392,7 +392,10 @@ def parse_system(text: str | bytes) -> MetricSystem:
                 "must be a number",
             )
         names.append(entry["name"])
-        outputs.append(tuple(float(v) for v in out))
+        try:
+            outputs.append(tuple(float(v) for v in out))
+        except OverflowError:
+            raise ParseError(f"{where}.output: a number is past float range") from None
 
     inputs: list[str] = []
     for i, label in enumerate(doc["inputs"]):

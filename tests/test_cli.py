@@ -1,10 +1,14 @@
 """CLI: exit codes, JSON reports, determinism, file exports."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import opacue.cli
 from opacue.cli import main
+from opacue.errors import InternalError
 from opacue.system import parse_system
 
 from .conftest import FIXTURES
@@ -151,6 +155,15 @@ def test_nan_output_in_system_file_is_rejected(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--system", str(path),
                          "--notion", "initial-state", "--delta", "0")
     assert (code, out) == (3, "") and "not finite" in err
+
+
+def test_output_past_float_range_in_system_file_is_rejected(capsys, tmp_path):
+    doc = json.loads((FIXTURES / "gridworld_c2.json").read_text())
+    doc["states"][3]["output"] = [10 ** 400]  # used to crash with OverflowError
+    path = _write(tmp_path, "big.json", doc)
+    code, out, err = run(capsys, "verify", "--system", path,
+                         "--notion", "initial-state", "--delta", "0")
+    assert (code, out) == (3, "") and "float range" in err
 
 
 def test_verify_stats_count_search_classes(capsys):
@@ -383,9 +396,11 @@ def test_compose_rejects_non_finite_interconnections(capsys, tmp_path, field, va
 
 def test_compose_rejects_non_numeric_gain(capsys, tmp_path):
     subs = json.loads(json.dumps(SUBS))
-    subs["sub1"]["a"] = "half"
-    code, out, err = run(capsys, "compose", "--system", _write(tmp_path, "ic.json", subs))
-    assert (code, out) == (3, "") and "sub1" in err
+    for gain in ("half", 10 ** 400):  # the int past float range used to crash
+        subs["sub1"]["a"] = gain
+        code, out, err = run(capsys, "compose", "--system",
+                             _write(tmp_path, "ic.json", subs))
+        assert (code, out) == (3, "") and "sub1" in err
 
 
 def test_estimator_subcommand_builds_the_estimator_once(capsys, monkeypatch, tmp_path):
@@ -414,6 +429,77 @@ def test_abstract_has_no_delta_flag(capsys, tmp_path):
     code, _, _ = run(capsys, "abstract", "--system", plant, "--eta", "0.5",
                      "--mu", "0.1", "--epsilon", "1.5", "--delta", "0.1")
     assert code == 3
+
+
+def test_simrel_rejects_bad_epsilon(capsys):
+    # -0.1 used to crash with NameError and exit 1; NaN was blamed on "delta"
+    for epsilon in ("-0.1", "nan", "inf"):
+        code, out, err = run(capsys, "simrel", "--system", C1, "--abstract", C1,
+                             "--epsilon", epsilon)
+        assert (code, out) == (3, "") and "epsilon must be a finite" in err, epsilon
+
+
+@pytest.mark.parametrize("field,value", [
+    ("state_box", [[0.0, float("inf")]]),  # used to crash with OverflowError
+    ("iss_cert", {**PLANT["iss_cert"], "c": float("inf")}),
+    ("iss_cert", {**PLANT["iss_cert"], "g": float("nan")}),
+    ("iss_cert", {**PLANT["iss_cert"], "a": float("inf")}),
+], ids=["state_box", "c", "g", "a"])
+def test_abstract_rejects_non_finite_plants(capsys, tmp_path, field, value):
+    plant = _write(tmp_path, "plant.json", {**PLANT, field: value})
+    _rejected(capsys, "abstract", "--system", plant, "--eta", "0.5", "--mu", "0.1",
+              "--epsilon", "1.5", "--unsound")
+
+
+@pytest.mark.parametrize("field,value", [
+    ("state_box", [[0, 10 ** 400]]),  # an int past float range
+    ("iss_cert", {**PLANT["iss_cert"], "c": "abc"}),
+    ("iss_cert", {**PLANT["iss_cert"], "g": None}),
+], ids=["state_box", "c", "g"])
+def test_abstract_rejects_malformed_plant_numbers(capsys, tmp_path, field, value):
+    # each used to crash with a Python error instead of a parse error
+    plant = _write(tmp_path, "plant.json", {**PLANT, field: value})
+    code, out, err = run(capsys, "abstract", "--system", plant, "--eta", "0.5",
+                         "--mu", "0.1", "--epsilon", "1.5")
+    assert (code, out) == (3, "") and err.startswith("error:"), err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("epsilon", "nan"),  # used to exit 0 with NaN in the report
+    ("eta", "inf"),
+    ("mu", "nan"),
+])
+def test_abstract_rejects_non_finite_quantization(capsys, tmp_path, flag, value):
+    values = {"eta": "0.5", "mu": "0.1", "epsilon": "1.5", flag: value}
+    _rejected(capsys, "abstract", "--system", _write(tmp_path, "plant.json", PLANT),
+              "--unsound", *(f"--{key}={val}" for key, val in values.items()))
+
+
+def test_compose_rejects_resolution_wider_than_a_state_interval(capsys, tmp_path):
+    # used to sample x = 0 only and report all_passed
+    code, out, err = run(capsys, *_compose_argv(tmp_path, resolution="5"))
+    assert (code, out) == (3, "") and "state interval" in err
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalError("broken")])
+def test_unexpected_errors_exit_with_the_internal_code(capsys, monkeypatch, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(opacue.cli, "_cmd_verify", fail)
+    code, out, err = run(capsys, "verify", "--system", C1, "--delta", "0",
+                         "--notion", "initial-state")
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_source_has_no_assert_statements():
+    # python -O strips asserts; internal checks raise InternalError instead
+    src = Path(opacue.cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

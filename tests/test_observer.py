@@ -5,7 +5,8 @@ import random
 import pytest
 
 from opacue.brute import brute_force_opacity, confirm_witness
-from opacue.errors import ResourceError, ValidationError
+from opacue.errors import InternalError, ResourceError, ValidationError
+from opacue.estimator import build_initial_estimator
 from opacue.observer import build_observer, observer_verdict, verify_state_opacity
 from opacue.system import MetricSystem, OpacityNotion, iter_bits
 
@@ -172,3 +173,15 @@ def test_delta_zero_matches_symbolic_equality_variant():
         for notion in (OpacityNotion.initial_state(), OpacityNotion.current_state()):
             assert (verify_state_opacity(sys_, 0.0, notion).opaque
                     == verify_state_opacity(symbolic, 0.0, notion).opaque)
+
+
+def test_an_empty_estimate_is_an_internal_error(monkeypatch):
+    # a closeness table that drops the reference state itself breaks the
+    # invariant both constructions rely on; the check survives python -O
+    chain = MetricSystem(("s0", "s1"), ("u",), ((0.0,), (1.0,)), (0,), (0,),
+                         ((0, 0, 1),))
+    monkeypatch.setattr(MetricSystem, "close_bits", lambda self, x, delta: 0b01)
+    with pytest.raises(InternalError):
+        build_observer(chain, 0.0)
+    with pytest.raises(InternalError):
+        build_initial_estimator(chain, 0.0)

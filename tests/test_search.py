@@ -1,9 +1,13 @@
 """The n-bit subset engine against the paper's constructions and the
 brute-force oracle, on one seeded corpus of small random systems."""
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+import opacue
 
 from opacue.api import verify_opacity
 from opacue.brute import brute_force_opacity, confirm_witness
@@ -94,3 +98,22 @@ def test_search_stops_at_the_first_revealing_class_and_honours_depth():
 
     with pytest.raises(ResourceError):
         search([(0, 0b1)], step, lambda x, bits: False, cap=4, spent=1)
+
+
+def _package_imports(module: str) -> set[str]:
+    """Modules of the package that `module` imports, directly or not."""
+    src = Path(opacue.__file__).parent
+    seen, todo = set(), [module]
+    while todo:
+        tree = ast.parse((src / f"{todo.pop()}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                todo += [name for name in names if name not in seen]
+                seen.update(names)
+    return seen
+
+
+def test_engine_and_oracle_kernel_do_not_import_each_other():
+    assert "brute" not in _package_imports("search")
+    assert "search" not in _package_imports("brute")
