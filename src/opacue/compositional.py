@@ -350,6 +350,16 @@ def _barrier_conditions(
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
 
+    def decrease() -> Iterable[Sample]:
+        # (1 - a)*B(x, xh) and the x-side step do not depend on (w, wh)
+        for x, xh in pairs:
+            kept = (1 - sub.a) * b((x, xh))
+            for w in ws:
+                x_next = sub.step(x, w)
+                for wh in ws:
+                    yield (x, xh, w, wh), (kept + sub.b * norm(w, wh)
+                                           - b((x_next, sub.step(xh, wh))))
+
     def initial(x: float, xh: float) -> bool:
         return (sub.initial.contains(x) and sub.secret.contains(x)
                 and sub.initial.contains(xh) and not sub.secret.contains(xh)
@@ -363,11 +373,7 @@ def _barrier_conditions(
         # Positive on the local output-distinguishable region.
         ("unsafe", ((p, b(p) - margin) for p in pairs if abs(p[0] - p[1]) > delta)),
         # Gain-style decrease against the partner's augmented norm.
-        ("decrease", (
-            ((x, xh, w, wh), (1 - sub.a) * b((x, xh)) + sub.b * norm(w, wh)
-             - b((sub.step(x, w), sub.step(xh, wh))))
-            for x, xh in pairs for w in ws for wh in ws
-        )),
+        ("decrease", decrease()),
     )
     return [BarrierConditionCheck(idx, name, *_scan(samples))
             for name, samples in conditions]

@@ -2,8 +2,8 @@
 
 Allowed: variables x1..xn and u1..um, numeric constants, + - * /, unary
 minus, and the functions sin, cos, exp, abs. Anything else is rejected at
-parse time, after which the expression is compiled for fast evaluation in
-an empty-builtins environment.
+parse time, after which the expression is compiled once into a function of
+the variables, positionally, in an empty-builtins environment.
 """
 
 from __future__ import annotations
@@ -59,17 +59,16 @@ def compile_expr(text: str, n_states: int, n_inputs: int) -> ExprFn:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParseError(f"expression {text!r}: {exc.msg} (column {exc.offset})") from exc
-    state_names = {f"x{i + 1}" for i in range(n_states)}
-    input_names = {f"u{j + 1}" for j in range(n_inputs)}
-    _validate(tree, state_names | input_names, text)
-    code = compile(tree, filename=f"<expr {text!r}>", mode="eval")
-    base = {"__builtins__": {}}
-    base.update(_FUNCS)
+    names = [f"x{i + 1}" for i in range(n_states)] + [f"u{j + 1}" for j in range(n_inputs)]
+    _validate(tree, set(names), text)
+    # f(x, u) passes x then u positionally: each needs exactly its dimension.
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
+    fn = eval(compile(lam, filename=f"<expr {text!r}>", mode="eval"),
+              {"__builtins__": {}, **_FUNCS})
 
     def run(x: Sequence[float], u: Sequence[float]) -> float:
-        env = {f"x{i + 1}": x[i] for i in range(n_states)}
-        for j in range(n_inputs):
-            env[f"u{j + 1}"] = u[j]
-        return float(eval(code, base, env))
+        return float(fn(*x, *u))
 
     return run

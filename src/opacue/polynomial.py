@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -35,30 +36,53 @@ class Polynomial:
             seen.add(exps)
 
     def __call__(self, point: Sequence[float]) -> float:
-        """Evaluate at a point, reusing per-variable power tables."""
+        """Evaluate at a point with the compiled straight-line evaluator."""
         if len(point) != self.n_vars:
             raise ValidationError(
                 f"point has {len(point)} coordinates, expected {self.n_vars}"
             )
-        max_exp = [0] * self.n_vars
-        for exps, _ in self.terms:
-            for i, e in enumerate(exps):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        powers = []
-        for i, v in enumerate(point):
-            row = [1.0]
-            for _ in range(max_exp[i]):
-                row.append(row[-1] * v)
-            powers.append(row)
-        total = 0.0
-        for exps, coef in self.terms:
-            mono = coef
-            for i, e in enumerate(exps):
-                if e:
-                    mono *= powers[i][e]
-            total += mono
-        return total
+        return self._evaluate(point)
+
+    @cached_property
+    def _evaluate(self) -> Callable[[Sequence[float]], float]:
+        """The evaluator, generated once per instance from the exponents.
+
+        It does the float operations of a power-table evaluation in their
+        order: powers v^1 = 1.0*v and v^e = v^(e-1)*v up to each variable's
+        largest exponent, each monomial as ((coef*P0)*P1)... over the
+        variables with a nonzero exponent, and the sum ((0.0 + m0) + m1)...
+        in term order. Coefficients come in as a tuple, never as source text.
+        """
+        # int(): a bool exponent passes validation and counts as 0 or 1
+        top = [max((int(exps[i]) for exps, _ in self.terms), default=0)
+               for i in range(self.n_vars)]
+        body = ["".join(f"x{i}, " for i in range(self.n_vars)) + "= point"]
+        for i, e_max in enumerate(top):
+            prev = "1.0"
+            for e in range(1, e_max + 1):
+                body.append(f"p{i}_{e} = {prev} * x{i}")
+                prev = f"p{i}_{e}"
+        # one statement per term: a single long sum would nest past the
+        # compiler's recursion limit for a few thousand terms
+        body.append("total = 0.0")
+        for k, (exps, _) in enumerate(self.terms):
+            factors = "".join(f" * p{i}_{int(e)}" for i, e in enumerate(exps) if e)
+            body.append(f"total += c{k}{factors}")
+        body.append("return total")
+        source = "\n".join([
+            "def bind(coefs):",
+            "    (" + "".join(f"c{k}, " for k in range(len(self.terms))) + ") = coefs",
+            "    def evaluate(point):",
+            *(f"        {line}" for line in body),
+            "    return evaluate",
+        ])
+        namespace = {"__builtins__": {}}
+        exec(compile(source, "<polynomial>", "exec"), namespace)
+        return namespace["bind"](tuple(coef for _, coef in self.terms))
+
+    def __getstate__(self) -> dict:
+        # the generated evaluator does not pickle; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_evaluate"}
 
     def to_json(self) -> str:
         doc = {

@@ -394,6 +394,23 @@ def test_compose_rejects_non_finite_interconnections(capsys, tmp_path, field, va
     _rejected(capsys, *_compose_argv(tmp_path, subs))
 
 
+@pytest.mark.parametrize("bounds", [
+    [0.0, 10 ** 400],  # an int past float range: used to pass the small-gain check
+    [0, True],  # used to be taken as the interval [0, 1]
+], ids=["huge-int", "bool"])
+def test_compose_rejects_malformed_interval_bounds(capsys, tmp_path, bounds):
+    subs = json.loads(json.dumps(SUBS))
+    subs["sub1"]["state"] = bounds
+    code, out, err = run(capsys, "compose", "--system", _write(tmp_path, "ic.json", subs))
+    assert (code, out) == (3, "") and "sub1" in err, err
+
+
+def test_compose_rejects_a_document_that_is_not_an_object(capsys, tmp_path):
+    # used to crash with exit 5
+    code, out, err = run(capsys, "compose", "--system", _write(tmp_path, "ic.json", 5))
+    assert (code, out) == (3, "") and err.startswith("error:"), err
+
+
 def test_compose_rejects_non_numeric_gain(capsys, tmp_path):
     subs = json.loads(json.dumps(SUBS))
     for gain in ("half", 10 ** 400):  # the int past float range used to crash
@@ -499,6 +516,17 @@ def test_source_has_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_source_generates_code_only_from_validated_inputs():
+    # eval/exec/compile run only on checked expressions and polynomial exponents
+    src = Path(opacue.cli.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             if path.name not in ("expr.py", "polynomial.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("eval", "exec", "compile")]
     assert found == []
 
 

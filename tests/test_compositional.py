@@ -5,6 +5,7 @@ import random
 import pytest
 
 from opacue.barrier import check_opacity_barrier
+from opacue.boxes import grid_interval
 from opacue.compositional import (
     Interval,
     LinearSubsystem,
@@ -133,6 +134,26 @@ def test_compose_barriers_norm_certificate_end_to_end():
     end_to_end = check_opacity_barrier(report.composed, interconnected,
                                        delta=0.5, resolution=0.2)
     assert end_to_end.status == "sample-passed"
+
+
+def test_compose_barriers_decrease_evaluates_each_pair_value_once():
+    # per (x, xh) pair: B(x, xh) once, then B at the successors of every (w, wh)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return max(abs(p[0]), abs(p[1]))
+
+    s1, s2, delta, resolution = sub(), sub(), 0.5, 0.2
+    report = compose_barriers(counted, counted, s1, s2, delta=delta,
+                              resolution=resolution)
+    assert report.all_passed  # no condition stops its scan early
+    xs = grid_interval(0.0, 1.0, resolution)  # both state intervals
+    pairs = [(x, xh) for x in xs for xh in xs]
+    initial = 0  # the initial and secret intervals are disjoint
+    unsafe = sum(abs(x - xh) > delta for x, xh in pairs)
+    decrease = len(pairs) * (1 + len(xs) ** 2)
+    assert len(calls) == 2 * (len(pairs) + initial + unsafe + decrease)
 
 
 def test_compose_barriers_reports_local_falsification():

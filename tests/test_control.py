@@ -1,7 +1,9 @@
 """Expression grammar, certificates, and the quantization inequality."""
 
+import ast
 import json
 import math
+import random
 
 import pytest
 
@@ -47,6 +49,69 @@ def test_expr_linear_and_functions():
 def test_expr_rejects_out_of_grammar(bad):
     with pytest.raises(ParseError):
         compile_expr(bad, 2, 1)
+
+
+def _dict_eval_reference(text, n_states, n_inputs):
+    """The evaluator before compilation to a lambda: a dict and eval per call."""
+    code = compile(ast.parse(text, mode="eval"), "<reference>", "eval")
+    base = {"__builtins__": {}, "sin": math.sin, "cos": math.cos,
+            "exp": math.exp, "abs": abs}
+
+    def run(x, u):
+        env = {f"x{i + 1}": x[i] for i in range(n_states)}
+        for j in range(n_inputs):
+            env[f"u{j + 1}"] = u[j]
+        return float(eval(code, base, env))
+
+    return run
+
+
+def _random_expr(rng, names, depth):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.6:
+            return rng.choice(names)
+        return repr(rng.choice([0, 2, 7, 0.0, 0.5, 1e300, 3.25]))
+    kind = rng.randrange(3)
+    if kind == 0:
+        op = rng.choice("+-*/")
+        return (f"({_random_expr(rng, names, depth - 1)} {op} "
+                f"{_random_expr(rng, names, depth - 1)})")
+    if kind == 1:
+        return f"-{_random_expr(rng, names, depth - 1)}"
+    fn = rng.choice(["sin", "cos", "exp", "abs"])
+    return f"{fn}({_random_expr(rng, names, depth - 1)})"
+
+
+def _outcome(fn, x, u):
+    try:
+        value = fn(x, u)
+    except ArithmeticError as exc:  # division by zero, exp overflow
+        return type(exc)
+    except ValueError:  # sin/cos of an infinity
+        return ValueError
+    return type(value), value if value == value else "nan", math.copysign(1.0, value)
+
+
+def test_compiled_expressions_match_the_dict_eval_path():
+    rng = random.Random(2718)
+    seen = set()
+    coords = [0, 3, 0.0, -0.0, 0.25, -1.5, 1e200, -1e200]
+    for _ in range(600):
+        n_states, n_inputs = rng.randint(1, 3), rng.randint(0, 2)
+        names = ([f"x{i + 1}" for i in range(n_states)]
+                 + [f"u{j + 1}" for j in range(n_inputs)])
+        text = _random_expr(rng, names, 4)
+        nodes = list(ast.walk(ast.parse(text)))
+        seen.update(type(node).__name__ for node in nodes)
+        seen.update(node.id for node in nodes if isinstance(node, ast.Name))
+        compiled = compile_expr(text, n_states, n_inputs)
+        reference = _dict_eval_reference(text, n_states, n_inputs)
+        for _ in range(4):
+            x = tuple(rng.choice(coords) for _ in range(n_states))
+            u = tuple(rng.choice(coords) for _ in range(n_inputs))
+            assert _outcome(compiled, x, u) == _outcome(reference, x, u), (text, x, u)
+    assert {"Add", "Sub", "Mult", "Div", "USub", "Call", "Constant", "Name",
+            "sin", "cos", "exp", "abs"} <= seen
 
 
 # -- certificates ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Polynomial parsing and evaluation against a naive oracle."""
 
 import json
+import math
+import pickle
 import random
 
 import pytest
@@ -77,3 +79,71 @@ def test_parse_rejects_non_finite_coefficients(coef):
     text = '{"vars": 1, "terms": [{"exps": [1], "coef": %s}]}' % coef
     with pytest.raises(ParseError, match="finite"):
         parse_polynomial(text)
+
+
+def _power_table_reference(poly, point):
+    """The evaluator before compilation: per-call power tables."""
+    max_exp = [0] * poly.n_vars
+    for exps, _ in poly.terms:
+        for i, e in enumerate(exps):
+            if e > max_exp[i]:
+                max_exp[i] = e
+    powers = []
+    for i, v in enumerate(point):
+        row = [1.0]
+        for _ in range(max_exp[i]):
+            row.append(row[-1] * v)
+        powers.append(row)
+    total = 0.0
+    for exps, coef in poly.terms:
+        mono = coef
+        for i, e in enumerate(exps):
+            if e:
+                mono *= powers[i][e]
+        total += mono
+    return total
+
+
+def _same_float(a, b):
+    if math.isnan(b):
+        return math.isnan(a)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_compiled_evaluation_is_bit_identical_to_power_tables():
+    rng = random.Random(5150)
+    coefs = [0.0, -0.0, 1e300, -1e300, 1.0, -2.5]
+    coords = [0, 1, -3, 0.0, -0.0, 1e200, -1e200, 0.5, -1.25]
+    for _ in range(2000):
+        n_vars = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 4) for _ in range(n_vars))
+            coef = rng.choice(coefs) if rng.random() < 0.5 else rng.uniform(-3, 3)
+            terms.setdefault(exps, coef)
+        poly = Polynomial(n_vars, tuple(terms.items()))
+        for _ in range(3):
+            point = tuple(rng.choice(coords) if rng.random() < 0.6 else rng.uniform(-2, 2)
+                          for _ in range(n_vars))
+            got, want = poly(point), _power_table_reference(poly, point)
+            assert _same_float(got, want), (poly, point, got, want)
+        with pytest.raises(ValidationError):
+            poly((0.0,) * (n_vars + 1))
+        fresh = Polynomial(n_vars, tuple(terms.items()))
+        assert poly == fresh and hash(poly) == hash(fresh)
+
+
+def test_evaluated_polynomial_pickles_and_evaluates_again():
+    p = Polynomial(2, (((1, 2), -0.5), ((0, 0), 3.0)))
+    value = p((2.0, 3.0))
+    again = pickle.loads(pickle.dumps(p))
+    assert again == p and again((2.0, 3.0)) == value
+
+
+def test_many_terms_compile_and_match_power_tables():
+    # a single generated sum over this many terms would exceed the
+    # compiler's recursion limit
+    terms = tuple(((a, b), 0.5 - (a + b) % 3) for a in range(80) for b in range(50))
+    poly = Polynomial(2, terms)
+    point = (0.99, -1.01)
+    assert _same_float(poly(point), _power_table_reference(poly, point))
