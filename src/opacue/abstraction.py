@@ -10,6 +10,7 @@ directly into the finite-system verifiers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -121,13 +122,20 @@ def build_abstraction(
 def _ball_points(
     image: Sequence[float], axes: list[list[float]], eta: float
 ) -> list[tuple[float, ...]]:
-    """Lattice points within eta of the image, per dimension, exact compare."""
+    """Lattice points within eta of the image, per dimension, exact compare.
+
+    Each axis is ascending and fl(v - value) is monotone in v, so the hits
+    on an axis form one window; bisection with the exact test
+    abs(v - value) <= eta finds its ends.
+    """
     per_dim: list[list[float]] = []
     for d, value in enumerate(image):
-        hits = [v for v in axes[d] if abs(v - value) <= eta]
-        if not hits:
+        axis = axes[d]
+        lo = bisect_left(axis, True, key=lambda v: v - value >= -eta)
+        hi = bisect_left(axis, True, lo, key=lambda v: v - value > eta)
+        if lo == hi:
             return []
-        per_dim.append(hits)
+        per_dim.append(axis[lo:hi])
     out: list[tuple[float, ...]] = [()]
     for hits in per_dim:
         out = [p + (v,) for p in out for v in hits]

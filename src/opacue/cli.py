@@ -36,7 +36,9 @@ from .errors import OpacueError, ParseError, ResourceError, ValidationError
 from .estimator import build_initial_estimator, estimator_verdict
 from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
 from .polynomial import parse_polynomial
-from .simrel import AbstractionStatus, max_initsop_relation, opacity_via_abstraction
+from .simrel import (
+    AbstractionStatus, abstract_threshold, max_initsop_relation, opacity_via_abstraction,
+)
 from .system import NotionKind, OpacityNotion, parse_system, serialize_system
 
 EXIT_PASS = 0
@@ -142,11 +144,13 @@ def _cmd_estimator(args: argparse.Namespace) -> int:
 def _cmd_simrel(args: argparse.Namespace) -> int:
     concrete = parse_system(_read(args.system))
     abstract = parse_system(_read(args.abstract))
+    if args.delta is not None:
+        abstract_threshold(args.epsilon, args.delta)  # fail before the relation
     report = max_initsop_relation(concrete, abstract, args.epsilon)
     doc = report.to_report(concrete, abstract)
     if args.delta is not None:
         verdict = opacity_via_abstraction(concrete, abstract, args.epsilon,
-                                          args.delta, _cap_from(args))
+                                          args.delta, _cap_from(args), report)
         doc["abstraction_verdict"] = verdict.to_report()
         _emit(doc)
         if verdict.status is AbstractionStatus.OPAQUE:

@@ -30,7 +30,7 @@ from .errors import ValidationError
 from .estimator import build_initial_estimator
 from .observer import DEFAULT_STATE_CAP, build_observer, current_state_search
 from .search import post_step, search
-from .system import MetricSystem, NotionKind, OpacityNotion, check_delta
+from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows
 from .verdict import Verdict, Witness
 
 __all__ = ["product_opacity", "verify_delayed_opacity"]
@@ -59,7 +59,7 @@ def verify_delayed_opacity(
     """
     _check_delayed_notion(notion)
     check_delta(delta)
-    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    close = close_rows(sys.outputs, sys.outputs, delta)
     forward = current_state_search(sys, close, cap)
     if forward.hit is not None:
         states, inputs = forward.path(forward.hit)

@@ -29,7 +29,9 @@ from typing import Optional
 from .brute import explore, subset_step, trace, union
 from .errors import InternalError, ValidationError
 from .search import Search, post_step, search
-from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits
+from .system import (
+    MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows, iter_bits,
+)
 from .verdict import Verdict, Witness
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -175,7 +177,7 @@ def verify_state_opacity(
     """
     initial_notion = _check_state_notion(notion)
     check_delta(delta)
-    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    close = close_rows(sys.outputs, sys.outputs, delta)
     if initial_notion:
         secret = sys.secret_bits
         nonsecret = sys.initial_bits & ~secret

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .errors import DimensionError, PrecisionError
+from .errors import PrecisionError
 from .observer import DEFAULT_STATE_CAP, verify_state_opacity
 from .system import (
-    MetricSystem, OpacityNotion, check_delta, check_threshold, delta_close, iter_bits,
+    MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows, delta_close,
+    iter_bits,
 )
 from .verdict import Verdict
 
@@ -30,6 +31,7 @@ __all__ = [
     "check_relation",
     "AbstractionStatus",
     "AbstractionVerdict",
+    "abstract_threshold",
     "opacity_via_abstraction",
 ]
 
@@ -77,54 +79,52 @@ class SimReport:
         return doc
 
 
-def _close_rows(
-    concrete: MetricSystem, abstract: MetricSystem, epsilon: float
-) -> list[int]:
-    """rows[i] = bitset of abstract states output-epsilon-close to concrete i."""
-    if concrete.output_dim != abstract.output_dim:
-        raise DimensionError(
-            f"output dimensions differ: {concrete.output_dim} vs {abstract.output_dim}"
-        )
-    rows = []
-    for yi in concrete.outputs:
-        bits = 0
-        for j, yj in enumerate(abstract.outputs):
-            if delta_close(concrete.metric, yi, yj, epsilon):
-                bits |= 1 << j
-        rows.append(bits)
-    return rows
-
-
 def _prune_to_fixpoint(
     concrete: MetricSystem, abstract: MetricSystem, rows: list[int]
 ) -> list[int]:
     """Remove pairs violating the step-matching conditions until stable.
 
-    Pairs are visited in ascending (concrete, abstract) order each round and
-    removed immediately; the greatest fixpoint of monotone removal is unique,
-    so the visiting order cannot change the result.
+    A worklist holds the pairs still to be checked, at first all of them.
+    A pair (i, j) holds while every concrete successor of i is related to
+    some abstract successor of j (3a) and every abstract successor of j to
+    some concrete successor of i (3b). Only the removal of a pair of
+    successors can break that, so when (i, j) falls, just the surviving
+    pairs (p, q) with p a predecessor of i and q a predecessor of j go back
+    on the worklist (Henzinger, Henzinger & Kopke, FOCS 1995). The greatest
+    fixpoint of monotone removal is unique, so the order of the checks
+    cannot change the result.
     """
-    succ_c = concrete.succ_any
+    succ_c = [list(iter_bits(bits)) for bits in concrete.succ_any]
     succ_a = abstract.succ_any
-    changed = True
-    while changed:
-        changed = False
-        for i in range(concrete.n_states):
-            row = rows[i]
-            for j in iter_bits(row):
-                ok = True
-                for i2 in iter_bits(succ_c[i]):
-                    if rows[i2] & succ_a[j] == 0:
-                        ok = False
-                        break
-                if ok:
-                    for j2 in iter_bits(succ_a[j]):
-                        if not any((rows[i2] >> j2) & 1 for i2 in iter_bits(succ_c[i])):
-                            ok = False
-                            break
-                if not ok:
-                    rows[i] &= ~(1 << j)
-                    changed = True
+    pred_c = concrete.pred_any
+    pred_a = abstract.pred_any
+
+    def holds(i: int, j: int) -> bool:
+        targets = succ_a[j]
+        covered = 0
+        for i2 in succ_c[i]:
+            matched = rows[i2] & targets
+            if not matched:
+                return False
+            covered |= matched
+        return covered == targets
+
+    pending = list(rows)  # pending[i] = abstract partners of i still to check
+    stack = [i for i, bits in enumerate(pending) if bits]
+    while stack:
+        i = stack.pop()
+        bits = pending[i] & rows[i]
+        pending[i] = 0
+        for j in iter_bits(bits):
+            if holds(i, j):
+                continue
+            rows[i] &= ~(1 << j)
+            for p in iter_bits(pred_c[i]):
+                recheck = rows[p] & pred_a[j] & ~pending[p]
+                if recheck:
+                    if not pending[p]:
+                        stack.append(p)
+                    pending[p] |= recheck
     return rows
 
 
@@ -142,13 +142,14 @@ def _check_existence(
                 "1a", concrete=i,
                 detail="secret initial state has no related abstract secret initial state",
             )
-    nonsecret_init_c = [
-        i for i in sorted(concrete.initial) if not (concrete.secret_bits >> i) & 1
-    ]
+    partners = 0  # abstract states related to a non-secret concrete initial state
+    for i in concrete.initial:
+        if not (concrete.secret_bits >> i) & 1:
+            partners |= rows[i]
     for j in sorted(abstract.initial):
         if (abstract.secret_bits >> j) & 1:
             continue
-        if not any((rows[i] >> j) & 1 for i in nonsecret_init_c):
+        if not (partners >> j) & 1:
             return RelationFailure(
                 "1b", abstract=j,
                 detail="abstract non-secret initial state has no related concrete one",
@@ -167,12 +168,11 @@ def max_initsop_relation(
     checks the initial-state existence conditions (1a/1b) on the survivors.
     """
     check_threshold("epsilon", epsilon)
-    rows = _close_rows(concrete, abstract, epsilon)
+    rows = close_rows(concrete.outputs, abstract.outputs, epsilon)
     rows = _prune_to_fixpoint(concrete, abstract, rows)
 
     failure = _check_existence(concrete, abstract, rows)
     if failure is not None:
-        # Localize whether the needed pair fell to condition 2 or 3a/3b.
         return SimReport(related=False, failure=failure)
 
     pairs = tuple(
@@ -241,27 +241,17 @@ class AbstractionVerdict:
         }
 
 
-def opacity_via_abstraction(
-    concrete: MetricSystem,
-    abstract: MetricSystem,
-    epsilon: float,
-    delta: float,
-    cap: int = DEFAULT_STATE_CAP,
-) -> AbstractionVerdict:
-    """Transfer an opacity verdict from the abstract system to the concrete one.
+def abstract_threshold(epsilon: float, delta: float) -> float:
+    """The threshold delta - 2*epsilon at which the abstract side is queried.
 
-    Requires epsilon <= delta/2. If the systems are related and the abstract
-    system is (delta - 2*epsilon)-approximate initial-state opaque, the
-    concrete system is delta-approximate initial-state opaque. The
-    implication is one-directional, so anything short of that yields
-    INCONCLUSIVE, never a negative verdict.
-
-    delta - 2*epsilon is evaluated in decimal so that the threshold queried
-    on the abstract side is exactly the literal a user would write (e.g.
-    delta=0.3, epsilon=0.1 queries exactly 0.1).
+    Raises ValidationError unless both are finite and nonnegative (epsilon
+    is checked first, as `max_initsop_relation` does), and PrecisionError
+    unless epsilon <= delta/2, as the transfer theorem requires. The
+    difference is evaluated in decimal so that it is exactly the literal a
+    user would write (e.g. delta=0.3, epsilon=0.1 gives exactly 0.1).
     """
-    check_delta(delta)
     check_threshold("epsilon", epsilon)
+    check_delta(delta)
     d_delta = Decimal(str(delta))
     d_eps = Decimal(str(epsilon))
     if d_eps > d_delta / 2:
@@ -269,9 +259,31 @@ def opacity_via_abstraction(
             f"epsilon={epsilon} exceeds delta/2={delta / 2}; the transfer "
             f"theorem requires epsilon <= delta/2"
         )
-    abstract_delta = float(d_delta - 2 * d_eps)
+    return float(d_delta - 2 * d_eps)
 
-    report = max_initsop_relation(concrete, abstract, epsilon)
+
+def opacity_via_abstraction(
+    concrete: MetricSystem,
+    abstract: MetricSystem,
+    epsilon: float,
+    delta: float,
+    cap: int = DEFAULT_STATE_CAP,
+    report: Optional[SimReport] = None,
+) -> AbstractionVerdict:
+    """Transfer an opacity verdict from the abstract system to the concrete one.
+
+    Requires epsilon <= delta/2 (see `abstract_threshold`). If the systems
+    are related and the abstract system is (delta - 2*epsilon)-approximate
+    initial-state opaque, the concrete system is delta-approximate
+    initial-state opaque. The implication is one-directional, so anything
+    short of that yields INCONCLUSIVE, never a negative verdict.
+
+    `report` is `max_initsop_relation(concrete, abstract, epsilon)` when
+    the caller has already computed it; otherwise it is computed here.
+    """
+    abstract_delta = abstract_threshold(epsilon, delta)
+    if report is None:
+        report = max_initsop_relation(concrete, abstract, epsilon)
     if not report.related:
         reason = "no epsilon-InitSOP simulation relation"
         if report.failure is not None:

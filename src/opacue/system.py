@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -30,6 +31,7 @@ __all__ = [
     "bits_of",
     "check_delta",
     "check_threshold",
+    "close_rows",
     "iter_bits",
 ]
 
@@ -108,6 +110,50 @@ def delta_close(
     """
     check_delta(delta)
     return metric.dist(y, y2) <= delta
+
+
+def close_rows(
+    row_outputs: Sequence[Sequence[float]],
+    col_outputs: Sequence[Sequence[float]],
+    threshold: float,
+) -> list[int]:
+    """rows[i] = bitset of the columns j whose output is within `threshold`
+    of row i's in the infinity norm: the table `delta_close` gives pair by
+    pair, built in O((rows + cols) * log(cols) * dim) float comparisons.
+
+    Per output coordinate the columns are sorted once and prefix bitsets
+    of the sorted order are kept. For a row value a, fl(a - v) is monotone
+    in v, so the values v with abs(a - v) <= threshold form one window of
+    the sorted order; bisection with that exact predicate finds its ends,
+    and the row is the AND over coordinates of its windows. No tolerance
+    is involved, so every bit equals the pairwise comparison's. Outputs
+    must be finite, as `MetricSystem` ensures.
+    """
+    check_threshold("threshold", threshold)
+    if not row_outputs:
+        return []
+    dim = len(row_outputs[0])
+    for group in (row_outputs, col_outputs):
+        for y in group:
+            if len(y) != dim:
+                raise DimensionError(f"output dimensions differ: {dim} vs {len(y)}")
+    rows = [(1 << len(col_outputs)) - 1] * len(row_outputs)
+    for k in range(dim):
+        order = sorted(range(len(col_outputs)), key=lambda j: col_outputs[j][k])
+        values = [col_outputs[j][k] for j in order]
+        prefix = [0]
+        for j in order:
+            prefix.append(prefix[-1] | 1 << j)
+        windows: dict[float, int] = {}  # row value -> window bitset
+        for i, y in enumerate(row_outputs):
+            a = y[k]
+            bits = windows.get(a)
+            if bits is None:
+                lo = bisect_left(values, True, key=lambda v: a - v <= threshold)
+                hi = bisect_left(values, True, lo, key=lambda v: a - v < -threshold)
+                bits = windows[a] = prefix[hi] ^ prefix[lo]
+            rows[i] &= bits
+    return rows
 
 
 class NotionKind(enum.Enum):

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from opacue.abstraction import build_abstraction, sample_system
-from opacue.boxes import Box, BoxUnion
+from opacue.abstraction import _ball_points, build_abstraction, sample_system
+from opacue.boxes import Box, BoxUnion, grid_interval
 from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
 from opacue.errors import DomainError, QuantizationError, ResourceError
 from opacue.simrel import max_initsop_relation
@@ -63,6 +63,35 @@ def test_ball_rule_against_nearest_lattice_enumeration():
         assert got == expected
         agree += 1
     assert agree == 1000
+
+
+def _scanned_ball_points(image, axes, eta):
+    per_dim = [[v for v in axis if abs(v - value) <= eta] for axis, value in zip(axes, image)]
+    out = [()]
+    for hits in per_dim:
+        out = [p + (v,) for p in out for v in hits]
+    return out
+
+
+def test_ball_points_match_the_linear_scan():
+    rng = random.Random(802)
+    for eta, bounds in ((0.1, ((0.0, 1.0),)), (0.05, ((0.0, 1.0), (-0.5, 0.5))),
+                        (0.025, ((0.0, 1.0), (0.0, 0.5))), (1 / 3, ((0.0, 2.0),) * 3)):
+        axes = [grid_interval(lo, hi, eta) for lo, hi in bounds]
+        for _ in range(400):
+            image = []
+            for axis, (lo, hi) in zip(axes, bounds):
+                pick = rng.random()
+                if pick < 0.4:  # exactly eta from a lattice point, up to rounding
+                    image.append(rng.choice(axis) + rng.choice((-eta, eta)))
+                elif pick < 0.5:  # off the box, some within eta of it
+                    image.append(rng.choice((lo - rng.uniform(0, 2 * eta),
+                                             hi + rng.uniform(0, 2 * eta))))
+                elif pick < 0.6:
+                    image.append(rng.choice(axis))
+                else:
+                    image.append(rng.uniform(lo, hi))
+            assert _ball_points(image, axes, eta) == _scanned_ball_points(image, axes, eta)
 
 
 def test_refining_eta_keeps_images_matched():

@@ -1,7 +1,9 @@
 """CLI: exit codes, JSON reports, determinism, file exports."""
 
 import ast
+import importlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import opacue.cli
 from opacue.cli import main
 from opacue.errors import InternalError
-from opacue.system import parse_system
+from opacue.system import MetricSystem, parse_system
 
 from .conftest import FIXTURES
 
@@ -173,19 +175,23 @@ def test_verify_stats_count_search_classes(capsys):
     assert list(stats) == ["classes"] and stats["classes"] > 0
 
 
-def test_observer_subcommand_builds_the_observer_once(capsys, monkeypatch):
-    import opacue.cli
-    import opacue.observer
-
+def _count_calls(monkeypatch, module_names, attr):
+    """Wrap every binding of `attr` in the named modules, the defining one
+    first, with one counter; return the list of recorded calls."""
     calls = []
-    original = opacue.observer.build_observer
+    original = getattr(importlib.import_module(module_names[0]), attr)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(opacue.cli, "build_observer", counted)
-    monkeypatch.setattr(opacue.observer, "build_observer", counted)
+    for name in module_names:
+        monkeypatch.setattr(importlib.import_module(name), attr, counted)
+    return calls
+
+
+def test_observer_subcommand_builds_the_observer_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, ["opacue.observer", "opacue.cli"], "build_observer")
     code, out, _ = run(capsys, "observer", "--system", C1, "--delta", "0")
     assert code == 1 and len(calls) == 1
     report = json.loads(out)
@@ -421,24 +427,74 @@ def test_compose_rejects_non_numeric_gain(capsys, tmp_path):
 
 
 def test_estimator_subcommand_builds_the_estimator_once(capsys, monkeypatch, tmp_path):
-    import opacue.cli
-    import opacue.estimator
-
-    calls = []
-    original = opacue.estimator.build_initial_estimator
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(opacue.cli, "build_initial_estimator", counted)
-    monkeypatch.setattr(opacue.estimator, "build_initial_estimator", counted)
+    calls = _count_calls(monkeypatch, ["opacue.estimator", "opacue.cli"],
+                         "build_initial_estimator")
     code, out, _ = run(capsys, "estimator", "--system", C1, "--delta", "0",
                        "--export-dot", str(tmp_path / "est.dot"))
     assert code == 1 and len(calls) == 1
     report = json.loads(out)
     assert report["witness"]["states"][0] == "5:0:5"
     assert report["stats"]["estimator_states"] > 0
+
+
+def test_simrel_with_delta_computes_the_relation_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, ["opacue.simrel", "opacue.cli"],
+                         "max_initsop_relation")
+    code, out, _ = run(capsys, "simrel", "--system", C2, "--abstract", C2,
+                       "--epsilon", "0", "--delta", "0")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["abstraction_verdict"]["status"] == "opaque"
+
+
+@pytest.mark.parametrize("epsilon,delta,message", [
+    ("0", "nan", "delta must be a finite nonnegative number"),
+    ("0.1", "0.1", "epsilon=0.1 exceeds delta/2=0.05"),
+    ("nan", "nan", "epsilon must be a finite nonnegative number"),
+])
+def test_simrel_rejects_bad_thresholds_before_the_relation(capsys, monkeypatch,
+                                                          epsilon, delta, message):
+    calls = _count_calls(monkeypatch, ["opacue.simrel", "opacue.cli"],
+                         "max_initsop_relation")
+    code, out, err = run(capsys, "simrel", "--system", C1, "--abstract", C1,
+                         "--epsilon", epsilon, "--delta", delta)
+    assert (code, out, calls) == (3, "", []) and message in err
+
+
+@pytest.mark.parametrize("notion", ["initial-state", "current-state", "k-step",
+                                    "infinite-step"])
+def test_verify_builds_its_closeness_table_without_close_bits(capsys, monkeypatch,
+                                                               notion):
+    def refuse(self, reference, delta):
+        raise AssertionError("the decision path called MetricSystem.close_bits")
+
+    monkeypatch.setattr(MetricSystem, "close_bits", refuse)
+    k = ["--k", "1"] if notion == "k-step" else []
+    for system in (C1, C2):
+        code, _, err = run(capsys, "verify", "--system", system, "--notion", notion,
+                           "--delta", "0.5", *k)
+        assert code in (0, 1), err
+
+
+def test_oracles_do_not_share_the_closeness_table_helper(capsys, monkeypatch, tmp_path):
+    # brute force, witness replay, the pair observer and the estimator read
+    # the pairwise MetricSystem.close_bits, so they stay independent checks
+    # of the decision path's close_rows; every module that binds it is patched
+    bindings = [name for name, module in sorted(sys.modules.items())
+                if name.startswith("opacue.") and hasattr(module, "close_rows")]
+    bindings.remove("opacue.system")
+    calls = _count_calls(monkeypatch, ["opacue.system", *bindings], "close_rows")
+    for notion in ("initial-state", "infinite-step"):
+        calls.clear()
+        code, out, _ = run(capsys, "verify", "--system", C1, "--notion", notion,
+                           "--delta", "0", "--oracle")
+        report = json.loads(out)
+        assert code == 1 and report["oracle_agrees"] and report["witness_confirmed"]
+        assert len(calls) == 1  # the decision path's own table
+    calls.clear()
+    assert run(capsys, "observer", "--system", C1, "--delta", "0")[0] == 1
+    assert run(capsys, "estimator", "--system", C1, "--delta", "0",
+               "--export-dot", str(tmp_path / "est.dot"))[0] == 1
+    assert calls == []
 
 
 def test_abstract_has_no_delta_flag(capsys, tmp_path):

@@ -4,16 +4,20 @@ import random
 
 import pytest
 
+from opacue.abstraction import build_abstraction, sample_system
+from opacue.boxes import Box, BoxUnion
 from opacue.brute import brute_force_opacity
+from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
 from opacue.errors import DimensionError, PrecisionError, ValidationError
 from opacue.simrel import (
     AbstractionStatus,
     SimRelation,
+    _prune_to_fixpoint,
     check_relation,
     max_initsop_relation,
     opacity_via_abstraction,
 )
-from opacue.system import MetricSystem, OpacityNotion, delta_close, iter_bits
+from opacue.system import MetricSystem, OpacityNotion, close_rows, delta_close, iter_bits
 
 from .conftest import random_system
 
@@ -93,6 +97,79 @@ def test_pruning_result_is_order_independent():
             _reference_fixpoint(concrete, abstract, eps, rng)
         if report.related:
             assert _reference_fixpoint(concrete, abstract, eps, rng) == survivors
+
+
+def _worklist_fixpoint(concrete, abstract, eps):
+    rows = close_rows(concrete.outputs, abstract.outputs, eps)
+    rows = _prune_to_fixpoint(concrete, abstract, rows)
+    return {(i, j) for i in range(concrete.n_states) for j in iter_bits(rows[i])}
+
+
+def _existence_failure(concrete, abstract, pairs):
+    """The first failed initial-state condition, read off the definition."""
+    c_secret, a_secret = set(concrete.secret), set(abstract.secret)
+    for i in concrete.initial:
+        if i in c_secret and not any(
+                (i, j) in pairs for j in abstract.initial if j in a_secret):
+            return ("1a", i, None)
+    for j in abstract.initial:
+        if j not in a_secret and not any(
+                (i, j) in pairs for i in concrete.initial if i not in c_secret):
+            return ("1b", None, j)
+    return None
+
+
+def _assert_fixpoint_matches_reference(concrete, abstract, eps, rng):
+    pairs = _worklist_fixpoint(concrete, abstract, eps)
+    assert pairs == _reference_fixpoint(concrete, abstract, eps, rng)
+    # conditions 2, 3a and 3b hold; only the initial-state ones may fail
+    failure = check_relation(concrete, abstract, SimRelation(tuple(sorted(pairs)), eps))
+    assert failure is None or failure.condition in ("1a", "1b")
+    report = max_initsop_relation(concrete, abstract, eps)
+    expected = _existence_failure(concrete, abstract, pairs)
+    assert report.related == (failure is None) == (expected is None)
+    if expected is not None:
+        got = report.failure
+        assert (got.condition, got.concrete, got.abstract) == expected
+    if report.related:
+        assert set(report.relation.pairs) == pairs
+        assert check_relation(concrete, abstract, report.relation) is None
+
+
+def test_worklist_fixpoint_matches_reference_on_random_systems():
+    rng = random.Random(609)
+    for _ in range(120):
+        concrete = random_system(rng, max_states=12, output_values=8)
+        abstract = random_system(rng, max_states=12, output_values=8)
+        eps = rng.choice([0.0, 0.125, 0.25, 0.1 + 0.2])
+        _assert_fixpoint_matches_reference(concrete, abstract, eps, rng)
+
+
+def _lattice_plant(a, b, secret):
+    return DtControlSystem(
+        state_box=Box(((0.0, 1.0),)),
+        initial_region=BoxUnion((Box(((0.0, 1.0),)),)),
+        secret_region=BoxUnion((Box((secret,)),)),
+        input_box=Box(((0.0, 0.1),)),
+        dynamics=(f"{a!r}*x1 + {b!r}*u1",),
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, a, b / (1 - a), 1.0),
+    )
+
+
+def test_worklist_fixpoint_matches_reference_on_lattice_pairs():
+    # a grid abstraction and a finer sampled system, as the abstraction
+    # route relates them; small epsilons make the pruning remove pairs
+    rng = random.Random(610)
+    for a, b, secret in ((0.3, 0.2, (0.4, 0.7)), (0.45, 0.35, (0.1, 0.3))):
+        eta = 0.05
+        cs = _lattice_plant(a, b, secret)
+        epsilon = 1.25 * (eta + b / (1 - a) * eta) / (1 - a)
+        abstract = build_abstraction(
+            cs, QuantizationParams(eta=eta, mu=eta, epsilon=epsilon)).system
+        concrete = sample_system(cs, eta / 2, eta)
+        for eps in (0.0, eta / 2, eta, epsilon):
+            _assert_fixpoint_matches_reference(concrete, abstract, eps, rng)
 
 
 def _reference_fixpoint(concrete, abstract, eps, rng):

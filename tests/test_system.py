@@ -18,6 +18,7 @@ from opacue.system import (
     OpacityNotion,
     OutputMetric,
     Path,
+    close_rows,
     delta_close,
     parse_system,
     post,
@@ -152,6 +153,76 @@ def test_delta_close_monotone_in_delta(data):
     lo, hi = min(d1, d2), max(d1, d2)
     if delta_close(m, y, y2, lo):
         assert delta_close(m, y, y2, hi)
+
+
+# -- close_rows ----------------------------------------------------------------
+
+CLOSE_THRESHOLDS = (0.0, 1e-300, 0.1 + 0.2, 1 / 3, 1e300, 0.25, 0.5)
+CLOSE_SPECIALS = (0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 0.3, 1 / 3)
+
+
+def _pairwise_rows(rows, cols, threshold):
+    m = OutputMetric()
+    return [sum(1 << j for j, y2 in enumerate(cols) if delta_close(m, y, y2, threshold))
+            for y in rows]
+
+
+def _close_value(rng, threshold):
+    pick = rng.random()
+    if pick < 0.25:
+        return rng.choice(CLOSE_SPECIALS)
+    if pick < 0.5:  # eighths: many distances hit a dyadic threshold exactly
+        return rng.randrange(-8, 9) / 8
+    if pick < 0.75:  # exactly one threshold away from a tenth, up to rounding
+        return rng.randrange(-10, 11) / 10 + rng.choice((-1, 1)) * threshold
+    return rng.uniform(-1, 1)
+
+
+def test_close_rows_matches_the_pairwise_loop():
+    rng = random.Random(131)
+    for _ in range(1500):
+        dim = rng.randint(1, 3)
+        threshold = rng.choice(CLOSE_THRESHOLDS)
+        rows = [tuple(_close_value(rng, threshold) for _ in range(dim))
+                for _ in range(rng.randint(1, 10))]
+        # rectangular: the columns come from a different set of outputs,
+        # some shared with the rows
+        cols = [tuple(_close_value(rng, threshold) for _ in range(dim))
+                for _ in range(rng.randint(1, 14))]
+        cols += rng.sample(rows, rng.randint(0, len(rows)))
+        rng.shuffle(cols)
+        assert close_rows(rows, cols, threshold) == _pairwise_rows(rows, cols, threshold)
+
+
+def test_close_rows_on_a_system_equals_close_bits(gridworld):
+    for delta in (0.0, 0.5, 1.0, 2.5):
+        assert close_rows(gridworld.outputs, gridworld.outputs, delta) == [
+            gridworld.close_bits(x, delta) for x in range(gridworld.n_states)
+        ]
+
+
+def test_close_rows_signed_zeros_and_extremes():
+    rows = [(0.0,), (-0.0,), (1e300,), (-1e300,)]
+    cols = [(-0.0,), (0.0,), (-1e300,), (1e300,), (5e-324,)]
+    for threshold in (0.0, 5e-324, 1e300, 2e300):
+        assert close_rows(rows, cols, threshold) == _pairwise_rows(rows, cols, threshold)
+    assert close_rows(rows, cols, 0.0) == [0b00011, 0b00011, 0b01000, 0b00100]
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), -0.1, float("inf")])
+def test_close_rows_rejects_bad_thresholds(threshold):
+    with pytest.raises(ValidationError):
+        close_rows([(0.0,)], [(0.0,)], threshold)
+
+
+@pytest.mark.parametrize("rows,cols", [
+    ([(0.0,)], [(0.0, 1.0)]),
+    ([(0.0, 1.0)], [(0.0, 1.0), (0.0,)]),
+    ([(0.0,), (0.0, 1.0)], [(0.0,)]),
+])
+def test_close_rows_rejects_mismatched_arity(rows, cols):
+    with pytest.raises(DimensionError):
+        close_rows(rows, cols, 0.5)
 
 
 # -- parsing / serialization -------------------------------------------------
