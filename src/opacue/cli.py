@@ -18,28 +18,18 @@ import os
 import sys as _sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Each command imports the modules it runs in its own body, so a command
+# loads only those. `errors`, `system` and `observer` stay here: `_NOTIONS`
+# and `_cap_from` need them, and every finite-system command loads them.
 from . import __version__
-from .abstraction import build_abstraction
-from .api import verify_opacity
-from .barrier import check_lack_barrier, check_opacity_barrier
-from .brute import brute_force_opacity, confirm_witness
-from .compositional import (
-    Interval,
-    LinearSubsystem,
-    compose_barriers,
-    small_gain,
-)
-from .control import QuantizationParams, parse_control_system
-from .dotexport import estimator_dot, observer_dot
 from .errors import OpacueError, ParseError, ResourceError, ValidationError
-from .estimator import build_initial_estimator, estimator_verdict
 from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
-from .polynomial import parse_polynomial
-from .simrel import (
-    AbstractionStatus, abstract_threshold, max_initsop_relation, opacity_via_abstraction,
-)
 from .system import NotionKind, OpacityNotion, parse_system, serialize_system
+
+if TYPE_CHECKING:
+    from .compositional import LinearSubsystem
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -80,18 +70,27 @@ def _notion_from(args: argparse.Namespace) -> OpacityNotion:
 
 
 def _cap_from(args: argparse.Namespace) -> int:
+    """The state cap: --cap, else OPACUE_CAP, else the default. A cap
+    below 1 admits no search at all, so it is a usage error."""
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("OPACUE_CAP")
-    if env is not None:
+        cap, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("OPACUE_CAP")
+        if env is None:
+            return DEFAULT_STATE_CAP
         try:
-            return int(env)
+            cap, source = int(env), "OPACUE_CAP"
         except ValueError:
             raise ValidationError(f"OPACUE_CAP={env!r} is not an integer") from None
-    return DEFAULT_STATE_CAP
+    if cap < 1:
+        raise ValidationError(f"{source}={cap}: the cap must be at least 1")
+    return cap
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .api import verify_opacity
+    from .brute import brute_force_opacity, confirm_witness
+
     system = parse_system(_read(args.system))
     notion = _notion_from(args)
     cap = _cap_from(args)
@@ -124,6 +123,8 @@ def _cmd_observer(args: argparse.Namespace) -> int:
         raise ValidationError("observer export supports initial-state/current-state")
     obs = build_observer(system, args.delta, _cap_from(args))
     if args.export_dot:
+        from .dotexport import observer_dot
+
         Path(args.export_dot).write_text(observer_dot(obs, notion), encoding="utf-8")
     verdict = observer_verdict(obs, notion)
     _emit(verdict.to_report(system))
@@ -131,10 +132,14 @@ def _cmd_observer(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimator(args: argparse.Namespace) -> int:
+    from .estimator import build_initial_estimator, estimator_verdict
+
     system = parse_system(_read(args.system))
     cap = _cap_from(args)
     est = build_initial_estimator(system, args.delta, cap)
     if args.export_dot:
+        from .dotexport import estimator_dot
+
         Path(args.export_dot).write_text(estimator_dot(est), encoding="utf-8")
     verdict = estimator_verdict(est)
     _emit(verdict.to_report(system))
@@ -142,15 +147,21 @@ def _cmd_estimator(args: argparse.Namespace) -> int:
 
 
 def _cmd_simrel(args: argparse.Namespace) -> int:
+    from .simrel import (
+        AbstractionStatus, abstract_threshold, max_initsop_relation,
+        opacity_via_abstraction,
+    )
+
     concrete = parse_system(_read(args.system))
     abstract = parse_system(_read(args.abstract))
-    if args.delta is not None:
-        abstract_threshold(args.epsilon, args.delta)  # fail before the relation
+    if args.delta is not None:  # fail before the relation
+        abstract_threshold(args.epsilon, args.delta)
+        cap = _cap_from(args)
     report = max_initsop_relation(concrete, abstract, args.epsilon)
     doc = report.to_report(concrete, abstract)
     if args.delta is not None:
         verdict = opacity_via_abstraction(concrete, abstract, args.epsilon,
-                                          args.delta, _cap_from(args), report)
+                                          args.delta, cap, report)
         doc["abstraction_verdict"] = verdict.to_report()
         _emit(doc)
         if verdict.status is AbstractionStatus.OPAQUE:
@@ -161,6 +172,9 @@ def _cmd_simrel(args: argparse.Namespace) -> int:
 
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
+    from .abstraction import build_abstraction
+    from .control import QuantizationParams, parse_control_system
+
     cs = parse_control_system(_read(args.system))
     params = QuantizationParams(eta=args.eta, mu=args.mu, epsilon=args.epsilon)
     result = build_abstraction(cs, params, allow_unsound=args.unsound, cap=_cap_from(args))
@@ -188,6 +202,10 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 
 
 def _cmd_barrier(args: argparse.Namespace) -> int:
+    from .barrier import check_lack_barrier, check_opacity_barrier
+    from .control import parse_control_system
+    from .polynomial import parse_polynomial
+
     cs = parse_control_system(_read(args.system))
     candidate = parse_polynomial(_read(args.candidate))
     checker = check_opacity_barrier if args.kind == "opacity" else check_lack_barrier
@@ -205,6 +223,8 @@ def _json_number(value) -> float:
 
 
 def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]:
+    from .compositional import Interval, LinearSubsystem
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -229,6 +249,9 @@ def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
+    from .compositional import compose_barriers, small_gain
+    from .polynomial import parse_polynomial
+
     sub1, sub2 = _parse_interconnection(_read(args.system))
     gains = small_gain(sub1, sub2)
     doc = {"small_gain": gains.to_report()}
@@ -267,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--delta", type=float, required=True,
                            help="measurement precision threshold (no default)")
         p.add_argument("--cap", type=int, default=None,
-                       help="state cap (default: OPACUE_CAP or 2,000,000)")
+                       help="state cap, at least 1 (default: OPACUE_CAP or 2,000,000)")
 
     p = sub.add_parser("verify", help="decide opacity of a finite system")
     common(p)

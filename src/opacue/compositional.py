@@ -351,14 +351,15 @@ def _barrier_conditions(
         return max(abs(x), abs(xh))
 
     def decrease() -> Iterable[Sample]:
-        # (1 - a)*B(x, xh) and the x-side step do not depend on (w, wh)
-        for x, xh in pairs:
-            kept = (1 - sub.a) * b((x, xh))
-            for w in ws:
-                x_next = sub.step(x, w)
-                for wh in ws:
-                    yield (x, xh, w, wh), (kept + sub.b * norm(w, wh)
-                                           - b((x_next, sub.step(xh, wh))))
+        # each factor is computed outside the loops it does not depend on
+        gains = [[sub.b * norm(w, wh) for wh in ws] for w in ws]
+        steps = [[sub.step(x, w) for w in ws] for x in xs]
+        for x, x_steps in zip(xs, steps):
+            for xh, xh_steps in zip(xs, steps):
+                kept = (1 - sub.a) * b((x, xh))
+                for w, x_next, gain_row in zip(ws, x_steps, gains):
+                    for wh, xh_next, gain in zip(ws, xh_steps, gain_row):
+                        yield (x, xh, w, wh), kept + gain - b((x_next, xh_next))
 
     def initial(x: float, xh: float) -> bool:
         return (sub.initial.contains(x) and sub.secret.contains(x)

@@ -96,6 +96,27 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert code == 4
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_flag_below_one_is_usage_error(capsys, cap):
+    code, out, err = run(capsys, "verify", "--system", C1, "--notion",
+                         "initial-state", "--delta", "0", "--cap", cap)
+    assert (code, out) == (3, "") and f"--cap={cap}" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_cap_env_variable_below_one_is_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("OPACUE_CAP", cap)
+    code, out, err = run(capsys, "verify", "--system", C1, "--notion",
+                         "initial-state", "--delta", "0")
+    assert (code, out) == (3, "") and f"OPACUE_CAP={cap}" in err
+
+
+def test_cap_of_one_is_a_cap_not_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "--system", C1, "--notion",
+                       "initial-state", "--delta", "0", "--cap", "1")
+    assert code == 4 and "cap of 1" in err
+
+
 def test_bad_file_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -177,7 +198,8 @@ def test_verify_stats_count_search_classes(capsys):
 
 def _count_calls(monkeypatch, module_names, attr):
     """Wrap every binding of `attr` in the named modules, the defining one
-    first, with one counter; return the list of recorded calls."""
+    first, with one counter; return the list of recorded calls. A command
+    that imports `attr` in its body reads the defining module's binding."""
     calls = []
     original = getattr(importlib.import_module(module_names[0]), attr)
 
@@ -427,8 +449,7 @@ def test_compose_rejects_non_numeric_gain(capsys, tmp_path):
 
 
 def test_estimator_subcommand_builds_the_estimator_once(capsys, monkeypatch, tmp_path):
-    calls = _count_calls(monkeypatch, ["opacue.estimator", "opacue.cli"],
-                         "build_initial_estimator")
+    calls = _count_calls(monkeypatch, ["opacue.estimator"], "build_initial_estimator")
     code, out, _ = run(capsys, "estimator", "--system", C1, "--delta", "0",
                        "--export-dot", str(tmp_path / "est.dot"))
     assert code == 1 and len(calls) == 1
@@ -438,8 +459,7 @@ def test_estimator_subcommand_builds_the_estimator_once(capsys, monkeypatch, tmp
 
 
 def test_simrel_with_delta_computes_the_relation_once(capsys, monkeypatch):
-    calls = _count_calls(monkeypatch, ["opacue.simrel", "opacue.cli"],
-                         "max_initsop_relation")
+    calls = _count_calls(monkeypatch, ["opacue.simrel"], "max_initsop_relation")
     code, out, _ = run(capsys, "simrel", "--system", C2, "--abstract", C2,
                        "--epsilon", "0", "--delta", "0")
     assert code == 0 and len(calls) == 1
@@ -453,11 +473,17 @@ def test_simrel_with_delta_computes_the_relation_once(capsys, monkeypatch):
 ])
 def test_simrel_rejects_bad_thresholds_before_the_relation(capsys, monkeypatch,
                                                           epsilon, delta, message):
-    calls = _count_calls(monkeypatch, ["opacue.simrel", "opacue.cli"],
-                         "max_initsop_relation")
+    calls = _count_calls(monkeypatch, ["opacue.simrel"], "max_initsop_relation")
     code, out, err = run(capsys, "simrel", "--system", C1, "--abstract", C1,
                          "--epsilon", epsilon, "--delta", delta)
     assert (code, out, calls) == (3, "", []) and message in err
+
+
+def test_simrel_rejects_a_bad_cap_before_the_relation(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, ["opacue.simrel"], "max_initsop_relation")
+    code, out, err = run(capsys, "simrel", "--system", C2, "--abstract", C2,
+                         "--epsilon", "0", "--delta", "0", "--cap", "0")
+    assert (code, out, calls) == (3, "", []) and "--cap=0" in err
 
 
 @pytest.mark.parametrize("notion", ["initial-state", "current-state", "k-step",
