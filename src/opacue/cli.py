@@ -47,8 +47,16 @@ _NOTIONS = {
 }
 
 
-def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc: dict, pairs: str | None = None) -> None:
+    """Print `doc` as indent-2, key-sorted JSON. `pairs`, when given, is a
+    top-level "pairs" value already rendered one level deep, spliced in
+    place of a null. `json` escapes quotes and line breaks inside strings,
+    so a line break, two spaces and "pairs": can only begin that entry."""
+    if pairs is None:
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return
+    text = json.dumps({**doc, "pairs": None}, indent=2, sort_keys=True)
+    print(text.replace('\n  "pairs": null', '\n  "pairs": ' + pairs, 1))
 
 
 def _read(path: str) -> str:
@@ -56,6 +64,13 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OpacueError(f"{path}: {exc.strerror}") from exc
 
 
 def _notion_from(args: argparse.Namespace) -> OpacityNotion:
@@ -125,7 +140,7 @@ def _cmd_observer(args: argparse.Namespace) -> int:
     if args.export_dot:
         from .dotexport import observer_dot
 
-        Path(args.export_dot).write_text(observer_dot(obs, notion), encoding="utf-8")
+        _write(args.export_dot, observer_dot(obs, notion))
     verdict = observer_verdict(obs, notion)
     _emit(verdict.to_report(system))
     return EXIT_PASS if verdict.opaque else EXIT_FAIL
@@ -140,7 +155,7 @@ def _cmd_estimator(args: argparse.Namespace) -> int:
     if args.export_dot:
         from .dotexport import estimator_dot
 
-        Path(args.export_dot).write_text(estimator_dot(est), encoding="utf-8")
+        _write(args.export_dot, estimator_dot(est))
     verdict = estimator_verdict(est)
     _emit(verdict.to_report(system))
     return EXIT_PASS if verdict.opaque else EXIT_FAIL
@@ -156,18 +171,23 @@ def _cmd_simrel(args: argparse.Namespace) -> int:
     abstract = parse_system(_read(args.abstract))
     if args.delta is not None:  # fail before the relation
         abstract_threshold(args.epsilon, args.delta)
-        cap = _cap_from(args)
+    cap = _cap_from(args)
     report = max_initsop_relation(concrete, abstract, args.epsilon)
-    doc = report.to_report(concrete, abstract)
+    # The pairs are written straight from the relation, as in
+    # `report.to_report`, without building the list of name pairs.
+    doc = report.summary(concrete, abstract)
+    pairs = None
+    if report.relation is not None:
+        pairs = report.relation.pairs_json(concrete, abstract)
     if args.delta is not None:
         verdict = opacity_via_abstraction(concrete, abstract, args.epsilon,
                                           args.delta, cap, report)
         doc["abstraction_verdict"] = verdict.to_report()
-        _emit(doc)
+        _emit(doc, pairs)
         if verdict.status is AbstractionStatus.OPAQUE:
             return EXIT_PASS
         return EXIT_INCONCLUSIVE
-    _emit(doc)
+    _emit(doc, pairs)
     return EXIT_PASS if report.related else EXIT_FAIL
 
 
@@ -178,9 +198,8 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     cs = parse_control_system(_read(args.system))
     params = QuantizationParams(eta=args.eta, mu=args.mu, epsilon=args.epsilon)
     result = build_abstraction(cs, params, allow_unsound=args.unsound, cap=_cap_from(args))
-    text = serialize_system(result.system)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, serialize_system(result.system))
     _emit({
         "states": result.system.n_states,
         "inputs": len(result.system.inputs),
@@ -284,13 +303,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"opacue {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, delta_required=True):
+    def common(p, delta_required=True, cap=True):
         p.add_argument("--system", required=True, help="input file")
         if delta_required:
             p.add_argument("--delta", type=float, required=True,
                            help="measurement precision threshold (no default)")
-        p.add_argument("--cap", type=int, default=None,
-                       help="state cap, at least 1 (default: OPACUE_CAP or 2,000,000)")
+        if cap:
+            p.add_argument("--cap", type=int, default=None,
+                           help="state cap, at least 1 (default: OPACUE_CAP or 2,000,000)")
 
     p = sub.add_parser("verify", help="decide opacity of a finite system")
     common(p)
@@ -334,7 +354,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_abstract)
 
     p = sub.add_parser("barrier", help="check a candidate barrier certificate")
-    common(p)
+    common(p, cap=False)
     p.add_argument("--candidate", required=True, help="polynomial file")
     p.add_argument("--kind", required=True, choices=["opacity", "lack"])
     p.add_argument("--resolution", type=float, required=True)
@@ -343,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_barrier)
 
     p = sub.add_parser("compose", help="small-gain composition of two subsystems")
-    common(p, delta_required=False)
+    common(p, delta_required=False, cap=False)
     p.add_argument("--barrier1", default=None, help="local barrier for subsystem 1")
     p.add_argument("--barrier2", default=None, help="local barrier for subsystem 2")
     p.add_argument("--delta", type=float, default=None)

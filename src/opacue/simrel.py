@@ -19,7 +19,7 @@ from .errors import PrecisionError
 from .observer import DEFAULT_STATE_CAP, verify_state_opacity
 from .system import (
     MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows, delta_close,
-    iter_bits,
+    iter_bits, json_array, json_texts,
 )
 from .verdict import Verdict
 
@@ -43,6 +43,14 @@ class SimRelation:
     pairs: tuple[tuple[int, int], ...]
     epsilon: float
 
+    def pairs_json(self, concrete: MetricSystem, abstract: MetricSystem) -> str:
+        """The report's "pairs" value, `[[concrete name, abstract name], ...]`,
+        as `json.dumps(report, indent=2)` writes it one level deep. Each name
+        is encoded once; no list of name pairs is built."""
+        heads = [f"[\n      {name},\n      " for name in json_texts(concrete.names, 3)]
+        tails = [f"{name}\n    ]" for name in json_texts(abstract.names, 3)]
+        return json_array([heads[i] + tails[j] for i, j in self.pairs], 1)
+
 
 @dataclass(frozen=True)
 class RelationFailure:
@@ -61,12 +69,20 @@ class SimReport:
     failure: Optional[RelationFailure] = None
 
     def to_report(self, concrete: MetricSystem, abstract: MetricSystem) -> dict:
-        doc: dict = {"related": self.related}
+        """The whole report. `opacue simrel` prints the same JSON text from
+        `summary` and `SimRelation.pairs_json`, without this list."""
+        doc = self.summary(concrete, abstract)
         if self.relation is not None:
-            doc["epsilon"] = self.relation.epsilon
             doc["pairs"] = [
                 [concrete.names[i], abstract.names[j]] for i, j in self.relation.pairs
             ]
+        return doc
+
+    def summary(self, concrete: MetricSystem, abstract: MetricSystem) -> dict:
+        """The report without its "pairs" (see `SimRelation.pairs_json`)."""
+        doc: dict = {"related": self.related}
+        if self.relation is not None:
+            doc["epsilon"] = self.relation.epsilon
         if self.failure is not None:
             doc["failure"] = {
                 "condition": self.failure.condition,

@@ -13,6 +13,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DimensionError, InputError, ParseError, ValidationError
@@ -33,6 +35,8 @@ __all__ = [
     "check_threshold",
     "close_rows",
     "iter_bits",
+    "json_array",
+    "json_texts",
 ]
 
 
@@ -236,15 +240,23 @@ class MetricSystem:
         dim = len(self.outputs[0]) if self.outputs else 0
         if dim < 1:
             raise ValidationError("output dimension must be positive")
-        for i, y in enumerate(self.outputs):
-            if len(y) != dim:
-                raise ValidationError(
-                    f"state {self.names[i]!r}: output arity {len(y)} != {dim}"
-                )
-            if not all(math.isfinite(v) for v in y):
-                raise ValidationError(
-                    f"state {self.names[i]!r}: output {list(y)} is not finite"
-                )
+        # Each per-item check runs in bulk first; only when one fails is
+        # the first offender looked for, one item at a time.
+        try:
+            outputs_ok = (all(len(y) == dim for y in self.outputs)
+                          and all(map(math.isfinite, chain.from_iterable(self.outputs))))
+        except TypeError:
+            outputs_ok = False
+        if not outputs_ok:
+            for i, y in enumerate(self.outputs):
+                if len(y) != dim:
+                    raise ValidationError(
+                        f"state {self.names[i]!r}: output arity {len(y)} != {dim}"
+                    )
+                if not all(math.isfinite(v) for v in y):
+                    raise ValidationError(
+                        f"state {self.names[i]!r}: output {list(y)} is not finite"
+                    )
         for label, group in (("initial", self.initial), ("secret", self.secret)):
             for i in group:
                 if not 0 <= i < n:
@@ -397,9 +409,8 @@ def pre(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
 # -- file format ------------------------------------------------------------
 
 
-def _expect(cond: bool, where: str, msg: str) -> None:
-    if not cond:
-        raise ParseError(f"{where}: {msg}")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_system(text: str | bytes) -> MetricSystem:
@@ -408,6 +419,9 @@ def parse_system(text: str | bytes) -> MetricSystem:
     Schema: {"states": [{"name": str, "output": [number, ...]}, ...],
              "inputs": [str, ...], "initial": [name, ...],
              "secret": [name, ...], "transitions": [[src, input, dst], ...]}
+
+    The first failing check, in document order, names the error. Checks
+    that run per item build their message only when they fail.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -418,35 +432,38 @@ def parse_system(text: str | bytes) -> MetricSystem:
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
-    _expect(isinstance(doc, dict), "$", "top level must be an object")
+    if not isinstance(doc, dict):
+        raise ParseError("$: top level must be an object")
     for key in ("states", "inputs", "initial", "secret", "transitions"):
-        _expect(key in doc, "$", f"missing key {key!r}")
-        _expect(isinstance(doc[key], list), key, "must be an array")
+        if key not in doc:
+            raise ParseError(f"$: missing key {key!r}")
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key}: must be an array")
 
     names: list[str] = []
     outputs: list[tuple[float, ...]] = []
     for i, entry in enumerate(doc["states"]):
-        where = f"states[{i}]"
-        _expect(isinstance(entry, dict), where, "must be an object")
-        _expect(isinstance(entry.get("name"), str), where, "needs a string 'name'")
+        if not isinstance(entry, dict):
+            raise ParseError(f"states[{i}]: must be an object")
+        name = entry.get("name")
+        if not isinstance(name, str):
+            raise ParseError(f"states[{i}]: needs a string 'name'")
         out = entry.get("output")
-        _expect(isinstance(out, list), where, "needs an array 'output'")
-        for j, v in enumerate(out):
-            _expect(
-                isinstance(v, (int, float)) and not isinstance(v, bool),
-                f"{where}.output[{j}]",
-                "must be a number",
-            )
-        names.append(entry["name"])
+        if not isinstance(out, list):
+            raise ParseError(f"states[{i}]: needs an array 'output'")
+        if not all(map(_is_number, out)):
+            j = next(j for j, v in enumerate(out) if not _is_number(v))
+            raise ParseError(f"states[{i}].output[{j}]: must be a number")
+        names.append(name)
         try:
-            outputs.append(tuple(float(v) for v in out))
+            outputs.append(tuple(map(float, out)))
         except OverflowError:
-            raise ParseError(f"{where}.output: a number is past float range") from None
+            raise ParseError(f"states[{i}].output: a number is past float range") from None
 
-    inputs: list[str] = []
-    for i, label in enumerate(doc["inputs"]):
-        _expect(isinstance(label, str), f"inputs[{i}]", "must be a string")
-        inputs.append(label)
+    inputs: list[str] = doc["inputs"]
+    for i, label in enumerate(inputs):
+        if not isinstance(label, str):
+            raise ParseError(f"inputs[{i}]: must be a string")
 
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
@@ -456,7 +473,8 @@ def parse_system(text: str | bytes) -> MetricSystem:
     def resolve(key: str) -> tuple[int, ...]:
         out = []
         for i, name in enumerate(doc[key]):
-            _expect(isinstance(name, str), f"{key}[{i}]", "must be a state name")
+            if not isinstance(name, str):
+                raise ParseError(f"{key}[{i}]: must be a state name")
             if name not in index:
                 raise ValidationError(f"{key}[{i}]: unknown state {name!r}")
             out.append(index[name])
@@ -465,25 +483,15 @@ def parse_system(text: str | bytes) -> MetricSystem:
     initial = resolve("initial")
     secret = resolve("secret")
 
-    transitions: list[tuple[int, int, int]] = []
-    for i, triple in enumerate(doc["transitions"]):
-        where = f"transitions[{i}]"
-        _expect(
-            isinstance(triple, list) and len(triple) == 3,
-            where,
-            "must be a [src, input, dst] triple",
-        )
-        src, label, dst = triple
-        for part in (src, dst):
-            _expect(isinstance(part, str), where, "endpoints must be state names")
-        _expect(isinstance(label, str), where, "input must be a label string")
-        if src not in index:
-            raise ValidationError(f"{where}: unknown source state {src!r}")
-        if dst not in index:
-            raise ValidationError(f"{where}: unknown target state {dst!r}")
-        if label not in input_index:
-            raise ValidationError(f"{where}: unknown input {label!r}")
-        transitions.append((index[src], input_index[label], index[dst]))
+    triples = doc["transitions"]
+    try:
+        # A lookup that succeeds saw a name: only a str equals a str key.
+        transitions = [(index[s], input_index[u], index[d]) for s, u, d in triples]
+        well_formed = all(type(t) is list for t in triples)
+    except (TypeError, ValueError, KeyError):
+        well_formed = False
+    if not well_formed:  # find the first offender, one triple at a time
+        transitions = _resolve_transitions(triples, index, input_index)
     if len(set(transitions)) != len(transitions):
         raise ValidationError("duplicate transitions")
 
@@ -497,24 +505,87 @@ def parse_system(text: str | bytes) -> MetricSystem:
     )
 
 
+def _resolve_transitions(
+    triples: list, index: dict[str, int], input_index: dict[str, int]
+) -> list[tuple[int, int, int]]:
+    """Index triples, checking each [src, input, dst] in turn."""
+    out = []
+    for i, triple in enumerate(triples):
+        where = f"transitions[{i}]"
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise ParseError(f"{where}: must be a [src, input, dst] triple")
+        src, label, dst = triple
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise ParseError(f"{where}: endpoints must be state names")
+        if not isinstance(label, str):
+            raise ParseError(f"{where}: input must be a label string")
+        if src not in index:
+            raise ValidationError(f"{where}: unknown source state {src!r}")
+        if dst not in index:
+            raise ValidationError(f"{where}: unknown target state {dst!r}")
+        if label not in input_index:
+            raise ValidationError(f"{where}: unknown input {label!r}")
+        out.append((index[src], input_index[label], index[dst]))
+    return out
+
+
+def _json_text(value) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return json.dumps(value, indent=2)
+
+
+def _indented(texts: list[str], depth: int) -> list[str]:
+    """Texts rendered at depth 0, moved `depth` levels deeper: every line
+    break gains 2*depth spaces. `json` escapes line breaks inside strings,
+    so only a container's own lines move; a string's text stays as it is."""
+    pad = "\n" + "  " * depth
+    return [text.replace("\n", pad) for text in texts]
+
+
+def json_texts(values: Iterable, depth: int) -> list[str]:
+    """Each value as `json.dumps(..., indent=2)` writes it `depth` levels deep."""
+    return _indented([_json_text(value) for value in values], depth)
+
+
+def json_array(items: Sequence[str], depth: int) -> str:
+    """An array as `json.dumps(..., indent=2)` writes it `depth` levels
+    deep, from items already rendered one level deeper."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
 def serialize_system(sys: MetricSystem) -> str:
     """Emit the canonical JSON document for a system.
 
     Canonical form: state/input order preserved, initial/secret sorted by
-    state index, transitions sorted by (src, input, dst) index triples.
-    serialize(parse(doc)) is the identity on canonical documents.
+    state index, transitions sorted by (src, input, dst) index triples. The
+    text is exactly `json.dumps(doc, indent=2) + "\n"` of that document,
+    written without `json`'s token-by-token encoder: each name and label is
+    encoded once and reused. serialize(parse(doc)) is the identity on
+    canonical documents.
     """
-    doc = {
-        "states": [
-            {"name": name, "output": list(out)}
-            for name, out in zip(sys.names, sys.outputs)
-        ],
-        "inputs": list(sys.inputs),
-        "initial": [sys.names[i] for i in sorted(sys.initial)],
-        "secret": [sys.names[i] for i in sorted(sys.secret)],
-        "transitions": [
-            [sys.names[src], sys.inputs[u], sys.names[dst]]
-            for src, u, dst in sorted(sys.transitions)
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    names = [_json_text(name) for name in sys.names]
+    labels = [_json_text(label) for label in sys.inputs]
+    names2, names3 = _indented(names, 2), _indented(names, 3)
+    labels3 = _indented(labels, 3)
+    states = [
+        f'{{\n      "name": {name},\n      "output": {json_array([_json_text(v) for v in out], 3)}\n    }}'
+        for name, out in zip(names3, sys.outputs)
+    ]
+    triples = [
+        f"[\n      {names3[s]},\n      {labels3[u]},\n      {names3[d]}\n    ]"
+        for s, u, d in sorted(sys.transitions)
+    ]
+    return (
+        f'{{\n  "states": {json_array(states, 1)},'
+        f'\n  "inputs": {json_array(_indented(labels, 2), 1)},'
+        f'\n  "initial": {json_array([names2[i] for i in sorted(sys.initial)], 1)},'
+        f'\n  "secret": {json_array([names2[i] for i in sorted(sys.secret)], 1)},'
+        f'\n  "transitions": {json_array(triples, 1)}\n}}\n'
+    )

@@ -628,3 +628,50 @@ def test_console_script_entry_point():
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["opaque"] is True
     assert proc.stderr == ""
+
+
+def _abstract_argv(tmp_path, *more):
+    return ["abstract", "--system", _write(tmp_path, "plant.json", PLANT),
+            "--eta", "0.1", "--mu", "0.1", "--epsilon", "1.0", *more]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp, out: _abstract_argv(tmp, "--out", out),
+    lambda tmp, out: ["observer", "--system", C1, "--delta", "0", "--export-dot", out],
+    lambda tmp, out: ["estimator", "--system", C1, "--delta", "0", "--export-dot", out],
+], ids=["abstract", "observer", "estimator"])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    # used to print "internal error: FileNotFoundError" and exit 5
+    out_path = str(tmp_path / "no" / "such" / "dir" / "x.out")
+    code, out, err = run(capsys, *argv(tmp_path, out_path))
+    assert (code, out) == (3, "")
+    assert err == f"error: {out_path}: No such file or directory\n"
+
+
+def test_abstract_serializes_only_what_it_writes(capsys, monkeypatch, tmp_path):
+    calls = _count_calls(monkeypatch, ["opacue.system", "opacue.cli"], "serialize_system")
+    code, out, _ = run(capsys, *_abstract_argv(tmp_path))
+    assert code == 0 and json.loads(out)["written_to"] is None and len(calls) == 0
+    out_path = tmp_path / "abs.json"
+    code, out, _ = run(capsys, *_abstract_argv(tmp_path, "--out", str(out_path)))
+    assert code == 0 and len(calls) == 1
+    assert parse_system(out_path.read_text()).n_states == json.loads(out)["states"]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: _compose_argv(tmp, cap="5"),
+    lambda tmp: ["compose", "--system", _write(tmp, "ic.json", SUBS), "--cap", "5"],
+    lambda tmp: _barrier_argv(tmp, cap="5"),
+], ids=["compose-barriers", "compose-gains", "barrier"])
+def test_cap_is_an_unknown_flag_where_nothing_searches(capsys, tmp_path, argv):
+    # used to be accepted and ignored
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out) == (3, "") and "--cap" in err
+
+
+def test_simrel_checks_the_cap_without_delta(capsys, monkeypatch):
+    # used to exit 0: the cap was read only with --delta
+    calls = _count_calls(monkeypatch, ["opacue.simrel"], "max_initsop_relation")
+    code, out, err = run(capsys, "simrel", "--system", C2, "--abstract", C2,
+                         "--epsilon", "0", "--cap", "-3")
+    assert (code, out, calls) == (3, "", []) and "--cap=-3" in err
