@@ -28,21 +28,21 @@ _EXPORTS = {
     "compositional": ("GainReport", "Interval", "LinearSubsystem", "compose_barriers",
                       "compose_simulation", "interconnect", "small_gain"),
     "control": ("DtControlSystem", "IssCertificate", "QuantizationParams",
-                "affine_certificate", "check_quantization",
-                "evaluate_quantization_inequality", "parse_control_system"),
+                "affine_certificate", "evaluate_quantization_inequality",
+                "parse_control_system"),
     "delayed": ("product_opacity", "verify_delayed_opacity"),
     "errors": ("DimensionError", "DomainError", "InputError", "OpacueError",
                "ParseError", "PrecisionError", "QuantizationError", "ResourceError",
                "SmallGainError", "ValidationError"),
     "estimator": ("EstimatorState", "InitialStateEstimator", "build_initial_estimator",
-                  "estimator_verdict", "verify_initial_opacity_via_estimator"),
+                  "estimator_verdict"),
     "observer": ("DEFAULT_STATE_CAP", "Observer", "ObserverState", "build_observer",
                  "observer_verdict", "verify_state_opacity"),
     "polynomial": ("Polynomial", "parse_polynomial"),
     "simrel": ("AbstractionStatus", "AbstractionVerdict", "SimRelation", "SimReport",
                "check_relation", "max_initsop_relation", "opacity_via_abstraction"),
-    "system": ("MetricSystem", "NotionKind", "OpacityNotion", "OutputMetric", "Path",
-               "delta_close", "parse_system", "post", "pre", "serialize_system"),
+    "system": ("MetricSystem", "NotionKind", "OpacityNotion", "delta_close",
+               "parse_system", "post", "pre", "serialize_system"),
     "verdict": ("Verdict", "Witness"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

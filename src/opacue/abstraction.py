@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .boxes import BoxUnion, grid, grid_interval, nearest_lattice
-from .control import DtControlSystem, QuantizationCheck, QuantizationParams, check_quantization
+from .control import (
+    DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
+)
 from .errors import DomainError, QuantizationError, ResourceError
 from .observer import DEFAULT_STATE_CAP
 from .system import MetricSystem
@@ -65,7 +67,8 @@ def build_abstraction(
     certificate-free.
     """
     _span_guards(cs, params)
-    qcheck = check_quantization(cs.iss_cert, params)
+    qcheck = evaluate_quantization_inequality(cs.iss_cert, params.eta, params.mu,
+                                              params.epsilon)
     if not qcheck.passed and not allow_unsound:
         raise QuantizationError(
             f"quantization inequality fails (lhs={qcheck.lhs} > rhs={qcheck.rhs}); "

@@ -19,6 +19,4 @@ def verify_opacity(
     """Decide delta-approximate opacity of `sys` for the given notion."""
     if notion.kind in (NotionKind.INITIAL_STATE, NotionKind.CURRENT_STATE):
         return verify_state_opacity(sys, delta, notion, cap)
-    if notion.kind in (NotionKind.K_STEP, NotionKind.INFINITE_STEP):
-        return verify_delayed_opacity(sys, delta, notion, cap)
-    raise NotImplementedError("pre-opacity verification is not implemented")
+    return verify_delayed_opacity(sys, delta, notion, cap)

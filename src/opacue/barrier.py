@@ -14,12 +14,14 @@ every matching one); the two orders are kept as distinct code paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import grid
 from .control import DtControlSystem
-from .errors import QuantizationError
+from .errors import DomainError, QuantizationError
 from .system import check_delta, check_threshold
 
 __all__ = [
@@ -90,6 +92,9 @@ def build_regions(
             )
     points = grid(cs.state_box, resolution)
     outputs = {p: cs.observe(p) for p in points}
+    for p, y in outputs.items():
+        if not all(map(math.isfinite, y)):
+            raise DomainError(f"regions: output {y} is not finite at {p}", state=p)
 
     def gap(a: tuple[float, ...], b: tuple[float, ...]) -> float:
         return max(abs(i - j) for i, j in zip(outputs[a], outputs[b]))
@@ -183,14 +188,18 @@ def _negative(slack: float) -> Optional[float]:
 def _scan(conditions: Sequence[tuple[str, Iterable[Sample], Rule]]) -> CheckReport:
     """Scan every sample of every (name, samples, rule) condition, in order.
 
-    Every sample is scanned, so the report counts every violation.
+    Every sample is scanned, so the report counts every violation. A slack
+    that is not finite raises: NaN would pass every comparison.
     """
     violations: list[Violation] = []
     margins: dict[str, Optional[float]] = {}
     counts: dict[str, int] = {}
+    inf = math.inf  # a local name: this test runs once per sample
     for name, samples, rule in conditions:
         worst, count = None, 0
         for point, slack in samples:
+            if not -inf < slack < inf:
+                raise DomainError(f"{name}: slack {slack} is not finite at {point}")
             count += 1
             if worst is None or slack < worst:
                 worst = slack
@@ -219,15 +228,21 @@ def _decrease(
     """At each pair, quantify (rows u, columns u_hat) the decrease slack
     B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The successors f(x, u)
     come from a table over grid points and inputs, built once per check.
+    A value that is not finite raises, or makes the slack NaN where the
+    quantifier's min and max would hide it.
     """
     inputs = grid(cs.input_box, resolution)
     succ = {x: [cs.step(x, u) for u in inputs] for x in grid(cs.state_box, resolution)}
+    for x, images in succ.items():
+        for u, image in zip(inputs, images):
+            if not all(map(math.isfinite, image)):
+                raise DomainError(f"decrease: successor {image} under input {u} "
+                                  f"is not finite at {x}", state=x, inp=u)
 
     def slack(x: tuple[float, ...], xh: tuple[float, ...]) -> float:
         base = candidate(x + xh)
-        return quantify([
-            [base - candidate(nx + nxh) - margin for nxh in succ[xh]] for nx in succ[x]
-        ])
+        rows = [[base - candidate(nx + nxh) - margin for nxh in succ[xh]] for nx in succ[x]]
+        return quantify(rows) if all(map(math.isfinite, chain(*rows))) else math.nan
 
     return ((x + xh, slack(x, xh)) for x, xh in pairs)
 

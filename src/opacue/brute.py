@@ -150,8 +150,6 @@ def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion) 
     instant is revealed iff that survivor set dies out.
     """
     check_delta(delta)
-    if notion.kind is NotionKind.PRE:
-        raise NotImplementedError("pre-opacity verification is not implemented")
     close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
     step = subset_step(lambda bits: union(bits, sys.succ_any), close, sys.post_bits)
     secret = sys.secret_bits
@@ -200,6 +198,7 @@ def confirm_witness(
     delta-close path explains the secret away at the claimed instant. Uses
     only forward/backward reachability over the transition relation.
     """
+    check_delta(delta)
     states, inputs = witness.states, witness.inputs
     if len(states) != len(inputs) + 1:
         raise ValidationError("witness shape mismatch")
@@ -229,20 +228,18 @@ def confirm_witness(
             fset = union(fset, sys.succ_any) & close[states[t + 1]]
         return fset & ~secret == 0
 
-    if notion.kind in (NotionKind.K_STEP, NotionKind.INFINITE_STEP):
-        n_instant = witness.revealing_instant
-        if n_instant is None or not 0 <= n_instant <= m:
-            return False
-        if not (secret >> states[n_instant]) & 1:
-            return False
-        if notion.kind is NotionKind.K_STEP and m - n_instant > notion.k:
-            return False
-        fset = initial & close[states[0]]
-        for t in range(n_instant):
-            fset = union(fset, sys.succ_any) & close[states[t + 1]]
-        bset = close[states[m]]
-        for t in range(m - 1, n_instant - 1, -1):
-            bset = union(bset, sys.pred_any) & close[states[t]]
-        return fset & bset & ~secret == 0
-
-    raise NotImplementedError("pre-opacity verification is not implemented")
+    # k-step or infinite-step
+    n_instant = witness.revealing_instant
+    if n_instant is None or not 0 <= n_instant <= m:
+        return False
+    if not (secret >> states[n_instant]) & 1:
+        return False
+    if notion.kind is NotionKind.K_STEP and m - n_instant > notion.k:
+        return False
+    fset = initial & close[states[0]]
+    for t in range(n_instant):
+        fset = union(fset, sys.succ_any) & close[states[t + 1]]
+    bset = close[states[m]]
+    for t in range(m - 1, n_instant - 1, -1):
+        bset = union(bset, sys.pred_any) & close[states[t]]
+    return fset & bset & ~secret == 0

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .boxes import Box, BoxUnion, grid_interval
 from .control import DtControlSystem, IssCertificate
-from .errors import QuantizationError, SmallGainError, ValidationError
+from .errors import DomainError, QuantizationError, SmallGainError, ValidationError
 from .system import check_delta, check_threshold
 
 __all__ = [
@@ -114,12 +114,14 @@ def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
 
     The input box is a zero-effect placeholder so the interconnected system
     can flow through the box-domain tooling, whose quantifiers then range
-    over inputs that do not influence the dynamics.
+    over inputs that do not influence the dynamics. Without `cert`, lambda
+    is |A|_inf, which must be below 1.
     """
     if cert is None:
         lam = max(abs(sub1.a) + abs(sub1.b), abs(sub2.a) + abs(sub2.b))
         if lam >= 1:
-            lam = 0.99  # placeholder when the crude bound is not contractive
+            raise ValidationError(
+                f"|A|_inf = {lam} >= 1: pass a certificate for this interconnection")
         cert = IssCertificate(c=1.0, lam=lam, g=0.0, a=1.0)
     width = min(sub1.state.hi - sub1.state.lo, sub2.state.hi - sub2.state.lo)
     return DtControlSystem(
@@ -168,16 +170,20 @@ def _lattice(iv: Interval, step: float) -> list[float]:
     return grid_interval(iv.lo, iv.hi, step)
 
 
-def _scan(samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tuple]]:
+def _scan(name: str, samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tuple]]:
     """(passed, smallest slack, witness) of one sampled condition.
 
     Stops at the first sample with a negative slack or without a partner;
-    the witness is the worst sample seen, or the partnerless one.
+    the witness is the worst sample seen, or the partnerless one. A slack
+    that is not finite raises: NaN would pass every comparison.
     """
     worst = witness = None
+    inf = math.inf  # a local name: this test runs once per sample
     for point, slack in samples:
         if slack is None:
             return False, worst, point
+        if not -inf < slack < inf:
+            raise DomainError(f"{name}: slack {slack} is not finite at {point}")
         if worst is None or slack < worst:
             worst, witness = slack, point
         if slack < 0:
@@ -187,8 +193,11 @@ def _scan(samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tu
 
 def _slack(eps: float, values: list[float], pick: Callable = min) -> Optional[float]:
     """eps - pick(values): the slack of "some value is within eps" (min) or of
-    "every value is" (max); None when there is no value to match."""
-    return eps - pick(values) if values else None
+    "every value is" (max); None when there is no value to match, and NaN
+    when a value is not finite, which `pick` could hide."""
+    if not values:
+        return None
+    return eps - pick(values) if all(map(math.isfinite, values)) else math.nan
 
 
 def _sim_conditions(
@@ -242,7 +251,7 @@ def _sim_conditions(
         ("2", (((x, xh), v(x, xh) - abs(x - xh)) for x in xs for xh in abstract)),
         ("3", step_matching()),
     )
-    return tuple(SimFunctionCheck(name, *_scan(samples))
+    return tuple(SimFunctionCheck(name, *_scan(name, samples))
                  for name, samples in conditions)
 
 
@@ -296,7 +305,7 @@ def compose_simulation(
         gains=gains,
         local_checks=(local1, local2),
         interconnected_checks=(
-            SimFunctionCheck("3-interconnected", *_scan(step_matching())),
+            SimFunctionCheck("3-interconnected", *_scan("3-interconnected", step_matching())),
         ),
         composed=composed,
     )
@@ -376,7 +385,7 @@ def _barrier_conditions(
         # Gain-style decrease against the partner's augmented norm.
         ("decrease", decrease()),
     )
-    return [BarrierConditionCheck(idx, name, *_scan(samples))
+    return [BarrierConditionCheck(idx, name, *_scan(f"subsystem {idx} {name}", samples))
             for name, samples in conditions]
 
 

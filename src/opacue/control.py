@@ -24,7 +24,6 @@ __all__ = [
     "QuantizationParams",
     "QuantizationCheck",
     "DtControlSystem",
-    "check_quantization",
     "evaluate_quantization_inequality",
     "affine_certificate",
     "parse_control_system",
@@ -90,24 +89,17 @@ class QuantizationCheck:
 def evaluate_quantization_inequality(
     cert: IssCertificate, eta: float, mu: float, epsilon: float
 ) -> QuantizationCheck:
-    """The raw inequality c*lambda*(eps/a) + g*mu + eta <= eps/a.
+    """Evaluate the abstraction-precision inequality for the parametric forms.
 
+    The grid is fine enough for precision epsilon iff one decay step from
+    radius epsilon/a plus the input-gain and state-grid contributions fits
+    back inside epsilon/a:  c*lambda*(eps/a) + g*mu + eta <= eps/a.
     Takes bare values (degenerate eta = mu = 0 allowed, where the inequality
     reduces to c*lambda < 1 for positive epsilon).
     """
     rhs = cert.alpha_inv(epsilon)
     lhs = cert.beta(rhs, 1) + cert.gamma(mu) + eta
     return QuantizationCheck(passed=lhs <= rhs, lhs=lhs, rhs=rhs, slack=rhs - lhs)
-
-
-def check_quantization(cert: IssCertificate, params: QuantizationParams) -> QuantizationCheck:
-    """Evaluate the abstraction-precision inequality for the parametric forms.
-
-    The grid is fine enough for precision epsilon iff one decay step from
-    radius epsilon/a plus the input-gain and state-grid contributions fits
-    back inside epsilon/a:  c*lambda*(eps/a) + g*mu + eta <= eps/a.
-    """
-    return evaluate_quantization_inequality(cert, params.eta, params.mu, params.epsilon)
 
 
 def affine_certificate(
@@ -166,10 +158,6 @@ class DtControlSystem:
     @property
     def input_dim(self) -> int:
         return self.input_box.dim
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.output)
 
     @cached_property
     def _dyn_fns(self):

@@ -37,8 +37,6 @@ __all__ = ["product_opacity", "verify_delayed_opacity"]
 
 
 def _check_delayed_notion(notion: OpacityNotion) -> None:
-    if notion.kind is NotionKind.PRE:
-        raise NotImplementedError("pre-opacity verification is not implemented")
     if notion.kind not in (NotionKind.K_STEP, NotionKind.INFINITE_STEP):
         raise ValidationError(
             f"expected k-step or infinite-step, "

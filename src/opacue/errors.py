@@ -31,7 +31,8 @@ class QuantizationError(OpacueError):
 
 
 class DomainError(OpacueError):
-    """Dynamics evaluation left the admissible state region."""
+    """Dynamics evaluation left the admissible state region, or a sampled
+    output, successor or slack is not finite."""
 
     def __init__(self, message, state=None, inp=None):
         super().__init__(message)

@@ -21,7 +21,7 @@ from .system import MetricSystem, OpacityNotion, check_delta
 from .verdict import Verdict, Witness
 
 __all__ = ["EstimatorState", "InitialStateEstimator", "build_initial_estimator",
-           "estimator_verdict", "verify_initial_opacity_via_estimator"]
+           "estimator_verdict"]
 
 
 @dataclass(frozen=True)
@@ -103,11 +103,3 @@ def estimator_verdict(est: InitialStateEstimator) -> Verdict:
             return Verdict(False, notion, delta, witness, stats)
     return Verdict(True, notion, delta, None, stats)
 
-
-def verify_initial_opacity_via_estimator(
-    sys: MetricSystem,
-    delta: float,
-    cap: int = DEFAULT_STATE_CAP,
-) -> Verdict:
-    """Decide delta-approximate initial-state opacity via the backward route."""
-    return estimator_verdict(build_initial_estimator(sys, delta, cap))

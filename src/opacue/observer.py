@@ -140,8 +140,6 @@ def build_observer(
 
 def _check_state_notion(notion: OpacityNotion) -> bool:
     """True for initial-state, False for current-state; raise otherwise."""
-    if notion.kind is NotionKind.PRE:
-        raise NotImplementedError("pre-opacity verification is not implemented")
     if notion.kind not in (NotionKind.INITIAL_STATE, NotionKind.CURRENT_STATE):
         raise ValidationError(
             f"expected initial-state or current-state, "

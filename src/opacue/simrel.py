@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from decimal import Decimal
 from typing import Optional
 
-from .errors import PrecisionError
+from .errors import DimensionError, PrecisionError
 from .observer import DEFAULT_STATE_CAP, verify_state_opacity
 from .system import (
-    MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows, delta_close,
-    iter_bits, json_array, json_texts,
+    MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows, iter_bits,
+    json_array, json_texts,
 )
 from .verdict import Verdict
 
@@ -202,14 +202,18 @@ def check_relation(
     abstract: MetricSystem,
     relation: SimRelation,
 ) -> Optional[RelationFailure]:
-    """Re-check a given relation pair by pair; None means all conditions hold."""
+    """Re-check a given relation pair by pair; None means all conditions hold.
+    A bad epsilon or a dimension mismatch raises, as in `delta_close`."""
+    eps = relation.epsilon
+    check_threshold("epsilon", eps)
+    if len(concrete.outputs[0]) != len(abstract.outputs[0]):
+        raise DimensionError("the two systems' outputs differ in dimension")
     rows = [0] * concrete.n_states
     for i, j in relation.pairs:
         rows[i] |= 1 << j
     for i, j in relation.pairs:
-        if not delta_close(
-            concrete.metric, concrete.outputs[i], abstract.outputs[j], relation.epsilon
-        ):
+        if not all(abs(a - b) <= eps
+                   for a, b in zip(concrete.outputs[i], abstract.outputs[j])):
             return RelationFailure("2", concrete=i, abstract=j,
                                    detail="outputs not epsilon-close")
     succ_c = concrete.succ_any
@@ -232,7 +236,6 @@ def check_relation(
 
 class AbstractionStatus(enum.Enum):
     OPAQUE = "opaque"
-    NOT_OPAQUE = "not-opaque"  # never produced by the abstraction route
     INCONCLUSIVE = "inconclusive"
 
 

@@ -11,7 +11,7 @@ import enum
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -21,8 +21,6 @@ from .errors import DimensionError, InputError, ParseError, ValidationError
 
 __all__ = [
     "MetricSystem",
-    "OutputMetric",
-    "Path",
     "NotionKind",
     "OpacityNotion",
     "post",
@@ -56,33 +54,6 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
-class OutputMetric:
-    """Metric on the output space; only the infinity norm is implemented.
-
-    The type exists as a seam for alternative metrics, but v1 fixes the
-    coordinate-wise supremum distance.
-    """
-
-    kind: str = "inf"
-
-    def __post_init__(self):
-        if self.kind != "inf":
-            raise ValidationError(f"unsupported metric kind: {self.kind!r}")
-
-    def dist(self, y: Sequence[float], y2: Sequence[float]) -> float:
-        if len(y) != len(y2):
-            raise DimensionError(
-                f"output dimension mismatch: {len(y)} vs {len(y2)}"
-            )
-        d = 0.0
-        for a, b in zip(y, y2):
-            diff = abs(a - b)
-            if diff > d:
-                d = diff
-        return d
-
-
 def check_threshold(name: str, value: float) -> None:
     """Raise ValidationError unless value is a finite nonnegative number.
 
@@ -100,20 +71,14 @@ def check_delta(delta: float) -> None:
     check_threshold("delta", delta)
 
 
-def delta_close(
-    metric: OutputMetric,
-    y: Sequence[float],
-    y2: Sequence[float],
-    delta: float,
-) -> bool:
-    """True iff d(y, y2) <= delta.
-
-    The comparison is an exact <= on the parsed floating point values; no
-    extra tolerance is applied, since verdicts depend on the sharp
-    threshold.
-    """
+def delta_close(y: Sequence[float], y2: Sequence[float], delta: float) -> bool:
+    """True iff the infinity-norm distance of y and y2, the only output
+    metric, is at most delta: an exact <= on the parsed floats, with no
+    tolerance, since verdicts depend on the sharp threshold."""
     check_delta(delta)
-    return metric.dist(y, y2) <= delta
+    if len(y) != len(y2):
+        raise DimensionError(f"output dimension mismatch: {len(y)} vs {len(y2)}")
+    return all(abs(a - b) <= delta for a, b in zip(y, y2))
 
 
 def close_rows(
@@ -165,16 +130,11 @@ class NotionKind(enum.Enum):
     CURRENT_STATE = "current-state"
     K_STEP = "k-step"
     INFINITE_STEP = "infinite-step"
-    PRE = "pre"
 
 
 @dataclass(frozen=True)
 class OpacityNotion:
-    """Which state-based secret the intruder must never pin down.
-
-    PRE is representable (so files and flags can name it) but every
-    verifier rejects it with NotImplementedError.
-    """
+    """Which state-based secret the intruder must never pin down."""
 
     kind: NotionKind
     k: Optional[int] = None
@@ -202,10 +162,6 @@ class OpacityNotion:
     def infinite_step(cls) -> "OpacityNotion":
         return cls(NotionKind.INFINITE_STEP)
 
-    @classmethod
-    def pre(cls) -> "OpacityNotion":
-        return cls(NotionKind.PRE)
-
     def label(self) -> str:
         if self.kind is NotionKind.K_STEP:
             return f"k-step(k={self.k})"
@@ -225,7 +181,6 @@ class MetricSystem:
     initial: tuple[int, ...]
     secret: tuple[int, ...]
     transitions: tuple[tuple[int, int, int], ...]  # (src, input, dst) indices
-    metric: OutputMetric = field(default_factory=OutputMetric)
 
     def __post_init__(self):
         n = len(self.names)
@@ -274,10 +229,6 @@ class MetricSystem:
     @property
     def n_states(self) -> int:
         return len(self.names)
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.outputs[0])
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -328,82 +279,46 @@ class MetricSystem:
         return tuple(out)
 
     def close_bits(self, reference: int, delta: float) -> int:
-        """Bitset of states whose output is delta-close to that of `reference`."""
+        """Bitset of states whose output is delta-close to that of `reference`,
+        tested pair by pair as `delta_close` does."""
+        check_delta(delta)
         ref = self.outputs[reference]
         out = 0
         for i, y in enumerate(self.outputs):
-            if delta_close(self.metric, ref, y, delta):
+            if all(abs(a - b) <= delta for a, b in zip(ref, y)):
                 out |= 1 << i
         return out
-
-    def state_names(self, bits: int) -> list[str]:
-        return [self.names[i] for i in iter_bits(bits)]
-
-
-@dataclass(frozen=True)
-class Path:
-    """A finite path of a system: states plus the inputs taken between them."""
-
-    states: tuple[int, ...]
-    inputs: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.states:
-            raise ValidationError("a path must contain at least one state")
-        if len(self.inputs) != len(self.states) - 1:
-            raise ValidationError("a path needs exactly one input per step")
-
-    def validate(self, sys: MetricSystem) -> None:
-        """Raise ValidationError unless every step is a transition of `sys`."""
-        edges = set(sys.transitions)
-        for i, u in enumerate(self.inputs):
-            step = (self.states[i], u, self.states[i + 1])
-            if step not in edges:
-                raise ValidationError(f"step {i}: {step} is not a transition")
-
-    def names(self, sys: MetricSystem) -> list[str]:
-        return [sys.names[s] for s in self.states]
 
 
 # -- Post / Pre -------------------------------------------------------------
 
 
-def _check_state_set(sys: MetricSystem, q: Iterable[int]) -> int:
+def _image(sys: MetricSystem, q: Iterable[int], u: str, tables) -> frozenset[int]:
+    """Union of tables[u][x] over the members x of q; the states are checked
+    first, then the input label."""
     bits = 0
     for x in q:
         if not 0 <= x < sys.n_states:
             raise ValidationError(f"state index {x} out of range")
         bits |= 1 << x
-    return bits
-
-
-def _input_of(sys: MetricSystem, u: str) -> int:
     try:
-        return sys.input_index[u]
+        table = tables[sys.input_index[u]]
     except KeyError:
         raise InputError(f"unknown input label: {u!r}") from None
+    out = 0
+    for x in iter_bits(bits):
+        out |= table[x]
+    return frozenset(iter_bits(out))
 
 
 def post(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
     """Set of u-successors of any member of q."""
-    bits = _check_state_set(sys, q)
-    ui = _input_of(sys, u)
-    table = sys.post_bits[ui]
-    out = 0
-    for x in iter_bits(bits):
-        out |= table[x]
-    return frozenset(iter_bits(out))
+    return _image(sys, q, u, sys.post_bits)
 
 
 def pre(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
     """Set of u-predecessors of any member of q."""
-    bits = _check_state_set(sys, q)
-    ui = _input_of(sys, u)
-    table = sys.pre_bits[ui]
-    out = 0
-    for x in iter_bits(bits):
-        out |= table[x]
-    return frozenset(iter_bits(out))
+    return _image(sys, q, u, sys.pre_bits)
 
 
 # -- file format ------------------------------------------------------------

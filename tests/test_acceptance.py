@@ -77,7 +77,7 @@ def test_criterion_2_three_way_agreement():
         sys_ = random_system(rng, max_states=5, max_inputs=3)
         for delta in deltas:
             fwd = op.verify_state_opacity(sys_, delta, op.OpacityNotion.initial_state())
-            bwd = op.verify_initial_opacity_via_estimator(sys_, delta)
+            bwd = op.estimator_verdict(op.build_initial_estimator(sys_, delta))
             oracle = op.brute_force_opacity(sys_, delta, op.OpacityNotion.initial_state())
             if not (fwd.opaque == bwd.opaque == oracle.opaque):
                 disagreements += 1
@@ -146,7 +146,8 @@ def test_criterion_4_abstraction_soundness():
     built = opaque = contradictions = 0
     while built < 100:
         cs, params, delta, epsilon = _pipeline_instance(rng)
-        if not op.check_quantization(cs.iss_cert, params).passed:
+        if not op.evaluate_quantization_inequality(cs.iss_cert, params.eta, params.mu,
+                                                   params.epsilon).passed:
             continue
         built += 1
         abstraction = op.build_abstraction(cs, params)

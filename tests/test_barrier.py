@@ -1,5 +1,8 @@
 """Sampled barrier-certificate checking and the quantifier-order regressions."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from opacue.barrier import (
 )
 from opacue.boxes import Box, BoxUnion
 from opacue.control import DtControlSystem, IssCertificate
-from opacue.errors import QuantizationError, ValidationError
+from opacue.errors import DomainError, QuantizationError, ValidationError
 from opacue.polynomial import Polynomial
 
 
@@ -248,3 +251,30 @@ def test_dynamics_evaluated_once_per_grid_point_and_input():
         checker(candidate, cs, delta=0.15, resolution=0.1)
         # 11 grid points times 3 grid inputs, each evaluated exactly once
         assert len(calls) == len(set(calls)) == 11 * 3
+
+
+GAP = poly({(2, 0): 1.0, (0, 2): 1.0, (1, 1): -2.0, (0, 0): -0.03})  # (x - xh)^2 - 0.03
+
+
+def test_non_finite_samples_fail_closed():
+    cs = simple_cs(dyn="0.5*x1 + 0.2*u1")
+    assert check_opacity_barrier(GAP, cs, 0.15, 0.1).status == "sample-passed"
+    # NaN fails every comparison, so each slack it reached would pass
+    with pytest.raises(DomainError, match=r"^initial: slack nan is not finite at"):
+        check_opacity_barrier(lambda p: math.nan, cs, 0.15, 0.1)
+    # NaN at one successor off the lattice only: the decrease row's min and
+    # max would hide it
+    corner = cs.step((1.0,), (0.2,))[0]
+    hidden = lambda p: math.nan if p[0] == corner else GAP(p)
+    for check in (check_opacity_barrier, check_lack_barrier):
+        with pytest.raises(DomainError, match=r"^decrease: slack nan is not finite"):
+            check(hidden, cs, 0.15, 0.1)
+    overflow = "x1*1e308*1e308"  # inf for every x1 > 0
+    cases = [
+        (simple_cs(dyn=f"0.5*x1 + 0.2*u1 + {overflow}"), r"^decrease: successor \(inf,\)"),
+        (dataclasses.replace(cs, output=(overflow,)), r"^regions: output \(inf,\)"),
+    ]
+    for plant, message in cases:
+        for check in (check_opacity_barrier, check_lack_barrier):
+            with pytest.raises(DomainError, match=message):
+                check(GAP, plant, 0.15, 0.1)

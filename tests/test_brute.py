@@ -82,6 +82,4 @@ def test_invalid_arguments():
         brute_force_opacity(sys_, -1.0, OpacityNotion.initial_state())
     with pytest.raises(ValidationError):
         brute_force_opacity(sys_, float("nan"), OpacityNotion.initial_state())
-    with pytest.raises(NotImplementedError):
-        brute_force_opacity(sys_, 0.0, OpacityNotion.pre())
 

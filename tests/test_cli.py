@@ -1,6 +1,8 @@
 """CLI: exit codes, JSON reports, determinism, file exports."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import opacue.brute
 import opacue.cli
 from opacue.cli import main
 from opacue.errors import InternalError
@@ -69,12 +72,76 @@ def test_verify_oracle_crosscheck(capsys):
     assert report["witness_confirmed"] is True
 
 
+def test_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
+    oracle = opacue.brute.brute_force_opacity
+
+    def flipped(*args):
+        verdict = oracle(*args)
+        return dataclasses.replace(verdict, opaque=not verdict.opaque)
+
+    monkeypatch.setattr(opacue.brute, "brute_force_opacity", flipped)
+    code, out, err = run(capsys, "verify", "--system", C1,
+                         "--notion", "initial-state", "--delta", "0", "--oracle")
+    assert code == 5
+    assert json.loads(out)["oracle_agrees"] is False
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_unconfirmed_witness_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(opacue.brute, "confirm_witness", lambda *args: False)
+    code, out, err = run(capsys, "verify", "--system", C1,
+                         "--notion", "initial-state", "--delta", "0", "--oracle")
+    assert code == 5
+    report = json.loads(out)
+    assert report["oracle_agrees"] is True and report["witness_confirmed"] is False
+    assert err.startswith("internal error:") and err.count("\n") == 1
+
+
 def test_verify_pre_notion_rejected(capsys):
     code, out, err = run(capsys, "verify", "--system", C1,
                          "--notion", "pre", "--delta", "0")
     assert code == 3
-    assert "not implemented" in err
+    assert "invalid choice: 'pre'" in err
     assert out == ""
+
+
+def test_observer_has_no_k_flag(capsys):
+    code, out, err = run(capsys, "observer", "--system", C1, "--delta", "0", "--k", "1")
+    assert (code, out) == (3, "")
+    assert "unrecognized arguments: --k 1" in err
+
+
+# Every subcommand's option strings, and the choices of those that have any.
+CLI_SURFACE = {
+    "verify": (["--cap", "--delta", "--help", "--k", "--notion", "--oracle",
+                "--system", "--timing", "-h"],
+               {"--notion": ["current-state", "infinite-step", "initial-state", "k-step"]}),
+    "observer": (["--cap", "--delta", "--export-dot", "--help", "--notion", "--system", "-h"],
+                 {"--notion": ["initial-state", "current-state"]}),
+    "estimator": (["--cap", "--delta", "--export-dot", "--help", "--system", "-h"], {}),
+    "simrel": (["--abstract", "--cap", "--delta", "--epsilon", "--help", "--system", "-h"],
+               {}),
+    "abstract": (["--cap", "--epsilon", "--eta", "--help", "--mu", "--out", "--system",
+                  "--unsound", "-h"], {}),
+    "barrier": (["--candidate", "--delta", "--help", "--kind", "--margin", "--resolution",
+                 "--system", "-h"], {"--kind": ["opacity", "lack"]}),
+    "compose": (["--barrier1", "--barrier2", "--delta", "--help", "--margin",
+                 "--resolution", "--system", "-h"], {}),
+}
+
+
+def test_cli_surface_is_pinned():
+    # a flag or a choice can only be added or dropped by editing this table
+    parser = opacue.cli._build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    surface = {
+        name: (sorted(flag for action in sub._actions for flag in action.option_strings),
+               {action.option_strings[0]: list(action.choices)
+                for action in sub._actions if action.choices})
+        for name, sub in commands.items()
+    }
+    assert surface == CLI_SURFACE
 
 
 def test_missing_delta_is_usage_error(capsys):
@@ -580,7 +647,8 @@ def test_compose_rejects_resolution_wider_than_a_state_interval(capsys, tmp_path
     assert (code, out) == (3, "") and "state interval" in err
 
 
-@pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalError("broken")])
+@pytest.mark.parametrize("exc", [RuntimeError("boom"), InternalError("broken"),
+                                 NotImplementedError("not a usage error")])
 def test_unexpected_errors_exit_with_the_internal_code(capsys, monkeypatch, exc):
     def fail(args):
         raise exc

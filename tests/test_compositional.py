@@ -1,5 +1,6 @@
 """Small-gain reasoning and max-composition of local certificates."""
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from opacue.compositional import (
     interconnect,
     small_gain,
 )
-from opacue.errors import SmallGainError, ValidationError
+from opacue.control import IssCertificate
+from opacue.errors import DomainError, SmallGainError, ValidationError
 
 
 def sub(a=0.5, b=0.2, state=(0.0, 1.0), initial=(0.0, 0.2), secret=(0.6, 1.0)):
@@ -198,3 +200,26 @@ def test_compose_simulation_rejects_bad_sampling_numbers(flags):
             "resolution": 0.1, **flags}
     with pytest.raises(ValidationError, match="finite"):
         compose_simulation(sub(), sub(), v, v, **args)
+
+
+def test_non_finite_slacks_fail_closed():
+    nan = lambda p: math.nan
+    with pytest.raises(DomainError, match=r"^subsystem 1 norm-lower-bound: slack nan"):
+        compose_barriers(nan, nan, sub(), sub(), delta=0.5, resolution=0.2)
+    # NaN at the last secret abstract state only: the min over the abstract
+    # partners of condition 1a would hide it
+    v = lambda x, xh: math.nan if xh == 1.0 else abs(x - xh)
+    s = sub(initial=(0.0, 1.0))
+    with pytest.raises(DomainError, match=r"^1a: slack nan"):
+        compose_simulation(s, s, v, v, eps=(0.3, 0.3), theta=(0.3, 0.3),
+                           eta=(0.05, 0.05), resolution=0.1)
+
+
+def test_interconnect_needs_a_certificate_unless_contractive():
+    # |A|_inf = 1.3: one step takes the states (1, 0) and (0, 0) 1.3 apart
+    s1, s2 = sub(a=0.5, b=0.8), sub(a=0.5, b=0.2)
+    with pytest.raises(ValidationError, match="certificate"):
+        interconnect(s1, s2)
+    cert = IssCertificate(c=2.0, lam=0.9, g=0.0, a=1.0)
+    assert interconnect(s1, s2, cert).iss_cert is cert
+    assert interconnect(sub(), sub()).iss_cert.lam == 0.7

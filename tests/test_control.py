@@ -13,7 +13,6 @@ from opacue.control import (
     IssCertificate,
     QuantizationParams,
     affine_certificate,
-    check_quantization,
     evaluate_quantization_inequality,
     parse_control_system,
 )
@@ -141,7 +140,7 @@ def test_affine_certificate_norms():
 
 def test_quantization_worked_example():
     cert = IssCertificate(c=1.0, lam=0.5, g=0.1, a=1.0)
-    chk = check_quantization(cert, QuantizationParams(eta=0.1, mu=0.5, epsilon=0.4))
+    chk = evaluate_quantization_inequality(cert, eta=0.1, mu=0.5, epsilon=0.4)
     assert chk.passed
     assert chk.lhs == pytest.approx(0.35, abs=1e-15)
     assert chk.slack == pytest.approx(0.05, abs=1e-12)
@@ -149,7 +148,7 @@ def test_quantization_worked_example():
 
 def test_quantization_lambda_near_one_fails():
     cert = IssCertificate(c=1.0, lam=0.999999, g=0.5, a=1.0)
-    chk = check_quantization(cert, QuantizationParams(eta=0.01, mu=0.01, epsilon=1.0))
+    chk = evaluate_quantization_inequality(cert, eta=0.01, mu=0.01, epsilon=1.0)
     assert not chk.passed
 
 

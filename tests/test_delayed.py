@@ -108,12 +108,8 @@ def test_delayed_witness_respects_the_delay_bound():
 
 def test_rejects_wrong_notions():
     sys_ = delayed_reveal_system()
-    with pytest.raises(NotImplementedError):
-        verify_delayed_opacity(sys_, 0.0, OpacityNotion.pre())
     with pytest.raises(ValidationError):
         verify_delayed_opacity(sys_, 0.0, OpacityNotion.initial_state())
-    with pytest.raises(NotImplementedError):
-        product_opacity(sys_, 0.0, OpacityNotion.pre())
     with pytest.raises(ValidationError):
         product_opacity(sys_, 0.0, OpacityNotion.initial_state())
 

@@ -8,7 +8,7 @@ from opacue.brute import brute_force_opacity, confirm_witness
 from opacue.errors import InternalError, ResourceError, ValidationError
 from opacue.estimator import build_initial_estimator
 from opacue.observer import build_observer, observer_verdict, verify_state_opacity
-from opacue.system import MetricSystem, OpacityNotion, iter_bits
+from opacue.system import MetricSystem, NotionKind, OpacityNotion, iter_bits
 
 from .conftest import random_system
 
@@ -96,15 +96,13 @@ def test_gridworld_controller2_opaque(gridworld_c2):
 
 
 def test_rejects_pre_and_delayed_notions(gridworld_c1):
-    with pytest.raises(NotImplementedError):
-        verify_state_opacity(gridworld_c1, 0.0, OpacityNotion.pre())
+    with pytest.raises(ValueError):  # pre-opacity is not a notion at all
+        NotionKind("pre")
     with pytest.raises(ValidationError):
         verify_state_opacity(gridworld_c1, 0.0, OpacityNotion.k_step(1))
     with pytest.raises(ValidationError):
         verify_state_opacity(gridworld_c1, -0.5, OpacityNotion.initial_state())
     obs = build_observer(gridworld_c1, 0.0)
-    with pytest.raises(NotImplementedError):
-        observer_verdict(obs, OpacityNotion.pre())
     with pytest.raises(ValidationError):
         observer_verdict(obs, OpacityNotion.k_step(1))
 

@@ -178,7 +178,7 @@ def _reference_fixpoint(concrete, abstract, eps, rng):
         (i, j)
         for i in range(concrete.n_states)
         for j in range(abstract.n_states)
-        if delta_close(concrete.metric, concrete.outputs[i], abstract.outputs[j], eps)
+        if delta_close(concrete.outputs[i], abstract.outputs[j], eps)
     }
     changed = True
     while changed:
@@ -230,8 +230,7 @@ def test_maximality_spot_checks():
             for i in range(concrete.n_states)
             for j in range(abstract.n_states)
             if (i, j) not in pairs
-            and delta_close(concrete.metric, concrete.outputs[i],
-                            abstract.outputs[j], eps)
+            and delta_close(concrete.outputs[i], abstract.outputs[j], eps)
         ]
         for extra in excluded[:3]:
             bigger = SimRelation(tuple(sorted(pairs | {extra})), eps)

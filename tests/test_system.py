@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opacue.brute import confirm_witness
 from opacue.errors import (
     DimensionError,
     InputError,
@@ -16,8 +17,6 @@ from opacue.errors import (
 from opacue.system import (
     MetricSystem,
     OpacityNotion,
-    OutputMetric,
-    Path,
     close_rows,
     delta_close,
     parse_system,
@@ -25,6 +24,8 @@ from opacue.system import (
     pre,
     serialize_system,
 )
+from opacue.simrel import SimRelation, check_relation
+from opacue.verdict import Witness
 
 from .conftest import random_system
 
@@ -98,24 +99,21 @@ def test_pre_of_post_covers_sources_with_successor():
 # -- delta_close -------------------------------------------------------------
 
 def test_delta_close_identical_at_zero():
-    m = OutputMetric()
-    assert delta_close(m, (0.3, 0.7), (0.3, 0.7), 0.0)
+    assert delta_close((0.3, 0.7), (0.3, 0.7), 0.0)
 
 
 def test_delta_close_scalar_examples():
-    m = OutputMetric()
-    assert delta_close(m, (0.30,), (0.25,), 0.1)
-    assert not delta_close(m, (0.30,), (0.25,), 0.04)
+    assert delta_close((0.30,), (0.25,), 0.1)
+    assert not delta_close((0.30,), (0.25,), 0.04)
 
 
 def test_delta_close_dimension_mismatch():
     with pytest.raises(DimensionError):
-        delta_close(OutputMetric(), (0.0,), (0.0, 1.0), 0.5)
+        delta_close((0.0,), (0.0, 1.0), 0.5)
 
 
 def test_delta_close_matches_componentwise_loop():
     rng = random.Random(103)
-    m = OutputMetric()
     for _ in range(200):
         k = rng.randint(1, 4)
         y = tuple(rng.uniform(-2, 2) for _ in range(k))
@@ -124,7 +122,7 @@ def test_delta_close_matches_componentwise_loop():
         worst = 0.0
         for a, b in zip(y, y2):
             worst = max(worst, abs(a - b))
-        assert delta_close(m, y, y2, delta) == (worst <= delta)
+        assert delta_close(y, y2, delta) == (worst <= delta)
 
 
 vectors = st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=4)
@@ -133,26 +131,27 @@ vectors = st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=4
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_metric_axioms(data):
-    m = OutputMetric()
+    # the infinity norm's axioms, through the closeness predicate
     y = data.draw(vectors)
     y2 = data.draw(st.lists(st.floats(-100, 100), min_size=len(y), max_size=len(y)))
     y3 = data.draw(st.lists(st.floats(-100, 100), min_size=len(y), max_size=len(y)))
-    assert m.dist(y, y) == 0.0
-    assert m.dist(y, y2) == m.dist(y2, y)
-    assert m.dist(y, y3) <= m.dist(y, y2) + m.dist(y2, y3) + 1e-9
+    d12 = max(abs(a - b) for a, b in zip(y, y2))
+    d23 = max(abs(a - b) for a, b in zip(y2, y3))
+    assert delta_close(y, y, 0.0)
+    assert delta_close(y, y2, d12) and delta_close(y2, y, d12)
+    assert delta_close(y, y3, d12 + d23 + 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_delta_close_monotone_in_delta(data):
-    m = OutputMetric()
     y = data.draw(vectors)
     y2 = data.draw(st.lists(st.floats(-100, 100), min_size=len(y), max_size=len(y)))
     d1 = data.draw(st.floats(0, 10))
     d2 = data.draw(st.floats(0, 10))
     lo, hi = min(d1, d2), max(d1, d2)
-    if delta_close(m, y, y2, lo):
-        assert delta_close(m, y, y2, hi)
+    if delta_close(y, y2, lo):
+        assert delta_close(y, y2, hi)
 
 
 # -- close_rows ----------------------------------------------------------------
@@ -162,8 +161,7 @@ CLOSE_SPECIALS = (0.0, -0.0, 1e300, -1e300, 5e-324, -5e-324, 0.1, 0.3, 1 / 3)
 
 
 def _pairwise_rows(rows, cols, threshold):
-    m = OutputMetric()
-    return [sum(1 << j for j, y2 in enumerate(cols) if delta_close(m, y, y2, threshold))
+    return [sum(1 << j for j, y2 in enumerate(cols) if delta_close(y, y2, threshold))
             for y in rows]
 
 
@@ -329,17 +327,29 @@ def test_serialization_canonicalizes_order():
     ]
 
 
-# -- Path and notion types ---------------------------------------------------
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_pairwise_closeness_checks_reject_bad_thresholds(bad):
+    sys_ = tiny([(0, 0, 1)])
+    with pytest.raises(ValidationError):
+        sys_.close_bits(0, bad)
+    with pytest.raises(ValidationError):  # even for a witness that is no path
+        confirm_witness(sys_, bad, OpacityNotion.current_state(), Witness((0, 2), (0,)))
+    for pairs in (((0, 0), (1, 1)), ()):
+        with pytest.raises(ValidationError):
+            check_relation(sys_, sys_, SimRelation(pairs, bad))
+
+
+# -- paths and notion types --------------------------------------------------
 
 def test_path_validates_against_system():
+    # a path is a Witness; `confirm_witness` checks its shape and its steps
     sys_ = tiny([(0, 0, 1), (1, 1, 2)])
-    Path((0, 1, 2), (0, 1)).validate(sys_)
-    with pytest.raises(ValidationError):
-        Path((0, 2), (0,)).validate(sys_)
-    with pytest.raises(ValidationError):
-        Path((), ())
-    with pytest.raises(ValidationError):
-        Path((0, 1), ())
+    notion = OpacityNotion.current_state()
+    assert confirm_witness(sys_, 0.0, notion, Witness((0, 1), (0,)))
+    assert not confirm_witness(sys_, 0.0, notion, Witness((0, 2), (0,)))
+    for states, inputs in (((), ()), ((0, 1), ())):
+        with pytest.raises(ValidationError):
+            confirm_witness(sys_, 0.0, notion, Witness(states, inputs))
 
 
 def test_notion_validation():
