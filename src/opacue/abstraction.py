@@ -10,11 +10,13 @@ directly into the finite-system verifiers.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from .boxes import BoxUnion, grid, grid_interval, nearest_lattice
+from .boxes import BoxUnion, check_span, grid, grid_interval, nearest_lattice
 from .control import (
     DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
 )
@@ -27,20 +29,6 @@ __all__ = ["Abstraction", "build_abstraction", "sample_system"]
 
 def _point_name(point: tuple[float, ...]) -> str:
     return ",".join(repr(c) for c in point)
-
-
-def _span_guards(cs: DtControlSystem, params: QuantizationParams) -> None:
-    secret_span = cs.secret_region.span
-    complement = BoxUnion((cs.state_box,)).subtract(cs.secret_region)
-    if not params.eta <= min(secret_span, complement.span):
-        raise QuantizationError(
-            f"eta={params.eta} exceeds the span of the secret region or its "
-            f"complement"
-        )
-    if not params.mu <= cs.input_box.span:
-        raise QuantizationError(
-            f"mu={params.mu} exceeds the input box span {cs.input_box.span}"
-        )
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,10 @@ def build_abstraction(
     `allow_unsound` is set, in which case the result is stamped
     certificate-free.
     """
-    _span_guards(cs, params)
+    complement = BoxUnion((cs.state_box,)).subtract(cs.secret_region)
+    check_span("eta", params.eta, min(cs.secret_region.span, complement.span),
+               "secret region or its complement")
+    check_span("mu", params.mu, cs.input_box.span, "input box")
     qcheck = evaluate_quantization_inequality(cs.iss_cert, params.eta, params.mu,
                                               params.epsilon)
     if not qcheck.passed and not allow_unsound:
@@ -74,44 +65,12 @@ def build_abstraction(
             f"quantization inequality fails (lhs={qcheck.lhs} > rhs={qcheck.rhs}); "
             f"pass allow_unsound to build anyway"
         )
-
-    points = grid(cs.state_box, params.eta)
-    if len(points) > cap:
-        raise ResourceError(f"abstraction exceeds the cap of {cap} states")
-    inputs = grid(cs.input_box, params.mu)
-    point_index = {p: i for i, p in enumerate(points)}
-
     # Per-dimension lattice values of the state grid, for eta-ball lookups.
-    axes = [
-        grid_interval(lo, hi, params.eta) for lo, hi in cs.state_box.bounds
-    ]
-
-    names = tuple(_point_name(p) for p in points)
-    outputs = tuple(cs.observe(p) for p in points)
-    secret = tuple(
-        i for i, p in enumerate(points) if cs.secret_region.contains(p)
-    )
-
-    transitions: list[tuple[int, int, int]] = []
-    for xi, x in enumerate(points):
-        for ui, u in enumerate(inputs):
-            image = cs.step(x, u)
-            targets = _ball_points(image, axes, params.eta)
-            if not targets:
-                raise DomainError(
-                    f"f({x}, {u}) = {image} leaves the state box by more than eta",
-                    state=x, inp=u,
-                )
-            for t in targets:
-                transitions.append((xi, ui, point_index[t]))
-
-    system = MetricSystem(
-        names=names,
-        inputs=tuple(_point_name(u) for u in inputs),
-        outputs=outputs,
-        initial=tuple(range(len(points))),  # every lattice point is initial
-        secret=secret,
-        transitions=tuple(sorted(transitions)),
+    axes = [grid_interval(lo, hi, params.eta) for lo, hi in cs.state_box.bounds]
+    system = _lattice_system(
+        cs, params.eta, params.mu, cap, "abstraction",
+        partial(_ball_points, axes=axes, eta=params.eta),
+        None,  # every lattice point is initial
     )
     return Abstraction(
         system=system,
@@ -159,25 +118,50 @@ def sample_system(
     in the respective regions. This is the finite stand-in for the concrete
     system used by sampled-trajectory oracles.
     """
+    return _lattice_system(
+        cs, eta, mu, cap, "sampled system",
+        lambda image: [nearest_lattice(image, eta, cs.state_box)],
+        cs.initial_region,
+    )
+
+
+def _lattice_system(
+    cs: DtControlSystem, eta: float, mu: float, cap: int, label: str,
+    successors: Callable[[tuple[float, ...]], list[tuple[float, ...]]],
+    initial: Optional[BoxUnion],
+) -> MetricSystem:
+    """The finite system on the eta-lattice of the state box and the
+    mu-lattice of the input box: (x, u) steps to every lattice point
+    `successors` gives for the image f(x, u), which must be finite. The
+    initial states are the lattice points in `initial` (all of them for
+    None), the secret ones those in the secret region. A system of more
+    than `cap` states is refused before any step."""
     points = grid(cs.state_box, eta)
     if len(points) > cap:
-        raise ResourceError(f"sampled system exceeds the cap of {cap} states")
+        raise ResourceError(f"{label} exceeds the cap of {cap} states")
     inputs = grid(cs.input_box, mu)
     point_index = {p: i for i, p in enumerate(points)}
-    transitions = []
+    transitions: list[tuple[int, int, int]] = []
     for xi, x in enumerate(points):
         for ui, u in enumerate(inputs):
-            target = nearest_lattice(cs.step(x, u), eta, cs.state_box)
-            transitions.append((xi, ui, point_index[target]))
+            image = cs.step(x, u)
+            if not all(map(math.isfinite, image)):
+                raise DomainError(f"f({x}, {u}) = {image} is not finite",
+                                  state=x, inp=u)
+            targets = successors(image)
+            if not targets:
+                raise DomainError(
+                    f"f({x}, {u}) = {image} leaves the state box by more than eta",
+                    state=x, inp=u,
+                )
+            for t in targets:
+                transitions.append((xi, ui, point_index[t]))
     return MetricSystem(
-        names=tuple(_point_name(p) for p in points),
-        inputs=tuple(_point_name(u) for u in inputs),
-        outputs=tuple(cs.observe(p) for p in points),
-        initial=tuple(
-            i for i, p in enumerate(points) if cs.initial_region.contains(p)
-        ),
-        secret=tuple(
-            i for i, p in enumerate(points) if cs.secret_region.contains(p)
-        ),
-        transitions=tuple(sorted(set(transitions))),
+        names=tuple(map(_point_name, points)),
+        inputs=tuple(map(_point_name, inputs)),
+        outputs=tuple(map(cs.observe, points)),
+        initial=tuple(range(len(points))) if initial is None else
+        tuple(i for i, p in enumerate(points) if initial.contains(p)),
+        secret=tuple(i for i, p in enumerate(points) if cs.secret_region.contains(p)),
+        transitions=tuple(sorted(transitions)),
     )

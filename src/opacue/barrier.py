@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .boxes import grid
+from .boxes import check_span, grid
 from .control import DtControlSystem
-from .errors import DomainError, QuantizationError
-from .system import check_delta, check_threshold
+from .errors import DomainError
+from .system import check_delta, check_threshold, close_rows
 
 __all__ = [
     "Evaluator",
@@ -61,18 +61,6 @@ class AugmentedRegions:
     r0: tuple[Pair, ...]
     ru: tuple[Pair, ...]
     r: tuple[Pair, ...]
-    resolution: float
-
-
-def _region_spans(cs: DtControlSystem) -> list[tuple[str, float]]:
-    init_secret = cs.initial_region.intersect(cs.secret_region)
-    init_nonsecret = cs.initial_region.subtract(cs.secret_region)
-    return [
-        ("state box", cs.state_box.span),
-        ("input box", cs.input_box.span),
-        ("initial-and-secret region", init_secret.span),
-        ("initial-minus-secret region", init_nonsecret.span),
-    ]
 
 
 def build_regions(
@@ -82,37 +70,32 @@ def build_regions(
 
     Points are drawn from the resolution-lattice of the state box and kept
     by exact membership in each region predicate, so any reported witness
-    genuinely belongs to its region.
+    genuinely belongs to its region. Closeness is the table `close_rows`
+    builds over the sampled outputs, pair for pair equal to `delta_close`.
     """
     check_delta(delta)
-    for label, span in _region_spans(cs):
-        if resolution > span:
-            raise QuantizationError(
-                f"resolution {resolution} exceeds the span {span} of the {label}"
-            )
+    for label, region in (
+        ("state box", cs.state_box),
+        ("input box", cs.input_box),
+        ("initial-and-secret region", cs.initial_region.intersect(cs.secret_region)),
+        ("initial-minus-secret region", cs.initial_region.subtract(cs.secret_region)),
+    ):
+        check_span("resolution", resolution, region.span, label)
     points = grid(cs.state_box, resolution)
-    outputs = {p: cs.observe(p) for p in points}
-    for p, y in outputs.items():
+    outputs = [cs.observe(p) for p in points]
+    for p, y in zip(points, outputs):
         if not all(map(math.isfinite, y)):
             raise DomainError(f"regions: output {y} is not finite at {p}", state=p)
-
-    def gap(a: tuple[float, ...], b: tuple[float, ...]) -> float:
-        return max(abs(i - j) for i, j in zip(outputs[a], outputs[b]))
-
-    secret_init = [
-        p for p in points
-        if cs.initial_region.contains(p) and cs.secret_region.contains(p)
-    ]
-    nonsecret_init = [
-        p for p in points
-        if cs.initial_region.contains(p) and not cs.secret_region.contains(p)
-    ]
-    r0 = tuple(
-        (x, xh) for x in secret_init for xh in nonsecret_init if gap(x, xh) <= delta
-    )
-    ru = tuple((x, xh) for x in points for xh in points if gap(x, xh) > delta)
+    close = close_rows(outputs, outputs, delta)
+    initial = [i for i, p in enumerate(points) if cs.initial_region.contains(p)]
+    secret_init = [i for i in initial if cs.secret_region.contains(points[i])]
+    nonsecret_init = [i for i in initial if not cs.secret_region.contains(points[i])]
+    r0 = tuple((points[i], points[j]) for i in secret_init for j in nonsecret_init
+               if close[i] >> j & 1)
+    ru = tuple((x, xh) for x, row in zip(points, close)
+               for j, xh in enumerate(points) if not row >> j & 1)
     r = tuple((x, xh) for x in points for xh in points)
-    return AugmentedRegions(r0=r0, ru=ru, r=r, resolution=resolution)
+    return AugmentedRegions(r0=r0, ru=ru, r=r)
 
 
 @dataclass(frozen=True)
@@ -305,16 +288,14 @@ def check_lack_barrier(
     """
     check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
-
-    def close(x, xh) -> bool:
-        return max(abs(i - j) for i, j in zip(cs.observe(x), cs.observe(xh))) <= delta
-
-    boundary = [p for p in _boundary_ring(grid(cs.state_box, resolution)) if close(*p)]
+    unsafe = set(regions.ru)
+    boundary = [p for p in _boundary_ring(grid(cs.state_box, resolution))
+                if p not in unsafe]
     return _scan((
         ("initial", ((x + xh, -candidate(x + xh)) for x, xh in regions.r0), _negative),
         ("boundary", ((x + xh, candidate(x + xh)) for x, xh in boundary),
          _above(margin)),
         ("decrease", _decrease(candidate, cs, resolution,
-                               [p for p in regions.r if close(*p)],
+                               [p for p in regions.r if p not in unsafe],
                                decrease_exists_forall, margin), _negative),
     ))

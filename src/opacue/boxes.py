@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import QuantizationError, ValidationError
 
-__all__ = ["Box", "BoxUnion", "grid_interval", "grid", "nearest_lattice"]
+__all__ = ["Box", "BoxUnion", "check_span", "grid_interval", "grid", "nearest_lattice"]
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,13 @@ def _check_step(step: float) -> None:
         raise ValidationError(f"grid step must be a finite positive number, got {step}")
 
 
+def check_span(name: str, step: float, span: float, of: str) -> None:
+    """Raise QuantizationError when a sampling step exceeds the span of the
+    set it samples: such a lattice can miss the set entirely."""
+    if step > span:
+        raise QuantizationError(f"{name} {step} exceeds the span {span} of the {of}")
+
+
 def grid_interval(lo: float, hi: float, step: float) -> list[float]:
     """Lattice multiples of step inside the closed interval [lo, hi]."""
     _check_step(step)
@@ -153,12 +160,9 @@ def grid(region: Box | BoxUnion, step: float) -> list[tuple[float, ...]]:
     """
     _check_step(step)
     boxes = (region,) if isinstance(region, Box) else region.boxes
-    if isinstance(region, BoxUnion) and region.empty:
+    if not boxes:
         return []
-    if step > region.span:
-        raise QuantizationError(
-            f"grid step {step} exceeds the region span {region.span}"
-        )
+    check_span("grid step", step, region.span, "region")
     points: set[tuple[float, ...]] = set()
     dstep = Decimal(str(step))
     for box in boxes:

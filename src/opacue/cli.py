@@ -225,36 +225,22 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
     return EXIT_FAIL if report.status == "falsified" else EXIT_INCONCLUSIVE
 
 
-def _json_number(value) -> float:
-    """A JSON number as a float: TypeError for a bool or a non-number,
-    OverflowError for an int past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]:
     from .compositional import Interval, LinearSubsystem
+    from .system import json_number, read_object
 
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("$: expected an object with keys 'sub1' and 'sub2'")
+    doc = read_object(text, ("sub1", "sub2"))
     subs = []
     for key in ("sub1", "sub2"):
-        if key not in doc:
-            raise ParseError(f"$: missing key {key!r}")
         entry = doc[key]
         try:
             subs.append(LinearSubsystem(
-                a=_json_number(entry["a"]), b=_json_number(entry["b"]),
-                state=Interval(*map(_json_number, entry["state"])),
-                initial=Interval(*map(_json_number, entry["initial"])),
-                secret=Interval(*map(_json_number, entry["secret"])),
+                a=json_number(entry["a"]), b=json_number(entry["b"]),
+                state=Interval(*map(json_number, entry["state"])),
+                initial=Interval(*map(json_number, entry["initial"])),
+                secret=Interval(*map(json_number, entry["secret"])),
             ))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ParseError(f"{key}: expected a, b, state, initial, secret") from exc
     return subs[0], subs[1]
 

@@ -13,9 +13,9 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .boxes import Box, BoxUnion, grid_interval
+from .boxes import Box, BoxUnion, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate
-from .errors import DomainError, QuantizationError, SmallGainError, ValidationError
+from .errors import DomainError, SmallGainError, ValidationError
 from .system import check_delta, check_threshold
 
 __all__ = [
@@ -170,6 +170,17 @@ def _lattice(iv: Interval, step: float) -> list[float]:
     return grid_interval(iv.lo, iv.hi, step)
 
 
+def _check_spans(subs: Sequence[LinearSubsystem], resolution: float,
+                 eta: Sequence[float] = ()) -> None:
+    """The resolution against each subsystem's state interval, and each
+    eta, when given, against its own subsystem's."""
+    for idx, sub in enumerate(subs, 1):
+        span, of = sub.state.hi - sub.state.lo, f"state interval of subsystem {idx}"
+        check_span("resolution", resolution, span, of)
+        if eta:
+            check_span(f"eta{idx}", eta[idx - 1], span, of)
+
+
 def _scan(name: str, samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tuple]]:
     """(passed, smallest slack, witness) of one sampled condition.
 
@@ -274,6 +285,7 @@ def compose_simulation(
     """
     for name, value in zip(("eps1", "eps2", "theta1", "theta2"), (*eps, *theta)):
         check_threshold(name, value)
+    _check_spans((sub1, sub2), resolution, eta)
     gains = _require_small_gain(sub1, sub2)
 
     local1 = _sim_conditions(sub1, sub2, v1, eps[0], theta[0], eta[0], eta[1], resolution)
@@ -407,11 +419,7 @@ def compose_barriers(
     """
     check_delta(delta)
     check_threshold("margin", margin)
-    for idx, sub in enumerate((sub1, sub2), 1):
-        span = sub.state.hi - sub.state.lo
-        if resolution > span:
-            raise QuantizationError(f"resolution {resolution} exceeds the span {span} "
-                                    f"of the state interval of subsystem {idx}")
+    _check_spans((sub1, sub2), resolution)
     gains = _require_small_gain(sub1, sub2)
     checks = _barrier_conditions(1, sub1, sub2, b1, delta, resolution, margin)
     checks += _barrier_conditions(2, sub2, sub1, b2, delta, resolution, margin)

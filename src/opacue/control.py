@@ -9,7 +9,6 @@ certificate itself.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +17,7 @@ from typing import Sequence
 from .boxes import Box, BoxUnion
 from .errors import ParseError, ValidationError
 from .expr import compile_expr
+from .system import json_number, read_object
 
 __all__ = [
     "IssCertificate",
@@ -181,12 +181,12 @@ def _parse_box(value, where: str) -> Box:
         raise ParseError(f"{where}: expected an array of [lo, hi] pairs")
     bounds = []
     for d, pair in enumerate(value):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        for v in pair)):
-            raise ParseError(f"{where}[{d}]: expected a numeric [lo, hi] pair")
         try:
-            bounds.append((float(pair[0]), float(pair[1])))
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise TypeError
+            bounds.append((json_number(pair[0]), json_number(pair[1])))
+        except TypeError:
+            raise ParseError(f"{where}[{d}]: expected a numeric [lo, hi] pair") from None
         except OverflowError:
             raise ParseError(f"{where}[{d}]: bound out of float range") from None
     return Box(tuple(bounds))
@@ -212,20 +212,11 @@ def parse_control_system(text: str | bytes) -> DtControlSystem:
              "dynamics": [expr]*n, "output": [expr,...],
              "iss_cert": {"c":..,"lambda":..,"g":..,"a":..}}
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("$: top level must be an object")
-    for key in ("dim", "state_box", "initial_box", "secret_box", "input_box",
-                "dynamics", "output", "iss_cert"):
-        if key not in doc:
-            raise ParseError(f"$: missing key {key!r}")
-
+    doc = read_object(text, ("dim", "state_box", "initial_box", "secret_box",
+                             "input_box", "dynamics", "output", "iss_cert"))
     state_box = _parse_box(doc["state_box"], "state_box")
+    if type(doc["dim"]) is not int:
+        raise ParseError("dim: expected an integer")
     if state_box.dim != doc["dim"]:
         raise ValidationError(
             f"dim={doc['dim']} but state_box has {state_box.dim} dimensions"
@@ -234,13 +225,11 @@ def parse_control_system(text: str | bytes) -> DtControlSystem:
     if not isinstance(cert_doc, dict):
         raise ParseError("iss_cert: expected an object")
     try:
-        cert = IssCertificate(
-            c=float(cert_doc["c"]), lam=float(cert_doc["lambda"]),
-            g=float(cert_doc["g"]), a=float(cert_doc["a"]),
-        )
+        cert = IssCertificate(*(json_number(cert_doc[key])
+                                for key in ("c", "lambda", "g", "a")))
     except KeyError as exc:
         raise ParseError(f"iss_cert: missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise ParseError("iss_cert: c, lambda, g and a must be numbers") from exc
 
     for key in ("dynamics", "output"):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import ParseError, ValidationError
+from .system import json_number, read_object
 
 __all__ = ["Polynomial", "parse_polynomial"]
 
@@ -29,7 +30,7 @@ class Polynomial:
                 raise ValidationError(
                     f"term {exps} has {len(exps)} exponents, expected {self.n_vars}"
                 )
-            if any(e < 0 or not isinstance(e, int) for e in exps):
+            if any(type(e) is not int or e < 0 for e in exps):
                 raise ValidationError(f"term {exps}: exponents must be nonnegative ints")
             if exps in seen:
                 raise ValidationError(f"duplicate term {exps}")
@@ -53,8 +54,7 @@ class Polynomial:
         variables with a nonzero exponent, and the sum ((0.0 + m0) + m1)...
         in term order. Coefficients come in as a tuple, never as source text.
         """
-        # int(): a bool exponent passes validation and counts as 0 or 1
-        top = [max((int(exps[i]) for exps, _ in self.terms), default=0)
+        top = [max((exps[i] for exps, _ in self.terms), default=0)
                for i in range(self.n_vars)]
         body = ["".join(f"x{i}, " for i in range(self.n_vars)) + "= point"]
         for i, e_max in enumerate(top):
@@ -66,7 +66,7 @@ class Polynomial:
         # compiler's recursion limit for a few thousand terms
         body.append("total = 0.0")
         for k, (exps, _) in enumerate(self.terms):
-            factors = "".join(f" * p{i}_{int(e)}" for i, e in enumerate(exps) if e)
+            factors = "".join(f" * p{i}_{e}" for i, e in enumerate(exps) if e)
             body.append(f"total += c{k}{factors}")
         body.append("return total")
         source = "\n".join([
@@ -94,15 +94,8 @@ class Polynomial:
 
 def parse_polynomial(text: str | bytes) -> Polynomial:
     """Parse {"vars": k, "terms": [{"exps": [..], "coef": number}, ...]}."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict) or "vars" not in doc or "terms" not in doc:
-        raise ParseError("$: expected an object with 'vars' and 'terms'")
-    if not isinstance(doc["vars"], int):
+    doc = read_object(text, ("vars", "terms"))
+    if type(doc["vars"]) is not int:
         raise ParseError("vars: expected an integer")
     if not isinstance(doc["terms"], list):
         raise ParseError("terms: expected an array")
@@ -112,12 +105,15 @@ def parse_polynomial(text: str | bytes) -> Polynomial:
         if not (isinstance(term, dict) and "exps" in term and "coef" in term):
             raise ParseError(f"{where}: expected an object with 'exps' and 'coef'")
         exps = term["exps"]
-        if not (isinstance(exps, list) and all(isinstance(e, int) and not isinstance(e, bool) for e in exps)):
+        if not (isinstance(exps, list) and all(type(e) is int for e in exps)):
             raise ParseError(f"{where}.exps: expected an array of integers")
-        coef = term["coef"]
-        if isinstance(coef, bool) or not isinstance(coef, (int, float)):
-            raise ParseError(f"{where}.coef: expected a number")
-        if not abs(coef) <= sys.float_info.max:  # NaN, inf, or past float range
-            raise ParseError(f"{where}.coef: expected a finite number, got {coef}")
-        terms.append((tuple(exps), float(coef)))
+        try:
+            coef = json_number(term["coef"])
+        except TypeError:
+            raise ParseError(f"{where}.coef: expected a number") from None
+        except OverflowError:
+            coef = math.inf
+        if not math.isfinite(coef):
+            raise ParseError(f"{where}.coef: expected a finite number, got {term['coef']}")
+        terms.append((tuple(exps), coef))
     return Polynomial(n_vars=doc["vars"], terms=tuple(terms))

@@ -34,7 +34,9 @@ __all__ = [
     "close_rows",
     "iter_bits",
     "json_array",
+    "json_number",
     "json_texts",
+    "read_object",
 ]
 
 
@@ -324,8 +326,42 @@ def pre(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
 # -- file format ------------------------------------------------------------
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def read_object(text: str | bytes, keys: Sequence[str]) -> dict:
+    """Decode a JSON input document whose top level is an object holding
+    every key in `keys`. Malformed JSON is a ParseError naming its line and
+    column; a top level that is not an object, or a missing key, is one too."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("$: top level must be an object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"$: missing key {key!r}")
+    return doc
+
+
+def json_number(value) -> float:
+    """A JSON number as a float: TypeError for a bool, a string or any
+    other non-number, OverflowError for an int past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _output_error(i: int, out: list) -> ParseError:
+    """The error of states[i].output: its first non-number, else overflow."""
+    for j, value in enumerate(out):
+        try:
+            json_number(value)
+        except TypeError:
+            return ParseError(f"states[{i}].output[{j}]: must be a number")
+        except OverflowError:
+            pass
+    return ParseError(f"states[{i}].output: a number is past float range")
 
 
 def parse_system(text: str | bytes) -> MetricSystem:
@@ -338,20 +374,9 @@ def parse_system(text: str | bytes) -> MetricSystem:
     The first failing check, in document order, names the error. Checks
     that run per item build their message only when they fail.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-
-    if not isinstance(doc, dict):
-        raise ParseError("$: top level must be an object")
-    for key in ("states", "inputs", "initial", "secret", "transitions"):
-        if key not in doc:
-            raise ParseError(f"$: missing key {key!r}")
+    keys = ("states", "inputs", "initial", "secret", "transitions")
+    doc = read_object(text, keys)
+    for key in keys:
         if not isinstance(doc[key], list):
             raise ParseError(f"{key}: must be an array")
 
@@ -366,14 +391,11 @@ def parse_system(text: str | bytes) -> MetricSystem:
         out = entry.get("output")
         if not isinstance(out, list):
             raise ParseError(f"states[{i}]: needs an array 'output'")
-        if not all(map(_is_number, out)):
-            j = next(j for j, v in enumerate(out) if not _is_number(v))
-            raise ParseError(f"states[{i}].output[{j}]: must be a number")
-        names.append(name)
         try:
-            outputs.append(tuple(map(float, out)))
-        except OverflowError:
-            raise ParseError(f"states[{i}].output: a number is past float range") from None
+            outputs.append(tuple(map(json_number, out)))
+        except (TypeError, OverflowError):
+            raise _output_error(i, out) from None
+        names.append(name)
 
     inputs: list[str] = doc["inputs"]
     for i, label in enumerate(inputs):

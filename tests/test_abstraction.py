@@ -189,3 +189,23 @@ def test_outputs_evaluate_concrete_map_at_lattice():
     s = result.system
     for name, out in zip(s.names, s.outputs):
         assert out == (float(name),)
+
+
+def test_sample_system_fails_closed_on_an_overflowing_image():
+    # used to raise a bare OverflowError from nearest_lattice
+    cs = DtControlSystem(
+        state_box=Box(((0.0, 1.0),)),
+        initial_region=BoxUnion((Box(((0.0, 1.0),)),)),
+        secret_region=BoxUnion((Box(((0.0, 0.5),)),)),
+        input_box=Box(((0.0, 0.1),)),
+        dynamics=("0.5*x1 + 0.2*u1 + x1*1e308*1e308",),
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, 0.5, 0.4, 1.0),
+    )
+    with pytest.raises(DomainError, match="is not finite") as exc:
+        sample_system(cs, eta=0.1, mu=0.1)
+    assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)
+    with pytest.raises(DomainError, match="is not finite") as exc:
+        build_abstraction(cs, QuantizationParams(eta=0.1, mu=0.1, epsilon=2.0),
+                          allow_unsound=True)
+    assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from opacue.barrier import (
     decrease_exists_forall,
     decrease_forall_exists,
 )
-from opacue.boxes import Box, BoxUnion
+from opacue.boxes import Box, BoxUnion, grid
 from opacue.control import DtControlSystem, IssCertificate
 from opacue.errors import DomainError, QuantizationError, ValidationError
 from opacue.polynomial import Polynomial
+from opacue.system import delta_close
 
 
 def simple_cs(secret=(0.5, 1.0), initial=(0.0, 1.0), dyn="0.5*x1"):
@@ -278,3 +280,70 @@ def test_non_finite_samples_fail_closed():
         for check in (check_opacity_barrier, check_lack_barrier):
             with pytest.raises(DomainError, match=message):
                 check(GAP, plant, 0.15, 0.1)
+
+
+def test_lack_check_observes_each_lattice_point_once():
+    # the lack checker used to observe both points of every pair: 3,723
+    # calls for these 41 points
+    calls = []
+
+    class Counted(DtControlSystem):
+        def observe(self, x):
+            calls.append(x)
+            return super().observe(x)
+
+    base = simple_cs()
+    cs = Counted(**{f: getattr(base, f) for f in base.__dataclass_fields__})
+    report = check_lack_barrier(poly({(0, 0): 0.0}), cs, delta=0.5, resolution=0.025)
+    assert report.witness.condition == "boundary"
+    assert calls == grid(cs.state_box, 0.025) and len(calls) == 41
+
+
+_OUTPUTS = {
+    1: ["x1", "-1.0*x1", "x1*x1 - 0.25", "0.5*x1 + 0.3", "abs(x1)", "-0.0*x1"],
+    2: ["x1", "x2", "x1*x2", "-1.0*x1*x2", "x1 - x2", "abs(x1) + 0.5*x2"],
+}
+
+
+def _random_plant(rng: random.Random) -> DtControlSystem:
+    dim = rng.choice((1, 2))
+    box = Box(((-0.5, 0.5),) * dim)
+    secret = Box(((rng.choice((-0.2, 0.0, 0.1)), 0.5),) + ((-0.5, 0.5),) * (dim - 1))
+    return DtControlSystem(
+        state_box=box,
+        initial_region=BoxUnion((box,)),
+        secret_region=BoxUnion((secret,)),
+        input_box=Box(((0.0, 0.25),)),
+        dynamics=("0.5*x1",) + ("0.5*x2",) * (dim - 1),
+        output=tuple(rng.sample(_OUTPUTS[dim], rng.choice((1, 2)))),
+        iss_cert=IssCertificate(1.0, 0.5, 0.0, 1.0),
+    )
+
+
+def test_regions_match_the_pairwise_closeness_definition():
+    rng = random.Random(20261018)
+    exact_gaps = signed_zeros = 0
+    for _ in range(60):
+        cs = _random_plant(rng)
+        resolution = rng.choice((0.1, 0.125, 0.2) if cs.dim == 1 else (0.2, 0.25))
+        points = grid(cs.state_box, resolution)
+        ys = {p: cs.observe(p) for p in points}
+        a, b = rng.choice(points), rng.choice(points)
+        delta = rng.choice((0.0, max(abs(i - j) for i, j in zip(ys[a], ys[b])),
+                            rng.uniform(0.0, 0.6)))
+        regions = build_regions(cs, delta, resolution)
+
+        def close(x, xh):
+            return delta_close(ys[x], ys[xh], delta)
+
+        secret = [p for p in points if cs.secret_region.contains(p)]
+        nonsecret = [p for p in points if not cs.secret_region.contains(p)]
+        assert regions.r0 == tuple((x, xh) for x in secret for xh in nonsecret
+                                   if close(x, xh))
+        assert regions.ru == tuple((x, xh) for x in points for xh in points
+                                   if not close(x, xh))
+        exact_gaps += sum(abs(i - j) == delta for x in points for xh in points
+                          for i, j in zip(ys[x], ys[xh]))
+        signed_zeros += sum(v == 0 and math.copysign(1.0, v) < 0
+                            for y in ys.values() for v in y)
+    assert exact_gaps and signed_zeros

@@ -743,3 +743,17 @@ def test_simrel_checks_the_cap_without_delta(capsys, monkeypatch):
     code, out, err = run(capsys, "simrel", "--system", C2, "--abstract", C2,
                          "--epsilon", "0", "--cap", "-3")
     assert (code, out, calls) == (3, "", []) and "--cap=-3" in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("iss_cert", {**PLANT["iss_cert"], "c": True}),
+    ("iss_cert", {**PLANT["iss_cert"], "lambda": "0.5"}),
+    ("dim", True),
+], ids=["c-bool", "lambda-string", "dim-bool"])
+def test_abstract_rejects_plant_numbers_that_are_not_json_numbers(capsys, tmp_path,
+                                                                  field, value):
+    # each used to be read as 1.0, 0.5 and 1 and certified, exit 0
+    plant = _write(tmp_path, "plant.json", {**PLANT, field: value})
+    code, out, err = run(capsys, "abstract", "--system", plant, "--eta", "0.5",
+                         "--mu", "0.1", "--epsilon", "1.5")
+    assert (code, out) == (3, "") and err.startswith("error:"), err

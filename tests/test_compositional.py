@@ -16,7 +16,7 @@ from opacue.compositional import (
     small_gain,
 )
 from opacue.control import IssCertificate
-from opacue.errors import DomainError, SmallGainError, ValidationError
+from opacue.errors import DomainError, QuantizationError, SmallGainError, ValidationError
 
 
 def sub(a=0.5, b=0.2, state=(0.0, 1.0), initial=(0.0, 0.2), secret=(0.6, 1.0)):
@@ -223,3 +223,16 @@ def test_interconnect_needs_a_certificate_unless_contractive():
     cert = IssCertificate(c=2.0, lam=0.9, g=0.0, a=1.0)
     assert interconnect(s1, s2, cert).iss_cert is cert
     assert interconnect(sub(), sub()).iss_cert.lam == 0.7
+
+
+@pytest.mark.parametrize("flags", [
+    {"eta": (5.0, 5.0)}, {"eta": (0.05, 5.0)}, {"resolution": 5.0},
+])
+def test_compose_simulation_rejects_steps_wider_than_a_state_interval(flags):
+    # eta = 5 used to sample one abstract point per subsystem and pass every
+    # condition, while eta = 0.05 fails 1b on the same subsystems
+    v = lambda x, xh: abs(x - xh)
+    args = {"eps": (0.3, 0.3), "theta": (0.3, 0.3), "eta": (0.05, 0.05),
+            "resolution": 0.1, **flags}
+    with pytest.raises(QuantizationError, match="exceeds the span 1.0 of the state interval"):
+        compose_simulation(sub(), sub(), v, v, **args)

@@ -147,3 +147,17 @@ def test_many_terms_compile_and_match_power_tables():
     poly = Polynomial(2, terms)
     point = (0.99, -1.01)
     assert _same_float(poly(point), _power_table_reference(poly, point))
+
+
+def test_bool_exponents_are_rejected():
+    # True used to pass as the exponent 1: this evaluated as x1
+    with pytest.raises(ValidationError, match="exponents"):
+        Polynomial(2, (((True, 0), 1.0),))
+    with pytest.raises(ValidationError, match="exponents"):
+        Polynomial(1, (((False,), 1.0),))
+
+
+def test_parse_rejects_a_bool_variable_count():
+    # "vars": true used to be read as one variable
+    with pytest.raises(ParseError, match="vars"):
+        parse_polynomial('{"vars": true, "terms": [{"exps": [1], "coef": 1.0}]}')
