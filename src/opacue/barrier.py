@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import check_span, grid
 from .control import DtControlSystem
 from .errors import DomainError
+from .polynomial import tabulate
 from .system import check_delta, check_threshold, close_rows
 
 __all__ = [
@@ -37,7 +39,8 @@ __all__ = [
 ]
 
 # A candidate certificate: any callable over the 2n augmented coordinates
-# (x followed by x_hat). Polynomial instances satisfy this protocol.
+# (x followed by x_hat). Polynomial instances satisfy this protocol, and
+# the decrease scan evaluates them a table at a time (`tabulate`).
 Evaluator = Callable[[Sequence[float]], float]
 
 DEFAULT_MARGIN = 1e-9
@@ -200,6 +203,26 @@ def _scan(conditions: Sequence[tuple[str, Iterable[Sample], Rule]]) -> CheckRepo
     )
 
 
+# The decrease slack f(v) = (base - v) - margin never increases with v, so
+# each quantifier over slacks is f of the mirrored one over values, ties
+# included: min_u max_uh f(v) = f(max_u min_uh v), and the other way round.
+_OVER_VALUES = {decrease_forall_exists: (max, min), decrease_exists_forall: (min, max)}
+
+# No value or margin past this bound can make (base - v) - margin overflow.
+_SAFE = 2.0 ** 1021
+
+
+def _bounded(values: list[float]) -> bool:
+    """Every value is finite and within the bound (a NaN makes the sum NaN)."""
+    return not math.isnan(sum(values)) and -_SAFE <= min(values) and max(values) <= _SAFE
+
+
+def _pick(pick: Callable, lists: list[list[float]]) -> list[float]:
+    """pick(lists[0][j], lists[1][j], ...) for each j; the first of equal
+    values wins, as in pick over one list."""
+    return list(map(pick, *lists)) if len(lists) > 1 else lists[0]
+
+
 def _decrease(
     candidate: Evaluator,
     cs: DtControlSystem,
@@ -211,7 +234,8 @@ def _decrease(
     """At each pair, quantify (rows u, columns u_hat) the decrease slack
     B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The successors f(x, u)
     come from a table over grid points and inputs, built once per check.
-    A value that is not finite raises, or makes the slack NaN where the
+    The candidate is tabulated once per run of pairs that share x. A value
+    that is not finite raises, or makes the slack NaN where the
     quantifier's min and max would hide it.
     """
     inputs = grid(cs.input_box, resolution)
@@ -221,13 +245,27 @@ def _decrease(
             if not all(map(math.isfinite, image)):
                 raise DomainError(f"decrease: successor {image} under input {u} "
                                   f"is not finite at {x}", state=x, inp=u)
+    outer, inner = _OVER_VALUES[quantify]
+    n = len(inputs)
 
-    def slack(x: tuple[float, ...], xh: tuple[float, ...]) -> float:
-        base = candidate(x + xh)
-        rows = [[base - candidate(nx + nxh) - margin for nxh in succ[xh]] for nx in succ[x]]
-        return quantify(rows) if all(map(math.isfinite, chain(*rows))) else math.nan
+    def slacks() -> Iterator[Sample]:
+        for x, run in groupby(pairs, key=itemgetter(0)):
+            partners = [xh for _, xh in run]
+            # row u, columns j*n .. j*n + n - 1: B(f(x, u), f(partners[j], .))
+            values = tabulate(candidate, succ[x], [nxh for xh in partners for nxh in succ[xh]])
+            bases = tabulate(candidate, [x], partners)[0]
+            if margin <= _SAFE and _bounded(bases) and all(map(_bounded, values)):
+                picked = _pick(outer, [_pick(inner, [row[s::n] for s in range(n)])
+                                       for row in values])
+                for xh, base, v in zip(partners, bases, picked):
+                    yield x + xh, base - v - margin
+                continue
+            for j, (xh, base) in enumerate(zip(partners, bases)):
+                rows = [[base - v - margin for v in row[j * n:j * n + n]] for row in values]
+                finite = all(map(math.isfinite, chain(*rows)))
+                yield x + xh, quantify(rows) if finite else math.nan
 
-    return ((x + xh, slack(x, xh)) for x, xh in pairs)
+    return slacks()
 
 
 def check_opacity_barrier(

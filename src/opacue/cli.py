@@ -26,7 +26,9 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errors import OpacueError, ParseError, ResourceError, ValidationError
 from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
-from .system import NotionKind, OpacityNotion, parse_system, serialize_system
+from .system import (
+    NotionKind, OpacityNotion, decode_utf8, parse_system, serialize_system,
+)
 
 if TYPE_CHECKING:
     from .compositional import LinearSubsystem
@@ -53,9 +55,10 @@ def _emit(doc: dict, pairs: str | None = None) -> None:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
+    return decode_utf8(data)
 
 
 def _write(path: str, text: str) -> None:

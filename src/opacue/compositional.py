@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .boxes import Box, BoxUnion, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate
 from .errors import DomainError, SmallGainError, ValidationError
+from .polynomial import tabulate
 from .system import check_delta, check_threshold
 
 __all__ = [
@@ -367,6 +369,8 @@ def _barrier_conditions(
     xs = _lattice(sub.state, resolution)
     ws = _lattice(partner.state, resolution)
     pairs = [(x, xh) for x in xs for xh in xs]
+    # B over the pair grid, in the order of `pairs`
+    values = list(chain(*tabulate(b, [(x,) for x in xs], [(xh,) for xh in xs])))
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
@@ -374,13 +378,16 @@ def _barrier_conditions(
     def decrease() -> Iterable[Sample]:
         # each factor is computed outside the loops it does not depend on
         gains = [[sub.b * norm(w, wh) for wh in ws] for w in ws]
-        steps = [[sub.step(x, w) for w in ws] for x in xs]
+        steps = [[(sub.step(x, w),) for w in ws] for x in xs]
+        bases = iter(values)
         for x, x_steps in zip(xs, steps):
             for xh, xh_steps in zip(xs, steps):
-                kept = (1 - sub.a) * b((x, xh))
-                for w, x_next, gain_row in zip(ws, x_steps, gains):
-                    for wh, xh_next, gain in zip(ws, xh_steps, gain_row):
-                        yield (x, xh, w, wh), kept + gain - b((x_next, xh_next))
+                kept = (1 - sub.a) * next(bases)
+                # one table per pair, so a scan that stops early wastes one
+                table = tabulate(b, x_steps, xh_steps)
+                for w, row, gain_row in zip(ws, table, gains):
+                    for wh, value, gain in zip(ws, row, gain_row):
+                        yield (x, xh, w, wh), kept + gain - value
 
     def initial(x: float, xh: float) -> bool:
         return (sub.initial.contains(x) and sub.secret.contains(x)
@@ -389,11 +396,12 @@ def _barrier_conditions(
 
     conditions = (
         # Lower bound by the augmented norm on the whole region.
-        ("norm-lower-bound", ((p, b(p) - norm(*p)) for p in pairs)),
+        ("norm-lower-bound", ((p, v - norm(*p)) for p, v in zip(pairs, values))),
         # Nonpositive on the local augmented initial region.
-        ("initial", ((p, -b(p)) for p in pairs if initial(*p))),
+        ("initial", ((p, -v) for p, v in zip(pairs, values) if initial(*p))),
         # Positive on the local output-distinguishable region.
-        ("unsafe", ((p, b(p) - margin) for p in pairs if abs(p[0] - p[1]) > delta)),
+        ("unsafe", ((p, v - margin) for p, v in zip(pairs, values)
+                    if abs(p[0] - p[1]) > delta)),
         # Gain-style decrease against the partner's augmented norm.
         ("decrease", decrease()),
     )

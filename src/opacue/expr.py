@@ -3,7 +3,9 @@
 Allowed: variables x1..xn and u1..um, numeric constants, + - * /, unary
 minus, and the functions sin, cos, exp, abs. Anything else is rejected at
 parse time, after which the expression is compiled once into a function of
-the variables, positionally, in an empty-builtins environment.
+the variables, positionally, in an empty-builtins environment. An
+evaluation that fails in the arithmetic (a division by zero, a math range
+error, sin of inf) raises DomainError naming the state and input.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import ast
 import math
 from typing import Callable, Sequence
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 __all__ = ["compile_expr", "ExprFn"]
 
@@ -69,6 +71,11 @@ def compile_expr(text: str, n_states: int, n_inputs: int) -> ExprFn:
               {"__builtins__": {}, **_FUNCS})
 
     def run(x: Sequence[float], u: Sequence[float]) -> float:
-        return float(fn(*x, *u))
+        try:
+            return float(fn(*x, *u))
+        except (ArithmeticError, ValueError) as exc:  # 1/0, exp(1000), sin(inf)
+            raise DomainError(f"expression {text!r} at state {tuple(x)}, input "
+                              f"{tuple(u)}: {type(exc).__name__}: {exc}",
+                              state=tuple(x), inp=tuple(u)) from exc
 
     return run

@@ -6,12 +6,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ParseError, ValidationError
 from .system import json_number, read_object
 
-__all__ = ["Polynomial", "parse_polynomial"]
+__all__ = ["Polynomial", "parse_polynomial", "tabulate"]
 
 
 @dataclass(frozen=True)
@@ -54,35 +54,107 @@ class Polynomial:
         variables with a nonzero exponent, and the sum ((0.0 + m0) + m1)...
         in term order. Coefficients come in as a tuple, never as source text.
         """
-        top = [max((exps[i] for exps, _ in self.terms), default=0)
-               for i in range(self.n_vars)]
-        body = ["".join(f"x{i}, " for i in range(self.n_vars)) + "= point"]
-        for i, e_max in enumerate(top):
-            prev = "1.0"
-            for e in range(1, e_max + 1):
-                body.append(f"p{i}_{e} = {prev} * x{i}")
-                prev = f"p{i}_{e}"
-        # one statement per term: a single long sum would nest past the
-        # compiler's recursion limit for a few thousand terms
-        body.append("total = 0.0")
+        every = range(self.n_vars)
+        return self._compile("point", [
+            f"{_targets(f'x{i}' for i in every)} = point",
+            *self._powers(every),
+            # one statement per term: a single long sum would nest past the
+            # compiler's recursion limit for a few thousand terms
+            "total = 0.0",
+            *(f"total += c{k}{_factors(exps, every)}"
+              for k, (exps, _) in enumerate(self.terms)),
+            "return total",
+        ])
+
+    def table(self, rows: Sequence[Sequence[float]],
+              cols: Sequence[Sequence[float]]) -> list[list[float]]:
+        """values[i][j] == self(rows[i] + cols[j]), bit for bit.
+
+        Every row holds the same leading variables and every column the
+        rest; the dimension is checked on the first of each only.
+        """
+        if not rows or not cols:
+            return [[] for _ in rows]
+        split = len(rows[0])
+        if split + len(cols[0]) != self.n_vars:
+            raise ValidationError(f"point has {split + len(cols[0])} coordinates, "
+                                  f"expected {self.n_vars}")
+        kernel = self._tables.get(split)
+        if kernel is None:
+            kernel = self._tables[split] = self._table_kernel(split)
+        return kernel(rows, cols)
+
+    @cached_property
+    def _tables(self) -> dict[int, Callable]:
+        """The table kernels generated so far, by the number of row variables."""
+        return {}
+
+    def _table_kernel(self, split: int) -> Callable:
+        """The operations of `_evaluate`, split at variable `split`: each
+        monomial's row prefix (coef*P0)*...*P(split-1) is taken once per row
+        and multiplied by the column powers, which are built once per call,
+        so every product and the sum keep their order."""
+        row_vars, col_vars = range(split), range(split, self.n_vars)
+        col_powers = _targets(f"p{i}_{e}" for i in col_vars
+                              for e in range(1, self._top[i] + 1))
+        heads = []  # each term's row prefix: a name bound per row, or its coefficient
+        prefixes = []
         for k, (exps, _) in enumerate(self.terms):
-            factors = "".join(f" * p{i}_{e}" for i, e in enumerate(exps) if e)
-            body.append(f"total += c{k}{factors}")
-        body.append("return total")
+            factors = _factors(exps, row_vars)
+            heads.append(f"m{k}" if factors else f"c{k}")
+            if factors:
+                prefixes.append(f"m{k} = c{k}{factors}")
+        return self._compile("rows, cols", [
+            "powers = []",
+            f"for {_targets(f'x{i}' for i in col_vars)} in cols:",
+            *(f"    {line}" for line in self._powers(col_vars)),
+            f"    powers.append({col_powers})",
+            "out = []",
+            f"for {_targets(f'x{i}' for i in row_vars)} in rows:",
+            *(f"    {line}" for line in (*self._powers(row_vars), *prefixes)),
+            "    row = []",
+            f"    for {col_powers} in powers:",
+            "        total = 0.0",
+            *(f"        total += {head}{_factors(exps, col_vars)}"
+              for head, (exps, _) in zip(heads, self.terms)),
+            "        row.append(total)",
+            "    out.append(row)",
+            "return out",
+        ])
+
+    @cached_property
+    def _top(self) -> list[int]:
+        """Each variable's largest exponent."""
+        return [max((exps[i] for exps, _ in self.terms), default=0)
+                for i in range(self.n_vars)]
+
+    def _powers(self, variables: range) -> list[str]:
+        """Lines binding p{i}_{e} = v^e for each variable i and exponent e."""
+        lines = []
+        for i in variables:
+            prev = "1.0"
+            for e in range(1, self._top[i] + 1):
+                lines.append(f"p{i}_{e} = {prev} * x{i}")
+                prev = f"p{i}_{e}"
+        return lines
+
+    def _compile(self, params: str, body: list[str]) -> Callable:
+        """`def f(params): body`, with the coefficients bound as c0, c1, ..."""
         source = "\n".join([
             "def bind(coefs):",
-            "    (" + "".join(f"c{k}, " for k in range(len(self.terms))) + ") = coefs",
-            "    def evaluate(point):",
+            f"    {_targets(f'c{k}' for k in range(len(self.terms)))} = coefs",
+            f"    def f({params}):",
             *(f"        {line}" for line in body),
-            "    return evaluate",
+            "    return f",
         ])
         namespace = {"__builtins__": {}}
         exec(compile(source, "<polynomial>", "exec"), namespace)
         return namespace["bind"](tuple(coef for _, coef in self.terms))
 
     def __getstate__(self) -> dict:
-        # the generated evaluator does not pickle; it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_evaluate"}
+        # the generated code does not pickle; it is rebuilt on first use
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("_evaluate", "_tables")}
 
     def to_json(self) -> str:
         doc = {
@@ -90,6 +162,26 @@ class Polynomial:
             "terms": [{"exps": list(e), "coef": c} for e, c in self.terms],
         }
         return json.dumps(doc, indent=2) + "\n"
+
+
+def _targets(names: Iterable[str]) -> str:
+    """Source of the tuple of `names`, as a target or a value: "(a, b, )"."""
+    return "(" + "".join(f"{name}, " for name in names) + ")"
+
+
+def _factors(exps: tuple[int, ...], variables: range) -> str:
+    """Source of the power factors " * p{i}_{e}" of `variables` in a monomial."""
+    return "".join(f" * p{i}_{exps[i]}" for i in variables if exps[i])
+
+
+def tabulate(f: Callable[[Sequence[float]], float], rows: Sequence[Sequence[float]],
+             cols: Sequence[Sequence[float]]) -> list[list[float]]:
+    """values[i][j] == f(rows[i] + cols[j]): one `table` call when `f` has
+    one (a Polynomial), otherwise one call of `f` per point."""
+    table = getattr(f, "table", None)
+    if table is not None:
+        return table(rows, cols)
+    return [[f(r + c) for c in cols] for r in rows]
 
 
 def parse_polynomial(text: str | bytes) -> Polynomial:

@@ -36,6 +36,7 @@ __all__ = [
     "json_array",
     "json_number",
     "json_texts",
+    "decode_utf8",
     "read_object",
 ]
 
@@ -326,12 +327,22 @@ def pre(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
 # -- file format ------------------------------------------------------------
 
 
+def decode_utf8(data: bytes) -> str:
+    """`data` as text. Bytes that are not UTF-8 are a ParseError naming the
+    first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from exc
+
+
 def read_object(text: str | bytes, keys: Sequence[str]) -> dict:
     """Decode a JSON input document whose top level is an object holding
-    every key in `keys`. Malformed JSON is a ParseError naming its line and
-    column; a top level that is not an object, or a missing key, is one too."""
+    every key in `keys`. Bytes that are not UTF-8 are a ParseError naming
+    the first bad byte; malformed JSON is one naming its line and column; a
+    top level that is not an object, or a missing key, is one too."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = decode_utf8(text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

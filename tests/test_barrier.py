@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from opacue.barrier import (
+    Violation,
     build_regions,
     check_lack_barrier,
     check_opacity_barrier,
@@ -347,3 +348,83 @@ def test_regions_match_the_pairwise_closeness_definition():
         signed_zeros += sum(v == 0 and math.copysign(1.0, v) < 0
                             for y in ys.values() for v in y)
     assert exact_gaps and signed_zeros
+
+
+# -- tabulated decrease scans --------------------------------------------------
+
+def _random_candidate(rng: random.Random, n_vars: int, scale: float) -> Polynomial:
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        exps = tuple(rng.randint(0, 2) for _ in range(n_vars))
+        terms.setdefault(exps, scale * rng.choice((1.0, -1.0, 0.5, rng.uniform(-2, 2))))
+    return Polynomial(n_vars, tuple(terms.items()))
+
+
+def _decrease_by_definition(candidate, cs, resolution, pairs, quantify, margin):
+    """Each pair's slack by the definition: pointwise, every row of the
+    slack matrix spelled out, NaN where a slack is not finite."""
+    inputs = grid(cs.input_box, resolution)
+    slacks = []
+    for x, xh in pairs:
+        base = candidate(x + xh)
+        rows = [[base - candidate(cs.step(x, u) + cs.step(xh, uh)) - margin
+                 for uh in inputs] for u in inputs]
+        finite = all(math.isfinite(v) for row in rows for v in row)
+        slacks.append((x + xh, quantify(rows) if finite else math.nan))
+    return slacks
+
+
+def test_tabulated_decrease_matches_the_pointwise_definition():
+    rng = random.Random(1018)
+    kinds = [(check_opacity_barrier, decrease_forall_exists, 0.0),
+             (check_lack_barrier, decrease_exists_forall, 1e-9)]
+    for trial in range(40):
+        dim = 1 + trial % 2
+        box = Box(((-0.5, 0.5),) * dim)
+        cs = DtControlSystem(
+            state_box=box,
+            initial_region=BoxUnion((box,)),
+            secret_region=BoxUnion((Box(((0.0, 0.5),) + ((-0.5, 0.5),) * (dim - 1)),)),
+            input_box=Box(((0.0, 0.25),)),
+            dynamics=tuple(f"{rng.uniform(-0.6, 0.6)!r}*x{i + 1} + "
+                           f"{rng.uniform(-1, 1)!r}*u1" for i in range(dim)),
+            output=tuple(f"x{i + 1}" for i in range(dim)),
+            iss_cert=IssCertificate(1.0, 0.6, 0.0, 1.0),
+        )
+        resolution = 0.125 if dim == 1 else 0.25
+        # 1e307: values past the bound below which base - v cannot overflow
+        candidate = _random_candidate(rng, 2 * dim, rng.choice((1.0, 1e307)))
+        delta = rng.uniform(0.0, 0.5)
+        regions = build_regions(cs, delta, resolution)
+        unsafe = set(regions.ru)
+        for (check, quantify, margin), pairs in zip(kinds, (
+                regions.r, [p for p in regions.r if p not in unsafe])):
+            report = check(candidate, cs, delta, resolution)
+            pointwise = check(lambda p: candidate(p), cs, delta, resolution)
+            assert report.to_report() == pointwise.to_report()
+            assert report.violations == pointwise.violations
+            slacks = _decrease_by_definition(candidate, cs, resolution, pairs,
+                                             quantify, margin)
+            assert report.sample_counts["decrease"] == len(slacks)
+            assert repr(report.min_margin["decrease"]) == repr(min(s for _, s in slacks))
+            assert [v for v in report.violations if v.condition == "decrease"] == [
+                Violation("decrease", p, -s) for p, s in slacks if s < 0]
+
+
+def test_tabulated_decrease_raises_where_the_pointwise_scan_did():
+    cs = simple_cs(dyn="0.5*x1 + 0.25*u1")
+    corner = cs.step((1.0,), (0.2,))[0]  # off the lattice, a successor of 1.0 only
+    # NaN at the single successor pair (corner, 0.5); 0.5 = f(0.9, 0.2) = f(1.0, 0)
+    nan_at = lambda p: math.nan if p == (corner, 0.5) else GAP(p)
+    # finite everywhere: 1.5e308 at x = 1.0 and -0.375e308 at its successor
+    # 0.5, so base - v overflows at every pair with x = 1.0
+    steep = poly({(0, 0): -1.5e308, (1, 0): 1.5e308, (2, 0): 1.5e308})
+    # the first pair of each decrease scan whose slack matrix holds a NaN or inf
+    cases = [(nan_at, check_opacity_barrier, (1.0, 0.9)),
+             (nan_at, check_lack_barrier, (1.0, 0.9)),
+             (steep, check_opacity_barrier, (1.0, 0.0)),
+             (steep, check_lack_barrier, (1.0, 0.9))]
+    for candidate, check, point in cases:
+        with pytest.raises(DomainError) as info:
+            check(candidate, cs, 0.15, 0.1)
+        assert str(info.value) == f"decrease: slack nan is not finite at {point}"

@@ -641,6 +641,35 @@ def test_abstract_rejects_non_finite_quantization(capsys, tmp_path, flag, value)
               "--unsound", *(f"--{key}={val}" for key, val in values.items()))
 
 
+@pytest.mark.parametrize("dynamics,error", [
+    ("1/x1", "ZeroDivisionError: float division by zero"),  # each used to exit 5
+    ("exp(1000 + x1)", "OverflowError: math range error"),
+    ("sin(x1*1e308*1e308)", "ValueError: math domain error"),  # sin(inf)
+], ids=["division", "overflow", "sin-inf"])
+def test_expression_errors_are_domain_errors(capsys, tmp_path, dynamics, error):
+    plant = _write(tmp_path, "faulty.json", {**PLANT, "dynamics": [dynamics]})
+    barrier = _barrier_argv(tmp_path)
+    barrier[barrier.index("--system") + 1] = plant
+    abstract = ["abstract", "--system", plant, "--eta", "0.5", "--mu", "0.1",
+                "--epsilon", "1.5", "--unsound"]
+    for argv in (barrier, abstract):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), (argv, code, err)
+        assert err.startswith(f"error: expression {dynamics!r} at state (")
+        assert err.endswith(f"{error}\n"), err
+
+
+def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
+    # used to exit 5 with a UnicodeDecodeError
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    barrier = _barrier_argv(tmp_path)
+    barrier[barrier.index("--system") + 1] = str(bad)
+    verify = ["verify", "--system", str(bad), "--notion", "initial-state", "--delta", "0"]
+    for argv in (verify, barrier):
+        assert run(capsys, *argv) == (3, "", "error: byte 0: not UTF-8 (invalid start byte)\n")
+
+
 def test_compose_rejects_resolution_wider_than_a_state_interval(capsys, tmp_path):
     # used to sample x = 0 only and report all_passed
     code, out, err = run(capsys, *_compose_argv(tmp_path, resolution="5"))

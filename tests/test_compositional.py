@@ -17,6 +17,7 @@ from opacue.compositional import (
 )
 from opacue.control import IssCertificate
 from opacue.errors import DomainError, QuantizationError, SmallGainError, ValidationError
+from opacue.polynomial import Polynomial
 
 
 def sub(a=0.5, b=0.2, state=(0.0, 1.0), initial=(0.0, 0.2), secret=(0.6, 1.0)):
@@ -139,7 +140,8 @@ def test_compose_barriers_norm_certificate_end_to_end():
 
 
 def test_compose_barriers_decrease_evaluates_each_pair_value_once():
-    # per (x, xh) pair: B(x, xh) once, then B at the successors of every (w, wh)
+    # B once per (x, xh) pair, shared by every condition, then B at the
+    # successors of every (w, wh) of each pair
     calls = []
 
     def counted(p):
@@ -152,10 +154,8 @@ def test_compose_barriers_decrease_evaluates_each_pair_value_once():
     assert report.all_passed  # no condition stops its scan early
     xs = grid_interval(0.0, 1.0, resolution)  # both state intervals
     pairs = [(x, xh) for x in xs for xh in xs]
-    initial = 0  # the initial and secret intervals are disjoint
-    unsafe = sum(abs(x - xh) > delta for x, xh in pairs)
-    decrease = len(pairs) * (1 + len(xs) ** 2)
-    assert len(calls) == 2 * (len(pairs) + initial + unsafe + decrease)
+    decrease = len(pairs) * len(xs) ** 2
+    assert len(calls) == 2 * (len(pairs) + decrease)
 
 
 def test_compose_barriers_reports_local_falsification():
@@ -236,3 +236,20 @@ def test_compose_simulation_rejects_steps_wider_than_a_state_interval(flags):
             "resolution": 0.1, **flags}
     with pytest.raises(QuantizationError, match="exceeds the span 1.0 of the state interval"):
         compose_simulation(sub(), sub(), v, v, **args)
+
+
+def test_compose_barriers_tables_match_pointwise_calls():
+    rng = random.Random(1018)
+    for _ in range(30):
+        subs = [sub(a=rng.uniform(-0.8, 0.5), b=rng.uniform(-0.3, 0.3), initial=(0.0, 1.0))
+                for _ in "12"]
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            terms.setdefault((rng.randint(0, 2), rng.randint(0, 2)),
+                             rng.choice((1.0, -0.5, rng.uniform(-2, 2))))
+        b = Polynomial(2, tuple(terms.items()))
+        args = (*subs, rng.uniform(0.0, 0.6), rng.choice((0.1, 0.2, 0.25)))
+        tabulated = compose_barriers(b, b, *args)
+        pointwise = compose_barriers(lambda p: b(p), lambda p: b(p), *args)
+        assert tabulated.checks == pointwise.checks
+        assert tabulated.to_report() == pointwise.to_report()

@@ -16,7 +16,7 @@ from opacue.control import (
     evaluate_quantization_inequality,
     parse_control_system,
 )
-from opacue.errors import ParseError, ValidationError
+from opacue.errors import DomainError, ParseError, ValidationError
 from opacue.expr import compile_expr
 
 
@@ -84,6 +84,8 @@ def _random_expr(rng, names, depth):
 def _outcome(fn, x, u):
     try:
         value = fn(x, u)
+    except DomainError as exc:  # compile_expr raises it from the arithmetic error
+        return DomainError, type(exc.__cause__)
     except ArithmeticError as exc:  # division by zero, exp overflow
         return type(exc)
     except ValueError:  # sin/cos of an infinity
@@ -108,7 +110,10 @@ def test_compiled_expressions_match_the_dict_eval_path():
         for _ in range(4):
             x = tuple(rng.choice(coords) for _ in range(n_states))
             u = tuple(rng.choice(coords) for _ in range(n_inputs))
-            assert _outcome(compiled, x, u) == _outcome(reference, x, u), (text, x, u)
+            got, want = _outcome(compiled, x, u), _outcome(reference, x, u)
+            if isinstance(want, type):  # the reference raised: the compiled path wraps it
+                want = DomainError, want
+            assert got == want, (text, x, u)
     assert {"Add", "Sub", "Mult", "Div", "USub", "Call", "Constant", "Name",
             "sin", "cos", "exp", "abs"} <= seen
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from opacue.errors import ParseError, ValidationError
-from opacue.polynomial import Polynomial, parse_polynomial
+from opacue.polynomial import Polynomial, parse_polynomial, tabulate
 
 
 def test_parse_and_evaluate():
@@ -161,3 +161,43 @@ def test_parse_rejects_a_bool_variable_count():
     # "vars": true used to be read as one variable
     with pytest.raises(ParseError, match="vars"):
         parse_polynomial('{"vars": true, "terms": [{"exps": [1], "coef": 1.0}]}')
+
+
+def test_table_is_bit_identical_to_pointwise_calls():
+    rng = random.Random(20261018)
+    coefs = [0.0, -0.0, 1e300, -1e300, 1.0, -2.5]
+    # signed zeros; 1e200 squared overflows to inf, and inf - inf is NaN
+    coords = [0.0, -0.0, 1e200, -1e200, 0.5, -1.25, 3.0]
+    seen = set()
+
+    def points(dim, count):
+        return [tuple(rng.choice(coords) if rng.random() < 0.5 else rng.uniform(-2, 2)
+                      for _ in range(dim)) for _ in range(count)]
+
+    for _ in range(400):
+        n_vars = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 4) for _ in range(n_vars))
+            terms.setdefault(exps, rng.choice(coefs) if rng.random() < 0.5
+                             else rng.uniform(-3, 3))
+        poly = Polynomial(n_vars, tuple(terms.items()))
+        for split in range(n_vars + 1):
+            rows = points(split, rng.randint(1, 4))
+            cols = points(n_vars - split, rng.randint(1, 4))
+            want = [[repr(poly(r + c)) for c in cols] for r in rows]
+            for table in (poly.table(rows, cols), tabulate(poly, rows, cols),
+                          tabulate(lambda p: poly(p), rows, cols)):
+                assert [[repr(v) for v in row] for row in table] == want, (poly, rows, cols)
+            seen.update(v for row in want for v in row if v in ("inf", "-inf", "nan"))
+            with pytest.raises(ValidationError, match="point has"):
+                poly.table(rows, [c + (0.0,) for c in cols])
+    assert seen == {"inf", "-inf", "nan"}
+
+
+def test_table_of_many_terms_and_after_pickling():
+    terms = tuple(((a, b), 0.5 - (a + b) % 3) for a in range(80) for b in range(50))
+    poly = pickle.loads(pickle.dumps(Polynomial(2, terms)))
+    rows, cols = [(0.99,), (-0.5,)], [(-1.01,), (0.25,), (1.0,)]
+    assert poly.table(rows, cols) == [[poly(r + c) for c in cols] for r in rows]
+    assert poly.table([], cols) == [] and poly.table(rows, []) == [[], []]
