@@ -262,8 +262,12 @@ def _cmd_compose(args: argparse.Namespace) -> int:
                 "barrier composition needs --barrier1, --barrier2, --delta, "
                 "and --resolution"
             )
-        b1 = parse_polynomial(_read(args.barrier1))
-        b2 = parse_polynomial(_read(args.barrier2))
+        text1 = _read(args.barrier1)
+        b1 = parse_polynomial(text1)
+        text2 = _read(args.barrier2)
+        # One candidate for both subsystems is parsed, and its table
+        # kernels compiled, once.
+        b2 = b1 if text2 == text1 else parse_polynomial(text2)
         report = compose_barriers(b1, b2, sub1, sub2, args.delta,
                                   args.resolution, args.margin)
         doc.update(report.to_report())
@@ -275,26 +279,18 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return EXIT_PASS if gains.small_gain_ok else EXIT_FAIL
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="opacue",
-        description="Exact and approximate opacity verification for finite "
-                    "metric transition systems and their finite abstractions.",
-    )
-    parser.add_argument("--version", action="version", version=f"opacue {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p: argparse.ArgumentParser, delta_required=True, cap=True) -> None:
+    p.add_argument("--system", required=True, help="input file")
+    if delta_required:
+        p.add_argument("--delta", type=float, required=True,
+                       help="measurement precision threshold (no default)")
+    if cap:
+        p.add_argument("--cap", type=int, default=None,
+                       help="state cap, at least 1 (default: OPACUE_CAP or 2,000,000)")
 
-    def common(p, delta_required=True, cap=True):
-        p.add_argument("--system", required=True, help="input file")
-        if delta_required:
-            p.add_argument("--delta", type=float, required=True,
-                           help="measurement precision threshold (no default)")
-        if cap:
-            p.add_argument("--cap", type=int, default=None,
-                           help="state cap, at least 1 (default: OPACUE_CAP or 2,000,000)")
 
-    p = sub.add_parser("verify", help="decide opacity of a finite system")
-    common(p)
+def _define_verify(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.add_argument("--notion", required=True, choices=sorted(k.value for k in NotionKind))
     p.add_argument("--k", type=int, default=None, help="delay bound for k-step")
     p.add_argument("--oracle", action="store_true",
@@ -303,28 +299,32 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="include wall_ms in the report (breaks byte-identity)")
     p.set_defaults(fn=_cmd_verify)
 
-    p = sub.add_parser("observer", help="build the paper's forward pair observer")
-    common(p)
+
+def _define_observer(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.add_argument("--notion", default="initial-state",
                    choices=["initial-state", "current-state"])
     p.add_argument("--export-dot", default=None, metavar="PATH")
     p.set_defaults(fn=_cmd_observer)
 
-    p = sub.add_parser("estimator", help="build the backward initial-state estimator")
-    common(p)
+
+def _define_estimator(p: argparse.ArgumentParser) -> None:
+    _common(p)
     p.add_argument("--export-dot", default=None, metavar="PATH")
     p.set_defaults(fn=_cmd_estimator)
 
-    p = sub.add_parser("simrel", help="compute the greatest InitSOP simulation relation")
-    common(p, delta_required=False)
+
+def _define_simrel(p: argparse.ArgumentParser) -> None:
+    _common(p, delta_required=False)
     p.add_argument("--abstract", required=True, help="abstract system file")
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--delta", type=float, default=None,
                    help="also transfer an opacity verdict at this threshold")
     p.set_defaults(fn=_cmd_simrel)
 
-    p = sub.add_parser("abstract", help="build a grid abstraction of a control system")
-    common(p, delta_required=False)
+
+def _define_abstract(p: argparse.ArgumentParser) -> None:
+    _common(p, delta_required=False)
     p.add_argument("--eta", type=float, required=True, help="state grid step")
     p.add_argument("--mu", type=float, required=True, help="input grid step")
     p.add_argument("--epsilon", type=float, required=True, help="target precision")
@@ -333,8 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the abstraction here")
     p.set_defaults(fn=_cmd_abstract)
 
-    p = sub.add_parser("barrier", help="check a candidate barrier certificate")
-    common(p, cap=False)
+
+def _define_barrier(p: argparse.ArgumentParser) -> None:
+    _common(p, cap=False)
     p.add_argument("--candidate", required=True, help="polynomial file")
     p.add_argument("--kind", required=True, choices=["opacity", "lack"])
     p.add_argument("--resolution", type=float, required=True)
@@ -342,8 +343,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="strictness margin for strict inequalities")
     p.set_defaults(fn=_cmd_barrier)
 
-    p = sub.add_parser("compose", help="small-gain composition of two subsystems")
-    common(p, delta_required=False, cap=False)
+
+def _define_compose(p: argparse.ArgumentParser) -> None:
+    _common(p, delta_required=False, cap=False)
     p.add_argument("--barrier1", default=None, help="local barrier for subsystem 1")
     p.add_argument("--barrier2", default=None, help="local barrier for subsystem 2")
     p.add_argument("--delta", type=float, default=None)
@@ -351,13 +353,50 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_compose)
 
+
+# Each command's help line and the function that adds its options and its
+# body to its parser, in the order `opacue -h` lists them.
+_COMMANDS = {
+    "verify": ("decide opacity of a finite system", _define_verify),
+    "observer": ("build the paper's forward pair observer", _define_observer),
+    "estimator": ("build the backward initial-state estimator", _define_estimator),
+    "simrel": ("compute the greatest InitSOP simulation relation", _define_simrel),
+    "abstract": ("build a grid abstraction of a control system", _define_abstract),
+    "barrier": ("check a candidate barrier certificate", _define_barrier),
+    "compose": ("small-gain composition of two subsystems", _define_compose),
+}
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; given `only`, with that command's parser alone.
+
+    Built for one command it parses that command's argv exactly as the full
+    parser does: an unrecognized argument is reported by the top-level
+    parser, whose usage line the `metavar` keeps naming every command.
+    """
+    parser = argparse.ArgumentParser(
+        prog="opacue",
+        description="Exact and approximate opacity verification for finite "
+                    "metric transition systems and their finite abstractions.",
+    )
+    parser.add_argument("--version", action="version", version=f"opacue {__version__}")
+    # Only on the filtered parser: on the full one a metavar would also
+    # replace "argument command" in the invalid-choice message.
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, define) in _COMMANDS.items():
+        if only in (None, name):
+            define(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
+    # A run builds only its command's parser. Anything else (-h, --version,
+    # no command or an unknown one) needs the full parser to answer.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(command).parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         if exc.code not in (0, None):

@@ -8,6 +8,7 @@ that the observer construction can hash sets of state pairs cheaply.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
 from bisect import bisect_left
@@ -385,6 +386,19 @@ def parse_system(text: str | bytes) -> MetricSystem:
     The first failing check, in document order, names the error. Checks
     that run per item build their message only when they fail.
     """
+    # The decoded document and the transition tuples are many small
+    # containers that all stay alive: cyclic garbage collection, triggered
+    # over and over while they are allocated, would find nothing to free.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_system(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_system(text: str | bytes) -> MetricSystem:
     keys = ("states", "inputs", "initial", "secret", "transitions")
     doc = read_object(text, keys)
     for key in keys:

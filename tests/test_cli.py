@@ -144,6 +144,76 @@ def test_cli_surface_is_pinned():
     assert surface == CLI_SURFACE
 
 
+_VERIFY = ["verify", "--system", C1, "--notion", "initial-state"]
+# Usage-level argvs: help, version, no or an unknown command, unrecognized
+# flags (reported with the top-level usage line), bad choices and values.
+USAGE_CORPUS = [
+    ["-h"], ["--help"], ["--version"], [], ["bogus"], ["-h", "verify"],
+    ["--version", "verify"], ["--bogus"],
+    *([name, "-h"] for name in CLI_SURFACE),
+    ["verify"], ["verify", "--help", "--bogus"], ["verify", "--version"],
+    [*_VERIFY, "--delta", "0", "--bogus"], [*_VERIFY, "--delta", "0", "extra"],
+    ["observer", "--system", C1, "--delta", "0", "--k", "1"],
+    ["compose", "--system", C1, "--cap", "5"],
+    ["verify", "--system", C1, "--notion", "pre", "--delta", "0"],
+    ["barrier", "--system", C1, "--candidate", C1, "--kind", "both",
+     "--delta", "0", "--resolution", "0.1"],
+    _VERIFY, [*_VERIFY, "--delta", "-inf"], [*_VERIFY, "--delta", "x"],
+    [*_VERIFY, "--delta", "0", "--k", "one"], [*_VERIFY, "--delta", "0"],
+    ["observer", "--system", C1, "--delta", "0"],
+    ["estimator", "--system", C2, "--delta", "0", "--cap", "-3"],
+    ["simrel", "--system", C1, "--abstract", C1],
+    ["abstract", "--system", C1, "--eta", "0.5", "--mu", "0.1"],
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv).replace(f"{FIXTURES}/", "") or "no-arguments"
+
+
+@pytest.mark.parametrize("argv", USAGE_CORPUS, ids=_argv_id)
+def test_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only the named command's parser; every exit code and
+    # byte of output must be what the parser with all commands gives
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    build = opacue.cli._build_parser
+    got = run(capsys, *argv)
+    monkeypatch.setattr(opacue.cli, "_build_parser", lambda only=None: build())
+    assert got == run(capsys, *argv)
+
+
+def test_unknown_command_is_named_as_the_command_argument(capsys):
+    code, out, err = run(capsys, "bogus")
+    assert (code, out) == (3, "")
+    assert "opacue: error: argument command: invalid choice: 'bogus'" in err
+
+
+def _count_parsers(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+    built = _count_parsers(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--system", C1,
+                     "--notion", "initial-state", "--delta", "0")
+    assert (code, len(built)) == (1, 2)
+
+
+@pytest.mark.parametrize("argv,code", [(["-h"], 0), (["--version"], 0), (["bogus"], 3)])
+def test_help_version_and_unknown_commands_build_every_parser(capsys, monkeypatch,
+                                                              argv, code):
+    built = _count_parsers(monkeypatch)
+    assert (run(capsys, *argv)[0], len(built)) == (code, 8)
+
+
 def test_missing_delta_is_usage_error(capsys):
     code, _, _ = run(capsys, "verify", "--system", C1, "--notion", "initial-state")
     assert code == 3
@@ -436,6 +506,29 @@ def _compose_argv(tmp_path, subs=SUBS, **flags):
     return ["compose", "--system", _write(tmp_path, "ic.json", subs),
             "--barrier1", barrier, "--barrier2", barrier,
             *(f"--{key}={value}" for key, value in values.items())]
+
+
+def test_compose_parses_one_candidate_named_twice_once(capsys, monkeypatch, tmp_path):
+    # the same file for both subsystems compiles its table kernel once per
+    # split; the report is the one two separate parses give
+    from opacue.polynomial import Polynomial
+
+    kernels = []
+    generate = Polynomial._table_kernel
+
+    def counted(self, split):
+        kernels.append((id(self), split))
+        return generate(self, split)
+
+    monkeypatch.setattr(Polynomial, "_table_kernel", counted)
+    argv = _compose_argv(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and len(kernels) == len({split for _, split in kernels}) == 1
+    other = tmp_path / "b2.json"
+    other.write_text(" " + json.dumps(AFFINE))  # same polynomial, other text
+    argv[argv.index("--barrier2") + 1] = str(other)
+    kernels.clear()
+    assert run(capsys, *argv) == (code, out, err) and len(kernels) == 2
 
 
 def test_barrier_and_compose_flags_accept_the_valid_cases(capsys, tmp_path):

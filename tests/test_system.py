@@ -1,5 +1,6 @@
 """System core: post/pre, delta-closeness, parsing, canonical round-trips."""
 
+import gc
 import json
 import random
 
@@ -242,6 +243,21 @@ def test_parse_rejects_malformed_json():
     with pytest.raises(ParseError) as exc:
         parse_system("{not json")
     assert "line" in str(exc.value)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_restores_the_collector_state(gridworld, enabled):
+    # parsing pauses cyclic garbage collection and leaves it as it found it
+    text = serialize_system(gridworld)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert parse_system(text) == gridworld and gc.isenabled() is enabled
+        with pytest.raises(ParseError):
+            parse_system("{not json")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_parse_rejects_dangling_state():
