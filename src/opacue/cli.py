@@ -255,28 +255,32 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     sub1, sub2 = _parse_interconnection(_read(args.system))
     gains = small_gain(sub1, sub2)
     doc = {"small_gain": gains.to_report()}
-    if args.barrier1 or args.barrier2:
-        if not (args.barrier1 and args.barrier2 and args.delta is not None
-                and args.resolution is not None):
-            raise ValidationError(
-                "barrier composition needs --barrier1, --barrier2, --delta, "
-                "and --resolution"
-            )
-        text1 = _read(args.barrier1)
-        b1 = parse_polynomial(text1)
-        text2 = _read(args.barrier2)
-        # One candidate for both subsystems is parsed, and its table
-        # kernels compiled, once.
-        b2 = b1 if text2 == text1 else parse_polynomial(text2)
-        report = compose_barriers(b1, b2, sub1, sub2, args.delta,
-                                  args.resolution, args.margin)
-        doc.update(report.to_report())
+    # Any barrier or sampling flag asks for barrier composition, which
+    # needs all four; a failed small-gain condition is answered alike
+    # with and without them, before any candidate is read.
+    needed = (args.barrier1, args.barrier2, args.delta, args.resolution)
+    barriers = any(flag is not None for flag in (*needed, args.margin))
+    if barriers and None in needed:
+        raise ValidationError(
+            "barrier composition needs --barrier1, --barrier2, --delta, "
+            "and --resolution"
+        )
+    if not (barriers and gains.small_gain_ok):
         _emit(doc)
-        if not report.all_passed:
-            return EXIT_FAIL
-        return EXIT_INCONCLUSIVE  # sampled evidence only
+        return EXIT_PASS if gains.small_gain_ok else EXIT_FAIL
+    text1 = _read(args.barrier1)
+    b1 = parse_polynomial(text1)
+    text2 = _read(args.barrier2)
+    # One candidate for both subsystems is parsed, and its table
+    # kernels compiled, once.
+    b2 = b1 if text2 == text1 else parse_polynomial(text2)
+    margin = 1e-9 if args.margin is None else args.margin
+    report = compose_barriers(b1, b2, sub1, sub2, args.delta, args.resolution, margin)
+    doc.update(report.to_report())
     _emit(doc)
-    return EXIT_PASS if gains.small_gain_ok else EXIT_FAIL
+    if not report.all_passed:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE  # sampled evidence only
 
 
 def _common(p: argparse.ArgumentParser, delta_required=True, cap=True) -> None:
@@ -350,7 +354,7 @@ def _define_compose(p: argparse.ArgumentParser) -> None:
     p.add_argument("--barrier2", default=None, help="local barrier for subsystem 2")
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--margin", type=float, default=1e-9)
+    p.add_argument("--margin", type=float, default=None)
     p.set_defaults(fn=_cmd_compose)
 
 

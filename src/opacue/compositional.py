@@ -3,8 +3,8 @@
 Each subsystem is x_i+ = a_i*x_i + b_i*x_j with |a_i| < 1, the identity
 output map, and interval state/initial/secret sets. The gain of a subsystem
 is |b_i / (1 - a_i)|; when the product of the two gains is below one, local
-simulation functions and local barrier certificates compose by pointwise
-maximum into certificates for the interconnection.
+barrier certificates compose by pointwise maximum into a barrier
+certificate for the interconnection.
 """
 
 from __future__ import annotations
@@ -25,20 +25,14 @@ __all__ = [
     "LinearSubsystem",
     "GainReport",
     "small_gain",
-    "compose_simulation",
     "compose_barriers",
     "interconnect",
-    "SimFunctionCheck",
-    "SimCompositionReport",
     "BarrierConditionCheck",
     "BarrierCompositionReport",
 ]
 
-# Local simulation function V_i(x_i, xhat_i) and local barrier B_i(x_i, xhat_i).
-PairFn = Callable[[float, float], float]
-# One sampled condition instance: its witness point and its slack, where a
-# slack of None means the sample has no partner to match it.
-Sample = tuple[tuple[float, ...], Optional[float]]
+# One sampled condition instance: its witness point and its slack.
+Sample = tuple[tuple[float, ...], float]
 
 
 @dataclass(frozen=True)
@@ -101,15 +95,6 @@ def small_gain(sub1: LinearSubsystem, sub2: LinearSubsystem) -> GainReport:
                       small_gain_ok=product < 1)
 
 
-def _require_small_gain(sub1: LinearSubsystem, sub2: LinearSubsystem) -> GainReport:
-    report = small_gain(sub1, sub2)
-    if not report.small_gain_ok:
-        raise SmallGainError(
-            f"small-gain condition failed: gamma1*gamma2 = {report.product} >= 1"
-        )
-    return report
-
-
 def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
                  cert: Optional[IssCertificate] = None) -> DtControlSystem:
     """The 2-D feedback interconnection as a control system (no external input).
@@ -144,57 +129,16 @@ def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
     )
 
 
-@dataclass(frozen=True)
-class SimFunctionCheck:
-    condition: str
-    passed: bool
-    min_margin: Optional[float]
-    witness: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class SimCompositionReport:
-    gains: GainReport
-    local_checks: tuple[tuple[SimFunctionCheck, ...], tuple[SimFunctionCheck, ...]]
-    interconnected_checks: tuple[SimFunctionCheck, ...]
-    composed: Callable[[Sequence[float], Sequence[float]], float]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(
-            c.passed
-            for group in (*self.local_checks, self.interconnected_checks)
-            for c in group
-        )
-
-
-def _lattice(iv: Interval, step: float) -> list[float]:
-    return grid_interval(iv.lo, iv.hi, step)
-
-
-def _check_spans(subs: Sequence[LinearSubsystem], resolution: float,
-                 eta: Sequence[float] = ()) -> None:
-    """The resolution against each subsystem's state interval, and each
-    eta, when given, against its own subsystem's."""
-    for idx, sub in enumerate(subs, 1):
-        span, of = sub.state.hi - sub.state.lo, f"state interval of subsystem {idx}"
-        check_span("resolution", resolution, span, of)
-        if eta:
-            check_span(f"eta{idx}", eta[idx - 1], span, of)
-
-
 def _scan(name: str, samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tuple]]:
     """(passed, smallest slack, witness) of one sampled condition.
 
-    Stops at the first sample with a negative slack or without a partner;
-    the witness is the worst sample seen, or the partnerless one. A slack
-    that is not finite raises: NaN would pass every comparison.
+    Stops at the first sample with a negative slack; the witness is the
+    worst sample seen. A slack that is not finite raises: NaN would pass
+    every comparison.
     """
     worst = witness = None
     inf = math.inf  # a local name: this test runs once per sample
     for point, slack in samples:
-        if slack is None:
-            return False, worst, point
         if not -inf < slack < inf:
             raise DomainError(f"{name}: slack {slack} is not finite at {point}")
         if worst is None or slack < worst:
@@ -202,127 +146,6 @@ def _scan(name: str, samples: Iterable[Sample]) -> tuple[bool, Optional[float], 
         if slack < 0:
             return False, worst, witness
     return True, worst, None
-
-
-def _slack(eps: float, values: list[float], pick: Callable = min) -> Optional[float]:
-    """eps - pick(values): the slack of "some value is within eps" (min) or of
-    "every value is" (max); None when there is no value to match, and NaN
-    when a value is not finite, which `pick` could hide."""
-    if not values:
-        return None
-    return eps - pick(values) if all(map(math.isfinite, values)) else math.nan
-
-
-def _sim_conditions(
-    sub: LinearSubsystem,
-    partner: LinearSubsystem,
-    v: PairFn,
-    eps: float,
-    theta: float,
-    eta: float,
-    eta_partner: float,
-    resolution: float,
-) -> tuple[SimFunctionCheck, ...]:
-    """Sample the local simulation-function conditions for one subsystem."""
-    xs = _lattice(sub.state, resolution)
-    abstract = _lattice(sub.state, eta)
-    abstract_secret = [p for p in abstract if sub.secret.contains(p)]
-    abstract_nonsecret = [p for p in abstract if not sub.secret.contains(p)]
-    initial = [x for x in xs if sub.initial.contains(x)]
-    secret_init = [x for x in initial if sub.secret.contains(x)]
-    nonsecret_init = [x for x in initial if not sub.secret.contains(x)]
-    ws = _lattice(partner.state, resolution)
-    w_abstract = _lattice(partner.state, eta_partner)
-
-    def step_matching() -> Iterable[Sample]:
-        # From every eps-related pair, for all theta-close internal inputs:
-        # 3a: some abstract successor tracks the concrete step; 3b: the
-        # concrete step tracks every abstract successor (the concrete side
-        # is deterministic). 3b implies 3a, so the slack is that of 3b.
-        for x in xs:
-            for xh in abstract:
-                if v(x, xh) > eps:
-                    continue
-                for w in ws:
-                    for wh in w_abstract:
-                        if abs(w - wh) > theta:
-                            continue
-                        x_next, image = sub.step(x, w), sub.step(xh, wh)
-                        yield (x, xh, w, wh), _slack(eps, [
-                            v(x_next, p) for p in abstract if abs(p - image) <= eta
-                        ], max)
-
-    conditions = (
-        # 1a: every secret initial sample is eps-tracked by an abstract secret state.
-        ("1a", (((x0,), _slack(eps, [v(x0, xh) for xh in abstract_secret]))
-                for x0 in secret_init)),
-        # 1b: every abstract non-secret state (all abstract states are initial)
-        # is eps-tracked by a non-secret initial sample.
-        ("1b", (((xh,), _slack(eps, [v(x0, xh) for x0 in nonsecret_init]))
-                for xh in abstract_nonsecret)),
-        # 2: V dominates the tracking distance everywhere.
-        ("2", (((x, xh), v(x, xh) - abs(x - xh)) for x in xs for xh in abstract)),
-        ("3", step_matching()),
-    )
-    return tuple(SimFunctionCheck(name, *_scan(name, samples))
-                 for name, samples in conditions)
-
-
-def compose_simulation(
-    sub1: LinearSubsystem,
-    sub2: LinearSubsystem,
-    v1: PairFn,
-    v2: PairFn,
-    eps: tuple[float, float],
-    theta: tuple[float, float],
-    eta: tuple[float, float],
-    resolution: float,
-) -> SimCompositionReport:
-    """Compose local simulation functions by pointwise maximum.
-
-    Requires the small-gain condition (SmallGainError otherwise). Samples
-    the local conditions for each subsystem with its interface bounds
-    (eps_i, theta_i), then samples the interconnected step-matching
-    condition for the composed function on the product grid.
-    """
-    for name, value in zip(("eps1", "eps2", "theta1", "theta2"), (*eps, *theta)):
-        check_threshold(name, value)
-    _check_spans((sub1, sub2), resolution, eta)
-    gains = _require_small_gain(sub1, sub2)
-
-    local1 = _sim_conditions(sub1, sub2, v1, eps[0], theta[0], eta[0], eta[1], resolution)
-    local2 = _sim_conditions(sub2, sub1, v2, eps[1], theta[1], eta[1], eta[0], resolution)
-
-    def composed(x: Sequence[float], xh: Sequence[float]) -> float:
-        return max(v1(x[0], xh[0]), v2(x[1], xh[1]))
-
-    eps_all = max(eps)
-    xs1, xs2 = _lattice(sub1.state, resolution), _lattice(sub2.state, resolution)
-    ab1, ab2 = _lattice(sub1.state, eta[0]), _lattice(sub2.state, eta[1])
-
-    def step_matching() -> Iterable[Sample]:
-        for x1 in xs1:
-            for x2 in xs2:
-                for xh1 in ab1:
-                    for xh2 in ab2:
-                        if composed((x1, x2), (xh1, xh2)) > eps_all:
-                            continue
-                        n1, n2 = sub1.step(x1, x2), sub2.step(x2, x1)
-                        img1, img2 = sub1.step(xh1, xh2), sub2.step(xh2, xh1)
-                        succ1 = [p for p in ab1 if abs(p - img1) <= eta[0]]
-                        succ2 = [p for p in ab2 if abs(p - img2) <= eta[1]]
-                        yield (x1, x2, xh1, xh2), _slack(eps_all, [
-                            composed((n1, n2), (p1, p2)) for p1 in succ1 for p2 in succ2
-                        ], max)
-
-    return SimCompositionReport(
-        gains=gains,
-        local_checks=(local1, local2),
-        interconnected_checks=(
-            SimFunctionCheck("3-interconnected", *_scan("3-interconnected", step_matching())),
-        ),
-        composed=composed,
-    )
 
 
 @dataclass(frozen=True)
@@ -366,8 +189,8 @@ def _barrier_conditions(
     margin: float,
 ) -> list[BarrierConditionCheck]:
     """Sample the four local-barrier conditions for one subsystem."""
-    xs = _lattice(sub.state, resolution)
-    ws = _lattice(partner.state, resolution)
+    xs = grid_interval(sub.state.lo, sub.state.hi, resolution)
+    ws = grid_interval(partner.state.lo, partner.state.hi, resolution)
     pairs = [(x, xh) for x in xs for xh in xs]
     # B over the pair grid, in the order of `pairs`
     values = list(chain(*tabulate(b, [(x,) for x in xs], [(xh,) for xh in xs])))
@@ -427,8 +250,13 @@ def compose_barriers(
     """
     check_delta(delta)
     check_threshold("margin", margin)
-    _check_spans((sub1, sub2), resolution)
-    gains = _require_small_gain(sub1, sub2)
+    for idx, sub in enumerate((sub1, sub2), 1):
+        check_span("resolution", resolution, sub.state.hi - sub.state.lo,
+                   f"state interval of subsystem {idx}")
+    gains = small_gain(sub1, sub2)
+    if not gains.small_gain_ok:
+        raise SmallGainError(
+            f"small-gain condition failed: gamma1*gamma2 = {gains.product} >= 1")
     checks = _barrier_conditions(1, sub1, sub2, b1, delta, resolution, margin)
     checks += _barrier_conditions(2, sub2, sub1, b2, delta, resolution, margin)
 

@@ -1,11 +1,10 @@
 """Pinned reports of the sampled certificate checks.
 
-Each case below runs `opacue barrier` or `opacue compose` on a fixed input,
-or calls `compose_simulation`, and compares the outcome with the value
-stored in `certificate_reports.json`: the exact JSON report and exit code,
-a digest of every barrier violation, and every simulation-function check.
-Any drift in a margin, witness, sample count or violation count shows up
-here.
+Each case below runs `opacue barrier` or `opacue compose` on a fixed input
+and compares the outcome with the value stored in `certificate_reports.json`:
+the exact JSON report and exit code, and a digest of every barrier
+violation. Any drift in a margin, witness, sample count or violation count
+shows up here.
 
 Regenerate the file with `python -m tests.test_certificate_reports`
 (only when a report is meant to change).
@@ -22,7 +21,6 @@ from pathlib import Path
 
 from opacue.barrier import check_lack_barrier, check_opacity_barrier
 from opacue.cli import main
-from opacue.compositional import Interval, LinearSubsystem, compose_simulation
 from opacue.control import parse_control_system
 from opacue.polynomial import parse_polynomial
 
@@ -100,38 +98,6 @@ COMPOSE = {
 }
 
 
-def _linear(a, b, initial=(0.0, 1.0), secret=(0.6, 1.0)):
-    return LinearSubsystem(a=a, b=b, state=Interval(0.0, 1.0),
-                           initial=Interval(*initial), secret=Interval(*secret))
-
-
-def _dist(x, xh):
-    return abs(x - xh)
-
-
-def _half_dist(x, xh):
-    return 0.5 * abs(x - xh)
-
-
-# name -> (sub1, sub2, v1, v2, eps, theta, eta, resolution)
-SIMULATION = {
-    "pass": (_linear(0.5, 0.2), _linear(0.5, 0.2), _dist, _dist,
-             (0.3, 0.3), (0.3, 0.3), (0.05, 0.05), 0.1),
-    "fail-1b": (_linear(0.5, 0.2, initial=(0.0, 0.2)), _linear(0.5, 0.2), _dist, _dist,
-                (0.3, 0.3), (0.3, 0.3), (0.05, 0.05), 0.1),
-    "fail-2": (_linear(0.5, 0.2), _linear(0.4, 0.1), _half_dist, _dist,
-               (0.3, 0.3), (0.3, 0.3), (0.05, 0.05), 0.1),
-    "fail-3": (_linear(0.5, 0.2), _linear(0.5, 0.2), _dist, _dist,
-               (0.06, 0.3), (0.3, 0.06), (0.05, 0.05), 0.1),
-    "fail-3-interconnected": (_linear(0.5, 0.2), _linear(0.6, 0.1), _dist, _dist,
-                              (0.3, 0.2), (0.2, 0.3), (0.05, 0.1), 0.1),
-    "no-partner": (_linear(-0.5, 0.4, secret=(0.6, 0.7)), _linear(0.5, 0.2), _dist, _dist,
-                   (0.3, 0.3), (0.3, 0.3), (0.25, 0.05), 0.1),
-    "no-partner-3": (_linear(-0.5, 0.4), _linear(-0.5, 0.4), _dist, _dist,
-                     (1.0, 1.0), (1.0, 1.0), (0.25, 0.25), 0.1),
-}
-
-
 def _cli(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -165,22 +131,12 @@ def _compose_outcome(name, workdir: Path) -> dict:
     return {"code": code, "stdout": stdout}
 
 
-def _simulation_outcome(name) -> list:
-    report = compose_simulation(*SIMULATION[name])
-    checks = [*report.local_checks[0], *report.local_checks[1],
-              *report.interconnected_checks]
-    # JSON round trip: floats keep their exact value, tuples become lists
-    return json.loads(json.dumps([[c.condition, c.passed, c.min_margin, c.witness]
-                                  for c in checks]))
-
-
 def outcomes() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         return {
             "barrier": {n: _barrier_outcome(n, workdir) for n in BARRIER},
             "compose": {n: _compose_outcome(n, workdir) for n in COMPOSE},
-            "simulation": {n: _simulation_outcome(n) for n in SIMULATION},
         }
 
 
@@ -196,13 +152,6 @@ def test_compose_reports_are_pinned(tmp_path):
     assert sorted(expected) == sorted(COMPOSE)
     for name in COMPOSE:
         assert _compose_outcome(name, tmp_path) == expected[name], name
-
-
-def test_simulation_checks_are_pinned():
-    expected = json.loads(EXPECTED.read_text())["simulation"]
-    assert sorted(expected) == sorted(SIMULATION)
-    for name in SIMULATION:
-        assert _simulation_outcome(name) == expected[name], name
 
 
 if __name__ == "__main__":

@@ -282,10 +282,10 @@ def test_estimator_export_dot(capsys, tmp_path):
     assert dot.read_text().startswith("digraph estimator")
 
 
-def _rejected(capsys, *argv):
-    """Exit 3, an error on stderr and nothing on stdout."""
+def _rejected(capsys, *argv, reason="finite"):
+    """Exit 3, an error naming `reason` on stderr and nothing on stdout."""
     code, out, err = run(capsys, *argv)
-    assert (code, out) == (3, "") and "finite" in err, (argv, code, out, err)
+    assert (code, out) == (3, "") and reason in err, (argv, code, out, err)
 
 
 def test_verify_rejects_non_finite_delta(capsys):
@@ -500,12 +500,15 @@ def _barrier_argv(tmp_path, candidate=GAP, **flags):
             *(f"--{key}={value}" for key, value in values.items())]
 
 
-def _compose_argv(tmp_path, subs=SUBS, **flags):
-    values = {"delta": "0.1", "resolution": "0.1", **flags}
-    barrier = _write(tmp_path, "b.json", AFFINE)
-    return ["compose", "--system", _write(tmp_path, "ic.json", subs),
-            "--barrier1", barrier, "--barrier2", barrier,
-            *(f"--{key}={value}" for key, value in values.items())]
+def _compose_argv(tmp_path, subs=SUBS, barrier=AFFINE, **flags):
+    """`compose` with `barrier` for both subsystems and default sampling
+    numbers; with no barrier, with the given flags alone."""
+    argv = ["compose", "--system", _write(tmp_path, "ic.json", subs)]
+    if barrier is not None:
+        path = _write(tmp_path, "b.json", barrier)
+        argv += ["--barrier1", path, "--barrier2", path]
+        flags = {"delta": "0.1", "resolution": "0.1", **flags}
+    return [*argv, *(f"--{key}={value}" for key, value in flags.items())]
 
 
 def test_compose_parses_one_candidate_named_twice_once(capsys, monkeypatch, tmp_path):
@@ -557,9 +560,30 @@ def test_barrier_rejects_bad_sampling_numbers(capsys, tmp_path, flags):
     {"margin": "-0.5"},
     {"delta": "nan"},
     {"delta": "inf"},
+    # without a barrier these used to be ignored: the gains, exit 0
+    {"barrier": None, "delta": "nan"},
+    {"barrier": None, "resolution": "0"},
+    {"barrier": None, "margin": "-1"},
+    {"barrier": None, "delta": "0.1", "resolution": "0.2"},
 ], ids=lambda flags: "-".join(f"{k}={v}" for k, v in flags.items()))
 def test_compose_rejects_bad_sampling_numbers(capsys, tmp_path, flags):
-    _rejected(capsys, *_compose_argv(tmp_path, **flags))
+    reason = "finite" if flags.get("barrier", AFFINE) else "needs --barrier1"
+    _rejected(capsys, *_compose_argv(tmp_path, **flags), reason=reason)
+
+
+def test_compose_answers_a_failed_small_gain_condition_alike_in_both_modes(
+        capsys, tmp_path):
+    # with barriers this used to print nothing and exit 3 (SmallGainError);
+    # no candidate is read, so a missing one changes nothing
+    subs = {key: {**sub, "a": 0.5, "b": 2.5} for key, sub in SUBS.items()}
+    code, out, err = run(capsys, "compose", "--system", _write(tmp_path, "ic.json", subs))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"small_gain": {"gamma1": 5.0, "gamma2": 5.0,
+                                              "product": 25.0, "small_gain_ok": False}}
+    argv = _compose_argv(tmp_path, subs)
+    assert run(capsys, *argv) == (code, out, err)
+    argv[argv.index("--barrier1") + 1] = str(tmp_path / "missing.json")
+    assert run(capsys, *argv) == (code, out, err)
 
 
 @pytest.mark.parametrize("coef", [float("nan"), float("inf"), float("-inf")])

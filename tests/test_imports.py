@@ -23,7 +23,7 @@ PUBLIC = {
     "boxes": "Box BoxUnion grid",
     "brute": "brute_force_opacity confirm_witness",
     "compositional": "GainReport Interval LinearSubsystem compose_barriers "
-                     "compose_simulation interconnect small_gain",
+                     "interconnect small_gain",
     "control": "DtControlSystem IssCertificate QuantizationParams affine_certificate "
                "evaluate_quantization_inequality parse_control_system",
     "delayed": "product_opacity verify_delayed_opacity",
