@@ -3,26 +3,26 @@
 The abstract state set is the eta-lattice of the state box (all of it
 initial), the abstract input set is the mu-lattice of the input box, and a
 lattice point is a successor of (state, input) exactly when it lies within
-eta (infinity norm) of the concrete image of that pair. Outputs are the
-concrete output map evaluated at the lattice points, so the result plugs
-directly into the finite-system verifiers.
+eta (infinity norm) of the concrete image of that pair: the whole transition
+table is one `system.close_rows` call from the images to the lattice points.
+Outputs are the concrete output map evaluated at the lattice points, so the
+result plugs directly into the finite-system verifiers.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Callable, Iterable, Optional
 
-from .boxes import BoxUnion, check_span, grid, grid_interval, nearest_lattice
+from .boxes import BoxUnion, check_span, grid, nearest_lattice
 from .control import (
     DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
 )
 from .errors import DomainError, QuantizationError, ResourceError
 from .observer import DEFAULT_STATE_CAP
-from .system import MetricSystem
+from .system import MetricSystem, close_rows, iter_bits
 
 __all__ = ["Abstraction", "build_abstraction", "sample_system"]
 
@@ -65,11 +65,11 @@ def build_abstraction(
             f"quantization inequality fails (lhs={qcheck.lhs} > rhs={qcheck.rhs}); "
             f"pass allow_unsound to build anyway"
         )
-    # Per-dimension lattice values of the state grid, for eta-ball lookups.
-    axes = [grid_interval(lo, hi, params.eta) for lo, hi in cs.state_box.bounds]
     system = _lattice_system(
         cs, params.eta, params.mu, cap, "abstraction",
-        partial(_ball_points, axes=axes, eta=params.eta),
+        lambda images, points: (
+            list(iter_bits(row)) for row in close_rows(images, points, params.eta)
+        ),
         None,  # every lattice point is initial
     )
     return Abstraction(
@@ -79,29 +79,6 @@ def build_abstraction(
         certified=qcheck.passed,
         check=qcheck,
     )
-
-
-def _ball_points(
-    image: Sequence[float], axes: list[list[float]], eta: float
-) -> list[tuple[float, ...]]:
-    """Lattice points within eta of the image, per dimension, exact compare.
-
-    Each axis is ascending and fl(v - value) is monotone in v, so the hits
-    on an axis form one window; bisection with the exact test
-    abs(v - value) <= eta finds its ends.
-    """
-    per_dim: list[list[float]] = []
-    for d, value in enumerate(image):
-        axis = axes[d]
-        lo = bisect_left(axis, True, key=lambda v: v - value >= -eta)
-        hi = bisect_left(axis, True, lo, key=lambda v: v - value > eta)
-        if lo == hi:
-            return []
-        per_dim.append(axis[lo:hi])
-    out: list[tuple[float, ...]] = [()]
-    for hits in per_dim:
-        out = [p + (v,) for p in out for v in hits]
-    return out
 
 
 def sample_system(
@@ -118,50 +95,56 @@ def sample_system(
     in the respective regions. This is the finite stand-in for the concrete
     system used by sampled-trajectory oracles.
     """
-    return _lattice_system(
-        cs, eta, mu, cap, "sampled system",
-        lambda image: [nearest_lattice(image, eta, cs.state_box)],
-        cs.initial_region,
-    )
+    def snap(images, points):
+        index = {p: i for i, p in enumerate(points)}
+        return ([index[nearest_lattice(image, eta, cs.state_box)]] for image in images)
+
+    return _lattice_system(cs, eta, mu, cap, "sampled system", snap, cs.initial_region)
 
 
 def _lattice_system(
     cs: DtControlSystem, eta: float, mu: float, cap: int, label: str,
-    successors: Callable[[tuple[float, ...]], list[tuple[float, ...]]],
+    successors: Callable[[list[tuple[float, ...]], list[tuple[float, ...]]],
+                         Iterable[list[int]]],
     initial: Optional[BoxUnion],
 ) -> MetricSystem:
     """The finite system on the eta-lattice of the state box and the
-    mu-lattice of the input box: (x, u) steps to every lattice point
-    `successors` gives for the image f(x, u), which must be finite. The
-    initial states are the lattice points in `initial` (all of them for
-    None), the secret ones those in the secret region. A system of more
-    than `cap` states is refused before any step."""
+    mu-lattice of the input box. Every image f(x, u) is computed in grid
+    order and must be finite; `successors(images, points)` then gives, per
+    image in that order, the ascending indices of the lattice points (x, u)
+    steps to, so the transitions come out sorted. The initial states are
+    the lattice points in `initial` (all of them for None), the secret ones
+    those in the secret region. A system of more than `cap` states is
+    refused before any step."""
     points = grid(cs.state_box, eta)
     if len(points) > cap:
         raise ResourceError(f"{label} exceeds the cap of {cap} states")
     inputs = grid(cs.input_box, mu)
-    point_index = {p: i for i, p in enumerate(points)}
-    transitions: list[tuple[int, int, int]] = []
-    for xi, x in enumerate(points):
-        for ui, u in enumerate(inputs):
+    images: list[tuple[float, ...]] = []
+    for x in points:
+        for u in inputs:
             image = cs.step(x, u)
             if not all(map(math.isfinite, image)):
                 raise DomainError(f"f({x}, {u}) = {image} is not finite",
                                   state=x, inp=u)
-            targets = successors(image)
-            if not targets:
-                raise DomainError(
-                    f"f({x}, {u}) = {image} leaves the state box by more than eta",
-                    state=x, inp=u,
-                )
-            for t in targets:
-                transitions.append((xi, ui, point_index[t]))
+            images.append(image)
+    state_ids = tuple(range(len(points)))  # shared ints: iter_bits makes one per bit
+    pairs = product(state_ids, range(len(inputs)))
+    transitions: list[tuple[int, int, int]] = []
+    for (xi, ui), image, targets in zip(pairs, images, successors(images, points)):
+        if not targets:
+            x, u = points[xi], inputs[ui]
+            raise DomainError(
+                f"f({x}, {u}) = {image} leaves the state box by more than eta",
+                state=x, inp=u,
+            )
+        transitions += [(xi, ui, state_ids[t]) for t in targets]
     return MetricSystem(
         names=tuple(map(_point_name, points)),
         inputs=tuple(map(_point_name, inputs)),
         outputs=tuple(map(cs.observe, points)),
-        initial=tuple(range(len(points))) if initial is None else
+        initial=state_ids if initial is None else
         tuple(i for i, p in enumerate(points) if initial.contains(p)),
         secret=tuple(i for i, p in enumerate(points) if cs.secret_region.contains(p)),
-        transitions=tuple(sorted(transitions)),
+        transitions=tuple(transitions),
     )

@@ -100,7 +100,9 @@ def close_rows(
     the sorted order; bisection with that exact predicate finds its ends,
     and the row is the AND over coordinates of its windows. No tolerance
     is involved, so every bit equals the pairwise comparison's. Outputs
-    must be finite, as `MetricSystem` ensures.
+    must be finite, as `MetricSystem` ensures for its outputs and the
+    abstraction builder for its images: a NaN or infinite value matches
+    no window, so its row would read as empty.
     """
     check_threshold("threshold", threshold)
     if not row_outputs:

@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from opacue.abstraction import _ball_points, build_abstraction, sample_system
-from opacue.boxes import Box, BoxUnion, grid_interval
+from opacue.abstraction import build_abstraction, sample_system
+from opacue.boxes import Box, BoxUnion, grid, grid_interval
 from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
 from opacue.errors import DomainError, QuantizationError, ResourceError
 from opacue.simrel import max_initsop_relation
-from opacue.system import post
+from opacue.system import MetricSystem, close_rows, post, serialize_system
 
 
 def linear_cs(a=0.5, b=1.0, secret=(0.0, 0.5)):
@@ -65,19 +65,19 @@ def test_ball_rule_against_nearest_lattice_enumeration():
     assert agree == 1000
 
 
-def _scanned_ball_points(image, axes, eta):
-    per_dim = [[v for v in axis if abs(v - value) <= eta] for axis, value in zip(axes, image)]
-    out = [()]
-    for hits in per_dim:
-        out = [p + (v,) for p in out for v in hits]
-    return out
+def _within(point, image, eta):
+    return all(abs(p - v) <= eta for p, v in zip(point, image))
 
 
-def test_ball_points_match_the_linear_scan():
+def test_eta_ball_rows_match_the_linear_scan():
+    """The abstraction's eta-ball rule is close_rows from the images to the
+    lattice: each row must equal the pairwise scan, bit for bit."""
     rng = random.Random(802)
     for eta, bounds in ((0.1, ((0.0, 1.0),)), (0.05, ((0.0, 1.0), (-0.5, 0.5))),
                         (0.025, ((0.0, 1.0), (0.0, 0.5))), (1 / 3, ((0.0, 2.0),) * 3)):
         axes = [grid_interval(lo, hi, eta) for lo, hi in bounds]
+        points = grid(Box(bounds), eta)
+        images = []
         for _ in range(400):
             image = []
             for axis, (lo, hi) in zip(axes, bounds):
@@ -91,7 +91,46 @@ def test_ball_points_match_the_linear_scan():
                     image.append(rng.choice(axis))
                 else:
                     image.append(rng.uniform(lo, hi))
-            assert _ball_points(image, axes, eta) == _scanned_ball_points(image, axes, eta)
+            images.append(tuple(image))
+        rows = close_rows(images, points, eta)
+        for image, row in zip(images, rows):
+            assert row == sum(1 << j for j, p in enumerate(points) if _within(p, image, eta))
+        assert any(rows) and not all(rows)  # both outcomes are exercised
+
+
+def test_abstraction_equals_a_pairwise_eta_ball_reference():
+    rng = random.Random(803)
+    a1, a2 = rng.uniform(0.2, 0.6), rng.uniform(0.2, 0.6)
+    c1, c2 = rng.uniform(0.0, 0.2), rng.uniform(0.0, 0.2)
+    b1, b2 = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
+    cs = DtControlSystem(
+        state_box=Box(((0.0, 1.0), (0.0, 1.0))),
+        initial_region=BoxUnion((Box(((0.0, 1.0), (0.0, 1.0))),)),
+        secret_region=BoxUnion((Box(((0.3, 0.6), (0.0, 1.0))),)),
+        input_box=Box(((0.0, 0.1), (0.0, 0.1))),
+        # The -0.05 offset sends images off the box, within eta of its edge.
+        dynamics=(f"{a1!r}*x1 + {c1!r}*x2 + {b1!r}*u1 - 0.05",
+                  f"{a2!r}*x2 + {c2!r}*x1 + {b2!r}*u2"),
+        output=("x1 + x2",),
+        iss_cert=IssCertificate(1.0, 0.6, 1.5, 1.0),
+    )
+    eta, mu = 0.1, 0.05
+    built = build_abstraction(cs, QuantizationParams(eta=eta, mu=mu, epsilon=1.0),
+                              allow_unsound=True)
+    points, inputs = grid(cs.state_box, eta), grid(cs.input_box, mu)
+    reference = MetricSystem(
+        names=tuple(",".join(map(repr, p)) for p in points),
+        inputs=tuple(",".join(map(repr, u)) for u in inputs),
+        outputs=tuple(cs.observe(p) for p in points),
+        initial=tuple(range(len(points))),
+        secret=tuple(i for i, p in enumerate(points) if cs.secret_region.contains(p)),
+        transitions=tuple(
+            (xi, ui, j)
+            for xi, x in enumerate(points) for ui, u in enumerate(inputs)
+            for j, p in enumerate(points) if _within(p, cs.step(x, u), eta)
+        ),
+    )
+    assert serialize_system(built.system) == serialize_system(reference)
 
 
 def test_refining_eta_keeps_images_matched():
@@ -174,7 +213,32 @@ def test_domain_error_when_dynamics_escape():
     with pytest.raises(DomainError) as exc:
         build_abstraction(cs, QuantizationParams(eta=0.5, mu=0.1, epsilon=2.0),
                           allow_unsound=True)
-    assert exc.value.state is not None
+    # The first grid pair, (0.0,) under (0.0,), is named.
+    assert str(exc.value) == "f((0.0,), (0.0,)) = (10.0,) leaves the state box by more than eta"
+    assert exc.value.state == (0.0,) and exc.value.inp == (0.0,)
+
+
+@pytest.mark.parametrize("dynamics, message", [
+    ("10 + x1*1e308*1e308", "is not finite"),
+    ("10 + 1/(x1 - 0.5)", "ZeroDivisionError"),
+])
+def test_an_image_fault_is_named_before_an_earlier_escape(dynamics, message):
+    """Every image is computed and checked before any row is built, so a
+    later pair whose image is not finite, or whose expression raises, is
+    named before an earlier pair that leaves the box."""
+    cs = DtControlSystem(
+        state_box=Box(((0.0, 1.0),)),
+        initial_region=BoxUnion((Box(((0.0, 1.0),)),)),
+        secret_region=BoxUnion((Box(((0.0, 0.5),)),)),
+        input_box=Box(((0.0, 0.1),)),
+        dynamics=(dynamics,),  # f(0.0) = 8 or 10 leaves the box; x1 = 0.5 faults
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, 0.5, 0.0, 1.0),
+    )
+    with pytest.raises(DomainError, match=message) as exc:
+        build_abstraction(cs, QuantizationParams(eta=0.5, mu=0.1, epsilon=2.0),
+                          allow_unsound=True)
+    assert exc.value.state == (0.5,) and exc.value.inp == (0.0,)
 
 
 def test_resource_cap():
@@ -192,20 +256,22 @@ def test_outputs_evaluate_concrete_map_at_lattice():
 
 
 def test_sample_system_fails_closed_on_an_overflowing_image():
-    # used to raise a bare OverflowError from nearest_lattice
-    cs = DtControlSystem(
-        state_box=Box(((0.0, 1.0),)),
-        initial_region=BoxUnion((Box(((0.0, 1.0),)),)),
-        secret_region=BoxUnion((Box(((0.0, 0.5),)),)),
-        input_box=Box(((0.0, 0.1),)),
-        dynamics=("0.5*x1 + 0.2*u1 + x1*1e308*1e308",),
-        output=("x1",),
-        iss_cert=IssCertificate(1.0, 0.5, 0.4, 1.0),
-    )
-    with pytest.raises(DomainError, match="is not finite") as exc:
-        sample_system(cs, eta=0.1, mu=0.1)
-    assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)
-    with pytest.raises(DomainError, match="is not finite") as exc:
-        build_abstraction(cs, QuantizationParams(eta=0.1, mu=0.1, epsilon=2.0),
-                          allow_unsound=True)
-    assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)
+    # An infinite image used to raise a bare OverflowError from
+    # nearest_lattice; a NaN image must not become an empty eta-ball row.
+    for fault in ("x1*1e308*1e308", "x1*1e308*1e308*0"):
+        cs = DtControlSystem(
+            state_box=Box(((0.0, 1.0),)),
+            initial_region=BoxUnion((Box(((0.0, 1.0),)),)),
+            secret_region=BoxUnion((Box(((0.0, 0.5),)),)),
+            input_box=Box(((0.0, 0.1),)),
+            dynamics=(f"0.5*x1 + 0.2*u1 + {fault}",),
+            output=("x1",),
+            iss_cert=IssCertificate(1.0, 0.5, 0.4, 1.0),
+        )
+        with pytest.raises(DomainError, match="is not finite") as exc:
+            sample_system(cs, eta=0.1, mu=0.1)
+        assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)
+        with pytest.raises(DomainError, match="is not finite") as exc:
+            build_abstraction(cs, QuantizationParams(eta=0.1, mu=0.1, epsilon=2.0),
+                              allow_unsound=True)
+        assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)
