@@ -31,8 +31,8 @@ _EXPORTS = {
                 "affine_certificate", "evaluate_quantization_inequality",
                 "parse_control_system"),
     "delayed": ("product_opacity", "verify_delayed_opacity"),
-    "errors": ("DimensionError", "DomainError", "InputError", "OpacueError",
-               "ParseError", "PrecisionError", "QuantizationError", "ResourceError",
+    "errors": ("DimensionError", "DomainError", "OpacueError", "ParseError",
+               "PrecisionError", "QuantizationError", "ResourceError",
                "SmallGainError", "ValidationError"),
     "estimator": ("EstimatorState", "InitialStateEstimator", "build_initial_estimator",
                   "estimator_verdict"),
@@ -42,7 +42,7 @@ _EXPORTS = {
     "simrel": ("AbstractionStatus", "AbstractionVerdict", "SimRelation", "SimReport",
                "check_relation", "max_initsop_relation", "opacity_via_abstraction"),
     "system": ("MetricSystem", "NotionKind", "OpacityNotion", "delta_close",
-               "parse_system", "post", "pre", "serialize_system"),
+               "parse_system", "serialize_system"),
     "verdict": ("Verdict", "Witness"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

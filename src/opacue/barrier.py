@@ -40,7 +40,7 @@ __all__ = [
 
 # A candidate certificate: any callable over the 2n augmented coordinates
 # (x followed by x_hat). Polynomial instances satisfy this protocol, and
-# the decrease scan evaluates them a table at a time (`tabulate`).
+# every condition evaluates them a table at a time (`tabulate`).
 Evaluator = Callable[[Sequence[float]], float]
 
 DEFAULT_MARGIN = 1e-9
@@ -203,6 +203,15 @@ def _scan(conditions: Sequence[tuple[str, Iterable[Sample], Rule]]) -> CheckRepo
     )
 
 
+def _values(candidate: Evaluator, pairs: Iterable[Pair]) -> Iterator[Sample]:
+    """(x + xh, B(x, xh)) at each pair, in order: one table row per run of
+    pairs that share x."""
+    for x, run in groupby(pairs, key=itemgetter(0)):
+        partners = [xh for _, xh in run]
+        for xh, value in zip(partners, tabulate(candidate, [x], partners)[0]):
+            yield x + xh, value
+
+
 # The decrease slack f(v) = (base - v) - margin never increases with v, so
 # each quantifier over slacks is f of the mirrored one over values, ties
 # included: min_u max_uh f(v) = f(max_u min_uh v), and the other way round.
@@ -284,9 +293,8 @@ def check_opacity_barrier(
     check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
     return _scan((
-        ("initial", ((x + xh, -candidate(x + xh)) for x, xh in regions.r0), _negative),
-        ("unsafe", ((x + xh, candidate(x + xh)) for x, xh in regions.ru),
-         _above(margin)),
+        ("initial", ((p, -v) for p, v in _values(candidate, regions.r0)), _negative),
+        ("unsafe", _values(candidate, regions.ru), _above(margin)),
         ("decrease", _decrease(candidate, cs, resolution, regions.r,
                                decrease_forall_exists, 0.0), _negative),
     ))
@@ -330,9 +338,8 @@ def check_lack_barrier(
     boundary = [p for p in _boundary_ring(grid(cs.state_box, resolution))
                 if p not in unsafe]
     return _scan((
-        ("initial", ((x + xh, -candidate(x + xh)) for x, xh in regions.r0), _negative),
-        ("boundary", ((x + xh, candidate(x + xh)) for x, xh in boundary),
-         _above(margin)),
+        ("initial", ((p, -v) for p, v in _values(candidate, regions.r0)), _negative),
+        ("boundary", _values(candidate, boundary), _above(margin)),
         ("decrease", _decrease(candidate, cs, resolution,
                                [p for p in regions.r if p not in unsafe],
                                decrease_exists_forall, margin), _negative),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys as _sys
 import time
 from pathlib import Path
@@ -80,21 +79,13 @@ def _notion_from(args: argparse.Namespace) -> OpacityNotion:
 
 
 def _cap_from(args: argparse.Namespace) -> int:
-    """The state cap: --cap, else OPACUE_CAP, else the default. A cap
-    below 1 admits no search at all, so it is a usage error."""
-    if args.cap is not None:
-        cap, source = args.cap, "--cap"
-    else:
-        env = os.environ.get("OPACUE_CAP")
-        if env is None:
-            return DEFAULT_STATE_CAP
-        try:
-            cap, source = int(env), "OPACUE_CAP"
-        except ValueError:
-            raise ValidationError(f"OPACUE_CAP={env!r} is not an integer") from None
-    if cap < 1:
-        raise ValidationError(f"{source}={cap}: the cap must be at least 1")
-    return cap
+    """The state cap: --cap, else the default. A cap below 1 admits no
+    search at all, so it is a usage error."""
+    if args.cap is None:
+        return DEFAULT_STATE_CAP
+    if args.cap < 1:
+        raise ValidationError(f"--cap={args.cap}: the cap must be at least 1")
+    return args.cap
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -290,7 +281,7 @@ def _common(p: argparse.ArgumentParser, delta_required=True, cap=True) -> None:
                        help="measurement precision threshold (no default)")
     if cap:
         p.add_argument("--cap", type=int, default=None,
-                       help="state cap, at least 1 (default: OPACUE_CAP or 2,000,000)")
+                       help="state cap, at least 1 (default: 2,000,000)")
 
 
 def _define_verify(p: argparse.ArgumentParser) -> None:

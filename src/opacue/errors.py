@@ -14,10 +14,6 @@ class ValidationError(OpacueError):
     """Input document is well-formed but violates a model invariant."""
 
 
-class InputError(OpacueError):
-    """An input label is not part of the system's input alphabet."""
-
-
 class DimensionError(OpacueError):
     """Output vectors (or systems) disagree on output dimension."""
 

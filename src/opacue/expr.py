@@ -1,9 +1,10 @@
 """Dynamics/output expression grammar: a validated subset of Python syntax.
 
 Allowed: variables x1..xn and u1..um, numeric constants, + - * /, unary
-minus, and the functions sin, cos, exp, abs. Anything else is rejected at
-parse time, after which the expression is compiled once into a function of
-the variables, positionally, in an empty-builtins environment. An
+minus, and the functions sin, cos, exp, abs. Anything else, and nesting
+past the interpreter's recursion limit, is rejected at parse time, after
+which the expression is compiled once into a function of the variables,
+positionally, in an empty-builtins environment. An
 evaluation that fails in the arithmetic (a division by zero, a math range
 error, sin of inf) raises DomainError naming the state and input.
 """
@@ -57,18 +58,21 @@ def compile_expr(text: str, n_states: int, n_inputs: int) -> ExprFn:
     """Compile one expression over x1..xn, u1..um into a callable f(x, u)."""
     if not isinstance(text, str) or not text.strip():
         raise ParseError("expression must be a nonempty string")
+    names = [f"x{i + 1}" for i in range(n_states)] + [f"u{j + 1}" for j in range(n_inputs)]
     try:
         tree = ast.parse(text, mode="eval")
+        _validate(tree, set(names), text)
+        # f(x, u) passes x then u positionally: each needs exactly its dimension.
+        params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
+                               kwonlyargs=[], kw_defaults=[], defaults=[])
+        lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
+        fn = eval(compile(lam, filename=f"<expr {text!r}>", mode="eval"),
+                  {"__builtins__": {}, **_FUNCS})
     except SyntaxError as exc:
         raise ParseError(f"expression {text!r}: {exc.msg} (column {exc.offset})") from exc
-    names = [f"x{i + 1}" for i in range(n_states)] + [f"u{j + 1}" for j in range(n_inputs)]
-    _validate(tree, set(names), text)
-    # f(x, u) passes x then u positionally: each needs exactly its dimension.
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
-                           kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, tree.body)))
-    fn = eval(compile(lam, filename=f"<expr {text!r}>", mode="eval"),
-              {"__builtins__": {}, **_FUNCS})
+    except (RecursionError, MemoryError) as exc:
+        # each stage recurses per nesting level; the parser's own overflow is a MemoryError
+        raise ParseError(f"expression {text!r}: nested too deeply") from exc
 
     def run(x: Sequence[float], u: Sequence[float]) -> float:
         try:

@@ -37,38 +37,12 @@ class Polynomial:
             seen.add(exps)
 
     def __call__(self, point: Sequence[float]) -> float:
-        """Evaluate at a point with the compiled straight-line evaluator."""
-        if len(point) != self.n_vars:
-            raise ValidationError(
-                f"point has {len(point)} coordinates, expected {self.n_vars}"
-            )
-        return self._evaluate(point)
-
-    @cached_property
-    def _evaluate(self) -> Callable[[Sequence[float]], float]:
-        """The evaluator, generated once per instance from the exponents.
-
-        It does the float operations of a power-table evaluation in their
-        order: powers v^1 = 1.0*v and v^e = v^(e-1)*v up to each variable's
-        largest exponent, each monomial as ((coef*P0)*P1)... over the
-        variables with a nonzero exponent, and the sum ((0.0 + m0) + m1)...
-        in term order. Coefficients come in as a tuple, never as source text.
-        """
-        every = range(self.n_vars)
-        return self._compile("point", [
-            f"{_targets(f'x{i}' for i in every)} = point",
-            *self._powers(every),
-            # one statement per term: a single long sum would nest past the
-            # compiler's recursion limit for a few thousand terms
-            "total = 0.0",
-            *(f"total += c{k}{_factors(exps, every)}"
-              for k, (exps, _) in enumerate(self.terms)),
-            "return total",
-        ])
+        """Evaluate at one point: a one-point table."""
+        return self.table((point,), ((),))[0][0]
 
     def table(self, rows: Sequence[Sequence[float]],
               cols: Sequence[Sequence[float]]) -> list[list[float]]:
-        """values[i][j] == self(rows[i] + cols[j]), bit for bit.
+        """values[i][j] == self(rows[i] + cols[j]), bit for bit, at any split.
 
         Every row holds the same leading variables and every column the
         rest; the dimension is checked on the first of each only.
@@ -90,10 +64,14 @@ class Polynomial:
         return {}
 
     def _table_kernel(self, split: int) -> Callable:
-        """The operations of `_evaluate`, split at variable `split`: each
-        monomial's row prefix (coef*P0)*...*P(split-1) is taken once per row
-        and multiplied by the column powers, which are built once per call,
-        so every product and the sum keep their order."""
+        """The kernel for rows of the first `split` variables. It does the
+        float operations of a power-table evaluation in their order: powers
+        v^1 = 1.0*v and v^e = v^(e-1)*v up to each variable's largest
+        exponent, each monomial as ((coef*P0)*P1)... over the variables with
+        a nonzero exponent, and the sum ((0.0 + m0) + m1)... in term order.
+        Each monomial's row prefix (coef*P0)*...*P(split-1) is taken once per
+        row, the column powers once per call. Coefficients come in as a
+        tuple, never as source text."""
         row_vars, col_vars = range(split), range(split, self.n_vars)
         col_powers = _targets(f"p{i}_{e}" for i in col_vars
                               for e in range(1, self._top[i] + 1))
@@ -114,6 +92,8 @@ class Polynomial:
             *(f"    {line}" for line in (*self._powers(row_vars), *prefixes)),
             "    row = []",
             f"    for {col_powers} in powers:",
+            # one statement per term: a single long sum would nest past the
+            # compiler's recursion limit for a few thousand terms
             "        total = 0.0",
             *(f"        total += {head}{_factors(exps, col_vars)}"
               for head, (exps, _) in zip(heads, self.terms)),
@@ -153,8 +133,7 @@ class Polynomial:
 
     def __getstate__(self) -> dict:
         # the generated code does not pickle; it is rebuilt on first use
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("_evaluate", "_tables")}
+        return {k: v for k, v in self.__dict__.items() if k != "_tables"}
 
     def to_json(self) -> str:
         doc = {

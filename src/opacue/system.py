@@ -18,14 +18,12 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DimensionError, InputError, ParseError, ValidationError
+from .errors import DimensionError, ParseError, ValidationError
 
 __all__ = [
     "MetricSystem",
     "NotionKind",
     "OpacityNotion",
-    "post",
-    "pre",
     "delta_close",
     "parse_system",
     "serialize_system",
@@ -296,37 +294,6 @@ class MetricSystem:
         return out
 
 
-# -- Post / Pre -------------------------------------------------------------
-
-
-def _image(sys: MetricSystem, q: Iterable[int], u: str, tables) -> frozenset[int]:
-    """Union of tables[u][x] over the members x of q; the states are checked
-    first, then the input label."""
-    bits = 0
-    for x in q:
-        if not 0 <= x < sys.n_states:
-            raise ValidationError(f"state index {x} out of range")
-        bits |= 1 << x
-    try:
-        table = tables[sys.input_index[u]]
-    except KeyError:
-        raise InputError(f"unknown input label: {u!r}") from None
-    out = 0
-    for x in iter_bits(bits):
-        out |= table[x]
-    return frozenset(iter_bits(out))
-
-
-def post(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
-    """Set of u-successors of any member of q."""
-    return _image(sys, q, u, sys.post_bits)
-
-
-def pre(sys: MetricSystem, q: Iterable[int], u: str) -> frozenset[int]:
-    """Set of u-predecessors of any member of q."""
-    return _image(sys, q, u, sys.pre_bits)
-
-
 # -- file format ------------------------------------------------------------
 
 
@@ -342,14 +309,20 @@ def decode_utf8(data: bytes) -> str:
 def read_object(text: str | bytes, keys: Sequence[str]) -> dict:
     """Decode a JSON input document whose top level is an object holding
     every key in `keys`. Bytes that are not UTF-8 are a ParseError naming
-    the first bad byte; malformed JSON is one naming its line and column; a
-    top level that is not an object, or a missing key, is one too."""
+    the first bad byte; malformed JSON is one naming its line and column;
+    nesting past the decoder's recursion limit, an integer past the
+    interpreter's digit limit, a top level that is not an object, or a
+    missing key, is one too."""
     if isinstance(text, bytes):
         text = decode_utf8(text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("$: nested too deeply") from exc
+    except ValueError as exc:  # int() of a literal past sys.get_int_max_str_digits()
+        raise ParseError("$: an integer has too many digits") from exc
     if not isinstance(doc, dict):
         raise ParseError("$: top level must be an object")
     for key in keys:

@@ -9,7 +9,7 @@ from opacue.boxes import Box, BoxUnion, grid, grid_interval
 from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
 from opacue.errors import DomainError, QuantizationError, ResourceError
 from opacue.simrel import max_initsop_relation
-from opacue.system import MetricSystem, close_rows, post, serialize_system
+from opacue.system import MetricSystem, close_rows, iter_bits, serialize_system
 
 
 def linear_cs(a=0.5, b=1.0, secret=(0.0, 0.5)):
@@ -32,8 +32,8 @@ def test_ball_rule_example():
     assert s.names == ("0.0", "0.5", "1.0")
     assert s.initial == (0, 1, 2)
     # f(1.0, 0.0) = 0.5; all three grid points are within eta = 0.5
-    succ = post(s, {s.index["1.0"]}, "0.0")
-    assert sorted(s.names[i] for i in succ) == ["0.0", "0.5", "1.0"]
+    succ = s.post_bits[s.input_index["0.0"]][s.index["1.0"]]
+    assert sorted(s.names[i] for i in iter_bits(succ)) == ["0.0", "0.5", "1.0"]
     assert result.certified
 
 
@@ -59,7 +59,7 @@ def test_ball_rule_against_nearest_lattice_enumeration():
         expected = {
             s.names[i] for i, p in enumerate(points) if abs(p - image) <= params.eta
         }
-        got = {s.names[i] for i in post(s, {xi}, s.inputs[ui])}
+        got = {s.names[i] for i in iter_bits(s.post_bits[ui][xi])}
         assert got == expected
         agree += 1
     assert agree == 1000

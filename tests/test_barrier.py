@@ -411,6 +411,17 @@ def test_tabulated_decrease_matches_the_pointwise_definition():
                 Violation("decrease", p, -s) for p, s in slacks if s < 0]
 
 
+def test_polynomial_candidates_are_never_called_pointwise(monkeypatch):
+    # every condition reads a Polynomial from its tables
+    def pointwise(self, point):
+        raise AssertionError(f"pointwise call at {point}")
+
+    monkeypatch.setattr(Polynomial, "__call__", pointwise)
+    cs = simple_cs(dyn="0.5*x1 + 0.25*u1")
+    for check in (check_opacity_barrier, check_lack_barrier):
+        assert all(check(GAP, cs, 0.15, 0.1).sample_counts.values())
+
+
 def test_tabulated_decrease_raises_where_the_pointwise_scan_did():
     cs = simple_cs(dyn="0.5*x1 + 0.25*u1")
     corner = cs.step((1.0,), (0.2,))[0]  # off the lattice, a successor of 1.0 only

@@ -227,10 +227,12 @@ def test_cap_flag_maps_to_resource_exit(capsys):
 
 
 def test_cap_env_variable(capsys, monkeypatch):
+    # OPACUE_CAP is not read: a cap of 3 would stop this search (exit 4,
+    # as with --cap 3 above)
+    argv = ("verify", "--system", C1, "--notion", "initial-state", "--delta", "0")
+    default = run(capsys, *argv)
     monkeypatch.setenv("OPACUE_CAP", "3")
-    code, _, _ = run(capsys, "verify", "--system", C1,
-                     "--notion", "initial-state", "--delta", "0")
-    assert code == 4
+    assert run(capsys, *argv) == default and default[0] == 1
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])
@@ -238,14 +240,6 @@ def test_cap_flag_below_one_is_usage_error(capsys, cap):
     code, out, err = run(capsys, "verify", "--system", C1, "--notion",
                          "initial-state", "--delta", "0", "--cap", cap)
     assert (code, out) == (3, "") and f"--cap={cap}" in err
-
-
-@pytest.mark.parametrize("cap", ["0", "-1"])
-def test_cap_env_variable_below_one_is_usage_error(capsys, monkeypatch, cap):
-    monkeypatch.setenv("OPACUE_CAP", cap)
-    code, out, err = run(capsys, "verify", "--system", C1, "--notion",
-                         "initial-state", "--delta", "0")
-    assert (code, out) == (3, "") and f"OPACUE_CAP={cap}" in err
 
 
 def test_cap_of_one_is_a_cap_not_a_usage_error(capsys):
@@ -785,6 +779,36 @@ def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path):
     verify = ["verify", "--system", str(bad), "--notion", "initial-state", "--delta", "0"]
     for argv in (verify, barrier):
         assert run(capsys, *argv) == (3, "", "error: byte 0: not UTF-8 (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("[" * 100000 + "]" * 100000, "$: nested too deeply"),
+    pytest.param("1" + "0" * 5000, "$: an integer has too many digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="no integer digit limit")),
+], ids=["nested", "digits"])
+def test_input_past_the_decoder_limits_is_a_parse_error(capsys, tmp_path, value, message):
+    # each used to exit 5 with a RecursionError or a ValueError
+    bad = tmp_path / "bad.json"
+    bad.write_text(f'{{"a": {value}}}')
+    barrier = _barrier_argv(tmp_path)
+    barrier[barrier.index("--candidate") + 1] = str(bad)
+    for argv in (["verify", "--system", str(bad), "--notion", "initial-state", "--delta", "0"],
+                 ["abstract", "--system", str(bad), "--eta", "0.5", "--mu", "0.1",
+                  "--epsilon", "1.5", "--unsound"],
+                 barrier,
+                 ["compose", "--system", str(bad)]):
+        assert run(capsys, *argv) == (3, "", f"error: {message}\n"), argv
+
+
+@pytest.mark.parametrize("depth", [1500, 5000])
+def test_dynamics_nested_too_deeply_is_a_parse_error(capsys, tmp_path, depth):
+    # used to exit 5 with a RecursionError
+    dynamics = "-" * depth + "x1"
+    plant = _write(tmp_path, "deep.json", {**PLANT, "dynamics": [dynamics]})
+    assert run(capsys, "abstract", "--system", plant, "--eta", "0.5", "--mu", "0.1",
+               "--epsilon", "1.5", "--unsound") == (
+        3, "", f"error: expression {dynamics!r}: nested too deeply\n")
 
 
 def test_compose_rejects_resolution_wider_than_a_state_interval(capsys, tmp_path):

@@ -50,6 +50,16 @@ def test_expr_rejects_out_of_grammar(bad):
         compile_expr(bad, 2, 1)
 
 
+@pytest.mark.parametrize("depth", [1500, 5000])
+def test_expr_nested_too_deeply_is_a_parse_error(depth):
+    # used to raise RecursionError: in the grammar check at 1,500 levels,
+    # in the parser at 5,000
+    text = "-" * depth + "x1"
+    with pytest.raises(ParseError) as info:
+        compile_expr(text, 1, 0)
+    assert str(info.value) == f"expression {text!r}: nested too deeply"
+
+
 def _dict_eval_reference(text, n_states, n_inputs):
     """The evaluator before compilation to a lambda: a dict and eval per call."""
     code = compile(ast.parse(text, mode="eval"), "<reference>", "eval")

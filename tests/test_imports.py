@@ -27,7 +27,7 @@ PUBLIC = {
     "control": "DtControlSystem IssCertificate QuantizationParams affine_certificate "
                "evaluate_quantization_inequality parse_control_system",
     "delayed": "product_opacity verify_delayed_opacity",
-    "errors": "DimensionError DomainError InputError OpacueError ParseError "
+    "errors": "DimensionError DomainError OpacueError ParseError "
               "PrecisionError QuantizationError ResourceError SmallGainError "
               "ValidationError",
     "estimator": "EstimatorState InitialStateEstimator build_initial_estimator "
@@ -37,7 +37,7 @@ PUBLIC = {
     "polynomial": "Polynomial parse_polynomial",
     "simrel": "AbstractionStatus AbstractionVerdict SimRelation SimReport "
               "check_relation max_initsop_relation opacity_via_abstraction",
-    "system": "MetricSystem NotionKind OpacityNotion delta_close parse_system post pre "
+    "system": "MetricSystem NotionKind OpacityNotion delta_close parse_system "
               "serialize_system",
     "verdict": "Verdict Witness",
 }

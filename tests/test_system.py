@@ -1,4 +1,4 @@
-"""System core: post/pre, delta-closeness, parsing, canonical round-trips."""
+"""System core: successor and predecessor tables, delta-closeness, parsing, canonical round-trips."""
 
 import gc
 import json
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from opacue.brute import confirm_witness
 from opacue.errors import (
     DimensionError,
-    InputError,
     ParseError,
     ValidationError,
 )
@@ -20,9 +19,8 @@ from opacue.system import (
     OpacityNotion,
     close_rows,
     delta_close,
+    iter_bits,
     parse_system,
-    post,
-    pre,
     serialize_system,
 )
 from opacue.simrel import SimRelation, check_relation
@@ -42,59 +40,50 @@ def tiny(transitions, n=3, inputs=("a", "b")):
     )
 
 
-# -- post / pre --------------------------------------------------------------
+# -- successor and predecessor tables ----------------------------------------
 
-def test_post_empty_set_is_empty(gridworld):
-    assert post(gridworld, frozenset(), "S") == frozenset()
-    assert pre(gridworld, frozenset(), "S") == frozenset()
+def test_post_empty_set_is_empty():
+    sys_ = tiny([])
+    assert sys_.post_bits == sys_.pre_bits == ((0, 0, 0), (0, 0, 0))
+    assert sys_.succ_any == sys_.pred_any == (0, 0, 0)
 
 
 def test_post_gridworld_cell8_south(gridworld):
     c8 = gridworld.index["c8"]
     c14 = gridworld.index["c14"]
-    assert post(gridworld, {c8}, "S") == {c14}
+    assert gridworld.post_bits[gridworld.input_index["S"]][c8] == 1 << c14
 
 
 def test_pre_gridworld_cell8_south_contains_2(gridworld):
     c8 = gridworld.index["c8"]
     c2 = gridworld.index["c2"]
-    assert c2 in pre(gridworld, {c8}, "S")
-
-
-def test_post_unknown_input(gridworld):
-    with pytest.raises(InputError):
-        post(gridworld, {0}, "Z")
-    with pytest.raises(InputError):
-        pre(gridworld, {0}, "Z")
+    assert gridworld.pre_bits[gridworld.input_index["S"]][c8] >> c2 & 1
 
 
 def test_post_matches_transition_scan_oracle():
     rng = random.Random(101)
     for _ in range(100):
         sys_ = random_system(rng)
-        q = frozenset(rng.sample(range(sys_.n_states),
-                                 rng.randint(0, sys_.n_states)))
-        for u_label in sys_.inputs:
-            ui = sys_.input_index[u_label]
-            expect = frozenset(
-                dst for (src, u, dst) in sys_.transitions if src in q and u == ui
-            )
-            assert post(sys_, q, u_label) == expect
-            expect_pre = frozenset(
-                src for (src, u, dst) in sys_.transitions if dst in q and u == ui
-            )
-            assert pre(sys_, q, u_label) == expect_pre
+        edges = sys_.transitions
+        for x in range(sys_.n_states):
+            for u in range(len(sys_.inputs)):
+                assert set(iter_bits(sys_.post_bits[u][x])) == {
+                    d for s, v, d in edges if s == x and v == u}
+                assert set(iter_bits(sys_.pre_bits[u][x])) == {
+                    s for s, v, d in edges if d == x and v == u}
+            assert set(iter_bits(sys_.succ_any[x])) == {d for s, _, d in edges if s == x}
+            assert set(iter_bits(sys_.pred_any[x])) == {s for s, _, d in edges if d == x}
 
 
 def test_pre_of_post_covers_sources_with_successor():
     rng = random.Random(102)
     for _ in range(100):
         sys_ = random_system(rng)
-        for u_label in sys_.inputs:
-            ui = sys_.input_index[u_label]
+        for post, pre in zip(sys_.post_bits, sys_.pre_bits):
             for x in range(sys_.n_states):
-                if sys_.post_bits[ui][x]:
-                    assert x in pre(sys_, post(sys_, {x}, u_label), u_label)
+                for y in iter_bits(post[x]):
+                    assert pre[y] >> x & 1
+                    assert sys_.succ_any[x] >> y & 1 and sys_.pred_any[y] >> x & 1
 
 
 # -- delta_close -------------------------------------------------------------
