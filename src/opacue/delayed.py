@@ -29,7 +29,7 @@ from __future__ import annotations
 from .errors import ValidationError
 from .estimator import build_initial_estimator
 from .observer import DEFAULT_STATE_CAP, build_observer, current_state_search
-from .search import post_step, search
+from .search import search
 from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows
 from .verdict import Verdict, Witness
 
@@ -71,7 +71,7 @@ def verify_delayed_opacity(
         if (secret >> x) & 1:
             origins.setdefault((x, bits & ~secret), i)
     survivors = search(
-        origins, post_step(sys, close), lambda x, bits: bits == 0, cap,
+        sys, close, origins, lambda x, bits: bits == 0, cap,
         max_depth=notion.k if notion.kind is NotionKind.K_STEP else None,
         spent=len(forward.classes),
     )

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .brute import explore, subset_step, trace, union
 from .errors import InternalError, ValidationError
-from .search import Search, post_step, search
+from .search import Search, search
 from .system import (
     MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows, iter_bits,
 )
@@ -153,8 +153,8 @@ def current_state_search(sys: MetricSystem, close: list[int], cap: int) -> Searc
     current states lies inside the secret set."""
     secret = sys.secret_bits
     return search(
+        sys, close,
         [(x, sys.initial_bits & close[x]) for x in sorted(sys.initial)],
-        post_step(sys, close),
         lambda x, bits: (secret >> x) & 1 and bits & ~secret == 0,
         cap,
     )
@@ -181,7 +181,7 @@ def verify_state_opacity(
         nonsecret = sys.initial_bits & ~secret
         seeds = [(x, nonsecret & close[x]) for x in sorted(sys.initial)
                  if (secret >> x) & 1]
-        found = search(seeds, post_step(sys, close), lambda x, bits: bits == 0, cap)
+        found = search(sys, close, seeds, lambda x, bits: bits == 0, cap)
     else:
         found = current_state_search(sys, close, cap)
     stats = {"classes": len(found.classes)}

@@ -52,3 +52,19 @@ def random_system(
         secret=secret,
         transitions=tuple(sorted(edges)),
     )
+
+
+def linear_plant(dim: int, a: float, b: float, secret: tuple[float, float]) -> dict:
+    """x+ = a*x + b*u per coordinate on [0, 1]^dim, u in [0, 0.1]^dim,
+    secret x1 in `secret`, output the state."""
+    unit = [[0.0, 1.0]] * dim
+    return {
+        "dim": dim,
+        "state_box": unit,
+        "initial_box": unit,
+        "secret_box": [list(secret)] + [[0.0, 1.0]] * (dim - 1),
+        "input_box": [[0.0, 0.1]] * dim,
+        "dynamics": [f"{a!r}*x{k} + {b!r}*u{k}" for k in range(1, dim + 1)],
+        "output": [f"x{k}" for k in range(1, dim + 1)],
+        "iss_cert": {"c": 1.0, "lambda": a, "g": b / (1 - a), "a": 1.0},
+    }

@@ -27,6 +27,8 @@ from opacue.cli import main
 from opacue.control import parse_control_system
 from opacue.system import serialize_system
 
+from .conftest import linear_plant
+
 EXPECTED = Path(__file__).resolve().parent / "abstraction_reports.json"
 
 
@@ -34,22 +36,6 @@ def _sha(data: str | bytes) -> str:
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
-
-
-def _plant(dim: int, a: float, b: float, secret: tuple[float, float]) -> dict:
-    """x+ = a*x + b*u per coordinate on [0, 1]^dim, u in [0, 0.1]^dim,
-    secret x1 in `secret`, output the state."""
-    unit = [[0.0, 1.0]] * dim
-    return {
-        "dim": dim,
-        "state_box": unit,
-        "initial_box": unit,
-        "secret_box": [list(secret)] + [[0.0, 1.0]] * (dim - 1),
-        "input_box": [[0.0, 0.1]] * dim,
-        "dynamics": [f"{a!r}*x{k} + {b!r}*u{k}" for k in range(1, dim + 1)],
-        "output": [f"x{k}" for k in range(1, dim + 1)],
-        "iss_cert": {"c": 1.0, "lambda": a, "g": b / (1 - a), "a": 1.0},
-    }
 
 
 def cases() -> dict[str, tuple[dict, float, float, float, list[str]]]:
@@ -70,9 +56,10 @@ def cases() -> dict[str, tuple[dict, float, float, float, list[str]]]:
         flags = []
         if k == 4:
             epsilon, flags = eta / 8, ["--unsound"]
-        found[f"1d-{k} eta={eta}"] = (_plant(1, a, b, (lo, round(lo + 0.3, 1))), eta,
-                                      epsilon, round(2 * epsilon + slack, 3), flags)
-    found["2d eta=0.1"] = (_plant(2, 0.3, 0.2, (0.4, 0.7)), 0.1, 0.23, 0.76, [])
+        plant = linear_plant(1, a, b, (lo, round(lo + 0.3, 1)))
+        found[f"1d-{k} eta={eta}"] = (plant, eta, epsilon, round(2 * epsilon + slack, 3),
+                                      flags)
+    found["2d eta=0.1"] = (linear_plant(2, 0.3, 0.2, (0.4, 0.7)), 0.1, 0.23, 0.76, [])
     return found
 
 

@@ -2,6 +2,7 @@
 brute-force oracle, on one seeded corpus of small random systems."""
 
 import ast
+import json
 import random
 from pathlib import Path
 
@@ -9,15 +10,17 @@ import pytest
 
 import opacue
 
+from opacue.abstraction import build_abstraction
 from opacue.api import verify_opacity
 from opacue.brute import brute_force_opacity, confirm_witness
+from opacue.control import QuantizationParams, parse_control_system
 from opacue.delayed import product_opacity, verify_delayed_opacity
 from opacue.errors import ResourceError
 from opacue.observer import build_observer, observer_verdict, verify_state_opacity
-from opacue.search import post_step, search
+from opacue.search import search
 from opacue.system import MetricSystem, OpacityNotion
 
-from .conftest import random_system
+from .conftest import linear_plant, random_system
 
 DELTAS = (0.0, 0.1, 0.5)
 STATE_NOTIONS = (OpacityNotion.initial_state(), OpacityNotion.current_state())
@@ -86,18 +89,39 @@ def test_search_stops_at_the_first_revealing_class_and_honours_depth():
         outputs=((0.0,),) * 4, initial=(0,), secret=(),
         transitions=((0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 0)),
     )
-    step = post_step(ring, [0b1111] * 4)
-    at_c = search([(0, 0b1)], step, lambda x, bits: x == 2, cap=10)
+    close = [0b1111] * 4
+    at_c = search(ring, close, [(0, 0b1)], lambda x, bits: x == 2, cap=10)
     assert at_c.classes == [(0, 0b1), (1, 0b10), (2, 0b100)]
     assert at_c.hit == 2
     assert at_c.path(2) == ((0, 1, 2), (0, 0))
     assert at_c.root(2) == 0
 
-    shallow = search([(0, 0b1)], step, lambda x, bits: x == 2, cap=10, max_depth=1)
+    shallow = search(ring, close, [(0, 0b1)], lambda x, bits: x == 2, cap=10,
+                     max_depth=1)
     assert shallow.hit is None and len(shallow.classes) == 2
 
     with pytest.raises(ResourceError):
-        search([(0, 0b1)], step, lambda x, bits: False, cap=4, spent=1)
+        search(ring, close, [(0, 0b1)], lambda x, bits: False, cap=4, spent=1)
+
+
+def test_3d_plant_abstraction_class_counts():
+    # 1,331 lattice states and 8 inputs; at delta = 0.3 many classes on
+    # different states carry one set and most successors are reached
+    # under several inputs
+    eta = 0.1
+    cs = parse_control_system(json.dumps(linear_plant(3, 0.3, 0.2, (0.4, 0.7))))
+    epsilon = 1.25 * (eta + 0.2857 * eta) / 0.7
+    abstraction = build_abstraction(cs, QuantizationParams(eta, eta, epsilon))
+    assert abstraction.certified
+    sys_ = abstraction.system
+    assert (sys_.n_states, len(sys_.inputs)) == (1331, 8)
+    classes = []
+    for notion in (OpacityNotion.initial_state(), OpacityNotion.current_state(),
+                   OpacityNotion.k_step(2)):
+        verdict = verify_opacity(sys_, 0.3, notion)
+        assert verdict.opaque
+        classes.append(verdict.stats["classes"])
+    assert classes == [1784, 3637, 5586]
 
 
 def _package_imports(module: str) -> set[str]:
