@@ -50,15 +50,6 @@ def bits_of(indices: Iterable[int]) -> int:
 
 def iter_bits(bits: int) -> Iterator[int]:
     """Yield the set bit positions of a bitset in ascending order."""
-    if bits.bit_count() > 32:
-        # Isolating the low bit costs time linear in the width, once per
-        # member; a bitset with many members is scanned once as text.
-        text = bin(bits)[:1:-1]
-        i = text.find("1")
-        while i >= 0:
-            yield i
-            i = text.find("1", i + 1)
-        return
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1

@@ -87,11 +87,9 @@ def test_pre_of_post_covers_sources_with_successor():
 
 
 def test_iter_bits_yields_members_in_ascending_order():
-    # few members take the low-bit loop, many the text scan
     rng = random.Random(17)
     for width in (1, 8, 33, 64, 65, 500, 5000):
-        for members in (0, 1, 31, 32, 33, width // 2, width):
-            members = min(members, width)
+        for members in (0, 1, width // 2, width):
             bits = sum(1 << i for i in rng.sample(range(width), members))
             want = [i for i in range(width) if (bits >> i) & 1]
             assert list(iter_bits(bits)) == want
