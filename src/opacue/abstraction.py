@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .boxes import BoxUnion, check_span, grid, nearest_lattice
 from .control import (
@@ -70,7 +70,7 @@ def build_abstraction(
         lambda images, points: (
             list(iter_bits(row)) for row in close_rows(images, points, params.eta)
         ),
-        None,  # every lattice point is initial
+        BoxUnion((cs.state_box,)),  # every lattice point is initial
     )
     return Abstraction(
         system=system,
@@ -106,16 +106,15 @@ def _lattice_system(
     cs: DtControlSystem, eta: float, mu: float, cap: int, label: str,
     successors: Callable[[list[tuple[float, ...]], list[tuple[float, ...]]],
                          Iterable[list[int]]],
-    initial: Optional[BoxUnion],
+    initial: BoxUnion,
 ) -> MetricSystem:
     """The finite system on the eta-lattice of the state box and the
     mu-lattice of the input box. Every image f(x, u) is computed in grid
     order and must be finite; `successors(images, points)` then gives, per
     image in that order, the ascending indices of the lattice points (x, u)
     steps to, so the transitions come out sorted. The initial states are
-    the lattice points in `initial` (all of them for None), the secret ones
-    those in the secret region. A system of more than `cap` states is
-    refused before any step."""
+    the lattice points in `initial`, the secret ones those in the secret
+    region. A system of more than `cap` states is refused before any step."""
     points = grid(cs.state_box, eta)
     if len(points) > cap:
         raise ResourceError(f"{label} exceeds the cap of {cap} states")
@@ -143,8 +142,7 @@ def _lattice_system(
         names=tuple(map(_point_name, points)),
         inputs=tuple(map(_point_name, inputs)),
         outputs=tuple(map(cs.observe, points)),
-        initial=state_ids if initial is None else
-        tuple(i for i, p in enumerate(points) if initial.contains(p)),
+        initial=tuple(i for i, p in enumerate(points) if initial.contains(p)),
         secret=tuple(i for i, p in enumerate(points) if cs.secret_region.contains(p)),
         transitions=tuple(transitions),
     )

@@ -9,22 +9,22 @@ verdicts are explicitly non-conclusive: sampling is not a proof.
 
 The two theorems quantify their input choices in opposite orders (for every
 adversarial input there is a matching one, versus there is an input beating
-every matching one); the two orders are kept as distinct code paths.
+every matching one). Both orders read one table of candidate values through
+`_OVER_VALUES`, with one fallback where the values could overflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import check_span, grid
 from .control import DtControlSystem
 from .errors import DomainError
 from .polynomial import tabulate
-from .system import check_delta, check_threshold, close_rows
+from .system import check_delta, check_threshold, close_rows, iter_bits
 
 __all__ = [
     "Evaluator",
@@ -45,7 +45,6 @@ Evaluator = Callable[[Sequence[float]], float]
 
 DEFAULT_MARGIN = 1e-9
 
-Pair = tuple[tuple[float, ...], tuple[float, ...]]
 # One sampled condition instance: the augmented point and its slack.
 Sample = tuple[tuple[float, ...], float]
 # The value a violated sample reports, given its slack; None if not violated.
@@ -56,14 +55,17 @@ Rule = Callable[[float], Optional[float]]
 class AugmentedRegions:
     """Lattice samples of the augmented regions at one resolution.
 
-    Every r0 member satisfies x in X0 and secret, x_hat in X0 minus secret,
-    outputs delta-close; every ru member has outputs more than delta apart;
-    r is the full product grid.
+    `points` is the lattice of the state box, in grid order. `close[i]` is
+    the bitset of the points whose output is delta-close to that of
+    points[i]; the output-distinguishable (unsafe) region is its
+    complement, and the full region is every pair. `r0[i]` is the bitset
+    of the augmented initial partners of points[i]: x in X0 and secret,
+    x_hat in X0 minus secret, outputs delta-close.
     """
 
-    r0: tuple[Pair, ...]
-    ru: tuple[Pair, ...]
-    r: tuple[Pair, ...]
+    points: list[tuple[float, ...]]
+    r0: list[int]
+    close: list[int]
 
 
 def build_regions(
@@ -90,15 +92,11 @@ def build_regions(
         if not all(map(math.isfinite, y)):
             raise DomainError(f"regions: output {y} is not finite at {p}", state=p)
     close = close_rows(outputs, outputs, delta)
-    initial = [i for i, p in enumerate(points) if cs.initial_region.contains(p)]
-    secret_init = [i for i in initial if cs.secret_region.contains(points[i])]
-    nonsecret_init = [i for i in initial if not cs.secret_region.contains(points[i])]
-    r0 = tuple((points[i], points[j]) for i in secret_init for j in nonsecret_init
-               if close[i] >> j & 1)
-    ru = tuple((x, xh) for x, row in zip(points, close)
-               for j, xh in enumerate(points) if not row >> j & 1)
-    r = tuple((x, xh) for x in points for xh in points)
-    return AugmentedRegions(r0=r0, ru=ru, r=r)
+    initial = sum(1 << i for i, p in enumerate(points) if cs.initial_region.contains(p))
+    secret = sum(1 << i for i, p in enumerate(points) if cs.secret_region.contains(p))
+    r0 = [row & initial & ~secret if (initial & secret) >> i & 1 else 0
+          for i, row in enumerate(close)]
+    return AugmentedRegions(points=points, r0=r0, close=close)
 
 
 @dataclass(frozen=True)
@@ -203,11 +201,12 @@ def _scan(conditions: Sequence[tuple[str, Iterable[Sample], Rule]]) -> CheckRepo
     )
 
 
-def _values(candidate: Evaluator, pairs: Iterable[Pair]) -> Iterator[Sample]:
-    """(x + xh, B(x, xh)) at each pair, in order: one table row per run of
-    pairs that share x."""
-    for x, run in groupby(pairs, key=itemgetter(0)):
-        partners = [xh for _, xh in run]
+def _values(candidate: Evaluator, points: list[tuple[float, ...]],
+            rows: list[int]) -> Iterator[Sample]:
+    """(x + xh, B(x, xh)) at each pair of the rows, in order: one table
+    row per row."""
+    for x, row in zip(points, rows):
+        partners = [points[j] for j in iter_bits(row)]
         for xh, value in zip(partners, tabulate(candidate, [x], partners)[0]):
             yield x + xh, value
 
@@ -236,19 +235,20 @@ def _decrease(
     candidate: Evaluator,
     cs: DtControlSystem,
     resolution: float,
-    pairs: Iterable[Pair],
+    points: list[tuple[float, ...]],
+    region: list[int],
     quantify: Callable[[list[list[float]]], float],
     margin: float,
 ) -> Iterator[Sample]:
-    """At each pair, quantify (rows u, columns u_hat) the decrease slack
-    B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The successors f(x, u)
-    come from a table over grid points and inputs, built once per check.
-    The candidate is tabulated once per run of pairs that share x. A value
-    that is not finite raises, or makes the slack NaN where the
-    quantifier's min and max would hide it.
+    """At each pair of the region's rows, quantify (rows u, columns u_hat)
+    the decrease slack B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The
+    successors f(x, u) come from a table over the points and grid inputs,
+    built once per check. The candidate is tabulated once per nonempty
+    row. A value that is not finite raises, or makes the slack NaN where
+    the quantifier's min and max would hide it.
     """
     inputs = grid(cs.input_box, resolution)
-    succ = {x: [cs.step(x, u) for u in inputs] for x in grid(cs.state_box, resolution)}
+    succ = {x: [cs.step(x, u) for u in inputs] for x in points}
     for x, images in succ.items():
         for u, image in zip(inputs, images):
             if not all(map(math.isfinite, image)):
@@ -258,21 +258,23 @@ def _decrease(
     n = len(inputs)
 
     def slacks() -> Iterator[Sample]:
-        for x, run in groupby(pairs, key=itemgetter(0)):
-            partners = [xh for _, xh in run]
+        for x, row in zip(points, region):
+            if not row:
+                continue
+            partners = [points[j] for j in iter_bits(row)]
             # row u, columns j*n .. j*n + n - 1: B(f(x, u), f(partners[j], .))
             values = tabulate(candidate, succ[x], [nxh for xh in partners for nxh in succ[xh]])
             bases = tabulate(candidate, [x], partners)[0]
             if margin <= _SAFE and _bounded(bases) and all(map(_bounded, values)):
-                picked = _pick(outer, [_pick(inner, [row[s::n] for s in range(n)])
-                                       for row in values])
+                picked = _pick(outer, [_pick(inner, [vs[s::n] for s in range(n)])
+                                       for vs in values])
                 for xh, base, v in zip(partners, bases, picked):
                     yield x + xh, base - v - margin
                 continue
             for j, (xh, base) in enumerate(zip(partners, bases)):
-                rows = [[base - v - margin for v in row[j * n:j * n + n]] for row in values]
-                finite = all(map(math.isfinite, chain(*rows)))
-                yield x + xh, quantify(rows) if finite else math.nan
+                slack = [[base - v - margin for v in vs[j * n:j * n + n]] for vs in values]
+                finite = all(map(math.isfinite, chain(*slack)))
+                yield x + xh, quantify(slack) if finite else math.nan
 
     return slacks()
 
@@ -292,28 +294,25 @@ def check_opacity_barrier(
     """
     check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
+    points = regions.points
+    full = (1 << len(points)) - 1
     return _scan((
-        ("initial", ((p, -v) for p, v in _values(candidate, regions.r0)), _negative),
-        ("unsafe", _values(candidate, regions.ru), _above(margin)),
-        ("decrease", _decrease(candidate, cs, resolution, regions.r,
+        ("initial", ((p, -v) for p, v in _values(candidate, points, regions.r0)),
+         _negative),
+        ("unsafe", _values(candidate, points, [full & ~row for row in regions.close]),
+         _above(margin)),
+        ("decrease", _decrease(candidate, cs, resolution, points, [full] * len(points),
                                decrease_forall_exists, 0.0), _negative),
     ))
 
 
-def _boundary_ring(points: list[tuple[float, ...]]) -> list[Pair]:
-    """Outermost lattice ring of the box X*X: pairs with any extreme coordinate."""
-    if not points:
-        return []
-    dim = len(points[0])
-    lows = [min(p[d] for p in points) for d in range(dim)]
-    highs = [max(p[d] for p in points) for d in range(dim)]
-
-    def on_face(p: tuple[float, ...]) -> bool:
-        return any(p[d] == lows[d] or p[d] == highs[d] for d in range(dim))
-
-    return [
-        (x, xh) for x in points for xh in points if on_face(x) or on_face(xh)
-    ]
+def _ring(points: list[tuple[float, ...]]) -> int:
+    """Bitset of the points on the outermost lattice ring of the box: those
+    with any extreme coordinate."""
+    lows = [min(column) for column in zip(*points)]
+    highs = [max(column) for column in zip(*points)]
+    return sum(1 << i for i, p in enumerate(points)
+               if any(v == lo or v == hi for v, lo, hi in zip(p, lows, highs)))
 
 
 def check_lack_barrier(
@@ -334,13 +333,15 @@ def check_lack_barrier(
     """
     check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
-    unsafe = set(regions.ru)
-    boundary = [p for p in _boundary_ring(grid(cs.state_box, resolution))
-                if p not in unsafe]
+    points = regions.points
+    full, ring = (1 << len(points)) - 1, _ring(points)
+    # a pair is on the ring of X*X when x or xh is on the ring of X
+    boundary = [(full if ring >> i & 1 else ring) & row
+                for i, row in enumerate(regions.close)]
     return _scan((
-        ("initial", ((p, -v) for p, v in _values(candidate, regions.r0)), _negative),
-        ("boundary", _values(candidate, boundary), _above(margin)),
-        ("decrease", _decrease(candidate, cs, resolution,
-                               [p for p in regions.r if p not in unsafe],
+        ("initial", ((p, -v) for p, v in _values(candidate, points, regions.r0)),
+         _negative),
+        ("boundary", _values(candidate, points, boundary), _above(margin)),
+        ("decrease", _decrease(candidate, cs, resolution, points, regions.close,
                                decrease_exists_forall, margin), _negative),
     ))

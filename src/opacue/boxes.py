@@ -152,26 +152,17 @@ def grid_interval(lo: float, hi: float, step: float) -> list[float]:
     return [float(k * dstep) for k in _lattice_range(lo, hi, dstep)]
 
 
-def grid(region: Box | BoxUnion, step: float) -> list[tuple[float, ...]]:
-    """All lattice points k*step (component-wise) inside the region.
+def grid(box: Box, step: float) -> list[tuple[float, ...]]:
+    """All lattice points k*step (component-wise) inside the box, sorted and
+    without duplicates.
 
-    Raises QuantizationError when the step exceeds the region's span, since
-    such a grid can miss the region entirely.
+    Raises QuantizationError when the step exceeds the box's span, since
+    such a grid can miss the box entirely.
     """
     _check_step(step)
-    boxes = (region,) if isinstance(region, Box) else region.boxes
-    if not boxes:
-        return []
-    check_span("grid step", step, region.span, "region")
-    points: set[tuple[float, ...]] = set()
-    dstep = Decimal(str(step))
-    for box in boxes:
-        axes = [
-            [float(k * dstep) for k in _lattice_range(lo, hi, dstep)]
-            for lo, hi in box.bounds
-        ]
-        points.update(itertools.product(*axes))
-    return sorted(points)
+    check_span("grid step", step, box.span, "region")
+    axes = [grid_interval(lo, hi, step) for lo, hi in box.bounds]
+    return sorted(set(itertools.product(*axes)))
 
 
 def nearest_lattice(point: Sequence[float], step: float, box: Box) -> tuple[float, ...]:

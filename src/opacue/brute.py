@@ -180,10 +180,8 @@ def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion) 
         searches += [prefixes, survivors]
         if survivors.hit is not None:
             seed = survivors.classes[survivors.root(survivors.hit)]
-            prefix_states, prefix_inputs = prefixes.path(origins[seed])
-            suffix_states, suffix_inputs = survivors.path(survivors.hit)
-            witness = Witness(prefix_states + suffix_states[1:],
-                              prefix_inputs + suffix_inputs, len(prefix_states) - 1)
+            witness = Witness.splice(prefixes.path(origins[seed]),
+                                     survivors.path(survivors.hit))
 
     stats = {"classes": sum(len(found.classes) for found in searches)}
     return Verdict(witness is None, notion, delta, witness, stats)
@@ -211,22 +209,23 @@ def confirm_witness(
     initial = sys.initial_bits
     m = len(states) - 1
 
+    def walk(bits: int, path: Iterable[int], table: tuple[int, ...]) -> int:
+        """Fold a set along `path`: map it through `table` (successors or
+        predecessors under any input), keep the members close to the state."""
+        for x in path:
+            bits = union(bits, table) & close[x]
+        return bits
+
     if notion.kind is NotionKind.INITIAL_STATE:
         x0 = states[0]
         if not ((initial >> x0) & 1 and (secret >> x0) & 1):
             return False
-        mset = initial & ~secret & close[x0]
-        for t in range(m):
-            mset = union(mset, sys.succ_any) & close[states[t + 1]]
-        return mset == 0
+        return walk(initial & ~secret & close[x0], states[1:], sys.succ_any) == 0
 
     if notion.kind is NotionKind.CURRENT_STATE:
         if not (secret >> states[m]) & 1:
             return False
-        fset = initial & close[states[0]]
-        for t in range(m):
-            fset = union(fset, sys.succ_any) & close[states[t + 1]]
-        return fset & ~secret == 0
+        return walk(initial & close[states[0]], states[1:], sys.succ_any) & ~secret == 0
 
     # k-step or infinite-step
     n_instant = witness.revealing_instant
@@ -236,10 +235,6 @@ def confirm_witness(
         return False
     if notion.kind is NotionKind.K_STEP and m - n_instant > notion.k:
         return False
-    fset = initial & close[states[0]]
-    for t in range(n_instant):
-        fset = union(fset, sys.succ_any) & close[states[t + 1]]
-    bset = close[states[m]]
-    for t in range(m - 1, n_instant - 1, -1):
-        bset = union(bset, sys.pred_any) & close[states[t]]
+    fset = walk(initial & close[states[0]], states[1:n_instant + 1], sys.succ_any)
+    bset = walk(close[states[m]], reversed(states[n_instant:m]), sys.pred_any)
     return fset & bset & ~secret == 0

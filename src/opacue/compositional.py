@@ -15,10 +15,10 @@ from itertools import chain
 from typing import Callable, Iterable, Optional, Sequence
 
 from .boxes import Box, BoxUnion, check_span, grid_interval
-from .control import DtControlSystem, IssCertificate
+from .control import DtControlSystem, IssCertificate, affine_certificate
 from .errors import DomainError, SmallGainError, ValidationError
 from .polynomial import tabulate
-from .system import check_delta, check_threshold
+from .system import check_delta, check_threshold, close_rows
 
 __all__ = [
     "Interval",
@@ -101,15 +101,12 @@ def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
 
     The input box is a zero-effect placeholder so the interconnected system
     can flow through the box-domain tooling, whose quantifiers then range
-    over inputs that do not influence the dynamics. Without `cert`, lambda
-    is |A|_inf, which must be below 1.
+    over inputs that do not influence the dynamics. Without `cert`, it is
+    the affine certificate of the interconnection's A, whose |A|_inf must
+    be below 1.
     """
     if cert is None:
-        lam = max(abs(sub1.a) + abs(sub1.b), abs(sub2.a) + abs(sub2.b))
-        if lam >= 1:
-            raise ValidationError(
-                f"|A|_inf = {lam} >= 1: pass a certificate for this interconnection")
-        cert = IssCertificate(c=1.0, lam=lam, g=0.0, a=1.0)
+        cert = affine_certificate([[sub1.a, sub1.b], [sub2.b, sub2.a]], [])
     width = min(sub1.state.hi - sub1.state.lo, sub2.state.hi - sub2.state.lo)
     return DtControlSystem(
         state_box=Box(((sub1.state.lo, sub1.state.hi), (sub2.state.lo, sub2.state.hi))),
@@ -129,10 +126,12 @@ def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
     )
 
 
-def _scan(name: str, samples: Iterable[Sample]) -> tuple[bool, Optional[float], Optional[tuple]]:
+def _scan(name: str, samples: Iterable[Sample],
+          strict: bool) -> tuple[bool, Optional[float], Optional[tuple]]:
     """(passed, smallest slack, witness) of one sampled condition.
 
-    Stops at the first sample with a negative slack; the witness is the
+    Stops at the first violated sample: a negative slack, or a zero one
+    too when the condition is `strict` (slack > 0). The witness is the
     worst sample seen. A slack that is not finite raises: NaN would pass
     every comparison.
     """
@@ -143,7 +142,7 @@ def _scan(name: str, samples: Iterable[Sample]) -> tuple[bool, Optional[float], 
             raise DomainError(f"{name}: slack {slack} is not finite at {point}")
         if worst is None or slack < worst:
             worst, witness = slack, point
-        if slack < 0:
+        if slack < 0 or strict and slack == 0:
             return False, worst, witness
     return True, worst, None
 
@@ -192,8 +191,10 @@ def _barrier_conditions(
     xs = grid_interval(sub.state.lo, sub.state.hi, resolution)
     ws = grid_interval(partner.state.lo, partner.state.hi, resolution)
     pairs = [(x, xh) for x in xs for xh in xs]
-    # B over the pair grid, in the order of `pairs`
-    values = list(chain(*tabulate(b, [(x,) for x in xs], [(xh,) for xh in xs])))
+    # B and delta-closeness over the pair grid, in the order of `pairs`
+    points = [(x,) for x in xs]
+    values = list(chain(*tabulate(b, points, points)))
+    close = [row >> j & 1 for row in close_rows(points, points, delta) for j in range(len(xs))]
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
@@ -214,22 +215,21 @@ def _barrier_conditions(
 
     def initial(x: float, xh: float) -> bool:
         return (sub.initial.contains(x) and sub.secret.contains(x)
-                and sub.initial.contains(xh) and not sub.secret.contains(xh)
-                and abs(x - xh) <= delta)
+                and sub.initial.contains(xh) and not sub.secret.contains(xh))
 
     conditions = (
         # Lower bound by the augmented norm on the whole region.
-        ("norm-lower-bound", ((p, v - norm(*p)) for p, v in zip(pairs, values))),
+        ("norm-lower-bound", ((p, v - norm(*p)) for p, v in zip(pairs, values)), False),
         # Nonpositive on the local augmented initial region.
-        ("initial", ((p, -v) for p, v in zip(pairs, values) if initial(*p))),
-        # Positive on the local output-distinguishable region.
-        ("unsafe", ((p, v - margin) for p, v in zip(pairs, values)
-                    if abs(p[0] - p[1]) > delta)),
+        ("initial", ((p, -v) for p, v, c in zip(pairs, values, close) if c and initial(*p)),
+         False),
+        # Positive (strictly) on the local output-distinguishable region.
+        ("unsafe", ((p, v - margin) for p, v, c in zip(pairs, values, close) if not c), True),
         # Gain-style decrease against the partner's augmented norm.
-        ("decrease", decrease()),
+        ("decrease", decrease(), False),
     )
-    return [BarrierConditionCheck(idx, name, *_scan(f"subsystem {idx} {name}", samples))
-            for name, samples in conditions]
+    return [BarrierConditionCheck(idx, name, *_scan(f"subsystem {idx} {name}", samples, strict))
+            for name, samples, strict in conditions]
 
 
 def compose_barriers(

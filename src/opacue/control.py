@@ -116,8 +116,8 @@ def affine_certificate(
     norm_b = max(sum(abs(v) for v in row) for row in b_matrix) if b_matrix else 0.0
     if norm_a >= 1:
         raise ValidationError(
-            f"affine certificate requires |A|_inf < 1, got {norm_a}"
-        )
+            f"affine certificate requires |A|_inf < 1, got {norm_a}: "
+            f"pass a certificate for this system")
     return IssCertificate(c=1.0, lam=norm_a, g=norm_b / (1 - norm_a), a=output_lipschitz)
 
 

@@ -79,13 +79,7 @@ def verify_delayed_opacity(
     if survivors.hit is None:
         return Verdict(True, notion, delta, None, stats)
     seed = survivors.classes[survivors.root(survivors.hit)]
-    prefix_states, prefix_inputs = forward.path(origins[seed])
-    suffix_states, suffix_inputs = survivors.path(survivors.hit)
-    witness = Witness(
-        states=prefix_states + suffix_states[1:],
-        inputs=prefix_inputs + suffix_inputs,
-        revealing_instant=len(prefix_states) - 1,
-    )
+    witness = Witness.splice(forward.path(origins[seed]), survivors.path(survivors.hit))
     return Verdict(False, notion, delta, witness, stats)
 
 
@@ -123,12 +117,6 @@ def product_opacity(
         for ei in est_by_ref[x]:
             matched = cur & est.states[ei].estimate
             if matched & ~secret == 0:
-                prefix_states, prefix_inputs = obs.path_to(qi)
-                suffix_states, suffix_inputs = est.forward_path_from(ei)
-                witness = Witness(
-                    states=prefix_states + suffix_states[1:],
-                    inputs=prefix_inputs + suffix_inputs,
-                    revealing_instant=len(prefix_states) - 1,
-                )
+                witness = Witness.splice(obs.path_to(qi), est.forward_path_from(ei))
                 return Verdict(False, notion, delta, witness, stats)
     return Verdict(True, notion, delta, None, stats)

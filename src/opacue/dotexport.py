@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .estimator import InitialStateEstimator
 from .observer import Observer
-from .system import NotionKind, OpacityNotion, iter_bits
+from .system import OpacityNotion, iter_bits
 
 __all__ = ["observer_dot", "estimator_dot"]
 
@@ -17,47 +17,40 @@ def _quote(s: str) -> str:
     return '"' + s.replace('"', '\\"') + '"'
 
 
+def _graph(name: str, prefix: str, built: Observer | InitialStateEstimator,
+           nodes: list[tuple[str, bool]]) -> str:
+    """The DOT graph of a built construction, one (label, revealing) entry
+    per state; edges are labeled by their input."""
+    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    for i, (label, revealing) in enumerate(nodes):
+        attrs = [f"label={_quote(label)}"]
+        attrs.append("shape=doublecircle" if revealing else "shape=ellipse")
+        if i < built.initial_count:
+            attrs.append("style=bold")
+        lines.append(f"  {prefix}{i} [{', '.join(attrs)}];")
+    for src, u, dst in built.transitions:
+        lines.append(f"  {prefix}{src} -> {prefix}{dst} [label={_quote(built.sys.inputs[u])}];")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def observer_dot(obs: Observer, notion: OpacityNotion) -> str:
     sys = obs.sys
     n = sys.n_states
-    initial_notion = notion.kind is NotionKind.INITIAL_STATE
-    lines = ["digraph observer {", "  rankdir=LR;"]
+    nodes = []
     for i, q in enumerate(obs.states):
         pairs = ", ".join(
             f"({sys.names[bit // n]},{sys.names[bit % n]})"
             for bit in iter_bits(q.pairs)
         )
-        label = f"{sys.names[q.ref]} | {{{pairs}}}"
-        proj = obs.int_bits(i) if initial_notion else obs.cur_bits(i)
-        revealing = proj & ~sys.secret_bits == 0
-        attrs = [f"label={_quote(label)}"]
-        attrs.append("shape=doublecircle" if revealing else "shape=ellipse")
-        if i < obs.initial_count:
-            attrs.append("style=bold")
-        lines.append(f"  q{i} [{', '.join(attrs)}];")
-    for src, u, dst in obs.transitions:
-        lines.append(f"  q{src} -> q{dst} [label={_quote(sys.inputs[u])}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append((f"{sys.names[q.ref]} | {{{pairs}}}", obs.reveals(i, notion)))
+    return _graph("observer", "q", obs, nodes)
 
 
 def estimator_dot(est: InitialStateEstimator) -> str:
     sys = est.sys
-    target = sys.initial_bits & sys.secret_bits
-    lines = ["digraph estimator {", "  rankdir=LR;"]
+    nodes = []
     for i, e in enumerate(est.states):
         members = ", ".join(sys.names[b] for b in iter_bits(e.estimate))
-        label = f"{sys.names[e.ref]} | {{{members}}}"
-        revealing = (
-            (target >> e.ref) & 1
-            and e.estimate & sys.initial_bits & ~sys.secret_bits == 0
-        )
-        attrs = [f"label={_quote(label)}"]
-        attrs.append("shape=doublecircle" if revealing else "shape=ellipse")
-        if i < est.initial_count:
-            attrs.append("style=bold")
-        lines.append(f"  e{i} [{', '.join(attrs)}];")
-    for src, u, dst in est.transitions:
-        lines.append(f"  e{src} -> e{dst} [label={_quote(sys.inputs[u])}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        nodes.append((f"{sys.names[e.ref]} | {{{members}}}", est.reveals(i)))
+    return _graph("estimator", "e", est, nodes)

@@ -49,6 +49,13 @@ class InitialStateEstimator:
     parents: list[Optional[tuple[int, int]]]
     depths: list[int]
 
+    def reveals(self, i: int) -> bool:
+        """State i's reference component is a secret initial state and its
+        estimate retains no non-secret initial state."""
+        state, initial, secret = self.states[i], self.sys.initial_bits, self.sys.secret_bits
+        return bool((initial & secret) >> state.ref & 1
+                    and state.estimate & initial & ~secret == 0)
+
     def forward_path_from(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Forward system path starting at ref(i) traced by the backward walk."""
         nodes, inputs = trace(self.parents, i)
@@ -85,21 +92,15 @@ def estimator_verdict(est: InitialStateEstimator) -> Verdict:
     state in its estimate. A failure ships the forward path traced by the
     walk to the first such state in BFS order.
     """
-    sys, delta = est.sys, est.delta
-    secret = sys.secret_bits
-    initial = sys.initial_bits
     notion = OpacityNotion.initial_state()
     stats = {
         "estimator_states": len(est.states),
         "transitions": len(est.transitions),
     }
-    target = initial & secret
-    for i, e in enumerate(est.states):
-        if not (target >> e.ref) & 1:
-            continue
-        if e.estimate & initial & ~secret == 0:
+    for i in range(len(est.states)):
+        if est.reveals(i):
             states, inputs = est.forward_path_from(i)
             witness = Witness(states=states, inputs=inputs, revealing_instant=None)
-            return Verdict(False, notion, delta, witness, stats)
-    return Verdict(True, notion, delta, None, stats)
+            return Verdict(False, notion, est.delta, witness, stats)
+    return Verdict(True, notion, est.delta, None, stats)
 

@@ -84,6 +84,13 @@ class Observer:
             out |= (z >> (row * n)) & rowmask
         return out
 
+    def reveals(self, i: int, notion: OpacityNotion) -> bool:
+        """State i projects its pair set entirely into the secret set: its
+        initial components for initial-state, else its current components."""
+        initial_notion = notion.kind is NotionKind.INITIAL_STATE
+        proj = self.int_bits(i) if initial_notion else self.cur_bits(i)
+        return proj & ~self.sys.secret_bits == 0
+
     def path_to(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Reference-state path and inputs from an initial state to state i."""
         nodes, inputs = trace(self.parents, i)
@@ -202,14 +209,12 @@ def observer_verdict(obs: Observer, notion: OpacityNotion) -> Verdict:
     path to the first revealing state in BFS order.
     """
     initial_notion = _check_state_notion(notion)
-    secret = obs.sys.secret_bits
     stats = {
         "observer_states": len(obs.states),
         "transitions": len(obs.transitions),
     }
     for i in range(len(obs.states)):
-        proj = obs.int_bits(i) if initial_notion else obs.cur_bits(i)
-        if proj & ~secret == 0:
+        if obs.reveals(i, notion):
             states, inputs = obs.path_to(i)
             instant = None if initial_notion else len(states) - 1
             witness = Witness(states=states, inputs=inputs, revealing_instant=instant)

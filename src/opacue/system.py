@@ -192,6 +192,8 @@ class MetricSystem:
             raise ValidationError("a system must have at least one state")
         if len(set(self.names)) != n:
             raise ValidationError("duplicate state names")
+        if len(set(self.transitions)) != len(self.transitions):
+            raise ValidationError("duplicate transitions")
         if len(set(self.inputs)) != len(self.inputs):
             raise ValidationError("duplicate input labels")
         if len(self.outputs) != n:
@@ -220,8 +222,6 @@ class MetricSystem:
             for i in group:
                 if not 0 <= i < n:
                     raise ValidationError(f"{label} state index {i} out of range")
-        if len(set(self.transitions)) != len(self.transitions):
-            raise ValidationError("duplicate transitions")
         for src, u, dst in self.transitions:
             if not 0 <= src < n or not 0 <= dst < n:
                 raise ValidationError(f"transition ({src},{u},{dst}) endpoint unknown")
@@ -429,8 +429,6 @@ def _parse_system(text: str | bytes) -> MetricSystem:
         well_formed = False
     if not well_formed:  # find the first offender, one triple at a time
         transitions = _resolve_transitions(triples, index, input_index)
-    if len(set(transitions)) != len(transitions):
-        raise ValidationError("duplicate transitions")
 
     return MetricSystem(
         names=tuple(names),

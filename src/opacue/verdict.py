@@ -7,6 +7,9 @@ from typing import Optional
 
 from .system import MetricSystem, OpacityNotion
 
+# A path as (states, inputs), with one more state than inputs.
+Path = tuple[tuple[int, ...], tuple[int, ...]]
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -19,6 +22,15 @@ class Witness:
     states: tuple[int, ...]
     inputs: tuple[int, ...]
     revealing_instant: Optional[int] = None
+
+    @classmethod
+    def splice(cls, prefix: Path, suffix: Path) -> "Witness":
+        """The (states, inputs) path `prefix` continued by `suffix`, which
+        starts at the prefix's last state; that state is the revealing
+        instant."""
+        (prefix_states, prefix_inputs), (suffix_states, suffix_inputs) = prefix, suffix
+        return cls(prefix_states + suffix_states[1:], prefix_inputs + suffix_inputs,
+                   len(prefix_states) - 1)
 
     def to_report(self, sys: MetricSystem) -> dict:
         return {

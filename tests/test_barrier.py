@@ -43,16 +43,31 @@ CONST_MINUS_ONE = poly({(0, 0): -1.0})
 CONST_PLUS_ONE = poly({(0, 0): 1.0})
 
 
+def expand(regions):
+    """The regions' rows as pair tuples (r0, ru, r), row by row: the
+    initial pairs, the pairs not delta-close, and every pair."""
+    points = regions.points
+
+    def pairs(member):
+        return tuple((x, xh) for i, x in enumerate(points)
+                     for j, xh in enumerate(points) if member(i, j))
+
+    return (pairs(lambda i, j: regions.r0[i] >> j & 1),
+            pairs(lambda i, j: not regions.close[i] >> j & 1),
+            pairs(lambda i, j: True))
+
+
 def test_region_membership_invariants():
     cs = simple_cs()
     regions = build_regions(cs, delta=0.3, resolution=0.1)
-    for x, xh in regions.r0:
+    r0, ru, r = expand(regions)
+    for x, xh in r0:
         assert cs.initial_region.contains(x) and cs.secret_region.contains(x)
         assert cs.initial_region.contains(xh) and not cs.secret_region.contains(xh)
         assert abs(cs.observe(x)[0] - cs.observe(xh)[0]) <= 0.3
-    for x, xh in regions.ru:
+    for x, xh in ru:
         assert abs(cs.observe(x)[0] - cs.observe(xh)[0]) > 0.3
-    assert len(regions.r) == len(regions.ru) or len(regions.r) > len(regions.ru)
+    assert len(r) == len(ru) or len(r) > len(ru)
 
 
 def test_resolution_guard():
@@ -332,17 +347,17 @@ def test_regions_match_the_pairwise_closeness_definition():
         a, b = rng.choice(points), rng.choice(points)
         delta = rng.choice((0.0, max(abs(i - j) for i, j in zip(ys[a], ys[b])),
                             rng.uniform(0.0, 0.6)))
-        regions = build_regions(cs, delta, resolution)
+        r0, ru, _ = expand(build_regions(cs, delta, resolution))
 
         def close(x, xh):
             return delta_close(ys[x], ys[xh], delta)
 
         secret = [p for p in points if cs.secret_region.contains(p)]
         nonsecret = [p for p in points if not cs.secret_region.contains(p)]
-        assert regions.r0 == tuple((x, xh) for x in secret for xh in nonsecret
-                                   if close(x, xh))
-        assert regions.ru == tuple((x, xh) for x in points for xh in points
-                                   if not close(x, xh))
+        assert r0 == tuple((x, xh) for x in secret for xh in nonsecret
+                           if close(x, xh))
+        assert ru == tuple((x, xh) for x in points for xh in points
+                           if not close(x, xh))
         exact_gaps += sum(abs(i - j) == delta for x in points for xh in points
                           for i, j in zip(ys[x], ys[xh]))
         signed_zeros += sum(v == 0 and math.copysign(1.0, v) < 0
@@ -395,10 +410,10 @@ def test_tabulated_decrease_matches_the_pointwise_definition():
         # 1e307: values past the bound below which base - v cannot overflow
         candidate = _random_candidate(rng, 2 * dim, rng.choice((1.0, 1e307)))
         delta = rng.uniform(0.0, 0.5)
-        regions = build_regions(cs, delta, resolution)
-        unsafe = set(regions.ru)
+        _, ru, r = expand(build_regions(cs, delta, resolution))
+        unsafe = set(ru)
         for (check, quantify, margin), pairs in zip(kinds, (
-                regions.r, [p for p in regions.r if p not in unsafe])):
+                r, [p for p in r if p not in unsafe])):
             report = check(candidate, cs, delta, resolution)
             pointwise = check(lambda p: candidate(p), cs, delta, resolution)
             assert report.to_report() == pointwise.to_report()

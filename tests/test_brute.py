@@ -83,3 +83,31 @@ def test_invalid_arguments():
     with pytest.raises(ValidationError):
         brute_force_opacity(sys_, float("nan"), OpacityNotion.initial_state())
 
+
+
+def test_confirm_witness_rejects_each_broken_claim():
+    # s: secret initial, n: non-secret initial, t: secret, not initial;
+    # s and t share an output, n is delta-apart from both
+    sys_ = MetricSystem(("s", "n", "t"), ("u",), ((0.0,), (1.0,), (0.0,)),
+                        (0, 1), (0, 2), ((0, 0, 2), (1, 0, 1), (2, 0, 2)))
+    initial, current = OpacityNotion.initial_state(), OpacityNotion.current_state()
+    infinite = OpacityNotion.infinite_step()
+
+    def confirm(notion, states, instant=None):
+        inputs = (0,) * (len(states) - 1)
+        return confirm_witness(sys_, 0.0, notion, Witness(states, inputs, instant))
+
+    # initial-state: the path must start on a secret initial state
+    assert confirm(initial, (0, 2))
+    assert not confirm(initial, (1, 1)) and not confirm(initial, (2, 2))
+    # current-state: the path must end on a secret state
+    assert confirm(current, (0, 2), 1)
+    assert not confirm(current, (1, 1), 1)
+    # delayed: the instant must be given, on the path, and on a secret state
+    assert confirm(infinite, (0, 2), 0)
+    for instant in (None, -1, 2):
+        assert not confirm(infinite, (0, 2), instant)
+    assert not confirm(infinite, (1, 1), 0)
+    # k-step: the instant must lie at most k steps before the end
+    assert confirm(OpacityNotion.k_step(1), (0, 2), 0)
+    assert not confirm(OpacityNotion.k_step(0), (0, 2), 0)

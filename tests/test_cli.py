@@ -257,6 +257,31 @@ def test_bad_file_is_usage_error(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_missing_input_file_is_usage_error(capsys, tmp_path):
+    missing = tmp_path / "missing.json"
+    code, out, err = run(capsys, "verify", "--system", str(missing),
+                         "--notion", "initial-state", "--delta", "0")
+    assert (code, out) == (3, "")
+    assert f"{missing}: No such file or directory" in err
+
+
+def test_k_flag_goes_with_the_k_step_notion_only(capsys):
+    _rejected(capsys, "verify", "--system", C1, "--delta", "0", "--notion", "k-step",
+              reason="--notion k-step requires --k")
+    _rejected(capsys, "verify", "--system", C1, "--delta", "0", "--notion",
+              "current-state", "--k", "2", reason="--k only applies to --notion k-step")
+
+
+def test_verify_timing_adds_only_the_wall_time(capsys):
+    argv = ("verify", "--system", C1, "--notion", "initial-state", "--delta", "0")
+    code, out, _ = run(capsys, *argv)
+    timed_code, timed_out, _ = run(capsys, *argv, "--timing")
+    report, timed = json.loads(out), json.loads(timed_out)
+    wall_ms = timed["stats"].pop("wall_ms")
+    assert type(wall_ms) is int and wall_ms >= 0
+    assert (timed_code, timed) == (code, report) and "wall_ms" not in report["stats"]
+
+
 def test_observer_export_dot(capsys, tmp_path):
     dot = tmp_path / "obs.dot"
     code, out, _ = run(capsys, "observer", "--system", C1, "--delta", "0",

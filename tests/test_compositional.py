@@ -6,7 +6,7 @@ import random
 import pytest
 
 from opacue.barrier import check_opacity_barrier
-from opacue.boxes import grid_interval
+from opacue.boxes import Box, BoxUnion, grid_interval
 from opacue.compositional import (
     Interval,
     LinearSubsystem,
@@ -14,7 +14,7 @@ from opacue.compositional import (
     interconnect,
     small_gain,
 )
-from opacue.control import IssCertificate
+from opacue.control import DtControlSystem, IssCertificate
 from opacue.errors import DomainError, SmallGainError, ValidationError
 from opacue.polynomial import Polynomial
 
@@ -157,6 +157,30 @@ def test_non_finite_slacks_fail_closed():
     nan = lambda p: math.nan
     with pytest.raises(DomainError, match=r"^subsystem 1 norm-lower-bound: slack nan"):
         compose_barriers(nan, nan, sub(), sub(), delta=0.5, resolution=0.2)
+
+
+def test_compose_unsafe_is_strict_like_the_barrier_check():
+    # B = 0 on every pair: "B > margin" fails at margin 0 on every pair
+    # more than delta apart, in compose as in the opacity barrier check
+    zero = Polynomial(2, (((0, 0), 0.0),))
+    s = sub(a=0.5, b=0.1)
+    report = compose_barriers(zero, zero, s, s, delta=0.2, resolution=0.25, margin=0.0)
+    for idx in (1, 2):
+        unsafe = next(c for c in report.checks if c.subsystem == idx and c.condition == "unsafe")
+        assert not unsafe.passed and unsafe.min_margin == 0.0
+        assert abs(unsafe.witness[0] - unsafe.witness[1]) > 0.2
+    plant = DtControlSystem(
+        state_box=Box(((0.0, 1.0),)),
+        initial_region=BoxUnion((Box(((0.0, 0.2),)),)),
+        secret_region=BoxUnion((Box(((0.0, 0.1),)),)),
+        input_box=Box(((0.0, 0.1),)),
+        dynamics=("0.5*x1",),
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, 0.5, 0.0, 1.0),
+    )
+    barrier = check_opacity_barrier(zero, plant, delta=0.2, resolution=0.05, margin=0.0)
+    assert barrier.min_margin["unsafe"] == 0.0
+    assert barrier.witness.condition == "unsafe" and barrier.witness.value == 0.0
 
 
 def test_interconnect_needs_a_certificate_unless_contractive():

@@ -11,6 +11,7 @@ from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
 from opacue.errors import DimensionError, PrecisionError, ValidationError
 from opacue.simrel import (
     AbstractionStatus,
+    RelationFailure,
     SimRelation,
     _prune_to_fixpoint,
     check_relation,
@@ -274,6 +275,18 @@ def test_transitive_composition_at_summed_epsilon():
         assert failure is None or failure.condition in ("1a", "1b")
         composed_checked += 1
     assert composed_checked > 5
+
+
+def test_check_relation_rejects_mismatched_dimensions_and_far_outputs():
+    a = MetricSystem(("x", "y"), ("u",), ((0.0,), (1.0,)), (0,), (), ())
+    b = MetricSystem(("p",), ("u",), ((0.0, 1.0),), (0,), (), ())
+    with pytest.raises(DimensionError):
+        check_relation(a, b, SimRelation(((0, 0),), 0.1))
+    # (y, x) is not epsilon-close: condition 2 fails there, not before
+    failure = check_relation(a, a, SimRelation(((0, 0), (1, 0)), 0.5))
+    assert failure == RelationFailure("2", concrete=1, abstract=0,
+                                      detail="outputs not epsilon-close")
+    assert check_relation(a, a, SimRelation(((0, 0), (1, 1)), 0.5)) is None
 
 
 def test_dimension_mismatch_rejected():
