@@ -192,6 +192,7 @@ class MetricSystem:
             raise ValidationError("a system must have at least one state")
         if len(set(self.names)) != n:
             raise ValidationError("duplicate state names")
+        # before the input labels: a document names duplicate transitions first
         if len(set(self.transitions)) != len(self.transitions):
             raise ValidationError("duplicate transitions")
         if len(set(self.inputs)) != len(self.inputs):
