@@ -25,8 +25,8 @@ _EXPORTS = {
                 "check_lack_barrier", "check_opacity_barrier"),
     "boxes": ("Box", "BoxUnion", "grid"),
     "brute": ("brute_force_opacity", "confirm_witness"),
-    "compositional": ("GainReport", "Interval", "LinearSubsystem", "compose_barriers",
-                      "interconnect", "small_gain"),
+    "compositional": ("GainReport", "LinearSubsystem", "compose_barriers", "interconnect",
+                      "small_gain"),
     "control": ("DtControlSystem", "IssCertificate", "QuantizationParams",
                 "affine_certificate", "evaluate_quantization_inequality",
                 "parse_control_system"),

@@ -1,7 +1,8 @@
 """Grid-quantized finite abstractions of discrete-time control systems.
 
-The abstract state set is the eta-lattice of the state box (all of it
-initial), the abstract input set is the mu-lattice of the input box, and a
+The abstract state set is the eta-lattice of the state box, its initial
+and secret states the lattice points in the plant's initial and secret
+regions, the abstract input set is the mu-lattice of the input box, and a
 lattice point is a successor of (state, input) exactly when it lies within
 eta (infinity norm) of the concrete image of that pair: the whole transition
 table is one `system.close_rows` call from the images to the lattice points.
@@ -70,7 +71,6 @@ def build_abstraction(
         lambda images, points: (
             list(iter_bits(row)) for row in close_rows(images, points, params.eta)
         ),
-        BoxUnion((cs.state_box,)),  # every lattice point is initial
     )
     return Abstraction(
         system=system,
@@ -81,12 +81,7 @@ def build_abstraction(
     )
 
 
-def sample_system(
-    cs: DtControlSystem,
-    eta: float,
-    mu: float,
-    cap: int = DEFAULT_STATE_CAP,
-) -> MetricSystem:
+def sample_system(cs: DtControlSystem, eta: float, mu: float) -> MetricSystem:
     """Finite sample of concrete trajectories on a lattice.
 
     States are the eta-lattice of the state box; each (state, input) has the
@@ -99,22 +94,21 @@ def sample_system(
         index = {p: i for i, p in enumerate(points)}
         return ([index[nearest_lattice(image, eta, cs.state_box)]] for image in images)
 
-    return _lattice_system(cs, eta, mu, cap, "sampled system", snap, cs.initial_region)
+    return _lattice_system(cs, eta, mu, DEFAULT_STATE_CAP, "sampled system", snap)
 
 
 def _lattice_system(
     cs: DtControlSystem, eta: float, mu: float, cap: int, label: str,
     successors: Callable[[list[tuple[float, ...]], list[tuple[float, ...]]],
                          Iterable[list[int]]],
-    initial: BoxUnion,
 ) -> MetricSystem:
     """The finite system on the eta-lattice of the state box and the
     mu-lattice of the input box. Every image f(x, u) is computed in grid
     order and must be finite; `successors(images, points)` then gives, per
     image in that order, the ascending indices of the lattice points (x, u)
-    steps to, so the transitions come out sorted. The initial states are
-    the lattice points in `initial`, the secret ones those in the secret
-    region. A system of more than `cap` states is refused before any step."""
+    steps to, so the transitions come out sorted. The initial and secret
+    states are the lattice points in the plant's initial and secret
+    regions. A system of more than `cap` states is refused before any step."""
     points = grid(cs.state_box, eta)
     if len(points) > cap:
         raise ResourceError(f"{label} exceeds the cap of {cap} states")
@@ -142,7 +136,7 @@ def _lattice_system(
         names=tuple(map(_point_name, points)),
         inputs=tuple(map(_point_name, inputs)),
         outputs=tuple(map(cs.observe, points)),
-        initial=tuple(i for i, p in enumerate(points) if initial.contains(p)),
+        initial=tuple(i for i, p in enumerate(points) if cs.initial_region.contains(p)),
         secret=tuple(i for i, p in enumerate(points) if cs.secret_region.contains(p)),
         transitions=tuple(transitions),
     )

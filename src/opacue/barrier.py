@@ -24,7 +24,7 @@ from .boxes import check_span, grid
 from .control import DtControlSystem
 from .errors import DomainError
 from .polynomial import tabulate
-from .system import check_delta, check_threshold, close_rows, iter_bits
+from .system import DEFAULT_MARGIN, check_delta, check_threshold, close_rows, iter_bits
 
 __all__ = [
     "Evaluator",
@@ -42,8 +42,6 @@ __all__ = [
 # (x followed by x_hat). Polynomial instances satisfy this protocol, and
 # every condition evaluates them a table at a time (`tabulate`).
 Evaluator = Callable[[Sequence[float]], float]
-
-DEFAULT_MARGIN = 1e-9
 
 # One sampled condition instance: the augmented point and its slack.
 Sample = tuple[tuple[float, ...], float]

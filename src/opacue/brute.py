@@ -175,8 +175,7 @@ def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion) 
         for i, (x, bits) in enumerate(prefixes.classes):
             if (secret >> x) & 1:
                 origins.setdefault((x, bits & ~secret), i)
-        survivors = explore(origins, step, None, lambda x, bits: bits == 0,
-                            notion.k if notion.kind is NotionKind.K_STEP else None)
+        survivors = explore(origins, step, None, lambda x, bits: bits == 0, notion.k)
         searches += [prefixes, survivors]
         if survivors.hit is not None:
             seed = survivors.classes[survivors.root(survivors.hit)]
@@ -204,7 +203,10 @@ def confirm_witness(
     for t, u in enumerate(inputs):
         if (states[t], u, states[t + 1]) not in edges:
             return False
-    close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
+    if not all(0 <= x < sys.n_states for x in states):  # a one-state path
+        return False
+    # the rows of the witness's own states, the only ones read
+    close = {x: sys.close_bits(x, delta) for x in set(states)}
     secret = sys.secret_bits
     initial = sys.initial_bits
     m = len(states) - 1

@@ -16,6 +16,7 @@ import argparse
 import json
 import sys as _sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -26,7 +27,7 @@ from . import __version__
 from .errors import OpacueError, ParseError, ResourceError, ValidationError
 from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
 from .system import (
-    NotionKind, OpacityNotion, decode_utf8, parse_system, serialize_system,
+    DEFAULT_MARGIN, NotionKind, OpacityNotion, parse_system, serialize_system,
 )
 
 if TYPE_CHECKING:
@@ -52,12 +53,12 @@ def _emit(doc: dict, pairs: str | None = None) -> None:
     print(text.replace('\n  "pairs": null', '\n  "pairs": ' + pairs, 1))
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
+    """The bytes of an input file; the parser that reads them decodes them."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror}") from exc
-    return decode_utf8(data)
 
 
 def _write(path: str, text: str) -> None:
@@ -195,12 +196,7 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
         "mu": result.mu,
         "epsilon": args.epsilon,
         "certified": result.certified,
-        "quantization": {
-            "passed": result.check.passed,
-            "lhs": result.check.lhs,
-            "rhs": result.check.rhs,
-            "slack": result.check.slack,
-        },
+        "quantization": asdict(result.check),
         "written_to": args.out,
     })
     return EXIT_PASS
@@ -219,8 +215,9 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
     return EXIT_FAIL if report.status == "falsified" else EXIT_INCONCLUSIVE
 
 
-def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]:
-    from .compositional import Interval, LinearSubsystem
+def _parse_interconnection(text: bytes) -> tuple[LinearSubsystem, LinearSubsystem]:
+    from .boxes import Box
+    from .compositional import LinearSubsystem
     from .system import json_number, read_object
 
     doc = read_object(text, ("sub1", "sub2"))
@@ -229,13 +226,15 @@ def _parse_interconnection(text: str) -> tuple[LinearSubsystem, LinearSubsystem]
         entry = doc[key]
         try:
             subs.append(LinearSubsystem(
-                a=json_number(entry["a"]), b=json_number(entry["b"]),
-                state=Interval(*map(json_number, entry["state"])),
-                initial=Interval(*map(json_number, entry["initial"])),
-                secret=Interval(*map(json_number, entry["secret"])),
+                json_number(entry["a"]), json_number(entry["b"]),
+                *(Box((tuple(map(json_number, entry[name])),))
+                  for name in ("state", "initial", "secret")),
             ))
-        except (KeyError, TypeError, OverflowError) as exc:
+        # a ValueError is a [lo, hi] pair of the wrong length
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{key}: expected a, b, state, initial, secret") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{key}: {exc}") from exc
     return subs[0], subs[1]
 
 
@@ -265,7 +264,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     # One candidate for both subsystems is parsed, and its table
     # kernels compiled, once.
     b2 = b1 if text2 == text1 else parse_polynomial(text2)
-    margin = 1e-9 if args.margin is None else args.margin
+    margin = DEFAULT_MARGIN if args.margin is None else args.margin
     report = compose_barriers(b1, b2, sub1, sub2, args.delta, args.resolution, margin)
     doc.update(report.to_report())
     _emit(doc)
@@ -334,7 +333,7 @@ def _define_barrier(p: argparse.ArgumentParser) -> None:
     p.add_argument("--candidate", required=True, help="polynomial file")
     p.add_argument("--kind", required=True, choices=["opacity", "lack"])
     p.add_argument("--resolution", type=float, required=True)
-    p.add_argument("--margin", type=float, default=1e-9,
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
                    help="strictness margin for strict inequalities")
     p.set_defaults(fn=_cmd_barrier)
 

@@ -1,10 +1,10 @@
 """Small-gain composition for two feedback-interconnected scalar subsystems.
 
 Each subsystem is x_i+ = a_i*x_i + b_i*x_j with |a_i| < 1, the identity
-output map, and interval state/initial/secret sets. The gain of a subsystem
-is |b_i / (1 - a_i)|; when the product of the two gains is below one, local
-barrier certificates compose by pointwise maximum into a barrier
-certificate for the interconnection.
+output map, and state/initial/secret intervals held as 1-D boxes. The gain
+of a subsystem is |b_i / (1 - a_i)|; when the product of the two gains is
+below one, local barrier certificates compose by pointwise maximum into a
+barrier certificate for the interconnection.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from .boxes import Box, BoxUnion, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate, affine_certificate
 from .errors import DomainError, SmallGainError, ValidationError
 from .polynomial import tabulate
-from .system import check_delta, check_threshold, close_rows
+from .system import DEFAULT_MARGIN, check_delta, check_threshold, close_rows
 
 __all__ = [
-    "Interval",
     "LinearSubsystem",
     "GainReport",
     "small_gain",
@@ -36,36 +35,25 @@ Sample = tuple[tuple[float, ...], float]
 
 
 @dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ValidationError(f"interval needs finite lo < hi, "
-                                  f"got [{self.lo}, {self.hi}]")
-
-    def contains(self, v: float) -> bool:
-        return self.lo <= v <= self.hi
-
-
-@dataclass(frozen=True)
 class LinearSubsystem:
-    """x+ = a*x + b*w with w the partner subsystem's state, output = state."""
+    """x+ = a*x + b*w with w the partner subsystem's state, output = state.
+    The sets are 1-D boxes."""
 
     a: float
     b: float
-    state: Interval
-    initial: Interval
-    secret: Interval
+    state: Box
+    initial: Box
+    secret: Box
 
     def __post_init__(self):
         if not abs(self.a) < 1:
             raise ValidationError(f"subsystem needs |a| < 1, got a={self.a}")
         if not math.isfinite(self.b):
             raise ValidationError(f"subsystem needs a finite b, got b={self.b}")
-        for label, iv in (("initial", self.initial), ("secret", self.secret)):
-            if iv.lo < self.state.lo or iv.hi > self.state.hi:
+        if self.state.dim != 1:
+            raise ValidationError(f"subsystem needs a 1-D state box, got {self.state.dim}-D")
+        for label, box in (("initial", self.initial), ("secret", self.secret)):
+            if not self.state.contains_box(box):
                 raise ValidationError(f"{label} interval leaves the state interval")
 
     def step(self, x: float, w: float) -> float:
@@ -107,16 +95,12 @@ def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
     """
     if cert is None:
         cert = affine_certificate([[sub1.a, sub1.b], [sub2.b, sub2.a]], [])
-    width = min(sub1.state.hi - sub1.state.lo, sub2.state.hi - sub2.state.lo)
+    state = Box(sub1.state.bounds + sub2.state.bounds)
     return DtControlSystem(
-        state_box=Box(((sub1.state.lo, sub1.state.hi), (sub2.state.lo, sub2.state.hi))),
-        initial_region=BoxUnion((Box((
-            (sub1.initial.lo, sub1.initial.hi), (sub2.initial.lo, sub2.initial.hi),
-        )),)),
-        secret_region=BoxUnion((Box((
-            (sub1.secret.lo, sub1.secret.hi), (sub2.secret.lo, sub2.secret.hi),
-        )),)),
-        input_box=Box(((0.0, width),)),
+        state_box=state,
+        initial_region=BoxUnion((Box(sub1.initial.bounds + sub2.initial.bounds),)),
+        secret_region=BoxUnion((Box(sub1.secret.bounds + sub2.secret.bounds),)),
+        input_box=Box(((0.0, state.span),)),
         dynamics=(
             f"{sub1.a!r}*x1 + {sub1.b!r}*x2",
             f"{sub2.a!r}*x2 + {sub2.b!r}*x1",
@@ -188,13 +172,18 @@ def _barrier_conditions(
     margin: float,
 ) -> list[BarrierConditionCheck]:
     """Sample the four local-barrier conditions for one subsystem."""
-    xs = grid_interval(sub.state.lo, sub.state.hi, resolution)
-    ws = grid_interval(partner.state.lo, partner.state.hi, resolution)
+    xs = grid_interval(*sub.state.bounds[0], resolution)
+    ws = grid_interval(*partner.state.bounds[0], resolution)
     pairs = [(x, xh) for x in xs for xh in xs]
-    # B and delta-closeness over the pair grid, in the order of `pairs`
+    # B, delta-closeness and initial-region membership over the pair grid,
+    # in the order of `pairs`
     points = [(x,) for x in xs]
     values = list(chain(*tabulate(b, points, points)))
     close = [row >> j & 1 for row in close_rows(points, points, delta) for j in range(len(xs))]
+    initial, secret = sub.initial.contains, sub.secret.contains
+    starts = [initial(p) and secret(p) for p in points]
+    partners = [initial(p) and not secret(p) for p in points]
+    initial_pairs = [s and t for s in starts for t in partners]
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
@@ -213,16 +202,12 @@ def _barrier_conditions(
                     for wh, value, gain in zip(ws, row, gain_row):
                         yield (x, xh, w, wh), kept + gain - value
 
-    def initial(x: float, xh: float) -> bool:
-        return (sub.initial.contains(x) and sub.secret.contains(x)
-                and sub.initial.contains(xh) and not sub.secret.contains(xh))
-
     conditions = (
         # Lower bound by the augmented norm on the whole region.
         ("norm-lower-bound", ((p, v - norm(*p)) for p, v in zip(pairs, values)), False),
         # Nonpositive on the local augmented initial region.
-        ("initial", ((p, -v) for p, v, c in zip(pairs, values, close) if c and initial(*p)),
-         False),
+        ("initial", ((p, -v) for p, v, c, i in zip(pairs, values, close, initial_pairs)
+                     if c and i), False),
         # Positive (strictly) on the local output-distinguishable region.
         ("unsafe", ((p, v - margin) for p, v, c in zip(pairs, values, close) if not c), True),
         # Gain-style decrease against the partner's augmented norm.
@@ -239,7 +224,7 @@ def compose_barriers(
     sub2: LinearSubsystem,
     delta: float,
     resolution: float,
-    margin: float = 1e-9,
+    margin: float = DEFAULT_MARGIN,
 ) -> BarrierCompositionReport:
     """Compose local barrier certificates by pointwise maximum.
 
@@ -251,7 +236,7 @@ def compose_barriers(
     check_delta(delta)
     check_threshold("margin", margin)
     for idx, sub in enumerate((sub1, sub2), 1):
-        check_span("resolution", resolution, sub.state.hi - sub.state.lo,
+        check_span("resolution", resolution, sub.state.span,
                    f"state interval of subsystem {idx}")
     gains = small_gain(sub1, sub2)
     if not gains.small_gain_ok:

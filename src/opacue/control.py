@@ -54,15 +54,6 @@ class IssCertificate:
         if self.a <= 0:
             raise ValidationError(f"certificate needs a > 0, got {self.a}")
 
-    def beta(self, r: float, k: int) -> float:
-        return self.c * self.lam**k * r
-
-    def gamma(self, r: float) -> float:
-        return self.g * r
-
-    def alpha_inv(self, eps: float) -> float:
-        return eps / self.a
-
 
 @dataclass(frozen=True)
 class QuantizationParams:
@@ -97,20 +88,19 @@ def evaluate_quantization_inequality(
     Takes bare values (degenerate eta = mu = 0 allowed, where the inequality
     reduces to c*lambda < 1 for positive epsilon).
     """
-    rhs = cert.alpha_inv(epsilon)
-    lhs = cert.beta(rhs, 1) + cert.gamma(mu) + eta
+    rhs = epsilon / cert.a
+    lhs = cert.c * cert.lam * rhs + cert.g * mu + eta
     return QuantizationCheck(passed=lhs <= rhs, lhs=lhs, rhs=rhs, slack=rhs - lhs)
 
 
 def affine_certificate(
     a_matrix: Sequence[Sequence[float]],
     b_matrix: Sequence[Sequence[float]],
-    output_lipschitz: float = 1.0,
 ) -> IssCertificate:
-    """Certificate (c=1, lambda=|A|_inf, g=|B|_inf/(1-lambda)) for x+ = Ax + Bu.
+    """Certificate (c=1, lambda=|A|_inf, g=|B|_inf/(1-lambda), a=1) for
+    x+ = Ax + Bu with the identity output map.
 
     Valid only for contractive A: raises ValidationError when |A|_inf >= 1.
-    The output Lipschitz constant defaults to 1 (identity output map).
     """
     norm_a = max(sum(abs(v) for v in row) for row in a_matrix)
     norm_b = max(sum(abs(v) for v in row) for row in b_matrix) if b_matrix else 0.0
@@ -118,7 +108,7 @@ def affine_certificate(
         raise ValidationError(
             f"affine certificate requires |A|_inf < 1, got {norm_a}: "
             f"pass a certificate for this system")
-    return IssCertificate(c=1.0, lam=norm_a, g=norm_b / (1 - norm_a), a=output_lipschitz)
+    return IssCertificate(c=1.0, lam=norm_a, g=norm_b / (1 - norm_a), a=1.0)
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,7 @@ def verify_delayed_opacity(
             origins.setdefault((x, bits & ~secret), i)
     survivors = search(
         sys, close, origins, lambda x, bits: bits == 0, cap,
-        max_depth=notion.k if notion.kind is NotionKind.K_STEP else None,
+        max_depth=notion.k,
         spent=len(forward.classes),
     )
     stats = {"classes": len(forward.classes) + len(survivors.classes)}
@@ -92,15 +92,13 @@ def product_opacity(
     """Decide K-step or infinite-step opacity by the observer x estimator
     product. Slower than `verify_delayed_opacity`; kept as its oracle."""
     _check_delayed_notion(notion)
-    kmax = notion.k if notion.kind is NotionKind.K_STEP else None
-
     obs = build_observer(sys, delta, cap)
     est = build_initial_estimator(sys, delta, cap)
     secret = sys.secret_bits
 
     est_by_ref: list[list[int]] = [[] for _ in range(sys.n_states)]
     for i, e in enumerate(est.states):
-        if kmax is None or est.depths[i] <= kmax:
+        if notion.k is None or est.depths[i] <= notion.k:  # None: infinite-step
             est_by_ref[e.ref].append(i)
 
     stats = {

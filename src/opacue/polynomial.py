@@ -82,7 +82,7 @@ class Polynomial:
             heads.append(f"m{k}" if factors else f"c{k}")
             if factors:
                 prefixes.append(f"m{k} = c{k}{factors}")
-        return self._compile("rows, cols", [
+        return self._compile([
             "powers = []",
             f"for {_targets(f'x{i}' for i in col_vars)} in cols:",
             *(f"    {line}" for line in self._powers(col_vars)),
@@ -118,12 +118,12 @@ class Polynomial:
                 prev = f"p{i}_{e}"
         return lines
 
-    def _compile(self, params: str, body: list[str]) -> Callable:
-        """`def f(params): body`, with the coefficients bound as c0, c1, ..."""
+    def _compile(self, body: list[str]) -> Callable:
+        """`def f(rows, cols): body`, with the coefficients bound as c0, c1, ..."""
         source = "\n".join([
             "def bind(coefs):",
             f"    {_targets(f'c{k}' for k in range(len(self.terms)))} = coefs",
-            f"    def f({params}):",
+            "    def f(rows, cols):",
             *(f"        {line}" for line in body),
             "    return f",
         ])
@@ -183,7 +183,7 @@ def parse_polynomial(text: str | bytes) -> Polynomial:
         except TypeError:
             raise ParseError(f"{where}.coef: expected a number") from None
         except OverflowError:
-            coef = math.inf
+            raise ParseError(f"{where}.coef: out of float range") from None
         if not math.isfinite(coef):
             raise ParseError(f"{where}.coef: expected a finite number, got {term['coef']}")
         terms.append((tuple(exps), coef))

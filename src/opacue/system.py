@@ -30,12 +30,12 @@ __all__ = [
     "bits_of",
     "check_delta",
     "check_threshold",
+    "DEFAULT_MARGIN",
     "close_rows",
     "iter_bits",
     "json_array",
     "json_number",
     "json_texts",
-    "decode_utf8",
     "read_object",
 ]
 
@@ -54,6 +54,11 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+# The strictness margin of a sampled strict inequality (B > margin) when
+# none is given: `barrier`, `compositional` and the CLI all default to it.
+DEFAULT_MARGIN = 1e-9
 
 
 def check_threshold(name: str, value: float) -> None:
@@ -298,15 +303,6 @@ class MetricSystem:
 # -- file format ------------------------------------------------------------
 
 
-def decode_utf8(data: bytes) -> str:
-    """`data` as text. Bytes that are not UTF-8 are a ParseError naming the
-    first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from exc
-
-
 def read_object(text: str | bytes, keys: Sequence[str]) -> dict:
     """Decode a JSON input document whose top level is an object holding
     every key in `keys`. Bytes that are not UTF-8 are a ParseError naming
@@ -315,7 +311,10 @@ def read_object(text: str | bytes, keys: Sequence[str]) -> dict:
     interpreter's digit limit, a top level that is not an object, or a
     missing key, is one too."""
     if isinstance(text, bytes):
-        text = decode_utf8(text)
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"byte {exc.start}: not UTF-8 ({exc.reason})") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

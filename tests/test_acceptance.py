@@ -314,11 +314,10 @@ def test_criterion_7_small_gain_table():
     ]
     assert len(cases) == 10
     mismatches = 0
+    unit = op.Box(((0.0, 1.0),))
     for a1, b1, a2, b2 in cases:
-        sub1 = op.LinearSubsystem(a1, b1, op.Interval(0.0, 1.0),
-                                  op.Interval(0.0, 1.0), op.Interval(0.0, 1.0))
-        sub2 = op.LinearSubsystem(a2, b2, op.Interval(0.0, 1.0),
-                                  op.Interval(0.0, 1.0), op.Interval(0.0, 1.0))
+        sub1 = op.LinearSubsystem(a1, b1, unit, unit, unit)
+        sub2 = op.LinearSubsystem(a2, b2, unit, unit, unit)
         report = op.small_gain(sub1, sub2)
         g1 = abs(b1 / (1 - a1))
         g2 = abs(b2 / (1 - a2))
@@ -327,10 +326,8 @@ def test_criterion_7_small_gain_table():
                 and report.small_gain_ok == (g1 * g2 < 1)):
             mismatches += 1
     named = op.small_gain(
-        op.LinearSubsystem(0.5, 0.2, op.Interval(0.0, 1.0),
-                           op.Interval(0.0, 1.0), op.Interval(0.0, 1.0)),
-        op.LinearSubsystem(0.5, 0.2, op.Interval(0.0, 1.0),
-                           op.Interval(0.0, 1.0), op.Interval(0.0, 1.0)),
+        op.LinearSubsystem(0.5, 0.2, unit, unit, unit),
+        op.LinearSubsystem(0.5, 0.2, unit, unit, unit),
     )
     expected_product = abs(0.2 / 0.5) * abs(0.2 / 0.5)
     ok = (mismatches == 0 and named.product == expected_product

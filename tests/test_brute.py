@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from opacue.api import verify_opacity
 from opacue.brute import brute_force_opacity, confirm_witness
 from opacue.errors import ValidationError
 from opacue.system import MetricSystem, OpacityNotion
@@ -111,3 +112,25 @@ def test_confirm_witness_rejects_each_broken_claim():
     # k-step: the instant must lie at most k steps before the end
     assert confirm(OpacityNotion.k_step(1), (0, 2), 0)
     assert not confirm(OpacityNotion.k_step(0), (0, 2), 0)
+
+
+def test_witness_replay_builds_only_the_rows_of_its_states(monkeypatch):
+    rng = random.Random(18)
+    witnesses = []
+    for _ in range(300):
+        sys_ = random_system(rng, max_states=8)
+        for notion in (OpacityNotion.initial_state(), OpacityNotion.current_state(),
+                       OpacityNotion.k_step(1), OpacityNotion.infinite_step()):
+            verdict = verify_opacity(sys_, 0.1, notion)
+            if verdict.witness is not None:
+                witnesses.append((sys_, notion, verdict.witness))
+    # the rows of the other states would be wasted work
+    assert sum(len(set(w.states)) < sys_.n_states for sys_, _, w in witnesses) > 100
+    calls = []
+    close_bits = MetricSystem.close_bits
+    monkeypatch.setattr(MetricSystem, "close_bits",
+                        lambda self, x, delta: calls.append(x) or close_bits(self, x, delta))
+    for sys_, notion, witness in witnesses:
+        calls.clear()
+        assert confirm_witness(sys_, 0.1, notion, witness)
+        assert len(calls) <= len(set(witness.states))

@@ -421,6 +421,32 @@ def test_abstract_writes_loadable_system(capsys, tmp_path):
     assert loaded.initial == (0, 1, 2)
 
 
+def test_abstraction_takes_its_initial_states_from_the_plant(capsys, tmp_path):
+    # Every initial state of this plant is secret, so no run can hide a
+    # secret start. An abstraction with every lattice point initial would
+    # answer "opaque".
+    plant = {
+        "dim": 1,
+        "state_box": [[0.0, 1.0]],
+        "initial_box": [[0.4, 0.7]],
+        "secret_box": [[0.4, 0.7]],
+        "input_box": [[0.0, 0.1]],
+        "dynamics": ["0.3*x1 + 0.2*u1"],
+        "output": ["x1"],
+        "iss_cert": {"c": 1.0, "lambda": 0.3, "g": 0.2857, "a": 1.0},
+    }
+    out_path = tmp_path / "abs.json"
+    code, out, _ = run(capsys, "abstract", "--system", _write(tmp_path, "plant.json", plant),
+                       "--eta", "0.05", "--mu", "0.05", "--epsilon", "0.2",
+                       "--out", str(out_path))
+    assert code == 0 and json.loads(out)["states"] == 21
+    abstraction = parse_system(out_path.read_bytes())
+    assert abstraction.initial == abstraction.secret and len(abstraction.initial) == 7
+    code, out, _ = run(capsys, "verify", "--system", str(out_path),
+                       "--notion", "initial-state", "--delta", "0.2", "--oracle")
+    assert code == 1 and json.loads(out)["witness_confirmed"] is True
+
+
 def test_barrier_falsified_and_sample_passed(capsys, tmp_path):
     cs_doc = {
         "dim": 1,
@@ -628,7 +654,9 @@ def test_compose_rejects_non_finite_interconnections(capsys, tmp_path, field, va
 @pytest.mark.parametrize("bounds", [
     [0.0, 10 ** 400],  # an int past float range: used to pass the small-gain check
     [0, True],  # used to be taken as the interval [0, 1]
-], ids=["huge-int", "bool"])
+    [0.0], [0.0, 0.5, 1.0],  # not a [lo, hi] pair
+    [1.0, 0.0],  # lo > hi
+], ids=["huge-int", "bool", "one-bound", "three-bounds", "reversed"])
 def test_compose_rejects_malformed_interval_bounds(capsys, tmp_path, bounds):
     subs = json.loads(json.dumps(SUBS))
     subs["sub1"]["state"] = bounds

@@ -8,7 +8,6 @@ import pytest
 from opacue.barrier import check_opacity_barrier
 from opacue.boxes import Box, BoxUnion, grid_interval
 from opacue.compositional import (
-    Interval,
     LinearSubsystem,
     compose_barriers,
     interconnect,
@@ -20,8 +19,8 @@ from opacue.polynomial import Polynomial
 
 
 def sub(a=0.5, b=0.2, state=(0.0, 1.0), initial=(0.0, 0.2), secret=(0.6, 1.0)):
-    return LinearSubsystem(a=a, b=b, state=Interval(*state),
-                           initial=Interval(*initial), secret=Interval(*secret))
+    return LinearSubsystem(a=a, b=b, state=Box((state,)),
+                           initial=Box((initial,)), secret=Box((secret,)))
 
 
 def test_gains_closed_form():
@@ -136,9 +135,17 @@ def test_non_finite_subsystems_are_rejected(bad):
     with pytest.raises(ValidationError, match="finite"):
         sub(b=bad)
     with pytest.raises(ValidationError, match="finite"):
-        Interval(0.0, bad)
+        sub(state=(0.0, bad))
     with pytest.raises(ValidationError, match="finite"):
-        Interval(bad, 1.0)
+        sub(state=(bad, 1.0))
+
+
+def test_subsystem_sets_are_one_dimensional_boxes():
+    square = Box(((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ValidationError, match="1-D state box"):
+        LinearSubsystem(0.5, 0.2, square, square, square)
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        LinearSubsystem(0.5, 0.2, Box(((0.0, 1.0),)), square, Box(((0.6, 1.0),)))
 
 
 @pytest.mark.parametrize("flags", [

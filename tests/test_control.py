@@ -4,6 +4,7 @@ import ast
 import json
 import math
 import random
+import struct
 
 import pytest
 
@@ -173,6 +174,34 @@ def test_quantization_degenerate_grid_limit():
     assert evaluate_quantization_inequality(good, 0.0, 0.0, 0.7).passed
     bad = IssCertificate(c=2.0, lam=0.6, g=1.0, a=2.0)  # c*lambda = 1.2
     assert not evaluate_quantization_inequality(bad, 0.0, 0.0, 0.7).passed
+
+
+def test_quantization_inequality_is_its_formula_bit_for_bit():
+    # c*lambda*(eps/a) + g*mu + eta <= eps/a, in the order the decay term
+    # beta(r, k) = c*lambda**k*r at k = 1 and the gain g*r were evaluated
+    rng = random.Random(18)
+
+    def magnitude() -> float:  # any finite nonnegative float, subnormal to huge
+        return math.ldexp(rng.random(), rng.randrange(-1074, 1025))
+
+    def bits(v: float) -> bytes:
+        return struct.pack("<d", v)
+
+    for _ in range(20_000):
+        lam = 0.0
+        while not 0 < lam < 1:
+            lam = magnitude() if rng.random() < 0.5 else rng.random()
+        a = 0.0
+        while not a > 0:
+            a = magnitude()
+        cert = IssCertificate(c=max(1.0, magnitude()), lam=lam, g=magnitude(), a=a)
+        eta, mu, eps = (magnitude() if rng.random() < 0.5 else rng.random() for _ in range(3))
+        rhs = eps / cert.a
+        lhs = cert.c * cert.lam**1 * rhs + cert.g * mu + eta
+        chk = evaluate_quantization_inequality(cert, eta, mu, eps)
+        assert chk.passed == (lhs <= rhs)
+        assert [bits(chk.lhs), bits(chk.rhs), bits(chk.slack)] == [
+            bits(lhs), bits(rhs), bits(rhs - lhs)]
 
 
 def test_quantization_params_positive():

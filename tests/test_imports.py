@@ -22,7 +22,7 @@ PUBLIC = {
                "check_opacity_barrier",
     "boxes": "Box BoxUnion grid",
     "brute": "brute_force_opacity confirm_witness",
-    "compositional": "GainReport Interval LinearSubsystem compose_barriers "
+    "compositional": "GainReport LinearSubsystem compose_barriers "
                      "interconnect small_gain",
     "control": "DtControlSystem IssCertificate QuantizationParams affine_certificate "
                "evaluate_quantization_inequality parse_control_system",
