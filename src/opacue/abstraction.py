@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
-from .boxes import BoxUnion, check_span, grid, nearest_lattice
+from .boxes import BoxUnion, check_initial_spans, check_span, grid, nearest_lattice
 from .control import (
     DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
 )
@@ -59,6 +59,7 @@ def build_abstraction(
     check_span("eta", params.eta, min(cs.secret_region.span, complement.span),
                "secret region or its complement")
     check_span("mu", params.mu, cs.input_box.span, "input box")
+    check_initial_spans("eta", params.eta, cs.initial_region, cs.secret_region, "region")
     qcheck = evaluate_quantization_inequality(cs.iss_cert, params.eta, params.mu,
                                               params.epsilon)
     if not qcheck.passed and not allow_unsound:

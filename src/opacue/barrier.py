@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .boxes import check_span, grid
+from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid
 from .control import DtControlSystem
 from .errors import DomainError
 from .polynomial import tabulate
@@ -45,8 +45,6 @@ Evaluator = Callable[[Sequence[float]], float]
 
 # One sampled condition instance: the augmented point and its slack.
 Sample = tuple[tuple[float, ...], float]
-# The value a violated sample reports, given its slack; None if not violated.
-Rule = Callable[[float], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -73,26 +71,31 @@ def build_regions(
 
     Points are drawn from the resolution-lattice of the state box and kept
     by exact membership in each region predicate, so any reported witness
-    genuinely belongs to its region. Closeness is the table `close_rows`
-    builds over the sampled outputs, pair for pair equal to `delta_close`.
+    genuinely belongs to its region. Closeness is pair for pair equal to
+    `delta_close` over the sampled outputs.
     """
     check_delta(delta)
-    for label, region in (
-        ("state box", cs.state_box),
-        ("input box", cs.input_box),
-        ("initial-and-secret region", cs.initial_region.intersect(cs.secret_region)),
-        ("initial-minus-secret region", cs.initial_region.subtract(cs.secret_region)),
-    ):
-        check_span("resolution", resolution, region.span, label)
+    check_span("resolution", resolution, cs.state_box.span, "state box")
+    check_span("resolution", resolution, cs.input_box.span, "input box")
+    check_initial_spans("resolution", resolution, cs.initial_region, cs.secret_region,
+                        "region")
     points = grid(cs.state_box, resolution)
     outputs = [cs.observe(p) for p in points]
     for p, y in zip(points, outputs):
         if not all(map(math.isfinite, y)):
             raise DomainError(f"regions: output {y} is not finite at {p}", state=p)
+    return pair_regions(points, outputs, cs.initial_region, cs.secret_region, delta)
+
+
+def pair_regions(points: list[tuple[float, ...]], outputs: Sequence[Sequence[float]],
+                 initial: Box | BoxUnion, secret: Box | BoxUnion,
+                 delta: float) -> AugmentedRegions:
+    """The augmented regions of `points`, whose outputs are `outputs`, for
+    the given initial and secret sets; closeness is one `close_rows` table."""
     close = close_rows(outputs, outputs, delta)
-    initial = sum(1 << i for i, p in enumerate(points) if cs.initial_region.contains(p))
-    secret = sum(1 << i for i, p in enumerate(points) if cs.secret_region.contains(p))
-    r0 = [row & initial & ~secret if (initial & secret) >> i & 1 else 0
+    in_initial = sum(1 << i for i, p in enumerate(points) if initial.contains(p))
+    in_secret = sum(1 << i for i, p in enumerate(points) if secret.contains(p))
+    r0 = [row & in_initial & ~in_secret if (in_initial & in_secret) >> i & 1 else 0
           for i, row in enumerate(close)]
     return AugmentedRegions(points=points, r0=r0, close=close)
 
@@ -157,45 +160,47 @@ def decrease_exists_forall(slack: list[list[float]]) -> float:
     return max(min(row) for row in slack)
 
 
-def _above(margin: float) -> Rule:
-    """Violation rule of "B > margin": B itself, whenever B <= margin."""
-    return lambda value: value if value <= margin else None
+class Scan:
+    """The violated samples (point, slack) of one condition, in order: each
+    slack below `floor`, or equal to it when the condition is `strict`.
+    `worst` (the first of the smallest slacks) and `count` cover the samples
+    drawn up to the last one yielded, or all of them once the scan ends. A
+    slack that is not finite raises: NaN would pass every comparison."""
 
+    def __init__(self, name: str, samples: Iterable[Sample], floor: float, strict: bool):
+        self.name, self.samples, self.floor, self.strict = name, samples, floor, strict
+        self.worst: Optional[float] = None
+        self.count = 0
 
-def _negative(slack: float) -> Optional[float]:
-    """Violation rule of "slack >= 0": the shortfall -slack."""
-    return -slack if slack < 0 else None
-
-
-def _scan(conditions: Sequence[tuple[str, Iterable[Sample], Rule]]) -> CheckReport:
-    """Scan every sample of every (name, samples, rule) condition, in order.
-
-    Every sample is scanned, so the report counts every violation. A slack
-    that is not finite raises: NaN would pass every comparison.
-    """
-    violations: list[Violation] = []
-    margins: dict[str, Optional[float]] = {}
-    counts: dict[str, int] = {}
-    inf = math.inf  # a local name: this test runs once per sample
-    for name, samples, rule in conditions:
-        worst, count = None, 0
-        for point, slack in samples:
+    def __iter__(self) -> Iterator[Sample]:
+        floor, strict, worst, count = self.floor, self.strict, None, 0
+        inf = math.inf  # a local name: this test runs once per sample
+        for point, slack in self.samples:
             if not -inf < slack < inf:
-                raise DomainError(f"{name}: slack {slack} is not finite at {point}")
+                raise DomainError(f"{self.name}: slack {slack} is not finite at {point}")
             count += 1
             if worst is None or slack < worst:
                 worst = slack
-            value = rule(slack)
-            if value is not None:
-                violations.append(Violation(name, point, value))
-        margins[name], counts[name] = worst, count
-    falsified = bool(violations)
+            if slack < floor or strict and slack == floor:
+                self.worst, self.count = worst, count
+                yield point, slack
+        self.worst, self.count = worst, count
+
+
+def _scan(conditions: Sequence[tuple[str, Iterable[Sample], float, bool]]) -> CheckReport:
+    """Scan every sample of every (name, samples, floor, strict) condition,
+    in order, so the report counts every violation. A strict condition
+    ("B > floor") reports B itself, any other ("slack >= 0") its shortfall
+    -slack."""
+    scans = [Scan(*condition) for condition in conditions]
+    violations = tuple(Violation(scan.name, point, slack if scan.strict else -slack)
+                       for scan in scans for point, slack in scan)
     return CheckReport(
-        status="falsified" if falsified else "sample-passed",
-        violations=tuple(violations),
-        min_margin=margins,
-        sample_counts=counts,
-        conclusive=falsified,
+        status="falsified" if violations else "sample-passed",
+        violations=violations,
+        min_margin={scan.name: scan.worst for scan in scans},
+        sample_counts={scan.name: scan.count for scan in scans},
+        conclusive=bool(violations),
     )
 
 
@@ -296,11 +301,11 @@ def check_opacity_barrier(
     full = (1 << len(points)) - 1
     return _scan((
         ("initial", ((p, -v) for p, v in _values(candidate, points, regions.r0)),
-         _negative),
+         0.0, False),
         ("unsafe", _values(candidate, points, [full & ~row for row in regions.close]),
-         _above(margin)),
+         margin, True),
         ("decrease", _decrease(candidate, cs, resolution, points, [full] * len(points),
-                               decrease_forall_exists, 0.0), _negative),
+                               decrease_forall_exists, 0.0), 0.0, False),
     ))
 
 
@@ -338,8 +343,8 @@ def check_lack_barrier(
                 for i, row in enumerate(regions.close)]
     return _scan((
         ("initial", ((p, -v) for p, v in _values(candidate, points, regions.r0)),
-         _negative),
-        ("boundary", _values(candidate, points, boundary), _above(margin)),
+         0.0, False),
+        ("boundary", _values(candidate, points, boundary), margin, True),
         ("decrease", _decrease(candidate, cs, resolution, points, regions.close,
-                               decrease_exists_forall, margin), _negative),
+                               decrease_exists_forall, margin), 0.0, False),
     ))

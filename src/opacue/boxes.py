@@ -145,6 +145,15 @@ def check_span(name: str, step: float, span: float, of: str) -> None:
         raise QuantizationError(f"{name} {step} exceeds the span {span} of the {of}")
 
 
+def check_initial_spans(name: str, step: float, initial: BoxUnion, secret: BoxUnion,
+                        of: str) -> None:
+    """`check_span` on the secret and the non-secret part of an initial
+    region: an initial pair starts in the one and has its partner in the
+    other, so a lattice that misses either samples no initial pair."""
+    check_span(name, step, initial.intersect(secret).span, f"initial-and-secret {of}")
+    check_span(name, step, initial.subtract(secret).span, f"initial-minus-secret {of}")
+
+
 def grid_interval(lo: float, hi: float, step: float) -> list[float]:
     """Lattice multiples of step inside the closed interval [lo, hi]."""
     _check_step(step)

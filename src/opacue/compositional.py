@@ -4,21 +4,22 @@ Each subsystem is x_i+ = a_i*x_i + b_i*x_j with |a_i| < 1, the identity
 output map, and state/initial/secret intervals held as 1-D boxes. The gain
 of a subsystem is |b_i / (1 - a_i)|; when the product of the two gains is
 below one, local barrier certificates compose by pointwise maximum into a
-barrier certificate for the interconnection.
+barrier certificate for the interconnection. The local conditions are
+sampled through `barrier`'s region model and scan kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
-from .boxes import Box, BoxUnion, check_span, grid_interval
+from .barrier import Sample, Scan, pair_regions
+from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate, affine_certificate
-from .errors import DomainError, SmallGainError, ValidationError
+from .errors import SmallGainError, ValidationError
 from .polynomial import tabulate
-from .system import DEFAULT_MARGIN, check_delta, check_threshold, close_rows
+from .system import DEFAULT_MARGIN, check_delta, check_threshold, iter_bits
 
 __all__ = [
     "LinearSubsystem",
@@ -29,10 +30,6 @@ __all__ = [
     "BarrierConditionCheck",
     "BarrierCompositionReport",
 ]
-
-# One sampled condition instance: its witness point and its slack.
-Sample = tuple[tuple[float, ...], float]
-
 
 @dataclass(frozen=True)
 class LinearSubsystem:
@@ -110,27 +107,6 @@ def interconnect(sub1: LinearSubsystem, sub2: LinearSubsystem,
     )
 
 
-def _scan(name: str, samples: Iterable[Sample],
-          strict: bool) -> tuple[bool, Optional[float], Optional[tuple]]:
-    """(passed, smallest slack, witness) of one sampled condition.
-
-    Stops at the first violated sample: a negative slack, or a zero one
-    too when the condition is `strict` (slack > 0). The witness is the
-    worst sample seen. A slack that is not finite raises: NaN would pass
-    every comparison.
-    """
-    worst = witness = None
-    inf = math.inf  # a local name: this test runs once per sample
-    for point, slack in samples:
-        if not -inf < slack < inf:
-            raise DomainError(f"{name}: slack {slack} is not finite at {point}")
-        if worst is None or slack < worst:
-            worst, witness = slack, point
-        if slack < 0 or strict and slack == 0:
-            return False, worst, witness
-    return True, worst, None
-
-
 @dataclass(frozen=True)
 class BarrierConditionCheck:
     subsystem: int
@@ -174,28 +150,27 @@ def _barrier_conditions(
     """Sample the four local-barrier conditions for one subsystem."""
     xs = grid_interval(*sub.state.bounds[0], resolution)
     ws = grid_interval(*partner.state.bounds[0], resolution)
-    pairs = [(x, xh) for x in xs for xh in xs]
-    # B, delta-closeness and initial-region membership over the pair grid,
-    # in the order of `pairs`
-    points = [(x,) for x in xs]
-    values = list(chain(*tabulate(b, points, points)))
-    close = [row >> j & 1 for row in close_rows(points, points, delta) for j in range(len(xs))]
-    initial, secret = sub.initial.contains, sub.secret.contains
-    starts = [initial(p) and secret(p) for p in points]
-    partners = [initial(p) and not secret(p) for p in points]
-    initial_pairs = [s and t for s in starts for t in partners]
+    points = [(x,) for x in xs]  # the output map is the identity
+    regions = pair_regions(points, points, sub.initial, sub.secret, delta)
+    values = tabulate(b, points, points)  # B once per (x, xh) pair, row by row
+    full = (1 << len(points)) - 1
+
+    def pairs(rows: list[int]) -> Iterator[Sample]:
+        """((x, xh), B(x, xh)) at each pair of the rows, in order."""
+        for x, row, row_values in zip(points, rows, values):
+            for j in iter_bits(row):
+                yield x + points[j], row_values[j]
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
 
-    def decrease() -> Iterable[Sample]:
+    def decrease() -> Iterator[Sample]:
         # each factor is computed outside the loops it does not depend on
         gains = [[sub.b * norm(w, wh) for wh in ws] for w in ws]
         steps = [[(sub.step(x, w),) for w in ws] for x in xs]
-        bases = iter(values)
-        for x, x_steps in zip(xs, steps):
-            for xh, xh_steps in zip(xs, steps):
-                kept = (1 - sub.a) * next(bases)
+        for x, x_steps, row_values in zip(xs, steps, values):
+            for xh, xh_steps, base in zip(xs, steps, row_values):
+                kept = (1 - sub.a) * base
                 # one table per pair, so a scan that stops early wastes one
                 table = tabulate(b, x_steps, xh_steps)
                 for w, row, gain_row in zip(ws, table, gains):
@@ -204,17 +179,23 @@ def _barrier_conditions(
 
     conditions = (
         # Lower bound by the augmented norm on the whole region.
-        ("norm-lower-bound", ((p, v - norm(*p)) for p, v in zip(pairs, values)), False),
+        ("norm-lower-bound", ((p, v - norm(*p)) for p, v in pairs([full] * len(xs))), False),
         # Nonpositive on the local augmented initial region.
-        ("initial", ((p, -v) for p, v, c, i in zip(pairs, values, close, initial_pairs)
-                     if c and i), False),
+        ("initial", ((p, -v) for p, v in pairs(regions.r0)), False),
         # Positive (strictly) on the local output-distinguishable region.
-        ("unsafe", ((p, v - margin) for p, v, c in zip(pairs, values, close) if not c), True),
+        ("unsafe", ((p, v - margin) for p, v in pairs([full & ~row for row in regions.close])),
+         True),
         # Gain-style decrease against the partner's augmented norm.
         ("decrease", decrease(), False),
     )
-    return [BarrierConditionCheck(idx, name, *_scan(f"subsystem {idx} {name}", samples, strict))
-            for name, samples, strict in conditions]
+    checks = []
+    for name, samples, strict in conditions:
+        # every earlier sample passed, so the first violated one is the worst
+        scan = Scan(f"subsystem {idx} {name}", samples, 0.0, strict)
+        hit = next(iter(scan), None)
+        checks.append(BarrierConditionCheck(idx, name, hit is None, scan.worst,
+                                            hit and hit[0]))
+    return checks
 
 
 def compose_barriers(
@@ -236,8 +217,10 @@ def compose_barriers(
     check_delta(delta)
     check_threshold("margin", margin)
     for idx, sub in enumerate((sub1, sub2), 1):
-        check_span("resolution", resolution, sub.state.span,
-                   f"state interval of subsystem {idx}")
+        of = f"interval of subsystem {idx}"
+        check_span("resolution", resolution, sub.state.span, f"state {of}")
+        check_initial_spans("resolution", resolution, BoxUnion((sub.initial,)),
+                            BoxUnion((sub.secret,)), of)
     gains = small_gain(sub1, sub2)
     if not gains.small_gain_ok:
         raise SmallGainError(

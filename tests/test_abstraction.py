@@ -200,6 +200,28 @@ def test_span_guards():
         build_abstraction(linear_cs(), QuantizationParams(eta=0.1, mu=0.2, epsilon=2.0))
 
 
+@pytest.mark.parametrize("initial,secret,part", [
+    # every initial state is secret: the initial lattice used to be empty
+    ((0.41, 0.44), (0.4, 0.7), "initial-and-secret"),
+    ((0.35, 0.7), (0.38, 0.7), "initial-minus-secret"),
+])
+def test_eta_wider_than_a_part_of_the_initial_region_is_refused(initial, secret, part):
+    cs = DtControlSystem(
+        state_box=Box(((0.0, 1.0),)),
+        initial_region=BoxUnion((Box((initial,)),)),
+        secret_region=BoxUnion((Box((secret,)),)),
+        input_box=Box(((0.0, 0.1),)),
+        dynamics=("0.3*x1 + 0.2*u1",),
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, 0.3, 0.2857, 1.0),
+    )
+    params = QuantizationParams(eta=0.05, mu=0.05, epsilon=0.2)
+    for allow_unsound in (False, True):
+        with pytest.raises(QuantizationError, match=rf"^eta 0.05 exceeds .* {part} region$"):
+            build_abstraction(cs, params, allow_unsound)
+    assert build_abstraction(cs, QuantizationParams(0.025, 0.05, 0.2)).certified
+
+
 def test_domain_error_when_dynamics_escape():
     cs = DtControlSystem(
         state_box=Box(((0.0, 1.0),)),

@@ -447,6 +447,22 @@ def test_abstraction_takes_its_initial_states_from_the_plant(capsys, tmp_path):
     assert code == 1 and json.loads(out)["witness_confirmed"] is True
 
 
+def test_abstraction_refuses_an_initial_region_narrower_than_eta(capsys, tmp_path):
+    # Every initial state of this plant is secret, but none lies on the
+    # 0.05-lattice: the abstraction used to be certified with no initial
+    # state at all, and `verify` on it answered a false "opaque".
+    plant = {**PLANT, "initial_box": [[0.41, 0.44]], "secret_box": [[0.4, 0.7]],
+             "input_box": [[0.0, 0.1]], "dynamics": ["0.3*x1 + 0.2*u1"],
+             "iss_cert": {"c": 1.0, "lambda": 0.3, "g": 0.2857, "a": 1.0}}
+    out_path = tmp_path / "abs.json"
+    code, out, err = run(capsys, "abstract", "--system", _write(tmp_path, "plant.json", plant),
+                         "--eta", "0.05", "--mu", "0.05", "--epsilon", "0.2",
+                         "--out", str(out_path))
+    assert (code, out) == (3, "") and not out_path.exists()
+    assert err.startswith("error: eta 0.05 exceeds the span") and \
+        err.endswith("of the initial-and-secret region\n"), err
+
+
 def test_barrier_falsified_and_sample_passed(capsys, tmp_path):
     cs_doc = {
         "dim": 1,
@@ -530,6 +546,7 @@ SUBS = {
 AFFINE = {"vars": 2, "terms": [{"exps": [0, 0], "coef": 1.0},
                                {"exps": [1, 0], "coef": 1.0},
                                {"exps": [0, 1], "coef": 1.0}]}
+FIVE = {"vars": 2, "terms": [{"exps": [0, 0], "coef": 5.0}]}
 
 
 def _write(tmp_path, name, doc):
@@ -862,6 +879,15 @@ def test_dynamics_nested_too_deeply_is_a_parse_error(capsys, tmp_path, depth):
     assert run(capsys, "abstract", "--system", plant, "--eta", "0.5", "--mu", "0.1",
                "--epsilon", "1.5", "--unsound") == (
         3, "", f"error: expression {dynamics!r}: nested too deeply\n")
+
+
+def test_compose_rejects_resolution_wider_than_a_part_of_an_initial_interval(
+        capsys, tmp_path):
+    # the initial conditions used to see no sample: all_passed, exit 2
+    subs = {key: {**sub, "secret": [0.11, 0.19]} for key, sub in SUBS.items()}
+    code, out, err = run(capsys, *_compose_argv(tmp_path, subs, FIVE))
+    assert (code, out) == (3, "")
+    assert err.endswith("of the initial-and-secret interval of subsystem 1\n"), err
 
 
 def test_compose_rejects_resolution_wider_than_a_state_interval(capsys, tmp_path):

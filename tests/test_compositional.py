@@ -14,7 +14,7 @@ from opacue.compositional import (
     small_gain,
 )
 from opacue.control import DtControlSystem, IssCertificate
-from opacue.errors import DomainError, SmallGainError, ValidationError
+from opacue.errors import DomainError, QuantizationError, SmallGainError, ValidationError
 from opacue.polynomial import Polynomial
 
 
@@ -171,7 +171,7 @@ def test_compose_unsafe_is_strict_like_the_barrier_check():
     # more than delta apart, in compose as in the opacity barrier check
     zero = Polynomial(2, (((0, 0), 0.0),))
     s = sub(a=0.5, b=0.1)
-    report = compose_barriers(zero, zero, s, s, delta=0.2, resolution=0.25, margin=0.0)
+    report = compose_barriers(zero, zero, s, s, delta=0.2, resolution=0.2, margin=0.0)
     for idx in (1, 2):
         unsafe = next(c for c in report.checks if c.subsystem == idx and c.condition == "unsafe")
         assert not unsafe.passed and unsafe.min_margin == 0.0
@@ -188,6 +188,25 @@ def test_compose_unsafe_is_strict_like_the_barrier_check():
     barrier = check_opacity_barrier(zero, plant, delta=0.2, resolution=0.05, margin=0.0)
     assert barrier.min_margin["unsafe"] == 0.0
     assert barrier.witness.condition == "unsafe" and barrier.witness.value == 0.0
+
+
+@pytest.mark.parametrize("initial,secret,part", [
+    # the initial condition used to see no sample and pass
+    ((0.0, 0.2), (0.11, 0.19), "initial-and-secret"),
+    ((0.0, 0.2), (0.05, 0.2), "initial-minus-secret"),
+])
+def test_compose_refuses_a_resolution_wider_than_a_part_of_an_initial_interval(
+        initial, secret, part):
+    five = Polynomial(2, (((0, 0), 5.0),))
+    narrow = sub(a=-0.5, b=0.2, initial=initial, secret=secret)
+    for subs, idx in (((narrow, sub()), 1), ((sub(), narrow), 2)):
+        with pytest.raises(QuantizationError,
+                           match=rf"^resolution 0.1 exceeds .* {part} interval of subsystem {idx}$"):
+            compose_barriers(five, five, *subs, delta=0.1, resolution=0.1)
+    # both parts as wide as the resolution: B = 5 > 0 fails on an initial pair
+    wide = sub(a=-0.5, b=0.2, initial=(0.0, 0.2), secret=(0.1, 0.2))
+    report = compose_barriers(five, five, wide, wide, delta=0.1, resolution=0.1)
+    assert [c.passed for c in report.checks if c.condition == "initial"] == [False, False]
 
 
 def test_interconnect_needs_a_certificate_unless_contractive():
