@@ -43,8 +43,9 @@ __all__ = [
 # every condition evaluates them a table at a time (`tabulate`).
 Evaluator = Callable[[Sequence[float]], float]
 
-# One sampled condition instance: the augmented point and its slack.
-Sample = tuple[tuple[float, ...], float]
+# One block of a condition's samples, (head, tails, slacks): sample j is
+# the point head + tails[j] with the slack slacks[j].
+Block = tuple[tuple[float, ...], Sequence[tuple[float, ...]], list[float]]
 
 
 @dataclass(frozen=True)
@@ -142,53 +143,55 @@ class CheckReport:
 
 
 def decrease_forall_exists(slack: list[list[float]]) -> float:
-    """Value of: for every row choice there exists a column with slack >= 0.
-
-    Returns min over rows of max over columns; the condition holds iff the
-    returned value is >= 0 (rows index the adversarial input u, columns the
-    matching input u_hat).
-    """
+    """Min over rows of max over columns: >= 0 iff for every row (the
+    adversarial input u) some column (the matching input u_hat) has slack >= 0."""
     return min(max(row) for row in slack)
 
 
 def decrease_exists_forall(slack: list[list[float]]) -> float:
-    """Value of: some row has every column with slack >= 0.
-
-    Returns max over rows of min over columns; the condition holds iff the
-    returned value is >= 0.
-    """
+    """Max over rows of min over columns: >= 0 iff some row has every
+    column with slack >= 0."""
     return max(min(row) for row in slack)
 
 
 class Scan:
-    """The violated samples (point, slack) of one condition, in order: each
-    slack below `floor`, or equal to it when the condition is `strict`.
-    `worst` (the first of the smallest slacks) and `count` cover the samples
-    drawn up to the last one yielded, or all of them once the scan ends. A
-    slack that is not finite raises: NaN would pass every comparison."""
+    """The violated samples (point, slack) of one condition's blocks, in
+    order: each slack below `floor`, or equal to it when `strict`. A point
+    is built only for a violation or an error: a block of finite, passing
+    slacks is only counted. `worst` (the first of the smallest slacks) and
+    `count` cover the samples drawn up to the last one yielded, or all of
+    them once the scan ends. A slack that is not finite raises: NaN would
+    pass every comparison."""
 
-    def __init__(self, name: str, samples: Iterable[Sample], floor: float, strict: bool):
-        self.name, self.samples, self.floor, self.strict = name, samples, floor, strict
+    def __init__(self, name: str, blocks: Iterable[Block], floor: float, strict: bool):
+        self.name, self.blocks, self.floor, self.strict = name, blocks, floor, strict
         self.worst: Optional[float] = None
         self.count = 0
 
-    def __iter__(self) -> Iterator[Sample]:
-        floor, strict, worst, count = self.floor, self.strict, None, 0
-        inf = math.inf  # a local name: this test runs once per sample
-        for point, slack in self.samples:
-            if not -inf < slack < inf:
-                raise DomainError(f"{self.name}: slack {slack} is not finite at {point}")
-            count += 1
-            if worst is None or slack < worst:
-                worst = slack
-            if slack < floor or strict and slack == floor:
-                self.worst, self.count = worst, count
-                yield point, slack
-        self.worst, self.count = worst, count
+    def __iter__(self) -> Iterator[tuple[tuple[float, ...], float]]:
+        floor, strict, inf, count = self.floor, self.strict, math.inf, 0
+        worst = inf  # stands for None until a sample is counted
+        for head, tails, slacks in self.blocks:
+            total, low = sum(slacks), min(slacks, default=inf)
+            # a finite sum means finite slacks; one that overflows costs only a walk
+            if total - total == 0.0 and (low > floor or low == floor and not strict):
+                count, worst = count + len(slacks), min(worst, low)
+                continue
+            for tail, slack in zip(tails, slacks):
+                if not -inf < slack < inf:
+                    raise DomainError(f"{self.name}: slack {slack} is not finite at "
+                                      f"{head + tail}")
+                count += 1
+                if slack < worst:
+                    worst = slack
+                if slack < floor or strict and slack == floor:
+                    self.worst, self.count = worst, count
+                    yield head + tail, slack
+        self.worst, self.count = (worst if count else None), count
 
 
-def _scan(conditions: Sequence[tuple[str, Iterable[Sample], float, bool]]) -> CheckReport:
-    """Scan every sample of every (name, samples, floor, strict) condition,
+def _scan(conditions: Sequence[tuple[str, Iterable[Block], float, bool]]) -> CheckReport:
+    """Scan every sample of every (name, blocks, floor, strict) condition,
     in order, so the report counts every violation. A strict condition
     ("B > floor") reports B itself, any other ("slack >= 0") its shortfall
     -slack."""
@@ -205,13 +208,12 @@ def _scan(conditions: Sequence[tuple[str, Iterable[Sample], float, bool]]) -> Ch
 
 
 def _values(candidate: Evaluator, points: list[tuple[float, ...]],
-            rows: list[int]) -> Iterator[Sample]:
-    """(x + xh, B(x, xh)) at each pair of the rows, in order: one table
-    row per row."""
+            rows: list[int]) -> Iterator[Block]:
+    """B(x, xh) at each pair of the rows, in order: one block per nonempty row."""
     for x, row in zip(points, rows):
-        partners = [points[j] for j in iter_bits(row)]
-        for xh, value in zip(partners, tabulate(candidate, [x], partners)[0]):
-            yield x + xh, value
+        if row:
+            partners = [points[j] for j in iter_bits(row)]
+            yield x, partners, tabulate(candidate, [x], partners)[0]
 
 
 # The decrease slack f(v) = (base - v) - margin never increases with v, so
@@ -234,21 +236,16 @@ def _pick(pick: Callable, lists: list[list[float]]) -> list[float]:
     return list(map(pick, *lists)) if len(lists) > 1 else lists[0]
 
 
-def _decrease(
-    candidate: Evaluator,
-    cs: DtControlSystem,
-    resolution: float,
-    points: list[tuple[float, ...]],
-    region: list[int],
-    quantify: Callable[[list[list[float]]], float],
-    margin: float,
-) -> Iterator[Sample]:
+def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
+              points: list[tuple[float, ...]], region: list[int],
+              quantify: Callable[[list[list[float]]], float],
+              margin: float) -> Iterator[Block]:
     """At each pair of the region's rows, quantify (rows u, columns u_hat)
     the decrease slack B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The
     successors f(x, u) come from a table over the points and grid inputs,
     built once per check. The candidate is tabulated once per nonempty
-    row. A value that is not finite raises, or makes the slack NaN where
-    the quantifier's min and max would hide it.
+    row, and each row is one block. A value that is not finite raises, or
+    makes the slack NaN where the quantifier's min and max would hide it.
     """
     inputs = grid(cs.input_box, resolution)
     succ = {x: [cs.step(x, u) for u in inputs] for x in points}
@@ -260,7 +257,7 @@ def _decrease(
     outer, inner = _OVER_VALUES[quantify]
     n = len(inputs)
 
-    def slacks() -> Iterator[Sample]:
+    def blocks() -> Iterator[Block]:
         for x, row in zip(points, region):
             if not row:
                 continue
@@ -271,24 +268,18 @@ def _decrease(
             if margin <= _SAFE and _bounded(bases) and all(map(_bounded, values)):
                 picked = _pick(outer, [_pick(inner, [vs[s::n] for s in range(n)])
                                        for vs in values])
-                for xh, base, v in zip(partners, bases, picked):
-                    yield x + xh, base - v - margin
+                yield x, partners, [base - v - margin for base, v in zip(bases, picked)]
                 continue
-            for j, (xh, base) in enumerate(zip(partners, bases)):
-                slack = [[base - v - margin for v in vs[j * n:j * n + n]] for vs in values]
-                finite = all(map(math.isfinite, chain(*slack)))
-                yield x + xh, quantify(slack) if finite else math.nan
+            tables = ([[base - v - margin for v in vs[j * n:j * n + n]] for vs in values]
+                      for j, base in enumerate(bases))
+            yield x, partners, [quantify(t) if all(map(math.isfinite, chain(*t))) else math.nan
+                                for t in tables]
 
-    return slacks()
+    return blocks()
 
 
-def check_opacity_barrier(
-    candidate: Evaluator,
-    cs: DtControlSystem,
-    delta: float,
-    resolution: float,
-    margin: float = DEFAULT_MARGIN,
-) -> CheckReport:
+def check_opacity_barrier(candidate: Evaluator, cs: DtControlSystem, delta: float,
+                          resolution: float, margin: float = DEFAULT_MARGIN) -> CheckReport:
     """Check a safety-style certificate candidate on grid samples.
 
     Conditions: B <= 0 on the augmented initial region, B > 0 on the
@@ -300,8 +291,8 @@ def check_opacity_barrier(
     points = regions.points
     full = (1 << len(points)) - 1
     return _scan((
-        ("initial", ((p, -v) for p, v in _values(candidate, points, regions.r0)),
-         0.0, False),
+        ("initial", ((x, xhs, [-v for v in vs])
+                     for x, xhs, vs in _values(candidate, points, regions.r0)), 0.0, False),
         ("unsafe", _values(candidate, points, [full & ~row for row in regions.close]),
          margin, True),
         ("decrease", _decrease(candidate, cs, resolution, points, [full] * len(points),
@@ -318,13 +309,8 @@ def _ring(points: list[tuple[float, ...]]) -> int:
                if any(v == lo or v == hi for v, lo, hi in zip(p, lows, highs)))
 
 
-def check_lack_barrier(
-    candidate: Evaluator,
-    cs: DtControlSystem,
-    delta: float,
-    resolution: float,
-    margin: float = DEFAULT_MARGIN,
-) -> CheckReport:
+def check_lack_barrier(candidate: Evaluator, cs: DtControlSystem, delta: float,
+                       resolution: float, margin: float = DEFAULT_MARGIN) -> CheckReport:
     """Check a reachability-style certificate candidate on grid samples.
 
     Conditions: V <= 0 on the augmented initial region; V > 0 on the
@@ -342,8 +328,8 @@ def check_lack_barrier(
     boundary = [(full if ring >> i & 1 else ring) & row
                 for i, row in enumerate(regions.close)]
     return _scan((
-        ("initial", ((p, -v) for p, v in _values(candidate, points, regions.r0)),
-         0.0, False),
+        ("initial", ((x, xhs, [-v for v in vs])
+                     for x, xhs, vs in _values(candidate, points, regions.r0)), 0.0, False),
         ("boundary", _values(candidate, points, boundary), margin, True),
         ("decrease", _decrease(candidate, cs, resolution, points, regions.close,
                                decrease_exists_forall, margin), 0.0, False),

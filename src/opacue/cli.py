@@ -205,10 +205,11 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
 def _cmd_barrier(args: argparse.Namespace) -> int:
     from .barrier import check_lack_barrier, check_opacity_barrier
     from .control import parse_control_system
-    from .polynomial import parse_polynomial
+    from .polynomial import parse_candidate
 
     cs = parse_control_system(_read(args.system))
-    candidate = parse_polynomial(_read(args.candidate))
+    candidate = parse_candidate(_read(args.candidate), 2 * cs.dim,
+                                f"--candidate {args.candidate}")
     checker = check_opacity_barrier if args.kind == "opacity" else check_lack_barrier
     report = checker(candidate, cs, args.delta, args.resolution, args.margin)
     _emit(report.to_report())
@@ -240,7 +241,7 @@ def _parse_interconnection(text: bytes) -> tuple[LinearSubsystem, LinearSubsyste
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     from .compositional import compose_barriers, small_gain
-    from .polynomial import parse_polynomial
+    from .polynomial import parse_candidate
 
     sub1, sub2 = _parse_interconnection(_read(args.system))
     gains = small_gain(sub1, sub2)
@@ -259,11 +260,11 @@ def _cmd_compose(args: argparse.Namespace) -> int:
         _emit(doc)
         return EXIT_PASS if gains.small_gain_ok else EXIT_FAIL
     text1 = _read(args.barrier1)
-    b1 = parse_polynomial(text1)
+    b1 = parse_candidate(text1, 2, f"--barrier1 {args.barrier1}")
     text2 = _read(args.barrier2)
     # One candidate for both subsystems is parsed, and its table
     # kernels compiled, once.
-    b2 = b1 if text2 == text1 else parse_polynomial(text2)
+    b2 = b1 if text2 == text1 else parse_candidate(text2, 2, f"--barrier2 {args.barrier2}")
     margin = DEFAULT_MARGIN if args.margin is None else args.margin
     report = compose_barriers(b1, b2, sub1, sub2, args.delta, args.resolution, margin)
     doc.update(report.to_report())

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
-from .barrier import Sample, Scan, pair_regions
+from .barrier import Block, Scan, pair_regions
 from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate, affine_certificate
 from .errors import SmallGainError, ValidationError
@@ -155,36 +156,38 @@ def _barrier_conditions(
     values = tabulate(b, points, points)  # B once per (x, xh) pair, row by row
     full = (1 << len(points)) - 1
 
-    def pairs(rows: list[int]) -> Iterator[Sample]:
-        """((x, xh), B(x, xh)) at each pair of the rows, in order."""
+    def pairs(rows: list[int]) -> Iterator[Block]:
+        """B(x, xh) at each pair of the rows, in order: one block per nonempty row."""
         for x, row, row_values in zip(points, rows, values):
-            for j in iter_bits(row):
-                yield x + points[j], row_values[j]
+            if row:
+                partners = list(iter_bits(row))
+                yield x, [points[j] for j in partners], [row_values[j] for j in partners]
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))
 
-    def decrease() -> Iterator[Sample]:
-        # each factor is computed outside the loops it does not depend on
-        gains = [[sub.b * norm(w, wh) for wh in ws] for w in ws]
+    def decrease() -> Iterator[Block]:
+        # each factor is computed outside the loops it does not depend on;
+        # a block is one (x, xh) pair's table, row w by row, column wh
+        gains = [sub.b * norm(w, wh) for w in ws for wh in ws]
+        tails = [(w, wh) for w in ws for wh in ws]
         steps = [[(sub.step(x, w),) for w in ws] for x in xs]
         for x, x_steps, row_values in zip(xs, steps, values):
             for xh, xh_steps, base in zip(xs, steps, row_values):
                 kept = (1 - sub.a) * base
                 # one table per pair, so a scan that stops early wastes one
-                table = tabulate(b, x_steps, xh_steps)
-                for w, row, gain_row in zip(ws, table, gains):
-                    for wh, value, gain in zip(ws, row, gain_row):
-                        yield (x, xh, w, wh), kept + gain - value
+                table = chain.from_iterable(tabulate(b, x_steps, xh_steps))
+                yield (x, xh), tails, [kept + gain - v for gain, v in zip(gains, table)]
 
     conditions = (
         # Lower bound by the augmented norm on the whole region.
-        ("norm-lower-bound", ((p, v - norm(*p)) for p, v in pairs([full] * len(xs))), False),
+        ("norm-lower-bound", ((x, xhs, [v - norm(*x, *xh) for xh, v in zip(xhs, vs)])
+                              for x, xhs, vs in pairs([full] * len(xs))), False),
         # Nonpositive on the local augmented initial region.
-        ("initial", ((p, -v) for p, v in pairs(regions.r0)), False),
+        ("initial", ((x, xhs, [-v for v in vs]) for x, xhs, vs in pairs(regions.r0)), False),
         # Positive (strictly) on the local output-distinguishable region.
-        ("unsafe", ((p, v - margin) for p, v in pairs([full & ~row for row in regions.close])),
-         True),
+        ("unsafe", ((x, xhs, [v - margin for v in vs])
+                    for x, xhs, vs in pairs([full & ~row for row in regions.close])), True),
         # Gain-style decrease against the partner's augmented norm.
         ("decrease", decrease(), False),
     )

@@ -188,3 +188,13 @@ def parse_polynomial(text: str | bytes) -> Polynomial:
             raise ParseError(f"{where}.coef: expected a finite number, got {term['coef']}")
         terms.append((tuple(exps), coef))
     return Polynomial(n_vars=doc["vars"], terms=tuple(terms))
+
+
+def parse_candidate(text: str | bytes, n_vars: int, source: str) -> Polynomial:
+    """A candidate certificate read from `source`: a polynomial over n_vars
+    variables, x then x_hat, refused before any sampling otherwise."""
+    candidate = parse_polynomial(text)
+    if candidate.n_vars != n_vars:
+        raise ValidationError(f"{source}: the candidate has {candidate.n_vars} variables, "
+                              f"expected {n_vars} (x, then x_hat)")
+    return candidate

@@ -2,9 +2,9 @@
 
 Each case below runs `opacue barrier` or `opacue compose` on a fixed input
 and compares the outcome with the value stored in `certificate_reports.json`:
-the exact JSON report and exit code, and a digest of every barrier
-violation. Any drift in a margin, witness, sample count or violation count
-shows up here.
+the exact JSON report and exit code, a digest of every barrier violation
+and, for `compose`, the error message. Any drift in a margin, witness,
+sample count or violation count shows up here.
 
 Regenerate the file with `python -m tests.test_certificate_reports`
 (only when a report is meant to change).
@@ -95,14 +95,26 @@ COMPOSE = {
     "compose-initial": ({"sub1": _sub(-0.4, 0.3, (0.3, 0.7), (0.5, 1.0)),
                          "sub2": _sub(-0.2, 0.1, (0.3, 0.7), (0.5, 1.0))}, AFFINE, 0.1),
     "compose-decrease": ({"sub1": _sub(0.4, 0.1), "sub2": _sub(0.3, 0.2)}, AFFINE, 0.1),
+    # the first decrease violation is sample 10 of the 45th (x, xh) pair's
+    # table, at (0.4, 0.0, 0.0, 0.9)
+    "compose-decrease-mid-grid": ({"sub1": _sub(-0.6, 0.2), "sub2": _sub(-0.5, 0.2)},
+                                  _poly({(0, 0): 1.0, (1, 0): -0.5, (0, 1): 2.0}), 0.1),
+    # 1.7e308*(xh^4 - xh^3) is finite on the grid and NaN past xh = 1.0187:
+    # first at the successor 0.9*0.5 + 0.5*1.5 = 1.2, sample 4 of the second
+    # (x, xh) pair's table
+    "compose-decrease-nan": ({"sub1": {"a": 0.9, "b": 0.5, "state": [0.0, 1.0],
+                                       "initial": [0.0, 1.0], "secret": [0.5, 1.0]},
+                              "sub2": {"a": 0.0, "b": 0.1, "state": [0.0, 2.0],
+                                       "initial": [0.0, 2.0], "secret": [1.0, 2.0]}},
+                             _poly({(0, 4): 1.7e308, (0, 3): -1.7e308}), 0.5),
 }
 
 
 def _cli(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _barrier_outcome(name, workdir: Path) -> dict:
@@ -110,9 +122,9 @@ def _barrier_outcome(name, workdir: Path) -> dict:
     plant_path, candidate_path = workdir / f"{name}.json", workdir / f"{name}-b.json"
     plant_path.write_text(json.dumps(plant))
     candidate_path.write_text(json.dumps(candidate))
-    code, stdout = _cli(["barrier", "--system", str(plant_path), "--candidate",
-                         str(candidate_path), "--kind", kind, "--delta", repr(delta),
-                         "--resolution", repr(resolution)])
+    code, stdout, _ = _cli(["barrier", "--system", str(plant_path), "--candidate",
+                            str(candidate_path), "--kind", kind, "--delta", repr(delta),
+                            "--resolution", repr(resolution)])
     checker = check_opacity_barrier if kind == "opacity" else check_lack_barrier
     report = checker(parse_polynomial(json.dumps(candidate)),
                      parse_control_system(json.dumps(plant)), delta, resolution)
@@ -125,10 +137,10 @@ def _compose_outcome(name, workdir: Path) -> dict:
     doc_path, barrier_path = workdir / f"{name}.json", workdir / f"{name}-b.json"
     doc_path.write_text(json.dumps(doc))
     barrier_path.write_text(json.dumps(barrier))
-    code, stdout = _cli(["compose", "--system", str(doc_path), "--barrier1",
-                         str(barrier_path), "--barrier2", str(barrier_path),
-                         "--delta", "0.1", "--resolution", repr(resolution)])
-    return {"code": code, "stdout": stdout}
+    code, stdout, stderr = _cli(["compose", "--system", str(doc_path), "--barrier1",
+                                 str(barrier_path), "--barrier2", str(barrier_path),
+                                 "--delta", "0.1", "--resolution", repr(resolution)])
+    return {"code": code, "stdout": stdout, "stderr": stderr}
 
 
 def outcomes() -> dict:
