@@ -362,36 +362,37 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; given `only`, with that command's parser alone.
-
-    Built for one command it parses that command's argv exactly as the full
-    parser does: an unrecognized argument is reported by the top-level
-    parser, whose usage line the `metavar` keeps naming every command.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The full command-line parser, with every command's parser under it."""
     parser = argparse.ArgumentParser(
         prog="opacue",
         description="Exact and approximate opacity verification for finite "
                     "metric transition systems and their finite abstractions.",
     )
     parser.add_argument("--version", action="version", version=f"opacue {__version__}")
-    # Only on the filtered parser: on the full one a metavar would also
-    # replace "argument command" in the invalid-choice message.
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, define) in _COMMANDS.items():
-        if only in (None, name):
-            define(sub.add_parser(name, help=help_line))
+        define(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` as the full parser parses it, by the command's parser if that suffices."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"opacue {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
-    # A run builds only its command's parser. Anything else (-h, --version,
-    # no command or an unknown one) needs the full parser to answer.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    # A run builds one ArgumentParser, its command's; the full parser answers
+    # -h, --version, no or an unknown command, or an unrecognized argument.
     try:
-        args = _build_parser(command).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code
         if exc.code not in (0, None):

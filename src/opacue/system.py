@@ -11,7 +11,6 @@ import enum
 import gc
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -95,17 +94,16 @@ def close_rows(
 ) -> list[int]:
     """rows[i] = bitset of the columns j whose output is within `threshold`
     of row i's in the infinity norm: the table `delta_close` gives pair by
-    pair, built in O((rows + cols) * log(cols) * dim) float comparisons.
+    pair, in O((rows + cols) * log(rows + cols) * dim) float comparisons.
 
-    Per output coordinate the columns are sorted once and prefix bitsets
-    of the sorted order are kept. For a row value a, fl(a - v) is monotone
-    in v, so the values v with abs(a - v) <= threshold form one window of
-    the sorted order; bisection with that exact predicate finds its ends,
-    and the row is the AND over coordinates of its windows. No tolerance
-    is involved, so every bit equals the pairwise comparison's. Outputs
-    must be finite, as `MetricSystem` ensures for its outputs and the
-    abstraction builder for its images: a NaN or infinite value matches
-    no window, so its row would read as empty.
+    Per output coordinate the columns are sorted once, with prefix bitsets
+    of that order. fl(a - v) is monotone in v and in a, so the columns v
+    with abs(a - v) <= threshold form one window whose ends only move up
+    over the sorted distinct row values a: one sweep finds them with that
+    exact predicate, and a row is the AND of its windows, so no tolerance
+    is involved and every bit is the pairwise comparison's. Columns must be
+    finite (`MetricSystem` outputs and lattice points are); a NaN or
+    infinite row value stays out of the sweep, and its row reads as empty.
     """
     check_threshold("threshold", threshold)
     if not row_outputs:
@@ -118,19 +116,20 @@ def close_rows(
     rows = [(1 << len(col_outputs)) - 1] * len(row_outputs)
     for k in range(dim):
         order = sorted(range(len(col_outputs)), key=lambda j: col_outputs[j][k])
-        values = [col_outputs[j][k] for j in order]
+        values = [col_outputs[j][k] for j in order] + [math.inf]  # a - inf stops both ends
         prefix = [0]
         for j in order:
             prefix.append(prefix[-1] | 1 << j)
-        windows: dict[float, int] = {}  # row value -> window bitset
-        for i, y in enumerate(row_outputs):
-            a = y[k]
-            bits = windows.get(a)
-            if bits is None:
-                lo = bisect_left(values, True, key=lambda v: a - v <= threshold)
-                hi = bisect_left(values, True, lo, key=lambda v: a - v < -threshold)
-                bits = windows[a] = prefix[hi] ^ prefix[lo]
-            rows[i] &= bits
+        column = [y[k] for y in row_outputs]
+        windows = dict.fromkeys(column, 0)  # row value -> window bitset
+        lo = hi = 0
+        for a in sorted(filter(math.isfinite, windows)):
+            while not a - values[lo] <= threshold:
+                lo += 1
+            while not a - values[hi] < -threshold:
+                hi += 1
+            windows[a] = prefix[hi] ^ prefix[lo]
+        rows = [bits & windows[a] for bits, a in zip(rows, column)]
     return rows
 
 

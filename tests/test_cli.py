@@ -173,13 +173,36 @@ def _argv_id(argv):
 
 @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=_argv_id)
 def test_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    # main builds only the named command's parser; every exit code and
-    # byte of output must be what the parser with all commands gives
+    # main parses a command's argv with that command's parser alone; every
+    # exit code and byte of output must be what the parser with all
+    # commands gives when it parses the whole argv
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
     build = opacue.cli._build_parser
     got = run(capsys, *argv)
-    monkeypatch.setattr(opacue.cli, "_build_parser", lambda only=None: build())
+    monkeypatch.setattr(opacue.cli, "_parse", lambda argv: build().parse_args(argv))
     assert got == run(capsys, *argv)
+
+
+# One valid argv for each command.
+VALID_ARGVS = {
+    "verify": [*_VERIFY, "--delta", "0.5", "--k", "2", "--oracle"],
+    "observer": ["observer", "--system", C1, "--delta", "0", "--export-dot", "o.dot"],
+    "estimator": ["estimator", "--system", C2, "--delta", "1", "--cap", "7"],
+    "simrel": ["simrel", "--system", C1, "--abstract", C2, "--epsilon", "0.5"],
+    "abstract": ["abstract", "--system", C1, "--eta", "0.5", "--mu", "0.1",
+                 "--epsilon", "1", "--unsound"],
+    "barrier": ["barrier", "--system", C1, "--candidate", C2, "--kind", "lack",
+                "--delta", "0.1", "--resolution", "0.2"],
+    "compose": ["compose", "--system", C1, "--barrier1", C2, "--margin", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_command_parser_gives_the_full_parsers_namespace(command):
+    argv = VALID_ARGVS[command]
+    full = vars(opacue.cli._build_parser().parse_args(argv))
+    assert full.pop("command") == command
+    assert vars(opacue.cli._parse(argv)) == full
 
 
 def test_unknown_command_is_named_as_the_command_argument(capsys):
@@ -202,9 +225,13 @@ def _count_parsers(monkeypatch):
 
 def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
-    code, _, _ = run(capsys, "verify", "--system", C1,
-                     "--notion", "initial-state", "--delta", "0")
-    assert (code, len(built)) == (1, 2)
+    code, _, _ = run(capsys, *_VERIFY, "--delta", "0")
+    assert (code, len(built)) == (1, 1)
+    # the full parser is built only to report an unrecognized argument
+    built.clear()
+    code, _, err = run(capsys, *_VERIFY, "--delta", "0", "--bogus")
+    assert (code, len(built)) == (3, 1 + 8)
+    assert err.startswith("usage: opacue [-h] [--version]")
 
 
 @pytest.mark.parametrize("argv,code", [(["-h"], 0), (["--version"], 0), (["bogus"], 3)])

@@ -206,6 +206,36 @@ def test_close_rows_signed_zeros_and_extremes():
     assert close_rows(rows, cols, 0.0) == [0b00011, 0b00011, 0b01000, 0b00100]
 
 
+def test_close_rows_reads_non_finite_rows_as_empty():
+    # a NaN row value left in the sweep would break the sorted order of
+    # every other row value of its coordinate
+    inf, nan = float("inf"), float("nan")
+    rows = [(nan, 0.5), (0.25, 0.5), (inf, 0.5), (0.5, nan), (-inf, -inf),
+            (0.75, 0.0), (nan, nan), (0.25, 0.5), (0.0, 0.25)]
+    cols = [(x / 4, y / 4) for x in range(5) for y in range(3)]
+    for threshold in (0.0, 0.25, 0.5, 1e300):
+        got = close_rows(rows, cols, threshold)
+        assert got == _pairwise_rows(rows, cols, threshold)
+        assert [got[i] for i in (0, 2, 3, 4, 6)] == [0] * 5
+        assert all(got[i] for i in (1, 5, 7, 8))
+
+
+def test_close_rows_sweeps_many_rows_with_ties_at_the_threshold():
+    rng = random.Random(47)
+    for threshold in (0.0, 0.125, 0.1, 1 / 3, 0.75):
+        # many rows per column value, duplicated, and as many exactly one
+        # threshold above and below a column as rounding allows
+        cols = [(rng.randrange(-8, 9) / 8,) for _ in range(12)]
+        cols += [(0.0,), (-0.0,), (0.0,)]
+        rows = [(0.0,), (-0.0,)] * 3
+        for _ in range(60):
+            (v,) = rng.choice(cols)
+            rows.append((rng.choice((v, v + threshold, v - threshold,
+                                     rng.randrange(-16, 17) / 16)),))
+        rng.shuffle(rows)
+        assert close_rows(rows, cols, threshold) == _pairwise_rows(rows, cols, threshold)
+
+
 @pytest.mark.parametrize("threshold", [float("nan"), -0.1, float("inf")])
 def test_close_rows_rejects_bad_thresholds(threshold):
     with pytest.raises(ValidationError):
