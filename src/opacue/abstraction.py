@@ -17,13 +17,12 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
 
-from .boxes import BoxUnion, check_initial_spans, check_span, grid, nearest_lattice
+from .boxes import BoxUnion, check_initial_spans, check_span, grid, grid_size, nearest_lattice
 from .control import (
     DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
 )
 from .errors import DomainError, QuantizationError, ResourceError
-from .observer import DEFAULT_STATE_CAP
-from .system import MetricSystem, close_rows, iter_bits
+from .system import DEFAULT_STATE_CAP, MetricSystem, close_rows, iter_bits
 
 __all__ = ["Abstraction", "build_abstraction", "sample_system"]
 
@@ -109,10 +108,10 @@ def _lattice_system(
     image in that order, the ascending indices of the lattice points (x, u)
     steps to, so the transitions come out sorted. The initial and secret
     states are the lattice points in the plant's initial and secret
-    regions. A system of more than `cap` states is refused before any step."""
-    points = grid(cs.state_box, eta)
-    if len(points) > cap:
+    regions. A system of more than `cap` states is refused before any point is built."""
+    if grid_size(cs.state_box, eta) > cap:
         raise ResourceError(f"{label} exceeds the cap of {cap} states")
+    points = grid(cs.state_box, eta)
     inputs = grid(cs.input_box, mu)
     images: list[tuple[float, ...]] = []
     for x in points:

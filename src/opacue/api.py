@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .delayed import verify_delayed_opacity
-from .observer import DEFAULT_STATE_CAP, verify_state_opacity
-from .system import MetricSystem, NotionKind, OpacityNotion
+from .observer import verify_state_opacity
+from .system import DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion
 from .verdict import Verdict
 
 __all__ = ["verify_opacity"]

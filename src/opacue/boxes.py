@@ -16,7 +16,8 @@ from typing import Sequence
 
 from .errors import QuantizationError, ValidationError
 
-__all__ = ["Box", "BoxUnion", "check_span", "grid_interval", "grid", "nearest_lattice"]
+__all__ = ["Box", "BoxUnion", "check_span", "grid_interval", "grid", "grid_size",
+           "nearest_lattice"]
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,16 @@ def grid(box: Box, step: float) -> list[tuple[float, ...]]:
     check_span("grid step", step, box.span, "region")
     axes = [grid_interval(lo, hi, step) for lo, hi in box.bounds]
     return sorted(set(itertools.product(*axes)))
+
+
+def grid_size(box: Box, step: float) -> int:
+    """How many points `grid(box, step)` returns (at most, if rounding merges
+    any), counted without building one; raises what `grid` raises first."""
+    _check_step(step)
+    check_span("grid step", step, box.span, "region")
+    dstep = Decimal(str(step))
+    ranges = [_lattice_range(lo, hi, dstep) for lo, hi in box.bounds]
+    return math.prod(k.stop - k.start for k in ranges)  # len() stops at sys.maxsize
 
 
 def nearest_lattice(point: Sequence[float], step: float, box: Box) -> tuple[float, ...]:

@@ -9,65 +9,22 @@ delta-close to the path walked so far (the "matching set"). Memoizing on
 all classes makes the verdict exact.
 
 `explore` is the breadth-first search itself. The paper's pair observer
-and backward estimator are built on it too. Nothing here shares code with
-the decision engine of `opacue.search`, so the oracles stay independent
-cross-checks of its verdicts.
+and backward estimator are built on it too. It shares only its record,
+`verdict.Forest`, and the path walk with the engine of `opacue.search`,
+so the oracles stay independent cross-checks of the engine's verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceError, ValidationError
 from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits
-from .verdict import Verdict, Witness
+from .verdict import Class, Forest, Verdict, Witness
 
-__all__ = ["Explored", "brute_force_opacity", "confirm_witness", "explore",
-           "subset_step", "trace", "union"]
+__all__ = ["brute_force_opacity", "confirm_witness", "explore", "subset_step", "union"]
 
-Class = tuple[int, int]  # (reference state, bitset)
 Step = Callable[[int, int], Iterable[tuple[int, int, int]]]
-
-
-def trace(parents: list[Optional[tuple[int, int]]], i: int) -> tuple[list[int], list[int]]:
-    """Class indices from i back to its seed along `parents` links, and the
-    inputs of the links taken."""
-    nodes = [i]
-    inputs: list[int] = []
-    while parents[i] is not None:
-        i, u = parents[i]
-        nodes.append(i)
-        inputs.append(u)
-    return nodes, inputs
-
-
-@dataclass
-class Explored:
-    """Classes interned by one `explore`, in BFS discovery order.
-
-    `parents[i]` is (parent class index, input index) for the first
-    discovery of class i, or None for a seed; `depths[i]` is its distance
-    from a seed. `edges` holds every step taken, as (class index, input
-    index, class index). `hit` is the index of the class the search
-    stopped at, or None if it ran out of classes.
-    """
-
-    classes: list[Class]
-    parents: list[Optional[tuple[int, int]]]
-    depths: list[int]
-    edges: list[tuple[int, int, int]]
-    hit: Optional[int] = None
-
-    def path(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Reference states and inputs from a seed to class i."""
-        nodes, inputs = trace(self.parents, i)
-        return (tuple(self.classes[j][0] for j in reversed(nodes)),
-                tuple(reversed(inputs)))
-
-    def root(self, i: int) -> int:
-        """Index of the seed class that class i descends from."""
-        return trace(self.parents, i)[0][-1]
 
 
 def explore(
@@ -76,17 +33,17 @@ def explore(
     cap: Optional[int],
     reveal: Callable[[int, int], bool],
     max_depth: Optional[int] = None,
-) -> Explored:
+) -> Forest:
     """Intern classes breadth-first from `seeds` until one reveals.
 
     `step(ref, bits)` yields (input, ref2, bits2) successors. Each new
     class, seeds included, is tested with `reveal(ref, bits)` as it is
     interned; the first that passes ends the search and becomes `hit`.
-    Classes at depth `max_depth` are not expanded. Raises ResourceError
-    when a class beyond the seeds would take the count past `cap` (None
-    for no cap).
+    Every step taken is recorded in `edges`. Classes at depth `max_depth`
+    are not expanded. Raises ResourceError when a class beyond the seeds
+    would take the count past `cap` (None for no cap).
     """
-    found = Explored([], [], [], [])
+    found = Forest()
     classes, parents, depths, edges = found.classes, found.parents, found.depths, found.edges
     index: dict[Class, int] = {}
 

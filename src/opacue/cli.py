@@ -21,13 +21,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Each command imports the modules it runs in its own body, so a command
-# loads only those. `errors`, `system` and `observer` stay here: the notion
-# choices and `_cap_from` need them, and every finite-system command loads them.
+# loads only those. `errors`, `system` and `observer` stay here: every
+# finite-system command loads them.
 from . import __version__
 from .errors import OpacueError, ParseError, ResourceError, ValidationError
-from .observer import DEFAULT_STATE_CAP, build_observer, observer_verdict
+from .observer import build_observer, observer_verdict
 from .system import (
-    DEFAULT_MARGIN, NotionKind, OpacityNotion, parse_system, serialize_system,
+    DEFAULT_MARGIN, DEFAULT_STATE_CAP, NotionKind, OpacityNotion, parse_system,
+    serialize_system,
 )
 
 if TYPE_CHECKING:

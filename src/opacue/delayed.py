@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from .errors import ValidationError
 from .estimator import build_initial_estimator
-from .observer import DEFAULT_STATE_CAP, build_observer, current_state_search
+from .observer import build_observer, current_state_search
 from .search import search
-from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows
+from .system import (DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion,
+                     check_delta, close_rows)
 from .verdict import Verdict, Witness
 
 __all__ = ["product_opacity", "verify_delayed_opacity"]
@@ -60,8 +61,7 @@ def verify_delayed_opacity(
     close = close_rows(sys.outputs, sys.outputs, delta)
     forward = current_state_search(sys, close, cap)
     if forward.hit is not None:
-        states, inputs = forward.path(forward.hit)
-        witness = Witness(states, inputs, revealing_instant=len(states) - 1)
+        witness = Witness(*forward.path(forward.hit), forward.depths[forward.hit])
         return Verdict(False, notion, delta, witness,
                        {"classes": len(forward.classes)})
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .brute import explore, subset_step, trace, union
+from .brute import explore, subset_step, union
 from .errors import InternalError
-from .observer import DEFAULT_STATE_CAP
-from .system import MetricSystem, OpacityNotion, check_delta
-from .verdict import Verdict, Witness
+from .system import DEFAULT_STATE_CAP, MetricSystem, OpacityNotion, check_delta
+from .verdict import Verdict, Witness, trace
 
 __all__ = ["EstimatorState", "InitialStateEstimator", "build_initial_estimator",
            "estimator_verdict"]
@@ -99,8 +98,7 @@ def estimator_verdict(est: InitialStateEstimator) -> Verdict:
     }
     for i in range(len(est.states)):
         if est.reveals(i):
-            states, inputs = est.forward_path_from(i)
-            witness = Witness(states=states, inputs=inputs, revealing_instant=None)
+            witness = Witness(*est.forward_path_from(i))
             return Verdict(False, notion, est.delta, witness, stats)
     return Verdict(True, notion, est.delta, None, stats)
 

@@ -26,15 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .brute import explore, subset_step, trace, union
+from .brute import explore, subset_step, union
 from .errors import InternalError, ValidationError
-from .search import Search, search
+from .search import search
 from .system import (
-    MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows, iter_bits,
+    DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows,
+    iter_bits,
 )
-from .verdict import Verdict, Witness
-
-DEFAULT_STATE_CAP = 2_000_000
+from .verdict import Forest, Verdict, Witness, trace
 
 __all__ = ["DEFAULT_STATE_CAP", "ObserverState", "Observer", "build_observer",
            "observer_verdict", "verify_state_opacity"]
@@ -94,8 +93,7 @@ class Observer:
     def path_to(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Reference-state path and inputs from an initial state to state i."""
         nodes, inputs = trace(self.parents, i)
-        return (tuple(self.states[j].ref for j in reversed(nodes)),
-                tuple(reversed(inputs)))
+        return tuple(self.states[j].ref for j in reversed(nodes)), tuple(reversed(inputs))
 
 
 def _advance(z: int, n: int, rowmask: int, succ_any) -> int:
@@ -155,7 +153,7 @@ def _check_state_notion(notion: OpacityNotion) -> bool:
     return notion.kind is NotionKind.INITIAL_STATE
 
 
-def current_state_search(sys: MetricSystem, close: list[int], cap: int) -> Search:
+def current_state_search(sys: MetricSystem, close: list[int], cap: int) -> Forest:
     """Search for a class whose reference state is secret and whose set of
     current states lies inside the secret set."""
     secret = sys.secret_bits
@@ -194,10 +192,8 @@ def verify_state_opacity(
     stats = {"classes": len(found.classes)}
     if found.hit is None:
         return Verdict(True, notion, delta, None, stats)
-    states, inputs = found.path(found.hit)
-    instant = None if initial_notion else len(states) - 1
-    witness = Witness(states=states, inputs=inputs, revealing_instant=instant)
-    return Verdict(False, notion, delta, witness, stats)
+    instant = None if initial_notion else found.depths[found.hit]
+    return Verdict(False, notion, delta, Witness(*found.path(found.hit), instant), stats)
 
 
 def observer_verdict(obs: Observer, notion: OpacityNotion) -> Verdict:
@@ -216,7 +212,6 @@ def observer_verdict(obs: Observer, notion: OpacityNotion) -> Verdict:
     for i in range(len(obs.states)):
         if obs.reveals(i, notion):
             states, inputs = obs.path_to(i)
-            instant = None if initial_notion else len(states) - 1
-            witness = Witness(states=states, inputs=inputs, revealing_instant=instant)
+            witness = Witness(states, inputs, None if initial_notion else len(states) - 1)
             return Verdict(False, notion, obs.delta, witness, stats)
     return Verdict(True, notion, obs.delta, None, stats)

@@ -21,59 +21,22 @@ tables keep that step cheap, and neither outlives the search:
 Both keep the discovery order that one candidate per (input, successor)
 pair gives, so classes, parents and witnesses do not depend on them.
 
-The engine uses only the `system` helpers. It shares no code with the
-pair observer, the estimator or the brute-force oracle, so those stay
-independent cross-checks of its verdicts.
+The engine shares only its record, `verdict.Forest`, and the path walk
+with the oracle kernel `brute.explore`: no kernel, step or closeness
+table, so the oracles stay independent cross-checks of its verdicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import ResourceError
 from .system import MetricSystem, iter_bits
+from .verdict import Class, Forest
 
-__all__ = ["Search", "search"]
+__all__ = ["search"]
 
-Class = tuple[int, int]  # (reference state, bitset)
 Reveal = Callable[[int, int], bool]
-
-
-@dataclass
-class Search:
-    """Interned classes of one search, in BFS discovery order.
-
-    `parents[i]` is (parent class index, input index) for the first
-    discovery of class i, or None for a seed. `hit` is the index of the
-    revealing class the search stopped at, or None if it ran out of
-    classes.
-    """
-
-    classes: list[Class]
-    parents: list[Optional[tuple[int, int]]]
-    depths: list[int]
-    hit: Optional[int] = None
-
-    def path(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Reference states and inputs from a seed to class i."""
-        states = [self.classes[i][0]]
-        inputs: list[int] = []
-        link = self.parents[i]
-        while link is not None:
-            i, u = link
-            states.append(self.classes[i][0])
-            inputs.append(u)
-            link = self.parents[i]
-        states.reverse()
-        inputs.reverse()
-        return tuple(states), tuple(inputs)
-
-    def root(self, i: int) -> int:
-        """Index of the seed class that class i descends from."""
-        while self.parents[i] is not None:
-            i = self.parents[i][0]
-        return i
 
 
 def search(
@@ -84,7 +47,7 @@ def search(
     cap: int,
     max_depth: Optional[int] = None,
     spent: int = 0,
-) -> Search:
+) -> Forest:
     """Explore classes breadth-first from `seeds` until one reveals.
 
     A class (ref, bits) steps to (ref2, image & close[ref2]) for every
@@ -95,11 +58,11 @@ def search(
 
     Each new class, seeds included, is tested with `reveal(ref, bits)` as
     it is interned; the first that passes ends the search and becomes
-    `hit`. Classes at depth `max_depth` are not expanded. Raises
-    ResourceError when interning a class would bring `spent` plus the
-    classes of this search past `cap`.
+    `hit`. Classes at depth `max_depth` are not expanded; no `edges` are
+    recorded. Raises ResourceError when interning a class would bring
+    `spent` plus the classes of this search past `cap`.
     """
-    found = Search([], [], [])
+    found = Forest()
     classes, parents, depths = found.classes, found.parents, found.depths
     index: set[Class] = set()
     succ_any = sys.succ_any

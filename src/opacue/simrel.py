@@ -16,10 +16,10 @@ from decimal import Decimal
 from typing import Optional
 
 from .errors import DimensionError, PrecisionError
-from .observer import DEFAULT_STATE_CAP, verify_state_opacity
+from .observer import verify_state_opacity
 from .system import (
-    MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows, iter_bits,
-    json_array, json_texts,
+    DEFAULT_STATE_CAP, MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows,
+    iter_bits, json_array, json_texts,
 )
 from .verdict import Verdict
 

@@ -30,6 +30,7 @@ __all__ = [
     "check_delta",
     "check_threshold",
     "DEFAULT_MARGIN",
+    "DEFAULT_STATE_CAP",
     "close_rows",
     "iter_bits",
     "json_array",
@@ -58,6 +59,9 @@ def iter_bits(bits: int) -> Iterator[int]:
 # The strictness margin of a sampled strict inequality (B > margin) when
 # none is given: `barrier`, `compositional` and the CLI all default to it.
 DEFAULT_MARGIN = 1e-9
+
+# The most states or classes a construction may intern when no cap is given.
+DEFAULT_STATE_CAP = 2_000_000
 
 
 def check_threshold(name: str, value: float) -> None:

@@ -1,4 +1,6 @@
-"""Verdict and witness types shared by all verification routes."""
+"""Verdict and witness types shared by all verification routes, and
+`Forest`, the record that both breadth-first kernels, the engine's
+`search.search` and the oracles' `brute.explore`, leave behind."""
 
 from __future__ import annotations
 
@@ -9,6 +11,46 @@ from .system import MetricSystem, OpacityNotion
 
 # A path as (states, inputs), with one more state than inputs.
 Path = tuple[tuple[int, ...], tuple[int, ...]]
+Class = tuple[int, int]  # (reference state, bitset)
+
+
+def trace(parents: list[Optional[tuple[int, int]]], i: int) -> tuple[list[int], list[int]]:
+    """Indices from i back to its seed along `parents` links, and the
+    inputs of the links taken."""
+    nodes = [i]
+    inputs: list[int] = []
+    while parents[i] is not None:
+        i, u = parents[i]
+        nodes.append(i)
+        inputs.append(u)
+    return nodes, inputs
+
+
+@dataclass
+class Forest:
+    """Classes interned by one breadth-first search, in discovery order.
+
+    `parents[i]` is (parent class index, input index) for the first
+    discovery of class i, or None for a seed; `depths[i]` is its distance
+    from a seed. `edges` holds every step taken, as (class index, input
+    index, class index), where the search records them. `hit` is the index
+    of the class the search stopped at, or None if it ran out of classes.
+    """
+
+    classes: list[Class] = field(default_factory=list)
+    parents: list[Optional[tuple[int, int]]] = field(default_factory=list)
+    depths: list[int] = field(default_factory=list)
+    edges: list[tuple[int, int, int]] = field(default_factory=list)
+    hit: Optional[int] = None
+
+    def path(self, i: int) -> Path:
+        """Reference states and inputs from a seed to class i."""
+        nodes, inputs = trace(self.parents, i)
+        return tuple(self.classes[j][0] for j in reversed(nodes)), tuple(reversed(inputs))
+
+    def root(self, i: int) -> int:
+        """Index of the seed class that class i descends from."""
+        return trace(self.parents, i)[0][-1]
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,21 @@
 """Grid abstraction construction: ball rule, completeness, trajectory tracking."""
 
+import json
 import random
 
 import pytest
 
+from opacue import abstraction
 from opacue.abstraction import build_abstraction, sample_system
 from opacue.boxes import Box, BoxUnion, grid, grid_interval
-from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
+from opacue.control import (
+    DtControlSystem, IssCertificate, QuantizationParams, parse_control_system,
+)
 from opacue.errors import DomainError, QuantizationError, ResourceError
 from opacue.simrel import max_initsop_relation
 from opacue.system import MetricSystem, close_rows, iter_bits, serialize_system
+
+from .conftest import linear_plant
 
 
 def linear_cs(a=0.5, b=1.0, secret=(0.0, 0.5)):
@@ -267,6 +273,26 @@ def test_resource_cap():
     with pytest.raises(ResourceError):
         build_abstraction(linear_cs(), QuantizationParams(eta=0.5, mu=0.1, epsilon=1.5),
                           cap=2)
+
+
+def test_resource_cap_refuses_before_the_lattice_is_built(monkeypatch):
+    def refusing_grid(box, step):  # fails where the state lattice would be built
+        raise AssertionError(f"grid called for a {box.dim}-D box")
+
+    monkeypatch.setattr(abstraction, "grid", refusing_grid)
+    # 3^9 = 19,683 lattice points against a cap of 1000
+    cs = parse_control_system(json.dumps(linear_plant(9, 0.5, 1.0, (0.0, 0.5))))
+    with pytest.raises(ResourceError, match="abstraction exceeds the cap of 1000 states"):
+        build_abstraction(cs, QuantizationParams(eta=0.5, mu=0.1, epsilon=5.0), cap=1000)
+    # 3^14 = 4,782,969 points against the default cap
+    cs = parse_control_system(json.dumps(linear_plant(14, 0.5, 1.0, (0.0, 0.5))))
+    with pytest.raises(ResourceError, match="sampled system exceeds the cap"):
+        sample_system(cs, eta=0.5, mu=0.1)
+
+
+def test_a_step_wider_than_the_state_box_is_refused_before_the_cap():
+    with pytest.raises(QuantizationError, match="exceeds the span"):
+        sample_system(linear_cs(), eta=1.5, mu=0.1)
 
 
 def test_outputs_evaluate_concrete_map_at_lattice():

@@ -2,10 +2,11 @@
 
 import math
 import random
+import sys
 
 import pytest
 
-from opacue.boxes import Box, BoxUnion, grid, grid_interval, nearest_lattice
+from opacue.boxes import Box, BoxUnion, grid, grid_interval, grid_size, nearest_lattice
 from opacue.errors import QuantizationError, ValidationError
 
 
@@ -115,3 +116,20 @@ def test_grids_reject_non_finite_or_non_positive_steps(step):
         grid_interval(0.0, 1.0, step)
     with pytest.raises(ValidationError, match="finite positive"):
         grid(Box(((0.0, 1.0),)), step)
+    with pytest.raises(ValidationError, match="finite positive"):
+        grid_size(Box(((0.0, 1.0),)), step)
+
+
+def test_grid_size_counts_the_grid_without_building_it():
+    rng = random.Random(702)
+    for _ in range(100):
+        bounds = []
+        for _ in range(rng.randint(1, 3)):
+            lo = round(rng.uniform(-3, 2), 2)
+            bounds.append((lo, round(lo + rng.uniform(0.3, 3), 2)))
+        box, step = Box(tuple(bounds)), round(rng.uniform(0.05, 0.3), 2)
+        assert grid_size(box, step) == len(grid(box, step))
+    with pytest.raises(QuantizationError):  # the span check, as in grid
+        grid_size(Box(((0.0, 0.3), (0.0, 1e6))), 0.5)
+    # past sys.maxsize points on one axis: counted, where len() would raise
+    assert grid_size(Box(((0.0, 1e30),)), 1.0) > sys.maxsize

@@ -104,6 +104,12 @@ def test_import_cli_loads_only_the_finite_core():
     assert _loaded_after("import opacue.cli")[0] == CLI_MODULES
 
 
+def test_import_abstraction_loads_no_finite_decision_layer():
+    modules = _loaded_after("import opacue.abstraction")[0]
+    assert "opacue.abstraction" in modules
+    assert modules & {"opacue.observer", "opacue.brute", "opacue.search"} == set()
+
+
 def test_verify_loads_no_continuous_layer():
     argvs = [["verify", "--system", system, "--notion", notion, "--delta", "0",
               "--oracle", *extra]

@@ -141,3 +141,5 @@ def _package_imports(module: str) -> set[str]:
 def test_engine_and_oracle_kernel_do_not_import_each_other():
     assert "brute" not in _package_imports("search")
     assert "search" not in _package_imports("brute")
+    # the record both kernels return holds no decision code
+    assert _package_imports("verdict") <= {"system", "errors"}

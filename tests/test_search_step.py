@@ -18,8 +18,9 @@ import pytest
 from opacue.abstraction import build_abstraction
 from opacue.control import QuantizationParams, parse_control_system
 from opacue.errors import ResourceError
-from opacue.search import Search, search
+from opacue.search import search
 from opacue.system import MetricSystem, close_rows, iter_bits
+from opacue.verdict import Forest
 
 from .conftest import linear_plant, random_system
 from .test_search import corpus
@@ -42,7 +43,7 @@ def post_step(sys, close):
 
 
 def reference_search(seeds, step, reveal, cap, max_depth=None, spent=0):
-    found = Search([], [], [])
+    found = Forest()
     classes, parents, depths = found.classes, found.parents, found.depths
     index = {}
 
