@@ -34,10 +34,9 @@ _EXPORTS = {
     "errors": ("DimensionError", "DomainError", "OpacueError", "ParseError",
                "PrecisionError", "QuantizationError", "ResourceError",
                "SmallGainError", "ValidationError"),
-    "estimator": ("EstimatorState", "InitialStateEstimator", "build_initial_estimator",
-                  "estimator_verdict"),
-    "observer": ("DEFAULT_STATE_CAP", "Observer", "ObserverState", "build_observer",
-                 "observer_verdict", "verify_state_opacity"),
+    "estimator": ("InitialStateEstimator", "build_initial_estimator", "estimator_verdict"),
+    "observer": ("DEFAULT_STATE_CAP", "Observer", "build_observer", "observer_verdict",
+                 "verify_state_opacity"),
     "polynomial": ("Polynomial", "parse_polynomial"),
     "simrel": ("AbstractionStatus", "AbstractionVerdict", "SimRelation", "SimReport",
                "check_relation", "max_initsop_relation", "opacity_via_abstraction"),

@@ -7,6 +7,11 @@ evaluate candidates on lattice samples, so "falsified" verdicts are
 decisive (each carries a concrete witness point) while "sample-passed"
 verdicts are explicitly non-conclusive: sampling is not a proof.
 
+Each check tabulates the candidate once over every pair of lattice points.
+Its conditions read their blocks off that table with `table_blocks`, as
+`compose` does over its own pair grid; the decrease condition takes its
+bases B(x, x_hat) from there too.
+
 The two theorems quantify their input choices in opposite orders (for every
 adversarial input there is a matching one, versus there is an input beating
 every matching one). Both orders read one table of candidate values through
@@ -207,13 +212,14 @@ def _scan(conditions: Sequence[tuple[str, Iterable[Block], float, bool]]) -> Che
     )
 
 
-def _values(candidate: Evaluator, points: list[tuple[float, ...]],
-            rows: list[int]) -> Iterator[Block]:
-    """B(x, xh) at each pair of the rows, in order: one block per nonempty row."""
-    for x, row in zip(points, rows):
+def table_blocks(points: list[tuple[float, ...]], table: list[list[float]],
+                 rows: list[int]) -> Iterator[Block]:
+    """B(x, xh) at each pair of the rows, read off `table`, the values of B
+    over points x points, in order: one block per nonempty row."""
+    for x, row, values in zip(points, rows, table):
         if row:
-            partners = [points[j] for j in iter_bits(row)]
-            yield x, partners, tabulate(candidate, [x], partners)[0]
+            partners = list(iter_bits(row))
+            yield x, [points[j] for j in partners], [values[j] for j in partners]
 
 
 # The decrease slack f(v) = (base - v) - margin never increases with v, so
@@ -237,15 +243,17 @@ def _pick(pick: Callable, lists: list[list[float]]) -> list[float]:
 
 
 def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
-              points: list[tuple[float, ...]], region: list[int],
-              quantify: Callable[[list[list[float]]], float],
+              points: list[tuple[float, ...]], table: list[list[float]],
+              region: list[int], quantify: Callable[[list[list[float]]], float],
               margin: float) -> Iterator[Block]:
     """At each pair of the region's rows, quantify (rows u, columns u_hat)
     the decrease slack B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The
+    bases B(x, xh) are the blocks `table_blocks` reads off `table`. The
     successors f(x, u) come from a table over the points and grid inputs,
-    built once per check. The candidate is tabulated once per nonempty
-    row, and each row is one block. A value that is not finite raises, or
-    makes the slack NaN where the quantifier's min and max would hide it.
+    built once per check. The candidate is tabulated at the successors once
+    per nonempty row, and each row is one block. A value that is not finite
+    raises, or makes the slack NaN where the quantifier's min and max would
+    hide it.
     """
     inputs = grid(cs.input_box, resolution)
     succ = {x: [cs.step(x, u) for u in inputs] for x in points}
@@ -258,13 +266,9 @@ def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
     n = len(inputs)
 
     def blocks() -> Iterator[Block]:
-        for x, row in zip(points, region):
-            if not row:
-                continue
-            partners = [points[j] for j in iter_bits(row)]
+        for x, partners, bases in table_blocks(points, table, region):
             # row u, columns j*n .. j*n + n - 1: B(f(x, u), f(partners[j], .))
             values = tabulate(candidate, succ[x], [nxh for xh in partners for nxh in succ[xh]])
-            bases = tabulate(candidate, [x], partners)[0]
             if margin <= _SAFE and _bounded(bases) and all(map(_bounded, values)):
                 picked = _pick(outer, [_pick(inner, [vs[s::n] for s in range(n)])
                                        for vs in values])
@@ -289,14 +293,16 @@ def check_opacity_barrier(candidate: Evaluator, cs: DtControlSystem, delta: floa
     check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
     points = regions.points
+    table = tabulate(candidate, points, points)  # B once per (x, xh) pair
     full = (1 << len(points)) - 1
     return _scan((
         ("initial", ((x, xhs, [-v for v in vs])
-                     for x, xhs, vs in _values(candidate, points, regions.r0)), 0.0, False),
-        ("unsafe", _values(candidate, points, [full & ~row for row in regions.close]),
+                     for x, xhs, vs in table_blocks(points, table, regions.r0)), 0.0, False),
+        ("unsafe", table_blocks(points, table, [full & ~row for row in regions.close]),
          margin, True),
-        ("decrease", _decrease(candidate, cs, resolution, points, [full] * len(points),
-                               decrease_forall_exists, 0.0), 0.0, False),
+        ("decrease", _decrease(candidate, cs, resolution, points, table,
+                               [full] * len(points), decrease_forall_exists, 0.0),
+         0.0, False),
     ))
 
 
@@ -323,14 +329,15 @@ def check_lack_barrier(candidate: Evaluator, cs: DtControlSystem, delta: float,
     check_threshold("margin", margin)
     regions = build_regions(cs, delta, resolution)
     points = regions.points
+    table = tabulate(candidate, points, points)  # B once per (x, xh) pair
     full, ring = (1 << len(points)) - 1, _ring(points)
     # a pair is on the ring of X*X when x or xh is on the ring of X
     boundary = [(full if ring >> i & 1 else ring) & row
                 for i, row in enumerate(regions.close)]
     return _scan((
         ("initial", ((x, xhs, [-v for v in vs])
-                     for x, xhs, vs in _values(candidate, points, regions.r0)), 0.0, False),
-        ("boundary", _values(candidate, points, boundary), margin, True),
-        ("decrease", _decrease(candidate, cs, resolution, points, regions.close,
+                     for x, xhs, vs in table_blocks(points, table, regions.r0)), 0.0, False),
+        ("boundary", table_blocks(points, table, boundary), margin, True),
+        ("decrease", _decrease(candidate, cs, resolution, points, table, regions.close,
                                decrease_exists_forall, margin), 0.0, False),
     ))

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
-from .barrier import Block, Scan, pair_regions
+from .barrier import Block, Scan, pair_regions, table_blocks
 from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate, affine_certificate
 from .errors import SmallGainError, ValidationError
 from .polynomial import tabulate
-from .system import DEFAULT_MARGIN, check_delta, check_threshold, iter_bits
+from .system import DEFAULT_MARGIN, check_delta, check_threshold
 
 __all__ = [
     "LinearSubsystem",
@@ -154,14 +155,8 @@ def _barrier_conditions(
     points = [(x,) for x in xs]  # the output map is the identity
     regions = pair_regions(points, points, sub.initial, sub.secret, delta)
     values = tabulate(b, points, points)  # B once per (x, xh) pair, row by row
+    pairs = partial(table_blocks, points, values)  # one block per nonempty row
     full = (1 << len(points)) - 1
-
-    def pairs(rows: list[int]) -> Iterator[Block]:
-        """B(x, xh) at each pair of the rows, in order: one block per nonempty row."""
-        for x, row, row_values in zip(points, rows, values):
-            if row:
-                partners = list(iter_bits(row))
-                yield x, [points[j] for j in partners], [row_values[j] for j in partners]
 
     def norm(x: float, xh: float) -> float:
         return max(abs(x), abs(xh))

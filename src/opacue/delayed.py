@@ -95,26 +95,25 @@ def product_opacity(
     obs = build_observer(sys, delta, cap)
     est = build_initial_estimator(sys, delta, cap)
     secret = sys.secret_bits
-
+    forward, backward = obs.forest, est.forest
     est_by_ref: list[list[int]] = [[] for _ in range(sys.n_states)]
-    for i, e in enumerate(est.states):
-        if notion.k is None or est.depths[i] <= notion.k:  # None: infinite-step
-            est_by_ref[e.ref].append(i)
+    for i, (x, _) in enumerate(backward.classes):
+        if notion.k is None or backward.depths[i] <= notion.k:  # None: infinite-step
+            est_by_ref[x].append(i)
 
     stats = {
-        "observer_states": len(obs.states),
-        "estimator_states": len(est.states),
-        "transitions": len(obs.transitions) + len(est.transitions),
+        "observer_states": len(forward.classes),
+        "estimator_states": len(backward.classes),
+        "transitions": len(forward.edges) + len(backward.edges),
     }
 
-    for qi in range(len(obs.states)):
-        x = obs.states[qi].ref
+    for qi, (x, _) in enumerate(forward.classes):
         if not (secret >> x) & 1:
             continue
         cur = obs.cur_bits(qi)
         for ei in est_by_ref[x]:
-            matched = cur & est.states[ei].estimate
+            matched = cur & backward.classes[ei][1]
             if matched & ~secret == 0:
-                witness = Witness.splice(obs.path_to(qi), est.forward_path_from(ei))
+                witness = Witness.splice(forward.path(qi), est.forward_path_from(ei))
                 return Verdict(False, notion, delta, witness, stats)
     return Verdict(True, notion, delta, None, stats)

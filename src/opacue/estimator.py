@@ -6,59 +6,52 @@ k backward steps a state (x, q) says that q is exactly the set of states
 from which some forward run of length k is pointwise delta-close to the
 forward run x -> ... -> x_end the walk traversed. Initial-state opacity then
 reduces to checking q at states whose reference component is a secret
-initial state. The walk runs on the oracle kernel `brute.explore`.
+initial state. The walk runs on the oracle kernel `brute.explore`, and a
+built estimator keeps the `verdict.Forest` it leaves. A witness is the
+forest's path to a revealing state, read backwards: a forward path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .brute import explore, subset_step, union
 from .errors import InternalError
 from .system import DEFAULT_STATE_CAP, MetricSystem, OpacityNotion, check_delta
-from .verdict import Verdict, Witness, trace
+from .verdict import Forest, Path, Verdict, Witness
 
-__all__ = ["EstimatorState", "InitialStateEstimator", "build_initial_estimator",
-           "estimator_verdict"]
-
-
-@dataclass(frozen=True)
-class EstimatorState:
-    ref: int
-    estimate: int  # bitset over n states
+__all__ = ["InitialStateEstimator", "build_initial_estimator", "estimator_verdict"]
 
 
 @dataclass
 class InitialStateEstimator:
     """Reachable part of the delta-approximate initial-state estimator.
 
-    States are in BFS discovery order; the first `initial_count` entries are
-    the initial states (one per system state). `depths[i]` is the minimal
-    number of backward steps reaching state i, i.e. the length of a shortest
-    forward run from ref(i) consistent with the walk. `parents[i]` links to
-    the state the walk came from, which lies one forward step *ahead* of i.
+    `forest` is the record `brute.explore` leaves: its classes are the
+    estimator states (reference state, estimate) in BFS discovery order,
+    and its seeds (the classes without a parent) are the initial states,
+    one per system state. `forest.depths[i]` is the minimal number of
+    backward steps reaching state i, i.e. the length of a shortest forward
+    run from ref(i) consistent with the walk. A parent link leads to the
+    state the walk came from, which lies one forward step *ahead* of i.
     """
 
     sys: MetricSystem
     delta: float
-    states: list[EstimatorState]
-    initial_count: int
-    transitions: list[tuple[int, int, int]]
-    parents: list[Optional[tuple[int, int]]]
-    depths: list[int]
+    forest: Forest
 
     def reveals(self, i: int) -> bool:
         """State i's reference component is a secret initial state and its
         estimate retains no non-secret initial state."""
-        state, initial, secret = self.states[i], self.sys.initial_bits, self.sys.secret_bits
-        return bool((initial & secret) >> state.ref & 1
-                    and state.estimate & initial & ~secret == 0)
+        ref, estimate = self.forest.classes[i]
+        initial, secret = self.sys.initial_bits, self.sys.secret_bits
+        return bool((initial & secret) >> ref & 1 and estimate & initial & ~secret == 0)
 
-    def forward_path_from(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Forward system path starting at ref(i) traced by the backward walk."""
-        nodes, inputs = trace(self.parents, i)
-        return tuple(self.states[j].ref for j in nodes), tuple(inputs)
+    def forward_path_from(self, i: int) -> Path:
+        """Forward system path starting at ref(i) traced by the backward
+        walk: the forest's path to state i, reversed."""
+        states, inputs = self.forest.path(i)
+        return states[::-1], inputs[::-1]
 
 
 def build_initial_estimator(
@@ -72,15 +65,7 @@ def build_initial_estimator(
     if found.hit is not None:
         # The reference run's own predecessor always survives.
         raise InternalError("empty estimate on a reachable estimator state")
-    return InitialStateEstimator(
-        sys=sys,
-        delta=delta,
-        states=[EstimatorState(x, q) for x, q in found.classes],
-        initial_count=sys.n_states,
-        transitions=found.edges,
-        parents=found.parents,
-        depths=found.depths,
-    )
+    return InitialStateEstimator(sys, delta, found)
 
 
 def estimator_verdict(est: InitialStateEstimator) -> Verdict:
@@ -92,11 +77,9 @@ def estimator_verdict(est: InitialStateEstimator) -> Verdict:
     walk to the first such state in BFS order.
     """
     notion = OpacityNotion.initial_state()
-    stats = {
-        "estimator_states": len(est.states),
-        "transitions": len(est.transitions),
-    }
-    for i in range(len(est.states)):
+    stats = {"estimator_states": len(est.forest.classes),
+             "transitions": len(est.forest.edges)}
+    for i in range(len(est.forest.classes)):
         if est.reveals(i):
             witness = Witness(*est.forward_path_from(i))
             return Verdict(False, notion, est.delta, witness, stats)

@@ -13,18 +13,19 @@ the reference run are now:
   the secret set.
 
 `build_observer` is the paper's construction, built on the oracle kernel
-`brute.explore` and kept as an independent oracle and for DOT export. Each observer state is a pair (reference state,
-set of initial/current state pairs); the pair set tracks every run whose
-output history is pointwise delta-close to the reference run, remembering
-where each such run started. Pair sets live in a single int of n*n bits
-(bit i*n + c == pair (i, c)). `observer_verdict` reads a verdict off a
-built observer.
+`brute.explore` and kept as an independent oracle and for DOT export. An
+`Observer` keeps the `verdict.Forest` the kernel leaves: each class is an
+observer state, a pair (reference state, set of initial/current state
+pairs). The pair set tracks every run whose output history is pointwise
+delta-close to the reference run, remembering where each such run
+started. Pair sets live in a single int of n*n bits (bit i*n + c == pair
+(i, c)). `observer_verdict` reads a verdict off a built observer, its
+witness off the forest's parent links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .brute import explore, subset_step, union
 from .errors import InternalError, ValidationError
@@ -33,40 +34,31 @@ from .system import (
     DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows,
     iter_bits,
 )
-from .verdict import Forest, Verdict, Witness, trace
+from .verdict import Forest, Verdict, Witness
 
-__all__ = ["DEFAULT_STATE_CAP", "ObserverState", "Observer", "build_observer",
-           "observer_verdict", "verify_state_opacity"]
-
-
-@dataclass(frozen=True)
-class ObserverState:
-    ref: int
-    pairs: int  # bitset over n*n bits
+__all__ = ["DEFAULT_STATE_CAP", "Observer", "build_observer", "observer_verdict",
+           "verify_state_opacity"]
 
 
 @dataclass
 class Observer:
-    """Reachable part of the delta-approximate observer.
+    """Reachable part of the delta-approximate pair observer.
 
-    States are listed in BFS discovery order; the first `initial_count`
-    entries are the initial states (one per initial system state).
-    `parents[i]` is (observer parent index, input index) for the first
-    discovery of state i, or None for initial states.
+    `forest` is the record `brute.explore` leaves: its classes are the
+    observer states (reference state, pair set) in BFS discovery order, its
+    seeds (the classes without a parent) are the initial states, one per
+    initial system state, and its edges are the transitions.
     """
 
     sys: MetricSystem
     delta: float
-    states: list[ObserverState]
-    initial_count: int
-    transitions: list[tuple[int, int, int]]
-    parents: list[Optional[tuple[int, int]]]
+    forest: Forest
 
     def int_bits(self, i: int) -> int:
         """Possible initial states recorded in observer state i."""
         n = self.sys.n_states
         rowmask = (1 << n) - 1
-        z = self.states[i].pairs
+        z = self.forest.classes[i][1]
         out = 0
         for row in range(n):
             if (z >> (row * n)) & rowmask:
@@ -77,7 +69,7 @@ class Observer:
         """Possible current states recorded in observer state i."""
         n = self.sys.n_states
         rowmask = (1 << n) - 1
-        z = self.states[i].pairs
+        z = self.forest.classes[i][1]
         out = 0
         for row in range(n):
             out |= (z >> (row * n)) & rowmask
@@ -89,11 +81,6 @@ class Observer:
         initial_notion = notion.kind is NotionKind.INITIAL_STATE
         proj = self.int_bits(i) if initial_notion else self.cur_bits(i)
         return proj & ~self.sys.secret_bits == 0
-
-    def path_to(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Reference-state path and inputs from an initial state to state i."""
-        nodes, inputs = trace(self.parents, i)
-        return tuple(self.states[j].ref for j in reversed(nodes)), tuple(reversed(inputs))
 
 
 def _advance(z: int, n: int, rowmask: int, succ_any) -> int:
@@ -133,14 +120,7 @@ def build_observer(
         # Clause 2 always retains the reference run's own pair, so a
         # reachable state can never carry an empty estimate.
         raise InternalError("empty estimate on a reachable observer state")
-    return Observer(
-        sys=sys,
-        delta=delta,
-        states=[ObserverState(x, pairs) for x, pairs in found.classes],
-        initial_count=found.parents.count(None),
-        transitions=found.edges,
-        parents=found.parents,
-    )
+    return Observer(sys, delta, found)
 
 
 def _check_state_notion(notion: OpacityNotion) -> bool:
@@ -205,13 +185,11 @@ def observer_verdict(obs: Observer, notion: OpacityNotion) -> Verdict:
     path to the first revealing state in BFS order.
     """
     initial_notion = _check_state_notion(notion)
-    stats = {
-        "observer_states": len(obs.states),
-        "transitions": len(obs.transitions),
-    }
-    for i in range(len(obs.states)):
+    found = obs.forest
+    stats = {"observer_states": len(found.classes), "transitions": len(found.edges)}
+    for i in range(len(found.classes)):
         if obs.reveals(i, notion):
-            states, inputs = obs.path_to(i)
+            states, inputs = found.path(i)
             witness = Witness(states, inputs, None if initial_notion else len(states) - 1)
             return Verdict(False, notion, obs.delta, witness, stats)
     return Verdict(True, notion, obs.delta, None, stats)

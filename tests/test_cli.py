@@ -328,6 +328,50 @@ def test_estimator_export_dot(capsys, tmp_path):
     assert dot.read_text().startswith("digraph estimator")
 
 
+def _dot_strings(line: str):
+    """The double-quoted strings of one DOT line, un-escaped (a backslash
+    takes the next character as it is), or None if one is left open."""
+    strings, i = [], line.find('"')
+    while i != -1:
+        chars, i = [], i + 1
+        while i < len(line) and line[i] != '"':
+            i += line[i] == "\\"
+            if i < len(line):
+                chars.append(line[i])
+                i += 1
+        if i >= len(line):
+            return None
+        strings.append("".join(chars))
+        i = line.find('"', i + 1)
+    return strings
+
+
+def test_export_dot_quotes_backslashes_and_double_quotes():
+    from opacue.dotexport import estimator_dot, observer_dot
+    from opacue.estimator import build_initial_estimator
+    from opacue.observer import build_observer
+    from opacue.system import OpacityNotion, iter_bits
+
+    sys_ = MetricSystem(names=("a\\", 'b"\\'), inputs=("u\\",),
+                        outputs=((0.0,), (0.05,)), initial=(0, 1), secret=(0,),
+                        transitions=((0, 0, 1), (1, 0, 0)))
+    names, n = sys_.names, sys_.n_states
+    obs, est = build_observer(sys_, 0.1), build_initial_estimator(sys_, 0.1)
+    graphs = [
+        (observer_dot(obs, OpacityNotion.initial_state()), obs.forest,
+         lambda pairs: ", ".join(f"({names[b // n]},{names[b % n]})" for b in iter_bits(pairs))),
+        (estimator_dot(est), est.forest,
+         lambda members: ", ".join(names[b] for b in iter_bits(members))),
+    ]
+    for text, found, members in graphs:
+        lines = text.splitlines()[2:-1]
+        labels = [_dot_strings(line) for line in lines]
+        assert None not in labels, text
+        nodes, edges = labels[:len(found.classes)], labels[len(found.classes):]
+        assert nodes == [[f"{names[ref]} | {{{members(bits)}}}"] for ref, bits in found.classes]
+        assert edges and edges == [["u\\"]] * len(found.edges)
+
+
 def _rejected(capsys, *argv, reason="finite"):
     """Exit 3, an error naming `reason` on stderr and nothing on stdout."""
     code, out, err = run(capsys, *argv)

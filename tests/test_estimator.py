@@ -20,10 +20,12 @@ def test_initial_estimates_are_full_set_above_output_diameter():
         diameter = max(
             abs(a[0] - b[0]) for a in sys_.outputs for b in sys_.outputs
         )
-        est = build_initial_estimator(sys_, diameter)
+        found = build_initial_estimator(sys_, diameter).forest
         full = bits_of(range(sys_.n_states))
-        for e in est.states[: est.initial_count]:
-            assert e.estimate == full
+        seeds = [c for c, parent in zip(found.classes, found.parents) if parent is None]
+        assert len(seeds) == sys_.n_states
+        for _, estimate in seeds:
+            assert estimate == full
 
 
 def test_initial_states_cover_every_state_with_its_ball():
@@ -35,13 +37,14 @@ def test_initial_states_cover_every_state_with_its_ball():
         secret=(1,),
         transitions=((0, 0, 1),),
     )
-    est = build_initial_estimator(sys_, 0.1)
-    assert est.initial_count == 3
-    balls = {e.ref: set(iter_bits(e.estimate)) for e in est.states[:3]}
+    found = build_initial_estimator(sys_, 0.1).forest
+    assert found.parents.count(None) == 3
+    seeds = [i for i, parent in enumerate(found.parents) if parent is None]
+    balls = {found.classes[i][0]: set(iter_bits(found.classes[i][1])) for i in seeds}
     assert balls[0] == {0, 1}
     assert balls[1] == {0, 1}
     assert balls[2] == {2}
-    assert all(d == 0 for d in est.depths[:3])
+    assert all(found.depths[i] == 0 for i in seeds)
 
 
 def test_two_state_chain_backward_step():
@@ -53,16 +56,17 @@ def test_two_state_chain_backward_step():
         secret=(0,),
         transitions=((0, 0, 1),),
     )
-    est = build_initial_estimator(sys_, 0.0)
+    found = build_initial_estimator(sys_, 0.0).forest
     # from (s1, {s1}) one backward u-step reaches (s0, {s0})
-    start = next(i for i in range(est.initial_count) if est.states[i].ref == 1)
-    steps = [(src, u, dst) for (src, u, dst) in est.transitions if src == start]
+    start = next(i for i, (ref, _) in enumerate(found.classes)
+                 if found.parents[i] is None and ref == 1)
+    steps = [(src, u, dst) for (src, u, dst) in found.edges if src == start]
     assert len(steps) == 1
     _, u, dst = steps[0]
-    assert est.states[dst].ref == 0
-    assert set(iter_bits(est.states[dst].estimate)) == {0}
+    assert found.classes[dst][0] == 0
+    assert set(iter_bits(found.classes[dst][1])) == {0}
     # (s0, {s0}) is itself an initial estimator state, so its min depth is 0
-    assert est.depths[dst] == 0
+    assert found.depths[dst] == 0
 
 
 def test_estimator_agrees_with_observer_on_initial_state_opacity():

@@ -31,9 +31,9 @@ def two_state(delta_outputs=(0.00, 0.05)):
 
 
 def test_no_transitions_only_initial_states():
-    obs = build_observer(two_state(), 0.1)
-    assert len(obs.states) == obs.initial_count == 2
-    assert obs.transitions == []
+    found = build_observer(two_state(), 0.1).forest
+    assert len(found.classes) == found.parents.count(None) == 2
+    assert found.edges == []
 
 
 def test_initial_pairs_follow_the_closeness_threshold():
@@ -43,24 +43,24 @@ def test_initial_pairs_follow_the_closeness_threshold():
     def pairs_of(z):
         return {(b // n, b % n) for b in iter_bits(z)}
 
-    obs = build_observer(sys_, 0.1)
-    ref0 = next(q for q in obs.states[: obs.initial_count] if q.ref == 0)
-    assert pairs_of(ref0.pairs) == {(0, 0), (1, 1)}
+    def seed_pairs(found, ref):
+        return next(pairs for (x, pairs), parent in zip(found.classes, found.parents)
+                    if parent is None and x == ref)
 
-    obs_tight = build_observer(sys_, 0.01)
-    ref0 = next(q for q in obs_tight.states[: obs_tight.initial_count] if q.ref == 0)
-    assert pairs_of(ref0.pairs) == {(0, 0)}
+    assert pairs_of(seed_pairs(build_observer(sys_, 0.1).forest, 0)) == {(0, 0), (1, 1)}
+    assert pairs_of(seed_pairs(build_observer(sys_, 0.01).forest, 0)) == {(0, 0)}
 
 
 def test_initial_count_equals_initial_states_and_diagonal():
     rng = random.Random(201)
     for _ in range(100):
         sys_ = random_system(rng)
-        obs = build_observer(sys_, 0.1)
-        assert obs.initial_count == len(sys_.initial)
+        found = build_observer(sys_, 0.1).forest
+        seeds = [c for c, parent in zip(found.classes, found.parents) if parent is None]
+        assert len(seeds) == len(sys_.initial)
         n = sys_.n_states
-        for q in obs.states[: obs.initial_count]:
-            for bit in iter_bits(q.pairs):
+        for _, pairs in seeds:
+            for bit in iter_bits(pairs):
                 i, c = bit // n, bit % n
                 assert i == c and i in sys_.initial
 
@@ -124,10 +124,10 @@ def test_resource_cap(gridworld_c1):
 def test_construction_is_deterministic():
     rng = random.Random(203)
     sys_ = random_system(rng, max_states=5)
-    a = build_observer(sys_, 0.1)
-    b = build_observer(sys_, 0.1)
-    assert a.states == b.states
-    assert a.transitions == b.transitions
+    a = build_observer(sys_, 0.1).forest
+    b = build_observer(sys_, 0.1).forest
+    assert a.classes == b.classes
+    assert a.edges == b.edges
     assert a.parents == b.parents
 
 
