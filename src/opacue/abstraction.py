@@ -12,7 +12,6 @@ result plugs directly into the finite-system verifiers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
@@ -36,8 +35,6 @@ class Abstraction:
     """A finite abstraction plus the certificate bookkeeping behind it."""
 
     system: MetricSystem
-    eta: float
-    mu: float
     certified: bool
     check: QuantizationCheck
 
@@ -72,13 +69,7 @@ def build_abstraction(
             list(iter_bits(row)) for row in close_rows(images, points, params.eta)
         ),
     )
-    return Abstraction(
-        system=system,
-        eta=params.eta,
-        mu=params.mu,
-        certified=qcheck.passed,
-        check=qcheck,
-    )
+    return Abstraction(system=system, certified=qcheck.passed, check=qcheck)
 
 
 def sample_system(cs: DtControlSystem, eta: float, mu: float) -> MetricSystem:
@@ -113,14 +104,7 @@ def _lattice_system(
         raise ResourceError(f"{label} exceeds the cap of {cap} states")
     points = grid(cs.state_box, eta)
     inputs = grid(cs.input_box, mu)
-    images: list[tuple[float, ...]] = []
-    for x in points:
-        for u in inputs:
-            image = cs.step(x, u)
-            if not all(map(math.isfinite, image)):
-                raise DomainError(f"f({x}, {u}) = {image} is not finite",
-                                  state=x, inp=u)
-            images.append(image)
+    images = [cs.step(x, u) for x in points for u in inputs]
     state_ids = tuple(range(len(points)))  # shared ints: iter_bits makes one per bit
     pairs = product(state_ids, range(len(inputs)))
     transitions: list[tuple[int, int, int]] = []

@@ -87,9 +87,6 @@ def build_regions(
                         "region")
     points = grid(cs.state_box, resolution)
     outputs = [cs.observe(p) for p in points]
-    for p, y in zip(points, outputs):
-        if not all(map(math.isfinite, y)):
-            raise DomainError(f"regions: output {y} is not finite at {p}", state=p)
     return pair_regions(points, outputs, cs.initial_region, cs.secret_region, delta)
 
 
@@ -257,11 +254,6 @@ def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
     """
     inputs = grid(cs.input_box, resolution)
     succ = {x: [cs.step(x, u) for u in inputs] for x in points}
-    for x, images in succ.items():
-        for u, image in zip(inputs, images):
-            if not all(map(math.isfinite, image)):
-                raise DomainError(f"decrease: successor {image} under input {u} "
-                                  f"is not finite at {x}", state=x, inp=u)
     outer, inner = _OVER_VALUES[quantify]
     n = len(inputs)
 

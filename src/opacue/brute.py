@@ -19,7 +19,9 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceError, ValidationError
-from .system import MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits
+from .system import (
+    DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion, check_delta, iter_bits,
+)
 from .verdict import Class, Forest, Verdict, Witness
 
 __all__ = ["brute_force_opacity", "confirm_witness", "explore", "subset_step", "union"]
@@ -30,7 +32,7 @@ Step = Callable[[int, int], Iterable[tuple[int, int, int]]]
 def explore(
     seeds: Iterable[Class],
     step: Step,
-    cap: Optional[int],
+    cap: int,
     reveal: Callable[[int, int], bool],
     max_depth: Optional[int] = None,
 ) -> Forest:
@@ -41,7 +43,7 @@ def explore(
     interned; the first that passes ends the search and becomes `hit`.
     Every step taken is recorded in `edges`. Classes at depth `max_depth`
     are not expanded. Raises ResourceError when a class beyond the seeds
-    would take the count past `cap` (None for no cap).
+    would take the count past `cap`.
     """
     found = Forest()
     classes, parents, depths, edges = found.classes, found.parents, found.depths, found.edges
@@ -64,7 +66,7 @@ def explore(
             for u, ref2, bits2 in step(*classes[head]):
                 key = (ref2, bits2)
                 if key not in index:
-                    if cap is not None and len(classes) >= cap:
+                    if len(classes) >= cap:
                         raise ResourceError(f"oracle exceeded the cap of {cap} states")
                     if intern(key, (head, u), depths[head] + 1):
                         found.hit = len(classes) - 1
@@ -96,11 +98,13 @@ def subset_step(spread: Callable[[int], int], close: list[int], moves) -> Step:
     return step
 
 
-def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion) -> Verdict:
+def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion,
+                        cap: int = DEFAULT_STATE_CAP) -> Verdict:
     """Decide opacity by exhaustive matching-set search.
 
     The search runs to saturation, so the verdict is exact; stats["classes"]
-    counts the classes interned. For K-step and infinite-step opacity a
+    counts the classes interned. Each search raises ResourceError past
+    `cap` classes. For K-step and infinite-step opacity a
     prefix search tracks the full matching set F; from every class whose
     state is secret, a survivor search tracks only the runs that sat on a
     non-secret state at that instant (for at most K more steps), and the
@@ -116,23 +120,23 @@ def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion) 
 
     if notion.kind is NotionKind.INITIAL_STATE:
         found = explore([(x, bits & ~secret) for x, bits in seeds if (secret >> x) & 1],
-                        step, None, lambda x, bits: bits == 0)
+                        step, cap, lambda x, bits: bits == 0)
         searches.append(found)
         if found.hit is not None:
             witness = Witness(*found.path(found.hit))
     elif notion.kind is NotionKind.CURRENT_STATE:
-        found = explore(seeds, step, None,
+        found = explore(seeds, step, cap,
                         lambda x, bits: (secret >> x) & 1 and bits & ~secret == 0)
         searches.append(found)
         if found.hit is not None:
             witness = Witness(*found.path(found.hit), found.depths[found.hit])
     else:
-        prefixes = explore(seeds, step, None, lambda x, bits: False)
+        prefixes = explore(seeds, step, cap, lambda x, bits: False)
         origins: dict[Class, int] = {}  # survivor seed -> prefix class
         for i, (x, bits) in enumerate(prefixes.classes):
             if (secret >> x) & 1:
                 origins.setdefault((x, bits & ~secret), i)
-        survivors = explore(origins, step, None, lambda x, bits: bits == 0, notion.k)
+        survivors = explore(origins, step, cap, lambda x, bits: bits == 0, notion.k)
         searches += [prefixes, survivors]
         if survivors.hit is not None:
             seed = survivors.classes[survivors.root(survivors.hit)]

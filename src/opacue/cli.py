@@ -104,7 +104,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.timing:
         report["stats"]["wall_ms"] = wall_ms
     if args.oracle:
-        other = brute_force_opacity(system, args.delta, notion)
+        other = brute_force_opacity(system, args.delta, notion, cap)
         report["oracle_agrees"] = other.opaque == verdict.opaque
         if verdict.witness is not None:
             report["witness_confirmed"] = confirm_witness(
@@ -157,26 +157,27 @@ def _cmd_simrel(args: argparse.Namespace) -> int:
 
     concrete = parse_system(_read(args.system))
     abstract = parse_system(_read(args.abstract))
-    if args.delta is not None:  # fail before the relation
+    if args.delta is not None:  # a bad threshold is named before a bad cap
         abstract_threshold(args.epsilon, args.delta)
     cap = _cap_from(args)
-    report = max_initsop_relation(concrete, abstract, args.epsilon)
+    if args.delta is None:
+        verdict = None
+        report = max_initsop_relation(concrete, abstract, args.epsilon)
+    else:
+        verdict = opacity_via_abstraction(concrete, abstract, args.epsilon, args.delta, cap)
+        report = verdict.report
     # The pairs are written straight from the relation, as in
     # `report.to_report`, without building the list of name pairs.
     doc = report.summary(concrete, abstract)
     pairs = None
     if report.relation is not None:
         pairs = report.relation.pairs_json(concrete, abstract)
-    if args.delta is not None:
-        verdict = opacity_via_abstraction(concrete, abstract, args.epsilon,
-                                          args.delta, cap, report)
-        doc["abstraction_verdict"] = verdict.to_report()
+    if verdict is None:
         _emit(doc, pairs)
-        if verdict.status is AbstractionStatus.OPAQUE:
-            return EXIT_PASS
-        return EXIT_INCONCLUSIVE
+        return EXIT_PASS if report.related else EXIT_FAIL
+    doc["abstraction_verdict"] = verdict.to_report()
     _emit(doc, pairs)
-    return EXIT_PASS if report.related else EXIT_FAIL
+    return EXIT_PASS if verdict.status is AbstractionStatus.OPAQUE else EXIT_INCONCLUSIVE
 
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
@@ -193,8 +194,8 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
         "inputs": len(result.system.inputs),
         "transitions": len(result.system.transitions),
         "secret_states": len(result.system.secret),
-        "eta": result.eta,
-        "mu": result.mu,
+        "eta": params.eta,
+        "mu": params.mu,
         "epsilon": args.epsilon,
         "certified": result.certified,
         "quantization": asdict(result.check),

@@ -1,5 +1,8 @@
 """Discrete-time control systems on box domains with stability certificates.
 
+A plant's `step` and `observe` alone check that its values are finite: a
+coordinate that is not finite raises DomainError naming the point.
+
 The incremental-stability certificate is parametric: trajectories from
 states r apart under inputs v apart stay within c*lambda^k*r + g*v, and
 the output map is Lipschitz with constant a. The tool checks the grid
@@ -15,7 +18,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .boxes import Box, BoxUnion
-from .errors import ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .expr import compile_expr
 from .system import json_number, read_object
 
@@ -160,10 +163,19 @@ class DtControlSystem:
         return tuple(compile_expr(e, self.dim, 0) for e in self.output)
 
     def step(self, x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
-        return tuple(fn(x, u) for fn in self._dyn_fns)
+        """f(x, u); DomainError, naming x and u, unless every coordinate is finite."""
+        image = tuple(fn(x, u) for fn in self._dyn_fns)
+        if not all(map(math.isfinite, image)):
+            raise DomainError(f"f({tuple(x)}, {tuple(u)}) = {image} is not finite",
+                              state=tuple(x), inp=tuple(u))
+        return image
 
     def observe(self, x: Sequence[float]) -> tuple[float, ...]:
-        return tuple(fn(x, ()) for fn in self._out_fns)
+        """H(x); DomainError, naming x, unless every coordinate is finite."""
+        y = tuple(fn(x, ()) for fn in self._out_fns)
+        if not all(map(math.isfinite, y)):
+            raise DomainError(f"H({tuple(x)}) = {y} is not finite", state=tuple(x))
+        return y
 
 
 def _parse_box(value, where: str) -> Box:

@@ -1,7 +1,8 @@
 """Graphviz DOT export for observers and estimators.
 
 Nodes are the classes of the construction's `verdict.Forest`, labeled
-"ref | {tracked set}"; nodes that reveal the secret under the requested
+"ref | {tracked set}" (an observer's pair set is decoded by
+`Observer.rows`); nodes that reveal the secret under the requested
 notion are drawn double-circled; seeds, the initial states, are bold.
 Labels are quoted with backslashes and double quotes escaped.
 """
@@ -40,12 +41,10 @@ def _graph(name: str, prefix: str, built: Observer | InitialStateEstimator,
 
 def observer_dot(obs: Observer, notion: OpacityNotion) -> str:
     sys = obs.sys
-    n = sys.n_states
     nodes = []
     for i, (ref, pairs) in enumerate(obs.forest.classes):
-        members = ", ".join(
-            f"({sys.names[bit // n]},{sys.names[bit % n]})" for bit in iter_bits(pairs)
-        )
+        members = ", ".join(f"({sys.names[x0]},{sys.names[c]})"
+                            for x0, row in obs.rows(pairs, sys.n_states) for c in iter_bits(row))
         nodes.append((f"{sys.names[ref]} | {{{members}}}", obs.reveals(i, notion)))
     return _graph("observer", "q", obs, nodes)
 

@@ -27,8 +27,9 @@ class QuantizationError(OpacueError):
 
 
 class DomainError(OpacueError):
-    """Dynamics evaluation left the admissible state region, or a sampled
-    output, successor or slack is not finite."""
+    """Dynamics evaluation left the admissible state region, a plant's
+    successor or output is not finite (`state` and `inp` name the point and
+    the input), or a sampled slack is not finite."""
 
     def __init__(self, message, state=None, inp=None):
         super().__init__(message)

@@ -19,13 +19,16 @@ observer state, a pair (reference state, set of initial/current state
 pairs). The pair set tracks every run whose output history is pointwise
 delta-close to the reference run, remembering where each such run
 started. Pair sets live in a single int of n*n bits (bit i*n + c == pair
-(i, c)). `observer_verdict` reads a verdict off a built observer, its
-witness off the forest's parent links.
+(i, c)); `Observer.rows` is the one decoder of that layout, for the
+observer's step, its projections and the DOT export. `observer_verdict`
+reads a verdict off a built observer, its witness off the forest's
+parent links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .brute import explore, subset_step, union
 from .errors import InternalError, ValidationError
@@ -47,32 +50,34 @@ class Observer:
     `forest` is the record `brute.explore` leaves: its classes are the
     observer states (reference state, pair set) in BFS discovery order, its
     seeds (the classes without a parent) are the initial states, one per
-    initial system state, and its edges are the transitions.
+    initial system state, and its edges are the transitions. A pair set is
+    read through `rows`.
     """
 
     sys: MetricSystem
     delta: float
     forest: Forest
 
+    @staticmethod
+    def rows(pairs: int, n: int) -> Iterator[tuple[int, int]]:
+        """The one decoder of a pair set over n states: (initial i, the
+        bitset of the current states c paired with i), for each i with a
+        pair, in ascending order. Bit i*n + c is the pair (i, c)."""
+        mask = (1 << n) - 1
+        for i in range(n):
+            row = pairs >> (i * n) & mask
+            if row:
+                yield i, row
+
     def int_bits(self, i: int) -> int:
         """Possible initial states recorded in observer state i."""
-        n = self.sys.n_states
-        rowmask = (1 << n) - 1
-        z = self.forest.classes[i][1]
-        out = 0
-        for row in range(n):
-            if (z >> (row * n)) & rowmask:
-                out |= 1 << row
-        return out
+        return sum(1 << x0 for x0, _ in self.rows(self.forest.classes[i][1], self.sys.n_states))
 
     def cur_bits(self, i: int) -> int:
         """Possible current states recorded in observer state i."""
-        n = self.sys.n_states
-        rowmask = (1 << n) - 1
-        z = self.forest.classes[i][1]
         out = 0
-        for row in range(n):
-            out |= (z >> (row * n)) & rowmask
+        for _, row in self.rows(self.forest.classes[i][1], self.sys.n_states):
+            out |= row
         return out
 
     def reveals(self, i: int, notion: OpacityNotion) -> bool:
@@ -81,18 +86,6 @@ class Observer:
         initial_notion = notion.kind is NotionKind.INITIAL_STATE
         proj = self.int_bits(i) if initial_notion else self.cur_bits(i)
         return proj & ~self.sys.secret_bits == 0
-
-
-def _advance(z: int, n: int, rowmask: int, succ_any) -> int:
-    """Advance every tracked run one step under an arbitrary input."""
-    out = 0
-    shift = 0
-    for _ in range(n):
-        row = (z >> shift) & rowmask
-        if row:
-            out |= union(row, succ_any) << shift
-        shift += n
-    return out
 
 
 def build_observer(
@@ -108,12 +101,13 @@ def build_observer(
     """
     check_delta(delta)
     n = sys.n_states
-    rowmask = (1 << n) - 1
     ones = sum(1 << (i * n) for i in range(n))
     close = [sys.close_bits(x, delta) for x in range(n)]
     seeds = [(x, sum(1 << (i * n + i) for i in iter_bits(sys.initial_bits & close[x])))
              for x in sorted(sys.initial)]
-    step = subset_step(lambda z: _advance(z, n, rowmask, sys.succ_any),
+    # every tracked run takes one step under an arbitrary input
+    step = subset_step(lambda z: sum(union(row, sys.succ_any) << (i * n)
+                                     for i, row in Observer.rows(z, n)),
                        [c * ones for c in close], sys.post_bits)
     found = explore(seeds, step, cap, lambda x, pairs: pairs == 0)
     if found.hit is not None:

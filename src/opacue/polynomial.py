@@ -66,15 +66,14 @@ class Polynomial:
     def _table_kernel(self, split: int) -> Callable:
         """The kernel for rows of the first `split` variables. It does the
         float operations of a power-table evaluation in their order: powers
-        v^1 = 1.0*v and v^e = v^(e-1)*v up to each variable's largest
-        exponent, each monomial as ((coef*P0)*P1)... over the variables with
+        v^1 = 1.0*v and v^e = v^(e-1)*v, bound for the exponents that occur
+        only, each monomial as ((coef*P0)*P1)... over the variables with
         a nonzero exponent, and the sum ((0.0 + m0) + m1)... in term order.
         Each monomial's row prefix (coef*P0)*...*P(split-1) is taken once per
         row, the column powers once per call. Coefficients come in as a
         tuple, never as source text."""
         row_vars, col_vars = range(split), range(split, self.n_vars)
-        col_powers = _targets(f"p{i}_{e}" for i in col_vars
-                              for e in range(1, self._top[i] + 1))
+        col_powers = _targets(f"p{i}_{e}" for i in col_vars for e in self._exps[i])
         heads = []  # each term's row prefix: a name bound per row, or its coefficient
         prefixes = []
         for k, (exps, _) in enumerate(self.terms):
@@ -103,19 +102,21 @@ class Polynomial:
         ])
 
     @cached_property
-    def _top(self) -> list[int]:
-        """Each variable's largest exponent."""
-        return [max((exps[i] for exps, _ in self.terms), default=0)
-                for i in range(self.n_vars)]
+    def _exps(self) -> list[list[int]]:
+        """Each variable's nonzero exponents, ascending."""
+        return [sorted({exps[i] for exps, _ in self.terms} - {0}) for i in range(self.n_vars)]
 
     def _powers(self, variables: range) -> list[str]:
-        """Lines binding p{i}_{e} = v^e for each variable i and exponent e."""
+        """Lines binding p{i}_{e} = v^e for each exponent e of each variable i,
+        one product by v at a time from the power below (a loop past the first)."""
         lines = []
         for i in variables:
-            prev = "1.0"
-            for e in range(1, self._top[i] + 1):
+            prev, below = "1.0", 0
+            for e in self._exps[i]:
                 lines.append(f"p{i}_{e} = {prev} * x{i}")
-                prev = f"p{i}_{e}"
+                if e - below > 1:
+                    lines += [f"for _ in range({e - below - 1}):", f"    p{i}_{e} *= x{i}"]
+                prev, below = f"p{i}_{e}", e
         return lines
 
     def _compile(self, body: list[str]) -> Callable:
@@ -127,7 +128,7 @@ class Polynomial:
             *(f"        {line}" for line in body),
             "    return f",
         ])
-        namespace = {"__builtins__": {}}
+        namespace = {"__builtins__": {}, "range": range}
         exec(compile(source, "<polynomial>", "exec"), namespace)
         return namespace["bind"](tuple(coef for _, coef in self.terms))
 

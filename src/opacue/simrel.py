@@ -241,12 +241,14 @@ class AbstractionStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class AbstractionVerdict:
+    """A transferred verdict, with the relation report it went through."""
+
     status: AbstractionStatus
     delta: float
     epsilon: float
     abstract_delta: float
-    reason: str = ""
-    relation: Optional[SimRelation] = None
+    reason: str
+    report: SimReport
     abstract_verdict: Optional[Verdict] = None
 
     def to_report(self) -> dict:
@@ -256,7 +258,7 @@ class AbstractionVerdict:
             "epsilon": self.epsilon,
             "abstract_delta": self.abstract_delta,
             "reason": self.reason,
-            "related": self.relation is not None,
+            "related": self.report.related,
         }
 
 
@@ -287,42 +289,36 @@ def opacity_via_abstraction(
     epsilon: float,
     delta: float,
     cap: int = DEFAULT_STATE_CAP,
-    report: Optional[SimReport] = None,
 ) -> AbstractionVerdict:
     """Transfer an opacity verdict from the abstract system to the concrete one.
 
-    Requires epsilon <= delta/2 (see `abstract_threshold`). If the systems
-    are related and the abstract system is (delta - 2*epsilon)-approximate
-    initial-state opaque, the concrete system is delta-approximate
-    initial-state opaque. The implication is one-directional, so anything
-    short of that yields INCONCLUSIVE, never a negative verdict.
-
-    `report` is `max_initsop_relation(concrete, abstract, epsilon)` when
-    the caller has already computed it; otherwise it is computed here.
+    Requires epsilon <= delta/2 (see `abstract_threshold`). The relation is
+    `max_initsop_relation(concrete, abstract, epsilon)`, computed here and
+    kept in the verdict's `report`, so the transfer always goes through a
+    relation at this epsilon. If the systems are related and the abstract
+    system is (delta - 2*epsilon)-approximate initial-state opaque, the
+    concrete system is delta-approximate initial-state opaque. The
+    implication is one-directional, so anything short of that yields
+    INCONCLUSIVE, never a negative verdict.
     """
     abstract_delta = abstract_threshold(epsilon, delta)
-    if report is None:
-        report = max_initsop_relation(concrete, abstract, epsilon)
-    if not report.related:
-        reason = "no epsilon-InitSOP simulation relation"
-        if report.failure is not None:
-            reason += f" (condition {report.failure.condition} failed)"
+    report = max_initsop_relation(concrete, abstract, epsilon)
+    if report.failure is not None:
+        reason = (f"no epsilon-InitSOP simulation relation "
+                  f"(condition {report.failure.condition} failed)")
         return AbstractionVerdict(
-            AbstractionStatus.INCONCLUSIVE, delta, epsilon, abstract_delta, reason
+            AbstractionStatus.INCONCLUSIVE, delta, epsilon, abstract_delta, reason, report
         )
 
     verdict = verify_state_opacity(
         abstract, abstract_delta, OpacityNotion.initial_state(), cap
     )
     if verdict.opaque:
-        return AbstractionVerdict(
-            AbstractionStatus.OPAQUE, delta, epsilon, abstract_delta,
-            "abstract system opaque at delta - 2*epsilon",
-            report.relation, verdict,
-        )
+        reason = "abstract system opaque at delta - 2*epsilon"
+    else:
+        reason = ("abstract system not opaque at delta - 2*epsilon; "
+                  "the transfer theorem is sufficient only")
     return AbstractionVerdict(
-        AbstractionStatus.INCONCLUSIVE, delta, epsilon, abstract_delta,
-        "abstract system not opaque at delta - 2*epsilon; "
-        "the transfer theorem is sufficient only",
-        report.relation, verdict,
+        AbstractionStatus.OPAQUE if verdict.opaque else AbstractionStatus.INCONCLUSIVE,
+        delta, epsilon, abstract_delta, reason, report, verdict,
     )

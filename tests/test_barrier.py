@@ -289,8 +289,9 @@ def test_non_finite_samples_fail_closed():
             check(hidden, cs, 0.15, 0.1)
     overflow = "x1*1e308*1e308"  # inf for every x1 > 0
     cases = [
-        (simple_cs(dyn=f"0.5*x1 + 0.2*u1 + {overflow}"), r"^decrease: successor \(inf,\)"),
-        (dataclasses.replace(cs, output=(overflow,)), r"^regions: output \(inf,\)"),
+        (simple_cs(dyn=f"0.5*x1 + 0.2*u1 + {overflow}"),
+         r"^f\(\(0\.1,\), \(0\.0,\)\) = \(inf,\) is not finite$"),
+        (dataclasses.replace(cs, output=(overflow,)), r"^H\(\(0\.1,\)\) = \(inf,\) is not finite$"),
     ]
     for plant, message in cases:
         for check in (check_opacity_barrier, check_lack_barrier):

@@ -131,7 +131,7 @@ def _simrel(tmp_path: Path, concrete: MetricSystem, abstract: MetricSystem,
     doc = report.to_report(concrete, abstract)
     if delta is not None:
         doc["abstraction_verdict"] = opacity_via_abstraction(
-            concrete, abstract, epsilon, delta, report=report).to_report()
+            concrete, abstract, epsilon, delta).to_report()
     return code, out.getvalue(), json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -87,6 +87,26 @@ def test_oracle_disagreement_is_an_internal_error(capsys, monkeypatch):
     assert err.startswith("internal error:") and err.count("\n") == 1
 
 
+def test_verify_oracle_honors_the_cap(capsys, tmp_path):
+    # The engine decides at its one seed class: the secret initial state a
+    # has no other initial state close to it. The oracle's prefix search
+    # still walks the whole chain a -> s1 -> ... -> s20, 21 classes.
+    chain = ["a"] + [f"s{i}" for i in range(1, 21)]
+    doc = {"states": [{"name": name, "output": [0.0]} for name in chain],
+           "inputs": ["u"], "initial": ["a"], "secret": ["a"],
+           "transitions": [[src, "u", dst] for src, dst in zip(chain, chain[1:])]}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    argv = ["verify", "--system", str(path), "--notion", "k-step", "--k", "2",
+            "--delta", "0", "--cap", "10"]
+    code, out, err = run(capsys, *argv)
+    assert (code, json.loads(out)["stats"]["classes"], err) == (1, 1, "")
+    code, out, err = run(capsys, *argv, "--oracle")
+    assert (code, out, err) == (4, "", "error: oracle exceeded the cap of 10 states\n")
+    code, out, _ = run(capsys, *argv[:-2], "--oracle")
+    assert code == 1 and json.loads(out)["oracle_agrees"] is True
+
+
 def test_unconfirmed_witness_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(opacue.brute, "confirm_witness", lambda *args: False)
     code, out, err = run(capsys, "verify", "--system", C1,

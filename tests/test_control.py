@@ -243,6 +243,22 @@ def test_control_system_step_and_observe():
     assert cs.observe((0.7,)) == (0.7,)
 
 
+@pytest.mark.parametrize("fault, shown", [
+    ("x1*1e308*1e308", "inf"), ("-x1*1e308*1e308", "-inf"), ("x1*1e308*1e308*0", "nan"),
+])
+def test_step_and_observe_refuse_non_finite_coordinates(fault, shown):
+    cs = make_cs(dynamics=(f"0.5*x1 + u1 + {fault}",), output=("x1", fault))
+    assert cs.step((0.0,), (0.05,)) == (0.05,)  # 0 * 1e308 * 1e308 is finite
+    with pytest.raises(DomainError) as exc:
+        cs.step((0.5,), (0.05,))
+    assert str(exc.value) == f"f((0.5,), (0.05,)) = ({shown},) is not finite"
+    assert exc.value.state == (0.5,) and exc.value.inp == (0.05,)
+    with pytest.raises(DomainError) as exc:
+        cs.observe((0.5,))
+    assert str(exc.value) == f"H((0.5,)) = (0.5, {shown}) is not finite"
+    assert exc.value.state == (0.5,) and exc.value.inp is None
+
+
 CS_DOC = {
     "dim": 1,
     "state_box": [[0.0, 1.0]],

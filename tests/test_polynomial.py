@@ -198,6 +198,24 @@ def test_table_is_bit_identical_to_pointwise_calls():
     assert seen == {"inf", "-inf", "nan"}
 
 
+def test_gapped_exponents_are_bit_identical_to_power_tables():
+    # only the exponents 5 and 17 are bound; each is reached from the one
+    # below by the same products as in a full power table
+    rng = random.Random(517)
+    terms = (((17, 0, 5), 1.5), ((5, 17, 0), -0.75), ((0, 5, 17), 2.0), ((0, 0, 0), 0.25),
+             ((17, 17, 17), -1.0))
+    poly = Polynomial(3, terms)
+    coords = [0.0, -0.0, 1.0, -1.0, 1e20, -1e20, 0.999, -1.001]
+    points = [tuple(rng.choice(coords) if rng.random() < 0.4 else rng.uniform(-1.5, 1.5)
+                    for _ in range(3)) for _ in range(12)]
+    for split in range(4):
+        rows, cols = [p[:split] for p in points], [p[split:] for p in points]
+        got = [repr(v) for row in poly.table(rows, cols) for v in row]
+        want = [repr(_power_table_reference(poly, r + c)) for r in rows for c in cols]
+        assert got == want, split
+    assert {"inf", "nan"} <= set(want)  # overflows are reached too
+
+
 def test_table_of_many_terms_and_after_pickling():
     terms = tuple(((a, b), 0.5 - (a + b) % 3) for a in range(80) for b in range(50))
     poly = pickle.loads(pickle.dumps(Polynomial(2, terms)))

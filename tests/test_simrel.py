@@ -337,6 +337,23 @@ def test_abstraction_route_never_reports_not_opaque():
                                        OpacityNotion.initial_state()).opaque
 
 
+def test_transfer_goes_through_the_relation_at_its_own_epsilon():
+    # Related at epsilon = 0.2, not at 0.05. A relation computed at 0.2 and
+    # a transfer at epsilon = 0.05, delta = 0.3 would query the abstract
+    # side at 0.2, where it is opaque, and answer opaque for a concrete
+    # system that is not.
+    concrete = MetricSystem(("s", "n"), ("u",), ((0.0,), (0.35,)), (0, 1), (0,),
+                            ((0, 0, 0), (1, 0, 1)))
+    abstract = MetricSystem(("as", "an"), ("u",), ((0.15,), (0.2,)), (0, 1), (0,),
+                            ((0, 0, 0), (1, 0, 1)))
+    assert not brute_force_opacity(concrete, 0.3, OpacityNotion.initial_state()).opaque
+    assert max_initsop_relation(concrete, abstract, 0.2).related
+    verdict = opacity_via_abstraction(concrete, abstract, 0.05, 0.3)
+    assert verdict.status is AbstractionStatus.INCONCLUSIVE
+    assert verdict.report == max_initsop_relation(concrete, abstract, 0.05)
+    assert not verdict.report.related and verdict.report.failure.condition == "1a"
+
+
 def test_headline_parameter_arithmetic():
     sys_ = MetricSystem(("x",), ("u",), ((0.0,),), (0,), (), ((0, 0, 0),))
     verdict = opacity_via_abstraction(sys_, sys_, epsilon=0.1, delta=0.3)

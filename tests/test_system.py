@@ -321,6 +321,13 @@ def test_parse_rejects_non_finite_outputs():
             parse_system(text)
 
 
+def test_constructor_rejects_duplicate_state_names():
+    # the parser refuses a document with duplicate names before the
+    # constructor sees it, so only a direct call reaches this check
+    with pytest.raises(ValidationError, match="^duplicate state names$"):
+        MetricSystem(("a", "a"), ("u",), ((0.0,), (1.0,)), (0,), (), ())
+
+
 def test_parse_rejects_duplicate_transitions():
     doc = {
         "states": [{"name": "a", "output": [0.0]}],
