@@ -83,7 +83,8 @@ def sample_system(cs: DtControlSystem, eta: float, mu: float) -> MetricSystem:
     """
     def snap(images, points):
         index = {p: i for i, p in enumerate(points)}
-        return ([index[nearest_lattice(image, eta, cs.state_box)]] for image in images)
+        nearest = nearest_lattice(cs.state_box, eta)
+        return ([index[nearest(image)]] for image in images)
 
     return _lattice_system(cs, eta, mu, DEFAULT_STATE_CAP, "sampled system", snap)
 
@@ -99,9 +100,10 @@ def _lattice_system(
     image in that order, the ascending indices of the lattice points (x, u)
     steps to, so the transitions come out sorted. The initial and secret
     states are the lattice points in the plant's initial and secret
-    regions. A system of more than `cap` states is refused before any point is built."""
-    if grid_size(cs.state_box, eta) > cap:
-        raise ResourceError(f"{label} exceeds the cap of {cap} states")
+    regions. More than `cap` states or inputs are refused before any point is built."""
+    for box, step, kind in ((cs.state_box, eta, "states"), (cs.input_box, mu, "inputs")):
+        if grid_size(box, step) > cap:
+            raise ResourceError(f"{label} exceeds the cap of {cap} {kind}")
     points = grid(cs.state_box, eta)
     inputs = grid(cs.input_box, mu)
     images = [cs.step(x, u) for x in points for u in inputs]

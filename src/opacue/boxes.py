@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import QuantizationError, ValidationError
 
@@ -185,15 +185,15 @@ def grid_size(box: Box, step: float) -> int:
     return math.prod(k.stop - k.start for k in ranges)  # len() stops at sys.maxsize
 
 
-def nearest_lattice(point: Sequence[float], step: float, box: Box) -> tuple[float, ...]:
-    """Nearest lattice point of the box grid, clamped into the box."""
+def nearest_lattice(box: Box, step: float) -> Callable[[Sequence[float]], tuple[float, ...]]:
+    """The map from a point to its nearest lattice point of the box grid,
+    clamped into the box; a tie rounds to the even multiple of step."""
     dstep = Decimal(str(step))
-    out = []
-    for p, (lo, hi) in zip(point, box.bounds):
+    axes = []
+    for lo, hi in box.bounds:
         ks = _lattice_range(lo, hi, dstep)
         if len(ks) == 0:
             raise QuantizationError(f"no lattice point in [{lo}, {hi}] at step {step}")
-        k = round(p / step)
-        k = min(max(k, ks.start), ks.stop - 1)
-        out.append(float(k * dstep))
-    return tuple(out)
+        axes.append((ks.start, [float(k * dstep) for k in ks]))
+    return lambda point: tuple(values[min(max(round(p / step) - start, 0), len(values) - 1)]
+                               for p, (start, values) in zip(point, axes))

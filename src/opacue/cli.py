@@ -7,7 +7,8 @@ opacue; never a verdict).
 
 Reports are JSON on stdout; diagnostics go to stderr only. Identical
 inputs produce byte-identical reports; timing is therefore reported only
-when --timing is given.
+when --timing is given. Each input file is parsed by the module of its
+model (`system`, `control`, `polynomial`, `compositional`), never here.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys as _sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 # Each command imports the modules it runs in its own body, so a command
 # loads only those. `errors`, `system` and `observer` stay here: every
@@ -30,9 +30,6 @@ from .system import (
     DEFAULT_MARGIN, DEFAULT_STATE_CAP, NotionKind, OpacityNotion, parse_system,
     serialize_system,
 )
-
-if TYPE_CHECKING:
-    from .compositional import LinearSubsystem
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -81,10 +78,8 @@ def _notion_from(args: argparse.Namespace) -> OpacityNotion:
 
 
 def _cap_from(args: argparse.Namespace) -> int:
-    """The state cap: --cap, else the default. A cap below 1 admits no
-    search at all, so it is a usage error."""
-    if args.cap is None:
-        return DEFAULT_STATE_CAP
+    """The state cap, --cap. A cap below 1 admits no search at all, so it
+    is a usage error."""
     if args.cap < 1:
         raise ValidationError(f"--cap={args.cap}: the cap must be at least 1")
     return args.cap
@@ -161,23 +156,20 @@ def _cmd_simrel(args: argparse.Namespace) -> int:
         abstract_threshold(args.epsilon, args.delta)
     cap = _cap_from(args)
     if args.delta is None:
-        verdict = None
         report = max_initsop_relation(concrete, abstract, args.epsilon)
+        extra, code = {}, EXIT_PASS if report.related else EXIT_FAIL
     else:
         verdict = opacity_via_abstraction(concrete, abstract, args.epsilon, args.delta, cap)
         report = verdict.report
+        extra = {"abstraction_verdict": verdict.to_report()}
+        code = EXIT_PASS if verdict.status is AbstractionStatus.OPAQUE else EXIT_INCONCLUSIVE
     # The pairs are written straight from the relation, as in
     # `report.to_report`, without building the list of name pairs.
-    doc = report.summary(concrete, abstract)
     pairs = None
     if report.relation is not None:
         pairs = report.relation.pairs_json(concrete, abstract)
-    if verdict is None:
-        _emit(doc, pairs)
-        return EXIT_PASS if report.related else EXIT_FAIL
-    doc["abstraction_verdict"] = verdict.to_report()
-    _emit(doc, pairs)
-    return EXIT_PASS if verdict.status is AbstractionStatus.OPAQUE else EXIT_INCONCLUSIVE
+    _emit({**report.summary(concrete, abstract), **extra}, pairs)
+    return code
 
 
 def _cmd_abstract(args: argparse.Namespace) -> int:
@@ -218,34 +210,11 @@ def _cmd_barrier(args: argparse.Namespace) -> int:
     return EXIT_FAIL if report.status == "falsified" else EXIT_INCONCLUSIVE
 
 
-def _parse_interconnection(text: bytes) -> tuple[LinearSubsystem, LinearSubsystem]:
-    from .boxes import Box
-    from .compositional import LinearSubsystem
-    from .system import json_number, read_object
-
-    doc = read_object(text, ("sub1", "sub2"))
-    subs = []
-    for key in ("sub1", "sub2"):
-        entry = doc[key]
-        try:
-            subs.append(LinearSubsystem(
-                json_number(entry["a"]), json_number(entry["b"]),
-                *(Box((tuple(map(json_number, entry[name])),))
-                  for name in ("state", "initial", "secret")),
-            ))
-        # a ValueError is a [lo, hi] pair of the wrong length
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{key}: expected a, b, state, initial, secret") from exc
-        except ValidationError as exc:
-            raise ValidationError(f"{key}: {exc}") from exc
-    return subs[0], subs[1]
-
-
 def _cmd_compose(args: argparse.Namespace) -> int:
-    from .compositional import compose_barriers, small_gain
+    from .compositional import compose_barriers, parse_interconnection, small_gain
     from .polynomial import parse_candidate
 
-    sub1, sub2 = _parse_interconnection(_read(args.system))
+    sub1, sub2 = parse_interconnection(_read(args.system))
     gains = small_gain(sub1, sub2)
     doc = {"small_gain": gains.to_report()}
     # Any barrier or sampling flag asks for barrier composition, which
@@ -282,8 +251,8 @@ def _common(p: argparse.ArgumentParser, delta_required=True, cap=True) -> None:
         p.add_argument("--delta", type=float, required=True,
                        help="measurement precision threshold (no default)")
     if cap:
-        p.add_argument("--cap", type=int, default=None,
-                       help="state cap, at least 1 (default: 2,000,000)")
+        p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
+                       help=f"state cap, at least 1 (default: {DEFAULT_STATE_CAP:,})")
 
 
 def _define_verify(p: argparse.ArgumentParser) -> None:

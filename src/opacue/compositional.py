@@ -1,11 +1,12 @@
 """Small-gain composition for two feedback-interconnected scalar subsystems.
 
 Each subsystem is x_i+ = a_i*x_i + b_i*x_j with |a_i| < 1, the identity
-output map, and state/initial/secret intervals held as 1-D boxes. The gain
-of a subsystem is |b_i / (1 - a_i)|; when the product of the two gains is
-below one, local barrier certificates compose by pointwise maximum into a
-barrier certificate for the interconnection. The local conditions are
-sampled through `barrier`'s region model and scan kernel.
+output map, and state/initial/secret intervals held as 1-D boxes; the file
+holding the two is read here, by `parse_interconnection`. The gain of a
+subsystem is |b_i / (1 - a_i)|; when the product of the two gains is below
+one, local barrier certificates compose by pointwise maximum into a barrier
+certificate for the interconnection. The local conditions are sampled
+through `barrier`'s region model and scan kernel.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from typing import Callable, Iterator, Optional, Sequence
 from .barrier import Block, Scan, pair_regions, table_blocks
 from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid_interval
 from .control import DtControlSystem, IssCertificate, affine_certificate
-from .errors import SmallGainError, ValidationError
+from .errors import ParseError, SmallGainError, ValidationError
 from .polynomial import tabulate
-from .system import DEFAULT_MARGIN, check_delta, check_threshold
+from .system import DEFAULT_MARGIN, check_delta, check_threshold, json_number, read_object
 
 __all__ = [
     "LinearSubsystem",
+    "parse_interconnection",
     "GainReport",
     "small_gain",
     "compose_barriers",
@@ -61,6 +63,28 @@ class LinearSubsystem:
     @property
     def gain(self) -> float:
         return abs(self.b / (1 - self.a))
+
+
+def parse_interconnection(text: str | bytes) -> tuple[LinearSubsystem, LinearSubsystem]:
+    """The two subsystems of a JSON interconnection document, {"sub1": {"a",
+    "b", "state", "initial", "secret"}, "sub2": ...} with each interval a
+    [lo, hi] pair. An error names the key of the first bad subsystem."""
+    doc = read_object(text, ("sub1", "sub2"))
+    subs = []
+    for key in ("sub1", "sub2"):
+        entry = doc[key]
+        try:
+            subs.append(LinearSubsystem(
+                json_number(entry["a"]), json_number(entry["b"]),
+                *(Box((tuple(map(json_number, entry[name])),))
+                  for name in ("state", "initial", "secret")),
+            ))
+        # a ValueError is a [lo, hi] pair of the wrong length
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{key}: expected a, b, state, initial, secret") from exc
+        except ValidationError as exc:
+            raise ValidationError(f"{key}: {exc}") from exc
+    return subs[0], subs[1]
 
 
 @dataclass(frozen=True)

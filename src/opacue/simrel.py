@@ -19,7 +19,7 @@ from .errors import DimensionError, PrecisionError
 from .observer import verify_state_opacity
 from .system import (
     DEFAULT_STATE_CAP, MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows,
-    iter_bits, json_array, json_texts,
+    delta_close, iter_bits, json_array, json_texts,
 )
 from .verdict import Verdict
 
@@ -212,8 +212,7 @@ def check_relation(
     for i, j in relation.pairs:
         rows[i] |= 1 << j
     for i, j in relation.pairs:
-        if not all(abs(a - b) <= eps
-                   for a, b in zip(concrete.outputs[i], abstract.outputs[j])):
+        if not delta_close(concrete.outputs[i], abstract.outputs[j], eps):
             return RelationFailure("2", concrete=i, abstract=j,
                                    detail="outputs not epsilon-close")
     succ_c = concrete.succ_any

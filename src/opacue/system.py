@@ -293,14 +293,9 @@ class MetricSystem:
 
     def close_bits(self, reference: int, delta: float) -> int:
         """Bitset of states whose output is delta-close to that of `reference`,
-        tested pair by pair as `delta_close` does."""
-        check_delta(delta)
+        tested pair by pair by `delta_close`."""
         ref = self.outputs[reference]
-        out = 0
-        for i, y in enumerate(self.outputs):
-            if all(abs(a - b) <= delta for a, b in zip(ref, y)):
-                out |= 1 << i
-        return out
+        return bits_of(i for i, y in enumerate(self.outputs) if delta_close(ref, y, delta))
 
 
 # -- file format ------------------------------------------------------------

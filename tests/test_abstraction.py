@@ -290,6 +290,55 @@ def test_resource_cap_refuses_before_the_lattice_is_built(monkeypatch):
         sample_system(cs, eta=0.5, mu=0.1)
 
 
+def test_resource_cap_refuses_before_the_input_lattice_is_built(monkeypatch):
+    def refusing_grid(box, step):  # fails where either lattice would be built
+        raise AssertionError(f"grid called for a {box.dim}-D box")
+
+    monkeypatch.setattr(abstraction, "grid", refusing_grid)
+    # 3 states but 2,001 inputs on [0, 0.1] against a cap of 1000
+    cs = parse_control_system(json.dumps(linear_plant(1, 0.5, 1.0, (0.0, 0.5))))
+    with pytest.raises(ResourceError, match="abstraction exceeds the cap of 1000 inputs"):
+        build_abstraction(cs, QuantizationParams(eta=0.5, mu=0.00005, epsilon=2.0), cap=1000)
+    # 10,000,001 inputs against the default cap
+    with pytest.raises(ResourceError, match="sampled system exceeds the cap of 2000000 inputs"):
+        sample_system(cs, eta=0.5, mu=1e-8)
+
+
+def test_sample_system_snaps_each_image_to_its_nearest_in_box_point():
+    # Dyadic coefficients, states and inputs make every image and every
+    # distance exact: images fall on exact half steps, where the even
+    # multiple of eta wins, and outside the box, where the nearest in-box
+    # point by distance is the clamped one.
+    rng = random.Random(2503)
+    eta, bounds = 0.125, ((0.0, 1.0), (-0.5, 0.5))
+    levels = [grid_interval(lo, hi, eta) for lo, hi in bounds]
+    halves = outside = 0
+    for _ in range(4):
+        coefs = [[rng.randint(-12, 12) / 8 for _ in range(3)] for _ in bounds]
+        cs = DtControlSystem(
+            state_box=Box(bounds),
+            initial_region=BoxUnion((Box(bounds),)),
+            secret_region=BoxUnion((Box(((0.0, 0.5), (-0.5, 0.5))),)),
+            input_box=Box(((0.0, 0.5),)),
+            dynamics=tuple(f"{a!r}*x1 + {b!r}*x2 + {c!r}*u1" for a, b, c in coefs),
+            output=("x1", "x2"),
+            iss_cert=IssCertificate(1.0, 0.5, 1.0, 1.0),
+        )
+        s = sample_system(cs, eta=eta, mu=0.25)
+        assert len(s.transitions) == s.n_states * len(s.inputs)
+        for src, ui, dst in s.transitions:
+            x1, x2 = map(float, s.names[src].split(","))
+            (u,) = map(float, s.inputs[ui].split(","))
+            image = [a * x1 + b * x2 + c * u for a, b, c in coefs]
+            expected = tuple(
+                min(axis, key=lambda v: (abs(v - p), round(v / eta) % 2))
+                for p, axis in zip(image, levels))
+            assert s.names[dst] == ",".join(map(repr, expected))
+            halves += any((p / eta) % 1 == 0.5 for p in image)
+            outside += not cs.state_box.contains(image)
+    assert halves and outside
+
+
 def test_a_step_wider_than_the_state_box_is_refused_before_the_cap():
     with pytest.raises(QuantizationError, match="exceeds the span"):
         sample_system(linear_cs(), eta=1.5, mu=0.1)

@@ -61,6 +61,8 @@ def test_box_validation():
         Box(((1.0, 1.0),))
     with pytest.raises(ValidationError):
         Box(())
+    with pytest.raises(ValidationError, match="point dimension mismatch"):
+        Box(((0.0, 1.0),)).contains((0.5, 0.5))
     with pytest.raises(ValidationError):
         BoxUnion((Box(((0.0, 1.0),)), Box(((0.0, 1.0), (0.0, 1.0)))))
 
@@ -102,11 +104,11 @@ def test_intersect_unions():
 
 
 def test_nearest_lattice_snaps_and_clamps():
-    box = Box(((0.0, 1.0),))
-    assert nearest_lattice((0.26,), 0.5, box) == (0.5,)
-    assert nearest_lattice((0.24,), 0.5, box) == (0.0,)
-    assert nearest_lattice((7.0,), 0.5, box) == (1.0,)
-    assert nearest_lattice((-3.0,), 0.5, box) == (0.0,)
+    nearest = nearest_lattice(Box(((0.0, 1.0),)), 0.5)
+    assert nearest((0.26,)) == (0.5,)
+    assert nearest((0.24,)) == (0.0,)
+    assert nearest((7.0,)) == (1.0,)
+    assert nearest((-3.0,)) == (0.0,)
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])

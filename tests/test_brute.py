@@ -101,6 +101,8 @@ def test_confirm_witness_rejects_each_broken_claim():
     # initial-state: the path must start on a secret initial state
     assert confirm(initial, (0, 2))
     assert not confirm(initial, (1, 1)) and not confirm(initial, (2, 2))
+    # a one-state path must name a state of the system
+    assert not confirm(initial, (3,)) and not confirm(initial, (-1,))
     # current-state: the path must end on a secret state
     assert confirm(current, (0, 2), 1)
     assert not confirm(current, (1, 1), 1)

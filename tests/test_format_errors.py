@@ -1,4 +1,5 @@
-"""Pinned errors of the control-system, polynomial and expression formats.
+"""Pinned errors of the control-system, polynomial, expression and
+interconnection formats.
 
 Each malformed input below is pinned to its exception class and exact
 message in `format_errors.json`, as `parse_errors.json` pins the finite
@@ -10,8 +11,10 @@ only the empty regions are. Regenerate the file with
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
+from opacue.compositional import parse_interconnection
 from opacue.control import parse_control_system
 from opacue.expr import compile_expr
 from opacue.polynomial import parse_polynomial
@@ -69,6 +72,9 @@ CONTROL = {
     "control: iss_cert value not number": _control(iss_cert=_cert(c="1")),
     "control: iss_cert value past float range": _control(iss_cert=_cert(a=10 ** 400)),
     "control: iss_cert lambda out of range": _control(iss_cert=_cert(**{"lambda": 1.0})),
+    "control: iss_cert c below one": _control(iss_cert=_cert(c=0.5)),
+    "control: iss_cert g negative": _control(iss_cert=_cert(g=-1.0)),
+    "control: iss_cert a not positive": _control(iss_cert=_cert(a=0.0)),
     "control: dynamics not array": _control(dynamics="0.5*x1"),
     "control: dynamics not strings": _control(dynamics=[0.5]),
     "control: output not strings": _control(output=[["x1"]]),
@@ -112,6 +118,28 @@ EXPRESSION = {
     "expression: complex constant": "x1 + 1j",
     "expression: power": "x1 ** 2",
     "expression: comparison": "x1 < u1",
+    "expression: nested too deeply": "-" * 1500 + "x1",
+}
+
+
+def _interconnection(**sub1) -> dict:
+    sub = {"a": 0.5, "b": 0.2, "state": [0.0, 1.0], "initial": [0.0, 0.2],
+           "secret": [0.6, 1.0]}
+    return {"sub1": {**sub, **sub1}, "sub2": sub}
+
+
+INTERCONNECTION = {
+    "interconnection: not object": "[1, 2]",
+    "interconnection: missing sub2": {"sub1": _interconnection()["sub1"]},
+    "interconnection: sub not object": {**_interconnection(), "sub2": [0.5, 0.2]},
+    "interconnection: a not number": _interconnection(a="0.5"),
+    "interconnection: a bool": _interconnection(a=True),
+    "interconnection: a past float range": _interconnection(a=10 ** 400),
+    "interconnection: a out of range": _interconnection(a=-1.0),
+    "interconnection: b not finite": json.dumps(_interconnection(b=math.nan)),
+    "interconnection: state one bound": _interconnection(state=[0.0]),
+    "interconnection: state reversed": _interconnection(state=[1.0, 0.0]),
+    "interconnection: initial leaves state": _interconnection(initial=[0.0, 1.5]),
 }
 
 
@@ -135,6 +163,8 @@ def outcomes() -> dict:
         found[name] = _outcome(parse_polynomial, _text(doc))
     for name, text in EXPRESSION.items():
         found[name] = _outcome(lambda t: compile_expr(t, 1, 1), text)
+    for name, doc in INTERCONNECTION.items():
+        found[name] = _outcome(parse_interconnection, _text(doc))
     return found
 
 
