@@ -194,6 +194,9 @@ def nearest_lattice(box: Box, step: float) -> Callable[[Sequence[float]], tuple[
         ks = _lattice_range(lo, hi, dstep)
         if len(ks) == 0:
             raise QuantizationError(f"no lattice point in [{lo}, {hi}] at step {step}")
-        axes.append((ks.start, [float(k * dstep) for k in ks]))
-    return lambda point: tuple(values[min(max(round(p / step) - start, 0), len(values) - 1)]
-                               for p, (start, values) in zip(point, axes))
+        axes.append((ks.start, ks.stop - 1, [float(k * dstep) for k in ks]))
+    # The quotient is clamped to the axis's index range before `round`, which
+    # is monotone and fixes integers: the same index as clamping after it,
+    # and a finite point whose quotient overflows to infinity still snaps.
+    return lambda point: tuple(values[round(min(max(p / step, first), last)) - first]
+                               for p, (first, last, values) in zip(point, axes))

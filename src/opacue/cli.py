@@ -321,7 +321,8 @@ def _define_compose(p: argparse.ArgumentParser) -> None:
 
 
 # Each command's help line and the function that adds its options and its
-# body to its parser, in the order `opacue -h` lists them.
+# body to its parser, or to a `_Declared` that records them, in the order
+# `opacue -h` lists them.
 _COMMANDS = {
     "verify": ("decide opacity of a finite system", _define_verify),
     "observer": ("build the paper's forward pair observer", _define_observer),
@@ -347,21 +348,74 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Declared:
+    """What a `_define_<command>` declares, recorded as it calls an
+    ArgumentParser's `add_argument(flag, **kwargs)` and `set_defaults`."""
+
+    def __init__(self):
+        self.options: dict[str, dict] = {}
+        self.defaults: dict[str, object] = {}
+
+    def add_argument(self, flag: str, **kwargs) -> None:
+        self.options[flag] = kwargs
+
+    def set_defaults(self, **kwargs) -> None:
+        self.defaults.update(kwargs)
+
+
+def _read_plain(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the full parser gives for a plain `argv` after
+    `command`, read off the command's declarations; None if it is not
+    plain. Plain means: each token is one of the command's flags, spelled
+    in full, and each store option takes one value that does not begin
+    with "-" and passes its `type` and `choices`; every required flag is
+    given, and a repeated flag's last value wins."""
+    declared = _Declared()
+    _COMMANDS[command][1](declared)
+    options = declared.options
+    dest = {flag: flag[2:].replace("-", "_") for flag in options}
+    switch = {flag for flag, kwargs in options.items() if kwargs.get("action") == "store_true"}
+    values = {dest[flag]: kwargs.get("default", False if flag in switch else None)
+              for flag, kwargs in options.items()}
+    values.update(declared.defaults)
+    missing = {flag for flag, kwargs in options.items() if kwargs.get("required")}
+    tokens = iter(argv)
+    for flag in tokens:
+        kwargs = options.get(flag)
+        if kwargs is None:
+            return None
+        value = True
+        if flag not in switch:
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = kwargs.get("type", str)(value)
+            except (TypeError, ValueError):
+                return None
+            choices = kwargs.get("choices")
+            if choices is not None and value not in choices:
+                return None
+        values[dest[flag]] = value
+        missing.discard(flag)
+    return None if missing else argparse.Namespace(**values)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`argv` as the full parser parses it, by the command's parser if that suffices."""
+    """`argv` as the full parser parses it: read off the command's
+    declarations when it is plain, else by the full parser, which answers
+    -h, --version, --opt=value, abbreviations, values beginning with "-"
+    and every usage error."""
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"opacue {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
+        args = _read_plain(argv[0], argv[1:])
+        if args is not None:
             return args
     return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = _sys.argv[1:] if argv is None else list(argv)
-    # A run builds one ArgumentParser, its command's; the full parser answers
-    # -h, --version, no or an unknown command, or an unrecognized argument.
+    # A plain argv builds no ArgumentParser; any other builds the full one.
     try:
         args = _parse(argv)
     except SystemExit as exc:

@@ -372,3 +372,23 @@ def test_sample_system_fails_closed_on_an_overflowing_image():
             build_abstraction(cs, QuantizationParams(eta=0.1, mu=0.1, epsilon=2.0),
                               allow_unsound=True)
         assert exc.value.state == (0.1,) and exc.value.inp == (0.0,)
+
+
+def test_sample_system_snaps_an_image_whose_quotient_by_eta_overflows():
+    # 1e308 / 0.1 overflows to infinity; nearest_lattice used to raise a bare
+    # OverflowError for such a finite image instead of clamping it
+    cs = DtControlSystem(
+        state_box=Box(((0.0, 1.0),)),
+        initial_region=BoxUnion((Box(((0.0, 1.0),)),)),
+        secret_region=BoxUnion((Box(((0.0, 0.5),)),)),
+        input_box=Box(((0.0, 0.1),)),
+        dynamics=("x1*1e308",),
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, 0.5, 0.4, 1.0),
+    )
+    s = sample_system(cs, eta=0.1, mu=0.1)
+    assert s.n_states == 11
+    top = s.names.index("1.0")
+    assert s.transitions == tuple(
+        (x, u, 0 if x == s.names.index("0.0") else top)
+        for x in range(11) for u in range(len(s.inputs)))

@@ -109,6 +109,10 @@ def test_nearest_lattice_snaps_and_clamps():
     assert nearest((0.24,)) == (0.0,)
     assert nearest((7.0,)) == (1.0,)
     assert nearest((-3.0,)) == (0.0,)
+    # a quotient by the step past the float range clamps, never overflows
+    nearest = nearest_lattice(Box(((0.0, 1.0),)), 0.1)
+    assert nearest((1e308,)) == (1.0,)
+    assert nearest((-1e308,)) == (0.0,)
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])

@@ -4,11 +4,17 @@ import argparse
 import ast
 import dataclasses
 import importlib
+import io
 import json
+import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opacue.brute
 import opacue.cli
@@ -193,9 +199,9 @@ def _argv_id(argv):
 
 @pytest.mark.parametrize("argv", USAGE_CORPUS, ids=_argv_id)
 def test_command_parser_answers_as_the_full_parser(capsys, monkeypatch, argv):
-    # main parses a command's argv with that command's parser alone; every
-    # exit code and byte of output must be what the parser with all
-    # commands gives when it parses the whole argv
+    # main reads a plain argv off the command's declarations; every exit
+    # code and byte of output must be what the parser with all commands
+    # gives when it parses the whole argv
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
     build = opacue.cli._build_parser
     got = run(capsys, *argv)
@@ -225,6 +231,66 @@ def test_command_parser_gives_the_full_parsers_namespace(command):
     assert vars(opacue.cli._parse(argv)) == full
 
 
+_FLAGS = sorted({flag for flags, _ in CLI_SURFACE.values() for flag in flags})
+_CHOICES = sorted({c for _, choices in CLI_SURFACE.values() for cs in choices.values()
+                   for c in cs})
+# Values that do not begin with "-", valid for some options and not others.
+_PLAIN = ["", "0", "2", "0.5", "1e999", "nan", "x", C1, "pre", *_CHOICES]
+# Tokens the reader must hand to the full parser: help, version, the end of
+# options, abbreviations (--e is ambiguous in abstract), --flag=value and a
+# stray positional.
+_ODD = ["-h", "--help", "--version", "--", "--sys", "--del", "--no", "--e", "--k=2",
+        "--delta=0", "--system=" + C1, "--notion=k-step", "--cap=-3", "verify"]
+
+
+def _parsed(parse, argv):
+    """vars of the namespace `parse` gives, without "command", or the exit
+    code and both output streams of its SystemExit; values by repr, so that
+    NaN equals NaN and -0.0 differs from 0.0."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            got = vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    got.pop("command", None)
+    return {key: repr(value) for key, value in got.items()}
+
+
+@pytest.mark.parametrize("command", CLI_SURFACE)
+def test_reader_answers_as_the_full_parser_on_generated_argvs(command):
+    # argvs near the command's plain ones: its valid argv with more of its
+    # own flags, or with flags of every command, odd tokens and values
+    flags = [flag for flag in CLI_SURFACE[command][0] if flag not in ("-h", "--help")]
+    own = st.tuples(st.sampled_from(flags), st.sampled_from(_PLAIN))
+    token = st.one_of(
+        own,
+        st.tuples(st.sampled_from(flags)),
+        st.tuples(st.sampled_from(_FLAGS), st.sampled_from(["-0.0", "-1", *_PLAIN])),
+        st.tuples(st.sampled_from(_ODD)),
+    )
+    valid = VALID_ARGVS[command][1:]
+    argvs = st.one_of(st.tuples(st.just(valid), st.lists(own, max_size=3)),
+                      st.tuples(st.sampled_from([valid, []]), st.lists(token, max_size=3)))
+    full, read = opacue.cli._build_parser(), []
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(argvs)
+    def check(case):
+        base, tokens = case
+        argv = [command, *base, *(t for group in tokens for t in group)]
+        got = _parsed(opacue.cli._parse, argv)
+        assert got == _parsed(full.parse_args, argv)
+        read.append(opacue.cli._read_plain(command, argv[1:]) is not None)
+
+    # usage lines wrap at COLUMNS; a non-plain argv goes to the full parser
+    # itself, built once here
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            mock.patch.object(opacue.cli, "_build_parser", lambda: full):
+        check()
+    assert any(read) and not all(read)
+
+
 def test_unknown_command_is_named_as_the_command_argument(capsys):
     code, out, err = run(capsys, "bogus")
     assert (code, out) == (3, "")
@@ -243,14 +309,16 @@ def _count_parsers(monkeypatch):
     return built
 
 
-def test_a_command_builds_only_its_own_parser(capsys, monkeypatch):
+def test_a_plain_argv_builds_no_parser(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
-    code, _, _ = run(capsys, *_VERIFY, "--delta", "0")
-    assert (code, len(built)) == (1, 1)
-    # the full parser is built only to report an unrecognized argument
+    code, out, _ = run(capsys, *_VERIFY, "--delta", "0")
+    assert (code, len(built)) == (1, 0)
+    # any other argv goes to the full parser, which answers alike
+    assert run(capsys, *_VERIFY, "--delta=0")[:2] == (code, out)
+    assert len(built) == 8
     built.clear()
     code, _, err = run(capsys, *_VERIFY, "--delta", "0", "--bogus")
-    assert (code, len(built)) == (3, 1 + 8)
+    assert (code, len(built)) == (3, 8)
     assert err.startswith("usage: opacue [-h] [--version]")
 
 
