@@ -11,7 +11,14 @@ from typing import Callable, Iterable, Sequence
 from .errors import ParseError, ValidationError
 from .system import json_number, read_object
 
-__all__ = ["Polynomial", "parse_polynomial", "tabulate"]
+__all__ = ["MAX_EXPONENT", "Polynomial", "parse_polynomial", "tabulate"]
+
+# The largest exponent a term may carry. The table kernel reaches each power
+# by one product at a time, as bit-identity with power tables requires, so
+# its time grows linearly with the largest exponent: about 0.2 s at this
+# bound for `barrier` on a 1-D plant at resolution 0.1 (2-vCPU host,
+# Python 3.11).
+MAX_EXPONENT = 100_000
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,10 @@ class Polynomial:
                 )
             if any(type(e) is not int or e < 0 for e in exps):
                 raise ValidationError(f"term {exps}: exponents must be nonnegative ints")
+            if max(exps) > MAX_EXPONENT:
+                raise ValidationError(
+                    f"term {exps}: exponents must be at most MAX_EXPONENT = {MAX_EXPONENT}"
+                )
             if exps in seen:
                 raise ValidationError(f"duplicate term {exps}")
             seen.add(exps)

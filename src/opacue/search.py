@@ -9,17 +9,30 @@ the caller's choice: `observer.verify_state_opacity` and
 `delayed.verify_delayed_opacity` build every opacity notion on it.
 
 The engine owns its one step: every run in the set moves under any input,
-and only the runs delta-close to the new reference state survive. Two
-tables keep that step cheap, and neither outlives the search:
+and only the runs delta-close to the new reference state survive. Per
+reference state it keeps a move list, built the first time a class on that
+state is expanded: each successor once, with the first input that reaches
+it, in input-then-state order. A class's successors are then
+(ref2, image & close[ref2]) over that list, where the image is the set's
+any-input successors. Three more tables keep the step cheap, and none
+outlives the search:
 
-- a move list per reference state, built the first time a class on that
-  state is expanded: each successor once, with the first input that
-  reaches it, in input-then-state order;
-- a memo from each expanded set to its any-input image, since many
-  classes on different reference states carry the same set.
+- per-byte parts: the image is the OR of one part per nonzero byte of the
+  set, each part the successors of that byte's members, memoised per
+  (byte position, byte value) in a table made the first time its position
+  is needed;
+- a memo from each expanded set to its image, since many classes on
+  different reference states carry the same set;
+- the (reference state, image) pairs already expanded. A class whose pair
+  was expanded before would produce exactly the keys that expansion
+  interned, so its move loop is skipped. The skip cannot change a forest:
+  breadth-first order expands the earlier class first, at no greater depth,
+  and its expansion either interned every key or ended the search.
 
-Both keep the discovery order that one candidate per (input, successor)
-pair gives, so classes, parents and witnesses do not depend on them.
+Interned classes are looked up in one set of bitsets per reference state.
+Every table keeps the discovery order that one candidate per (input,
+successor) pair gives, so classes, parents and witnesses do not depend on
+them.
 
 The engine shares only its record, `verdict.Forest`, and the path walk
 with the oracle kernel `brute.explore`: no kernel, step or closeness
@@ -64,44 +77,68 @@ def search(
     """
     found = Forest()
     classes, parents, depths = found.classes, found.parents, found.depths
-    index: set[Class] = set()
+    n = sys.n_states
+    interned: list[set[int]] = [set() for _ in range(n)]
     succ_any = sys.succ_any
     post = sys.post_bits
-    moves: list[Optional[list[tuple[int, int, int]]]] = [None] * sys.n_states
+    moves: list[Optional[list[tuple[int, int, int]]]] = [None] * n
+    expanded: list[Optional[set[int]]] = [None] * n
+    width = (n + 7) >> 3
+    parts: list[Optional[list[Optional[int]]]] = [None] * width
     images: dict[int, int] = {}
 
-    def intern(key: Class, parent: Optional[tuple[int, int]], depth: int) -> bool:
-        if spent + len(classes) >= cap:
-            raise ResourceError(f"search exceeded the cap of {cap} classes")
-        index.add(key)
-        classes.append(key)
-        parents.append(parent)
-        depths.append(depth)
-        return reveal(*key)
-
     for key in seeds:
-        if key not in index and intern(key, None, 0):
-            found.hit = len(classes) - 1
-            return found
+        ref, bits = key
+        if bits not in interned[ref]:
+            if spent + len(classes) >= cap:
+                raise ResourceError(f"search exceeded the cap of {cap} classes")
+            interned[ref].add(bits)
+            classes.append(key)
+            parents.append(None)
+            depths.append(0)
+            if reveal(ref, bits):
+                found.hit = len(classes) - 1
+                return found
     head = 0
     while head < len(classes):
         depth = depths[head] + 1
         if max_depth is None or depth <= max_depth:
             ref, bits = classes[head]
-            row = moves[ref]
-            if row is None:
-                row = moves[ref] = _moves(post, close, ref)
             image = images.get(bits)
             if image is None:
                 image = 0
-                for x in iter_bits(bits):
-                    image |= succ_any[x]
+                for i, byte in enumerate(bits.to_bytes(width, "little")):
+                    if byte:
+                        table = parts[i]
+                        if table is None:
+                            table = parts[i] = [None] * 256
+                        part = table[byte]
+                        if part is None:
+                            part, base = 0, i << 3
+                            for x in iter_bits(byte):
+                                part |= succ_any[base + x]
+                            table[byte] = part
+                        image |= part
                 images[bits] = image
-            for u, ref2, near in row:
-                key = (ref2, image & near)
-                if key not in index and intern(key, (head, u), depth):
-                    found.hit = len(classes) - 1
-                    return found
+            done = expanded[ref]
+            if done is None:
+                done = expanded[ref] = set()
+                moves[ref] = _moves(post, close, ref)
+            if image not in done:
+                done.add(image)
+                for u, ref2, near in moves[ref]:
+                    bits2 = image & near
+                    known = interned[ref2]
+                    if bits2 not in known:
+                        if spent + len(classes) >= cap:
+                            raise ResourceError(f"search exceeded the cap of {cap} classes")
+                        known.add(bits2)
+                        classes.append((ref2, bits2))
+                        parents.append((head, u))
+                        depths.append(depth)
+                        if reveal(ref2, bits2):
+                            found.hit = len(classes) - 1
+                            return found
         head += 1
     return found
 

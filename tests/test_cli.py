@@ -8,6 +8,7 @@ import io
 import json
 import os
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -753,6 +754,20 @@ def test_compose_parses_one_candidate_named_twice_once(capsys, monkeypatch, tmp_
     argv[argv.index("--barrier2") + 1] = str(other)
     kernels.clear()
     assert run(capsys, *argv) == (code, out, err) and len(kernels) == 2
+
+
+def test_barrier_refuses_an_exponent_past_the_bound_at_once(capsys, tmp_path):
+    # the table kernel's time grows linearly with the largest exponent, so a
+    # candidate past the bound is refused when read, before any kernel runs
+    from opacue.polynomial import MAX_EXPONENT
+
+    huge = {"vars": 2, "terms": [{"exps": [10 ** 7, 0], "coef": 1.0},
+                                 {"exps": [3, 1], "coef": 2.0}]}
+    start = time.perf_counter()
+    code, out, err = run(capsys, *_barrier_argv(tmp_path, huge))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert f"exponents must be at most MAX_EXPONENT = {MAX_EXPONENT}" in err
 
 
 def test_barrier_and_compose_flags_accept_the_valid_cases(capsys, tmp_path):

@@ -99,6 +99,8 @@ POLYNOMIAL = {
     "polynomial: coef not finite": '{"vars": 1, "terms": [{"exps": [1], "coef": NaN}]}',
     "polynomial: term arity": _polynomial(terms=[{"exps": [1], "coef": 1.0}]),
     "polynomial: negative exponent": _polynomial(terms=[{"exps": [1, -1], "coef": 1.0}]),
+    "polynomial: exponent past the bound": _polynomial(
+        terms=[{"exps": [10 ** 7, 0], "coef": 1.0}]),
     "polynomial: duplicate term": _polynomial(
         terms=[{"exps": [1, 0], "coef": 1.0}, {"exps": [1, 0], "coef": 2.0}]),
 }

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from opacue.errors import ParseError, ValidationError
-from opacue.polynomial import Polynomial, parse_polynomial, tabulate
+from opacue.polynomial import MAX_EXPONENT, Polynomial, parse_polynomial, tabulate
 
 
 def test_parse_and_evaluate():
@@ -222,3 +222,9 @@ def test_table_of_many_terms_and_after_pickling():
     rows, cols = [(0.99,), (-0.5,)], [(-1.01,), (0.25,), (1.0,)]
     assert poly.table(rows, cols) == [[poly(r + c) for c in cols] for r in rows]
     assert poly.table([], cols) == [] and poly.table(rows, []) == [[], []]
+
+
+def test_exponents_up_to_the_bound_are_accepted_and_past_it_refused():
+    assert Polynomial(2, (((MAX_EXPONENT, 0), 1.0),))((1.0, 0.5)) == 1.0
+    with pytest.raises(ValidationError, match=f"at most MAX_EXPONENT = {MAX_EXPONENT}"):
+        Polynomial(2, (((0, MAX_EXPONENT + 1), 1.0),))

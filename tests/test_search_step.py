@@ -1,13 +1,15 @@
 """The engine's own step, pinned to the plain step it replaced.
 
-`search.search` expands a class through a move list per reference state
-and a memo of the set image. `reference_search` below is a frozen copy of
-the engine before either existed: a class steps to one candidate per
-(input, successor) pair and recomputes the image every time. Both must
-intern the same classes in the same order, with the same parents, depths
-and hit, and must run out of room at the same class, for the seeds of all
-four notions: initial-state, current-state, and the delayed notions'
-survivor phase with and without a depth bound.
+`search.search` expands a class through a move list per reference state,
+builds the set image from memoised per-byte parts, and skips a class whose
+(reference state, image) pair was already expanded. `reference_search`
+below is a frozen copy of the engine before any of these existed: a
+class steps to one candidate per (input, successor) pair and recomputes
+the image every time. Both must intern the same classes in the same order,
+with the same parents, depths and hit, and must run out of room at the
+same class, for the seeds of all four notions: initial-state,
+current-state, and the delayed notions' survivor phase with and without a
+depth bound.
 """
 
 import json
@@ -144,6 +146,35 @@ def test_engine_step_matches_the_plain_step_on_the_seeded_corpus():
         for delta in (0.0, 0.1, 0.5, 1.0):
             compared += assert_same_search(sys_, delta)
     assert compared > 20_000
+
+
+def sized_system(rng: random.Random, n: int) -> MetricSystem:
+    """A random system of exactly n states, at least one of them initial,
+    secret and non-secret, with at least n transitions."""
+    m = rng.randint(1, 3)
+    edges = {(rng.randrange(n), rng.randrange(m), rng.randrange(n))
+             for _ in range(rng.randint(n, 2 * n * m))}
+    return MetricSystem(
+        names=tuple(f"s{i}" for i in range(n)),
+        inputs=tuple(f"u{j}" for j in range(m)),
+        outputs=tuple((rng.randrange(21) / 20,) for _ in range(n)),
+        initial=tuple(sorted(rng.sample(range(n), rng.randint(1, n)))),
+        secret=tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))),
+        transitions=tuple(sorted(edges)),
+    )
+
+
+def test_engine_step_matches_the_plain_step_across_byte_edges():
+    # the engine builds each image from one part per byte of the set: state
+    # counts on both sides of a byte edge, and sets spanning several bytes
+    rng = random.Random(20261020)
+    compared = 0
+    for n in (7, 8, 9, 16, 17, 24, 31, 32, 33, 40, 41, 48):
+        for _ in range(4):
+            sys_ = sized_system(rng, n)
+            for delta in (0.0, 0.1, 0.5, 1.0):
+                compared += assert_same_search(sys_, delta)
+    assert compared > 40_000
 
 
 def test_engine_step_on_a_dead_end_reached_with_two_sets():
