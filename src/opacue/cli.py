@@ -163,10 +163,13 @@ def _cmd_simrel(args: argparse.Namespace) -> int:
         report = verdict.report
         extra = {"abstraction_verdict": verdict.to_report()}
         code = EXIT_PASS if verdict.status is AbstractionStatus.OPAQUE else EXIT_INCONCLUSIVE
-    # The pairs are written straight from the relation, as in
+    # The related pairs are counted off the rows against the cap before
+    # anything is rendered; they are then written straight from the rows, as in
     # `report.to_report`, without building the list of name pairs.
     pairs = None
     if report.relation is not None:
+        if sum(map(int.bit_count, report.relation.rows)) > cap:
+            raise ResourceError(f"relation exceeds the cap of {cap} pairs")
         pairs = report.relation.pairs_json(concrete, abstract)
     _emit({**report.summary(concrete, abstract), **extra}, pairs)
     return code

@@ -1,11 +1,12 @@
 """Initial-state-opacity preserving simulation relations between two systems.
 
 The greatest relation satisfying the output-closeness and mutual
-step-matching conditions is computed by pruning the full epsilon-close pair
-set until stable; the existence conditions on secret/non-secret initial
-states are then checked against the survivors. When everything holds, a
-verdict for the related (coarser) system at a reduced threshold transfers
-soundly to the finer system.
+step-matching conditions is computed by refining the bitset rows of the
+epsilon-close table until stable, one row per concrete state, and stays
+rows up to the report; the existence conditions on secret/non-secret
+initial states are then checked against the survivors. When everything
+holds, a verdict for the related (coarser) system at a reduced threshold
+transfers soundly to the finer system.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
 from .observer import verify_state_opacity
@@ -38,10 +39,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimRelation:
-    """A set of (concrete state, abstract state) pairs at output slack epsilon."""
+    """A relation at output slack epsilon: bit j of rows[i] relates concrete
+    state i to abstract state j."""
 
-    pairs: tuple[tuple[int, int], ...]
+    rows: tuple[int, ...]
     epsilon: float
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The related (concrete, abstract) pairs in row-major order."""
+        return tuple((i, j) for i, bits in enumerate(self.rows) for j in iter_bits(bits))
 
     def pairs_json(self, concrete: MetricSystem, abstract: MetricSystem) -> str:
         """The report's "pairs" value, `[[concrete name, abstract name], ...]`,
@@ -98,62 +105,62 @@ class SimReport:
 def _prune_to_fixpoint(
     concrete: MetricSystem, abstract: MetricSystem, rows: list[int]
 ) -> list[int]:
-    """Remove pairs violating the step-matching conditions until stable.
+    """Refine each row to the partners that still match its steps, until stable.
 
-    A worklist holds the pairs still to be checked, at first all of them.
-    A pair (i, j) holds while every concrete successor of i is related to
-    some abstract successor of j (3a) and every abstract successor of j to
-    some concrete successor of i (3b). Only the removal of a pair of
-    successors can break that, so when (i, j) falls, just the surviving
-    pairs (p, q) with p a predecessor of i and q a predecessor of j go back
-    on the worklist (Henzinger, Henzinger & Kopke, FOCS 1995). The greatest
-    fixpoint of monotone removal is unique, so the order of the checks
-    cannot change the result.
+    Write pre(S) for the abstract states with a successor in S, and reach
+    for the OR of the rows of i's concrete successors. Row i keeps the
+    members j with 3a: j in pre(rows[i2]) for every concrete successor i2,
+    and 3b: every abstract successor of j in reach. That reads only the
+    rows of i's successors, so a row that shrinks sends just its
+    predecessors back to be refined, as in the state worklist of Henzinger,
+    Henzinger & Kopke (FOCS 1995). The greatest fixpoint of this monotone
+    refinement is unique, so the order cannot change the result. Many rows
+    carry the same value: pre is memoised per row value, and the members
+    that pass 3b per (row after 3a, reach).
     """
     succ_c = [list(iter_bits(bits)) for bits in concrete.succ_any]
     succ_a = abstract.succ_any
-    pred_c = concrete.pred_any
     pred_a = abstract.pred_any
+    pres: dict[int, int] = {}
+    kept: dict[tuple[int, int], int] = {}
 
-    def holds(i: int, j: int) -> bool:
-        targets = succ_a[j]
-        covered = 0
+    todo = set(range(concrete.n_states))
+    while todo:
+        i = todo.pop()
+        row, reach = rows[i], 0
         for i2 in succ_c[i]:
-            matched = rows[i2] & targets
-            if not matched:
-                return False
-            covered |= matched
-        return covered == targets
-
-    pending = list(rows)  # pending[i] = abstract partners of i still to check
-    stack = [i for i, bits in enumerate(pending) if bits]
-    while stack:
-        i = stack.pop()
-        bits = pending[i] & rows[i]
-        pending[i] = 0
-        for j in iter_bits(bits):
-            if holds(i, j):
-                continue
-            rows[i] &= ~(1 << j)
-            for p in iter_bits(pred_c[i]):
-                recheck = rows[p] & pred_a[j] & ~pending[p]
-                if recheck:
-                    if not pending[p]:
-                        stack.append(p)
-                    pending[p] |= recheck
+            target = rows[i2]
+            pre = pres.get(target)
+            if pre is None:
+                pre = 0
+                for j2 in iter_bits(target):
+                    pre |= pred_a[j2]
+                pres[target] = pre
+            row &= pre
+            reach |= target
+        if row:
+            passed = kept.get((row, reach))
+            if passed is None:
+                passed = 0
+                for j in iter_bits(row):
+                    if succ_a[j] & ~reach == 0:
+                        passed |= 1 << j
+                kept[row, reach] = passed
+            row = passed
+        if row != rows[i]:
+            rows[i] = row
+            todo.update(iter_bits(concrete.pred_any[i]))
     return rows
 
 
 def _check_existence(
-    concrete: MetricSystem, abstract: MetricSystem, rows: list[int]
+    concrete: MetricSystem, abstract: MetricSystem, rows: Sequence[int]
 ) -> Optional[RelationFailure]:
     """Condition 1: secret initial states and non-secret abstract initial
     states must each have a related counterpart of the right kind."""
     secret_init_a = abstract.initial_bits & abstract.secret_bits
     for i in sorted(concrete.initial):
-        if not (concrete.secret_bits >> i) & 1:
-            continue
-        if rows[i] & secret_init_a == 0:
+        if (concrete.secret_bits >> i) & 1 and rows[i] & secret_init_a == 0:
             return RelationFailure(
                 "1a", concrete=i,
                 detail="secret initial state has no related abstract secret initial state",
@@ -163,9 +170,7 @@ def _check_existence(
         if not (concrete.secret_bits >> i) & 1:
             partners |= rows[i]
     for j in sorted(abstract.initial):
-        if (abstract.secret_bits >> j) & 1:
-            continue
-        if not (partners >> j) & 1:
+        if not (abstract.secret_bits >> j) & 1 and not (partners >> j) & 1:
             return RelationFailure(
                 "1b", abstract=j,
                 detail="abstract non-secret initial state has no related concrete one",
@@ -178,23 +183,18 @@ def max_initsop_relation(
 ) -> SimReport:
     """Compute the greatest epsilon-InitSOP simulation relation, if any.
 
-    Starts from all output-epsilon-close pairs (condition 2 by
-    construction), prunes pairs whose concrete or abstract steps cannot be
-    matched by the partner (conditions 3a/3b) until the set is stable, then
+    Starts from the rows of output-epsilon-close pairs (condition 2 by
+    construction), refines them to the pairs whose concrete and abstract
+    steps are matched by the partner (conditions 3a/3b) until stable, then
     checks the initial-state existence conditions (1a/1b) on the survivors.
     """
     check_threshold("epsilon", epsilon)
     rows = close_rows(concrete.outputs, abstract.outputs, epsilon)
     rows = _prune_to_fixpoint(concrete, abstract, rows)
-
     failure = _check_existence(concrete, abstract, rows)
     if failure is not None:
         return SimReport(related=False, failure=failure)
-
-    pairs = tuple(
-        (i, j) for i in range(concrete.n_states) for j in iter_bits(rows[i])
-    )
-    return SimReport(related=True, relation=SimRelation(pairs, epsilon))
+    return SimReport(related=True, relation=SimRelation(tuple(rows), epsilon))
 
 
 def check_relation(
@@ -208,16 +208,14 @@ def check_relation(
     check_threshold("epsilon", eps)
     if len(concrete.outputs[0]) != len(abstract.outputs[0]):
         raise DimensionError("the two systems' outputs differ in dimension")
-    rows = [0] * concrete.n_states
-    for i, j in relation.pairs:
-        rows[i] |= 1 << j
-    for i, j in relation.pairs:
+    rows, pairs = relation.rows, relation.pairs
+    for i, j in pairs:
         if not delta_close(concrete.outputs[i], abstract.outputs[j], eps):
             return RelationFailure("2", concrete=i, abstract=j,
                                    detail="outputs not epsilon-close")
     succ_c = concrete.succ_any
     succ_a = abstract.succ_any
-    for i, j in relation.pairs:
+    for i, j in pairs:
         for i2 in iter_bits(succ_c[i]):
             if rows[i2] & succ_a[j] == 0:
                 return RelationFailure(

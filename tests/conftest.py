@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from opacue.simrel import SimRelation
 from opacue.system import MetricSystem, parse_system
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,6 +53,15 @@ def random_system(
         secret=secret,
         transitions=tuple(sorted(edges)),
     )
+
+
+def relation(n_states: int, pairs, epsilon: float) -> SimRelation:
+    """The relation holding `pairs` (concrete, abstract) over `n_states`
+    concrete states, as rows."""
+    rows = [0] * n_states
+    for i, j in pairs:
+        rows[i] |= 1 << j
+    return SimRelation(tuple(rows), epsilon)
 
 
 def linear_plant(dim: int, a: float, b: float, secret: tuple[float, float]) -> dict:

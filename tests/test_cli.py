@@ -1168,6 +1168,18 @@ def test_simrel_checks_the_cap_without_delta(capsys, monkeypatch):
     assert (code, out, calls) == (3, "", []) and "--cap=-3" in err
 
 
+@pytest.mark.parametrize("delta", [[], ["--delta", "0"]], ids=["relation", "transfer"])
+def test_simrel_counts_the_printed_pairs_against_the_cap(capsys, delta):
+    # a relation past the cap used to be rendered whatever its size
+    argv = ["simrel", "--system", C2, "--abstract", C2, "--epsilon", "0", *delta]
+    code, full, _ = run(capsys, *argv)
+    count = len(json.loads(full)["pairs"])
+    assert run(capsys, *argv, "--cap", str(count)) == (code, full, "") and code == 0
+    code, out, err = run(capsys, *argv, "--cap", str(count - 1))
+    assert (code, out) == (4, "")
+    assert err == f"error: relation exceeds the cap of {count - 1} pairs\n"
+
+
 @pytest.mark.parametrize("field,value", [
     ("iss_cert", {**PLANT["iss_cert"], "c": True}),
     ("iss_cert", {**PLANT["iss_cert"], "lambda": "0.5"}),

@@ -1,5 +1,6 @@
 """Greatest InitSOP simulation relations and the abstraction transfer rule."""
 
+import json
 import random
 
 import pytest
@@ -7,12 +8,13 @@ import pytest
 from opacue.abstraction import build_abstraction, sample_system
 from opacue.boxes import Box, BoxUnion
 from opacue.brute import brute_force_opacity
-from opacue.control import DtControlSystem, IssCertificate, QuantizationParams
+from opacue.control import (
+    DtControlSystem, IssCertificate, QuantizationParams, parse_control_system,
+)
 from opacue.errors import DimensionError, PrecisionError, ValidationError
 from opacue.simrel import (
     AbstractionStatus,
     RelationFailure,
-    SimRelation,
     _prune_to_fixpoint,
     check_relation,
     max_initsop_relation,
@@ -20,7 +22,7 @@ from opacue.simrel import (
 )
 from opacue.system import MetricSystem, OpacityNotion, close_rows, delta_close, iter_bits
 
-from .conftest import random_system
+from .conftest import linear_plant, random_system, relation
 
 
 def test_identity_relation_on_identical_systems():
@@ -65,8 +67,8 @@ def test_deleted_abstract_transition_breaks_3a():
             tuple(t for i, t in enumerate(sys_.transitions) if i != drop),
         )
         src = sys_.transitions[drop][0]
-        identity = SimRelation(
-            tuple((i, i) for i in range(sys_.n_states)), epsilon=0.0
+        identity = relation(
+            sys_.n_states, ((i, i) for i in range(sys_.n_states)), epsilon=0.0
         )
         failure = check_relation(sys_, pruned, identity)
         if failure is not None and failure.condition == "3a":
@@ -124,7 +126,7 @@ def _assert_fixpoint_matches_reference(concrete, abstract, eps, rng):
     pairs = _worklist_fixpoint(concrete, abstract, eps)
     assert pairs == _reference_fixpoint(concrete, abstract, eps, rng)
     # conditions 2, 3a and 3b hold; only the initial-state ones may fail
-    failure = check_relation(concrete, abstract, SimRelation(tuple(sorted(pairs)), eps))
+    failure = check_relation(concrete, abstract, relation(concrete.n_states, pairs, eps))
     assert failure is None or failure.condition in ("1a", "1b")
     report = max_initsop_relation(concrete, abstract, eps)
     expected = _existence_failure(concrete, abstract, pairs)
@@ -170,6 +172,19 @@ def test_worklist_fixpoint_matches_reference_on_lattice_pairs():
             cs, QuantizationParams(eta=eta, mu=eta, epsilon=epsilon)).system
         concrete = sample_system(cs, eta / 2, eta)
         for eps in (0.0, eta / 2, eta, epsilon):
+            _assert_fixpoint_matches_reference(concrete, abstract, eps, rng)
+    # 2-D plants, observed through x1 alone and through the whole state:
+    # with x1 alone many rows carry the same value, so the refinement's
+    # memo tables are hit by rows of different states
+    eta = 0.25
+    epsilon = 1.25 * (eta + 0.2 / 0.7 * eta) / 0.7
+    for output in (["x1"], ["x1", "x2"]):
+        cs = parse_control_system(json.dumps(
+            {**linear_plant(2, 0.3, 0.2, (0.4, 0.7)), "output": output}))
+        abstract = build_abstraction(
+            cs, QuantizationParams(eta=eta, mu=0.05, epsilon=epsilon)).system
+        concrete = sample_system(cs, eta / 2, 0.05)
+        for eps in (0.0, eta / 4, eta / 2, eta, epsilon):
             _assert_fixpoint_matches_reference(concrete, abstract, eps, rng)
 
 
@@ -234,7 +249,7 @@ def test_maximality_spot_checks():
             and delta_close(concrete.outputs[i], abstract.outputs[j], eps)
         ]
         for extra in excluded[:3]:
-            bigger = SimRelation(tuple(sorted(pairs | {extra})), eps)
+            bigger = relation(concrete.n_states, pairs | {extra}, eps)
             failure = check_relation(concrete, abstract, bigger)
             assert failure is not None
             assert failure.condition in ("3a", "3b")
@@ -269,7 +284,7 @@ def test_transitive_composition_at_summed_epsilon():
         })
         if not comp:
             continue
-        failure = check_relation(a, c, SimRelation(tuple(comp), 0.05 + 0.1))
+        failure = check_relation(a, c, relation(a.n_states, comp, 0.05 + 0.1))
         # conditions 2/3 must hold at the summed slack (condition 1 can
         # legitimately fail for the composite, so ignore those outcomes)
         assert failure is None or failure.condition in ("1a", "1b")
@@ -281,12 +296,12 @@ def test_check_relation_rejects_mismatched_dimensions_and_far_outputs():
     a = MetricSystem(("x", "y"), ("u",), ((0.0,), (1.0,)), (0,), (), ())
     b = MetricSystem(("p",), ("u",), ((0.0, 1.0),), (0,), (), ())
     with pytest.raises(DimensionError):
-        check_relation(a, b, SimRelation(((0, 0),), 0.1))
+        check_relation(a, b, relation(a.n_states, ((0, 0),), 0.1))
     # (y, x) is not epsilon-close: condition 2 fails there, not before
-    failure = check_relation(a, a, SimRelation(((0, 0), (1, 0)), 0.5))
+    failure = check_relation(a, a, relation(a.n_states, ((0, 0), (1, 0)), 0.5))
     assert failure == RelationFailure("2", concrete=1, abstract=0,
                                       detail="outputs not epsilon-close")
-    assert check_relation(a, a, SimRelation(((0, 0), (1, 1)), 0.5)) is None
+    assert check_relation(a, a, relation(a.n_states, ((0, 0), (1, 1)), 0.5)) is None
 
 
 def test_dimension_mismatch_rejected():

@@ -23,10 +23,10 @@ from opacue.system import (
     parse_system,
     serialize_system,
 )
-from opacue.simrel import SimRelation, check_relation
+from opacue.simrel import check_relation
 from opacue.verdict import Witness
 
-from .conftest import random_system
+from .conftest import random_system, relation
 
 
 def tiny(transitions, n=3, inputs=("a", "b")):
@@ -387,7 +387,7 @@ def test_pairwise_closeness_checks_reject_bad_thresholds(bad):
         confirm_witness(sys_, bad, OpacityNotion.current_state(), Witness((0, 2), (0,)))
     for pairs in (((0, 0), (1, 1)), ()):
         with pytest.raises(ValidationError):
-            check_relation(sys_, sys_, SimRelation(pairs, bad))
+            check_relation(sys_, sys_, relation(sys_.n_states, pairs, bad))
 
 
 # -- paths and notion types --------------------------------------------------
