@@ -14,14 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable
 
-from .boxes import BoxUnion, check_initial_spans, check_span, grid, grid_size, nearest_lattice
+from .boxes import (
+    BoxUnion, check_initial_spans, check_span, grid, grid_axes, grid_members, grid_size,
+    nearest_lattice,
+)
 from .control import (
     DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
 )
 from .errors import DomainError, QuantizationError, ResourceError
-from .system import DEFAULT_STATE_CAP, MetricSystem, close_rows, iter_bits
+from .system import DEFAULT_STATE_CAP, MetricSystem, close_rows
 
 __all__ = ["Abstraction", "build_abstraction", "sample_system"]
 
@@ -63,12 +65,7 @@ def build_abstraction(
             f"quantization inequality fails (lhs={qcheck.lhs} > rhs={qcheck.rhs}); "
             f"pass allow_unsound to build anyway"
         )
-    system = _lattice_system(
-        cs, params.eta, params.mu, cap, "abstraction",
-        lambda images, points: (
-            list(iter_bits(row)) for row in close_rows(images, points, params.eta)
-        ),
-    )
+    system = _lattice_system(cs, params.eta, params.mu, cap, "abstraction", ball=True)
     return Abstraction(system=system, certified=qcheck.passed, check=qcheck)
 
 
@@ -81,48 +78,56 @@ def sample_system(cs: DtControlSystem, eta: float, mu: float) -> MetricSystem:
     in the respective regions. This is the finite stand-in for the concrete
     system used by sampled-trajectory oracles.
     """
-    def snap(images, points):
-        index = {p: i for i, p in enumerate(points)}
-        nearest = nearest_lattice(cs.state_box, eta)
-        return ([index[nearest(image)]] for image in images)
-
-    return _lattice_system(cs, eta, mu, DEFAULT_STATE_CAP, "sampled system", snap)
+    return _lattice_system(cs, eta, mu, DEFAULT_STATE_CAP, "sampled system", ball=False)
 
 
 def _lattice_system(
-    cs: DtControlSystem, eta: float, mu: float, cap: int, label: str,
-    successors: Callable[[list[tuple[float, ...]], list[tuple[float, ...]]],
-                         Iterable[list[int]]],
+    cs: DtControlSystem, eta: float, mu: float, cap: int, label: str, ball: bool,
 ) -> MetricSystem:
     """The finite system on the eta-lattice of the state box and the
     mu-lattice of the input box. Every image f(x, u) is computed in grid
-    order and must be finite; `successors(images, points)` then gives, per
-    image in that order, the ascending indices of the lattice points (x, u)
-    steps to, so the transitions come out sorted. The initial and secret
-    states are the lattice points in the plant's initial and secret
-    regions. More than `cap` states or inputs are refused before any point is built."""
+    order and must be finite. With `ball`, (x, u) steps to every lattice
+    point within eta of its image, and the successor bitset rows that
+    `close_rows` gives are the system's rows; without it, to the nearest
+    lattice point alone, kept as a (src, input, dst) triple, since rows
+    would spend |U| ints per state on one successor per pair. The initial
+    and secret states are the lattice points in the plant's initial and
+    secret regions. More than `cap` states or inputs are refused before any
+    point is built."""
     for box, step, kind in ((cs.state_box, eta, "states"), (cs.input_box, mu, "inputs")):
         if grid_size(box, step) > cap:
             raise ResourceError(f"{label} exceeds the cap of {cap} {kind}")
-    points = grid(cs.state_box, eta)
+    axes = grid_axes(cs.state_box, eta)
+    points = list(product(*axes))
     inputs = grid(cs.input_box, mu)
-    images = [cs.step(x, u) for x in points for u in inputs]
-    state_ids = tuple(range(len(points)))  # shared ints: iter_bits makes one per bit
-    pairs = product(state_ids, range(len(inputs)))
-    transitions: list[tuple[int, int, int]] = []
-    for (xi, ui), image, targets in zip(pairs, images, successors(images, points)):
-        if not targets:
-            x, u = points[xi], inputs[ui]
-            raise DomainError(
-                f"f({x}, {u}) = {image} leaves the state box by more than eta",
-                state=x, inp=u,
-            )
-        transitions += [(xi, ui, state_ids[t]) for t in targets]
-    return MetricSystem(
-        names=tuple(map(_point_name, points)),
-        inputs=tuple(map(_point_name, inputs)),
-        outputs=tuple(map(cs.observe, points)),
-        initial=tuple(i for i, p in enumerate(points) if cs.initial_region.contains(p)),
-        secret=tuple(i for i, p in enumerate(points) if cs.secret_region.contains(p)),
-        transitions=tuple(transitions),
-    )
+    step, m = cs.step, len(inputs)
+    images = [step(x, u) for x in points for u in inputs]
+    if not ball:
+        state_ids = tuple(range(len(points)))  # one int per state, shared by every triple
+        index = dict(zip(points, state_ids))
+        nearest = nearest_lattice(cs.state_box, eta)
+        pairs = product(state_ids, range(m))
+        transitions = tuple([(xi, ui, index[nearest(image)])
+                             for (xi, ui), image in zip(pairs, images)])
+        return MetricSystem(**_lattice_fields(cs, axes, points, inputs),
+                            transitions=transitions)
+    rows = close_rows(images, points, eta)
+    if not all(rows):
+        k = rows.index(0)
+        x, u = points[k // m], inputs[k % m]
+        raise DomainError(f"f({x}, {u}) = {images[k]} leaves the state box by more than eta",
+                          state=x, inp=u)
+    return MetricSystem.from_rows(**_lattice_fields(cs, axes, points, inputs),
+                                  post_bits=[rows[u::m] for u in range(m)])
+
+
+def _lattice_fields(cs: DtControlSystem, axes: list[list[float]],
+                    points: list[tuple[float, ...]], inputs: list[tuple[float, ...]]) -> dict:
+    """Names, outputs and the initial and secret states of a lattice system."""
+    return {
+        "names": tuple(map(_point_name, points)),
+        "inputs": tuple(map(_point_name, inputs)),
+        "outputs": tuple(map(cs.observe, points)),
+        "initial": grid_members(cs.initial_region, axes),
+        "secret": grid_members(cs.secret_region, axes),
+    }

@@ -8,6 +8,7 @@ Boxes are closed: lattice points exactly on a face belong to the grid.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,8 +17,8 @@ from typing import Callable, Sequence
 
 from .errors import QuantizationError, ValidationError
 
-__all__ = ["Box", "BoxUnion", "check_span", "grid_interval", "grid", "grid_size",
-           "nearest_lattice"]
+__all__ = ["Box", "BoxUnion", "check_span", "grid_interval", "grid", "grid_axes",
+           "grid_members", "grid_size", "nearest_lattice"]
 
 
 @dataclass(frozen=True)
@@ -162,17 +163,42 @@ def grid_interval(lo: float, hi: float, step: float) -> list[float]:
     return [float(k * dstep) for k in _lattice_range(lo, hi, dstep)]
 
 
-def grid(box: Box, step: float) -> list[tuple[float, ...]]:
-    """All lattice points k*step (component-wise) inside the box, sorted and
-    without duplicates.
+def grid_axes(box: Box, step: float) -> list[list[float]]:
+    """Per axis, the lattice values of the box, ascending and without
+    duplicates: `grid(box, step)` is their product in row-major order.
 
     Raises QuantizationError when the step exceeds the box's span, since
     such a grid can miss the box entirely.
     """
     _check_step(step)
     check_span("grid step", step, box.span, "region")
-    axes = [grid_interval(lo, hi, step) for lo, hi in box.bounds]
-    return sorted(set(itertools.product(*axes)))
+    return [sorted(set(grid_interval(lo, hi, step))) for lo, hi in box.bounds]
+
+
+def grid(box: Box, step: float) -> list[tuple[float, ...]]:
+    """All lattice points k*step (component-wise) inside the box, sorted and
+    without duplicates; raises what `grid_axes` raises."""
+    return list(itertools.product(*grid_axes(box, step)))
+
+
+def grid_members(region: BoxUnion, axes: Sequence[Sequence[float]]) -> tuple[int, ...]:
+    """The indices, ascending, of the points of `product(*axes)` (row-major,
+    each axis ascending, as `grid_axes` gives them) that `region.contains`.
+
+    No point is tested: per box, each axis contributes the window of its
+    values v with lo <= v <= hi, found by bisection with the same float
+    comparisons, and the box's points are the product of its windows.
+    """
+    members: set[int] = set()
+    for box in region.boxes:
+        if box.dim != len(axes):
+            raise ValidationError("point dimension mismatch")
+        indices = [0]
+        for axis, (lo, hi) in zip(axes, box.bounds):
+            window = range(bisect.bisect_left(axis, lo), bisect.bisect_right(axis, hi))
+            indices = [i * len(axis) + k for i in indices for k in window]
+        members.update(indices)
+    return tuple(sorted(members))
 
 
 def grid_size(box: Box, step: float) -> int:

@@ -187,7 +187,7 @@ def _cmd_abstract(args: argparse.Namespace) -> int:
     _emit({
         "states": result.system.n_states,
         "inputs": len(result.system.inputs),
-        "transitions": len(result.system.transitions),
+        "transitions": result.system.n_transitions,
         "secret_states": len(result.system.secret),
         "eta": params.eta,
         "mu": params.mu,

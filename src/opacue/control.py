@@ -1,7 +1,8 @@
 """Discrete-time control systems on box domains with stability certificates.
 
 A plant's `step` and `observe` alone check that its values are finite: a
-coordinate that is not finite raises DomainError naming the point.
+coordinate that is not finite raises DomainError naming the point. Each
+evaluates its whole map with one compiled call per point (see `expr`).
 
 The incremental-stability certificate is parametric: trajectories from
 states r apart under inputs v apart stay within c*lambda^k*r + g*v, and
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .boxes import Box, BoxUnion
 from .errors import DomainError, ParseError, ValidationError
-from .expr import compile_expr
+from .expr import compile_map
 from .system import json_number, read_object
 
 __all__ = [
@@ -153,18 +154,16 @@ class DtControlSystem:
         return self.input_box.dim
 
     @cached_property
-    def _dyn_fns(self):
-        return tuple(
-            compile_expr(e, self.dim, self.input_dim) for e in self.dynamics
-        )
+    def _dynamics(self):
+        return compile_map(self.dynamics, self.dim, self.input_dim)
 
     @cached_property
-    def _out_fns(self):
-        return tuple(compile_expr(e, self.dim, 0) for e in self.output)
+    def _outputs(self):
+        return compile_map(self.output, self.dim, 0)
 
     def step(self, x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
         """f(x, u); DomainError, naming x and u, unless every coordinate is finite."""
-        image = tuple(fn(x, u) for fn in self._dyn_fns)
+        image = self._dynamics(x, u)
         if not all(map(math.isfinite, image)):
             raise DomainError(f"f({tuple(x)}, {tuple(u)}) = {image} is not finite",
                               state=tuple(x), inp=tuple(u))
@@ -172,7 +171,7 @@ class DtControlSystem:
 
     def observe(self, x: Sequence[float]) -> tuple[float, ...]:
         """H(x); DomainError, naming x, unless every coordinate is finite."""
-        y = tuple(fn(x, ()) for fn in self._out_fns)
+        y = self._outputs(x, ())
         if not all(map(math.isfinite, y)):
             raise DomainError(f"H({tuple(x)}) = {y} is not finite", state=tuple(x))
         return y

@@ -14,7 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal
-from typing import Optional, Sequence
+from itertools import chain, repeat
+from typing import Iterator, Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
 from .observer import verify_state_opacity
@@ -48,7 +49,8 @@ class SimRelation:
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """The related (concrete, abstract) pairs in row-major order."""
-        return tuple((i, j) for i, bits in enumerate(self.rows) for j in iter_bits(bits))
+        return tuple(chain.from_iterable(
+            zip(repeat(i), members) for i, members in enumerate(_listed(self.rows))))
 
     def pairs_json(self, concrete: MetricSystem, abstract: MetricSystem) -> str:
         """The report's "pairs" value, `[[concrete name, abstract name], ...]`,
@@ -56,7 +58,21 @@ class SimRelation:
         is encoded once; no list of name pairs is built."""
         heads = [f"[\n      {name},\n      " for name in json_texts(concrete.names, 3)]
         tails = [f"{name}\n    ]" for name in json_texts(abstract.names, 3)]
-        return json_array([heads[i] + tails[j] for i, j in self.pairs], 1)
+        items: list[str] = []
+        for head, members in zip(heads, _listed(self.rows)):
+            items += map(head.__add__, map(tails.__getitem__, members))
+        return json_array(items, 1)
+
+
+def _listed(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The members of each row in turn; each distinct row value is listed
+    once (with output x1 most rows of a lattice relation share a value)."""
+    seen: dict[int, tuple[int, ...]] = {}
+    for bits in rows:
+        members = seen.get(bits)
+        if members is None:
+            members = seen[bits] = tuple(iter_bits(bits))
+        yield members
 
 
 @dataclass(frozen=True)

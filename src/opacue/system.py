@@ -3,6 +3,14 @@
 States are interned to dense integers 0..n-1 and every state set in this
 package is carried as a Python int used as a bitset (bit i == state i), so
 that the observer construction can hash sets of state pairs cheaply.
+
+A system holds its transitions as (src, input, dst) triples or as
+per-input successor bitset rows. Parsed files and `sample_system` hold
+triples: a sampled system has one successor per (state, input), and rows
+would spend an int per pair on it (2.8 GB of ints for the 3-D eta = 0.025
+stand-in of 68,921 states and 27 inputs, which peaks at 576 MB with
+triples). Lattice abstractions hold rows (`MetricSystem.from_rows`): their
+transition table is computed as rows, and the engine reads rows anyway.
 """
 
 from __future__ import annotations
@@ -11,9 +19,10 @@ import enum
 import gc
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -117,7 +126,9 @@ def close_rows(
         for y in group:
             if len(y) != dim:
                 raise DimensionError(f"output dimensions differ: {dim} vs {len(y)}")
-    rows = [(1 << len(col_outputs)) - 1] * len(row_outputs)
+    # Each row is ANDed with its window of every coordinate through chained
+    # lazy maps, so only the final rows are kept as new ints.
+    rows = repeat((1 << len(col_outputs)) - 1, len(row_outputs))
     for k in range(dim):
         order = sorted(range(len(col_outputs)), key=lambda j: col_outputs[j][k])
         values = [col_outputs[j][k] for j in order] + [math.inf]  # a - inf stops both ends
@@ -133,8 +144,8 @@ def close_rows(
             while not a - values[hi] < -threshold:
                 hi += 1
             windows[a] = prefix[hi] ^ prefix[lo]
-        rows = [bits & windows[a] for bits, a in zip(rows, column)]
-    return rows
+        rows = map(operator.and_, rows, map(windows.__getitem__, column))
+    return list(rows)
 
 
 class NotionKind(enum.Enum):
@@ -180,9 +191,18 @@ class OpacityNotion:
         return self.kind.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricSystem:
     """A finite transition system with real-vector outputs and a secret set.
+
+    Its transitions come in one of two forms. `MetricSystem(..., transitions)`
+    keeps (src, input, dst) index triples and derives its bitset tables from
+    them; `parse_system` and `sample_system` build systems this way. The
+    row constructor `MetricSystem.from_rows(..., post_bits)` keeps the
+    per-input successor bitsets themselves: the lattice abstraction computes
+    them as rows in one `close_rows` call, and its engine reads rows, so
+    such a system reads its triples off the rows only when something asks
+    for them. Equality compares all six fields, whatever the form.
 
     Immutable after construction; safe to share across concurrent readers.
     """
@@ -192,16 +212,37 @@ class MetricSystem:
     outputs: tuple[tuple[float, ...], ...]
     initial: tuple[int, ...]
     secret: tuple[int, ...]
-    transitions: tuple[tuple[int, int, int], ...]  # (src, input, dst) indices
+    # (src, input, dst) indices: given, or read off the rows (the cached
+    # property below)
+    transitions: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, names, inputs, outputs, initial, secret, transitions):
+        vars(self).update(names=names, inputs=inputs, outputs=outputs, initial=initial,
+                          secret=secret, transitions=transitions, _from_rows=False)
+        self._validate()
+
+    @classmethod
+    def from_rows(cls, names, inputs, outputs, initial, secret,
+                  post_bits: Sequence[Sequence[int]]) -> "MetricSystem":
+        """A system whose transitions are given as `post_bits[u][x]`, the
+        bitset of the u-successors of x: one row per input, one bitset per
+        state in each row, each bitset in [0, 2**n). Shape and range are
+        checked in bulk over all rows."""
+        system = cls.__new__(cls)
+        vars(system).update(names=names, inputs=inputs, outputs=outputs, initial=initial,
+                            secret=secret, post_bits=tuple(map(tuple, post_bits)),
+                            _from_rows=True)
+        system._validate()
+        return system
+
+    def _validate(self) -> None:
         n = len(self.names)
         if n == 0:
             raise ValidationError("a system must have at least one state")
         if len(set(self.names)) != n:
             raise ValidationError("duplicate state names")
         # before the input labels: a document names duplicate transitions first
-        if len(set(self.transitions)) != len(self.transitions):
+        if not self._from_rows and len(set(self.transitions)) != len(self.transitions):
             raise ValidationError("duplicate transitions")
         if len(set(self.inputs)) != len(self.inputs):
             raise ValidationError("duplicate input labels")
@@ -231,17 +272,48 @@ class MetricSystem:
             for i in group:
                 if not 0 <= i < n:
                     raise ValidationError(f"{label} state index {i} out of range")
+        if self._from_rows:
+            self._validate_rows()
+            return
         for src, u, dst in self.transitions:
             if not 0 <= src < n or not 0 <= dst < n:
                 raise ValidationError(f"transition ({src},{u},{dst}) endpoint unknown")
             if not 0 <= u < len(self.inputs):
                 raise ValidationError(f"transition ({src},{u},{dst}) input unknown")
 
+    def _validate_rows(self) -> None:
+        n, rows = len(self.names), self.post_bits
+        if len(rows) != len(self.inputs):
+            raise ValidationError(
+                f"successor rows: {len(rows)} rows for {len(self.inputs)} inputs")
+        for u, row in enumerate(rows):
+            if len(row) != n:
+                raise ValidationError(f"successor row {u}: {len(row)} bitsets for {n} states")
+        if rows and not (min(map(min, rows)) >= 0 and max(map(max, rows)) >> n == 0):
+            u, x = next((u, x) for u, row in enumerate(rows)
+                        for x, bits in enumerate(row) if not 0 <= bits < 1 << n)
+            raise ValidationError(f"successor row {u}: the bitset of state "
+                                  f"{self.names[x]!r} is not in [0, 2**{n})")
+
     # -- derived lookups (cached, read-only) --------------------------------
 
     @property
     def n_states(self) -> int:
         return len(self.names)
+
+    @cached_property
+    def transitions(self) -> tuple[tuple[int, int, int], ...]:
+        """The (src, input, dst) index triples. A system built from rows
+        reads them off its rows, in that sorted order, the first time they
+        are asked for."""
+        post = self.post_bits
+        return tuple((x, u, d) for x in range(self.n_states)
+                     for u, row in enumerate(post) for d in iter_bits(row[x]))
+
+    @property
+    def n_transitions(self) -> int:
+        """How many transitions there are, counted off the successor rows."""
+        return sum(map(int.bit_count, chain.from_iterable(self.post_bits)))
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -261,7 +333,7 @@ class MetricSystem:
 
     @cached_property
     def post_bits(self) -> tuple[tuple[int, ...], ...]:
-        """post_bits[u][x] = bitset of u-successors of x."""
+        """post_bits[u][x] = bitset of u-successors of x (given to `from_rows`)."""
         table = [[0] * self.n_states for _ in self.inputs]
         for src, u, dst in self.transitions:
             table[u][src] |= 1 << dst
@@ -270,6 +342,8 @@ class MetricSystem:
     @cached_property
     def pre_bits(self) -> tuple[tuple[int, ...], ...]:
         """pre_bits[u][x] = bitset of u-predecessors of x."""
+        if self._from_rows:
+            return tuple(_transpose(row) for row in self.post_bits)
         table = [[0] * self.n_states for _ in self.inputs]
         for src, u, dst in self.transitions:
             table[u][dst] |= 1 << src
@@ -278,6 +352,11 @@ class MetricSystem:
     @cached_property
     def succ_any(self) -> tuple[int, ...]:
         """succ_any[x] = bitset of successors of x under any input."""
+        if self._from_rows:
+            out = (0,) * self.n_states
+            for row in self.post_bits:
+                out = tuple(map(operator.or_, out, row))
+            return out
         out = [0] * self.n_states
         for src, _, dst in self.transitions:
             out[src] |= 1 << dst
@@ -286,6 +365,8 @@ class MetricSystem:
     @cached_property
     def pred_any(self) -> tuple[int, ...]:
         """pred_any[x] = bitset of predecessors of x under any input."""
+        if self._from_rows:
+            return _transpose(self.succ_any)
         out = [0] * self.n_states
         for src, _, dst in self.transitions:
             out[dst] |= 1 << src
@@ -296,6 +377,16 @@ class MetricSystem:
         tested pair by pair by `delta_close`."""
         ref = self.outputs[reference]
         return bits_of(i for i, y in enumerate(self.outputs) if delta_close(ref, y, delta))
+
+
+def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The square bit matrix transposed: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * len(rows)
+    for i, bits in enumerate(rows):
+        bit = 1 << i
+        for j in iter_bits(bits):
+            out[j] |= bit
+    return tuple(out)
 
 
 # -- file format ------------------------------------------------------------
@@ -511,10 +602,13 @@ def serialize_system(sys: MetricSystem) -> str:
         f'{{\n      "name": {name},\n      "output": {json_array([_json_text(v) for v in out], 3)}\n    }}'
         for name, out in zip(names3, sys.outputs)
     ]
-    triples = [
-        f"[\n      {names3[s]},\n      {labels3[u]},\n      {names3[d]}\n    ]"
-        for s, u, d in sorted(sys.transitions)
-    ]
+    if sys._from_rows:
+        triples = _row_triples(sys.post_bits, names3, labels3)
+    else:
+        triples = [
+            f"[\n      {names3[s]},\n      {labels3[u]},\n      {names3[d]}\n    ]"
+            for s, u, d in sorted(sys.transitions)
+        ]
     return (
         f'{{\n  "states": {json_array(states, 1)},'
         f'\n  "inputs": {json_array(_indented(labels, 2), 1)},'
@@ -522,3 +616,23 @@ def serialize_system(sys: MetricSystem) -> str:
         f'\n  "secret": {json_array([names2[i] for i in sorted(sys.secret)], 1)},'
         f'\n  "transitions": {json_array(triples, 1)}\n}}\n'
     )
+
+
+def _row_triples(post: Sequence[Sequence[int]], names3: list[str], labels3: list[str]
+                 ) -> list[str]:
+    """The transition triples as `serialize_system` writes them, read off
+    successor rows: one text per (src, input) holds all its triples, each
+    triple item joined to the next as `json_array` joins items. Rows share
+    values, so the members of each distinct row are listed once."""
+    tails = [f"{name}\n    ]" for name in names3]
+    listed: dict[int, list[str]] = {}
+    texts = []
+    for x, column in enumerate(zip(*post)):
+        for u, bits in enumerate(column):
+            if bits:
+                members = listed.get(bits)
+                if members is None:
+                    members = listed[bits] = [tails[d] for d in iter_bits(bits)]
+                head = f"[\n      {names3[x]},\n      {labels3[u]},\n      "
+                texts.append(head + (",\n    " + head).join(members))
+    return texts

@@ -1,6 +1,7 @@
 """Grid abstraction construction: ball rule, completeness, trajectory tracking."""
 
 import json
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from opacue.control import (
 )
 from opacue.errors import DomainError, QuantizationError, ResourceError
 from opacue.simrel import max_initsop_relation
-from opacue.system import MetricSystem, close_rows, iter_bits, serialize_system
+from opacue.system import MetricSystem, close_rows, iter_bits, parse_system, serialize_system
 
 from .conftest import linear_plant
 
@@ -280,6 +281,7 @@ def test_resource_cap_refuses_before_the_lattice_is_built(monkeypatch):
         raise AssertionError(f"grid called for a {box.dim}-D box")
 
     monkeypatch.setattr(abstraction, "grid", refusing_grid)
+    monkeypatch.setattr(abstraction, "grid_axes", refusing_grid)
     # 3^9 = 19,683 lattice points against a cap of 1000
     cs = parse_control_system(json.dumps(linear_plant(9, 0.5, 1.0, (0.0, 0.5))))
     with pytest.raises(ResourceError, match="abstraction exceeds the cap of 1000 states"):
@@ -295,6 +297,7 @@ def test_resource_cap_refuses_before_the_input_lattice_is_built(monkeypatch):
         raise AssertionError(f"grid called for a {box.dim}-D box")
 
     monkeypatch.setattr(abstraction, "grid", refusing_grid)
+    monkeypatch.setattr(abstraction, "grid_axes", refusing_grid)
     # 3 states but 2,001 inputs on [0, 0.1] against a cap of 1000
     cs = parse_control_system(json.dumps(linear_plant(1, 0.5, 1.0, (0.0, 0.5))))
     with pytest.raises(ResourceError, match="abstraction exceeds the cap of 1000 inputs"):
@@ -392,3 +395,66 @@ def test_sample_system_snaps_an_image_whose_quotient_by_eta_overflows():
     assert s.transitions == tuple(
         (x, u, 0 if x == s.names.index("0.0") else top)
         for x in range(11) for u in range(len(s.inputs)))
+
+
+# Lattice points per axis at eta = 0.125 on [0, (points - 1) * eta]: a row
+# of a byte's width, one past it, two bytes, one past them.
+AXIS_POINTS = (8, 9, 16, 17)
+
+
+def _random_region(rng, bounds, eta, boxes):
+    """A union of `boxes` sub-boxes whose faces lie on lattice points or
+    halfway between them."""
+    out = []
+    for _ in range(boxes):
+        sides = []
+        for lo, hi in bounds:
+            a, b = sorted(rng.sample(range(int((hi - lo) / (eta / 2)) + 1), 2))
+            sides.append((lo + a * eta / 2, lo + b * eta / 2))
+        out.append(Box(tuple(sides)))
+    return BoxUnion(tuple(out))
+
+
+def test_a_row_built_abstraction_equals_its_parsed_twin():
+    """`build_abstraction` keeps the successor rows; parsing its file keeps
+    triples. The two systems, and every table derived from them, agree bit
+    for bit and in the same order. `sample_system` still builds triples."""
+    rng = random.Random(2902)
+    eta, built, unions = 0.125, 0, 0
+    while built < 12:
+        dim = 1 + built % 3
+        counts = [rng.choice(AXIS_POINTS) for _ in range(dim)]
+        if dim == 3:
+            counts[rng.randrange(3)] = rng.choice((8, 9))  # keep 3-D plants small
+        bounds = tuple((0.0, (c - 1) * eta) for c in counts)
+        coefs = [(rng.uniform(0.2, 0.6), rng.uniform(0.0, 0.05)) for _ in range(dim)]
+        cs = DtControlSystem(
+            state_box=Box(bounds),
+            initial_region=_random_region(rng, bounds, eta, rng.randint(1, 2)),
+            secret_region=_random_region(rng, bounds, eta, rng.randint(1, 2)),
+            input_box=Box(((0.0, 0.125),) * dim),
+            dynamics=tuple(f"{a!r}*x{k + 1} + {c!r}*x{(k + 1) % dim + 1} + u{k + 1}"
+                           for k, (a, c) in enumerate(coefs)),
+            output=tuple(f"x{k + 1}" for k in range(rng.randint(1, dim))),
+            iss_cert=IssCertificate(1.0, 0.65, 3.0, 1.0),
+        )
+        try:
+            a = build_abstraction(cs, QuantizationParams(eta, 0.125, 1.0), allow_unsound=True)
+        except QuantizationError:  # a region part narrower than eta
+            continue
+        built += 1
+        unions += len(cs.initial_region.boxes) + len(cs.secret_region.boxes) > 2
+        system = a.system
+        assert "transitions" not in vars(system)  # rows, not triples
+        assert system.n_states == math.prod(counts)
+        twin = parse_system(serialize_system(system))
+        assert "post_bits" not in vars(twin)
+        for table in ("post_bits", "pre_bits", "succ_any", "pred_any", "transitions"):
+            assert getattr(system, table) == getattr(twin, table), table
+        assert system == twin
+        assert system.n_transitions == len(twin.transitions)
+        assert serialize_system(twin) == serialize_system(system)
+        sampled = sample_system(cs, eta, 0.125)
+        assert "transitions" in vars(sampled) and "post_bits" not in vars(sampled)
+        assert (sampled.initial, sampled.secret) == (system.initial, system.secret)
+    assert unions

@@ -292,6 +292,12 @@ def test_non_finite_samples_fail_closed():
         (simple_cs(dyn=f"0.5*x1 + 0.2*u1 + {overflow}"),
          r"^f\(\(0\.1,\), \(0\.0,\)\) = \(inf,\) is not finite$"),
         (dataclasses.replace(cs, output=(overflow,)), r"^H\(\(0\.1,\)\) = \(inf,\) is not finite$"),
+        # one expression of a map fails: it alone is named, at the first point
+        (dataclasses.replace(cs, output=("x1", overflow)),
+         r"^H\(\(0\.1,\)\) = \(0\.1, inf\) is not finite$"),
+        (simple_cs(dyn="0.5*x1 + 1/(x1 - 0.5)"),
+         r"^expression '0\.5\*x1 \+ 1/\(x1 - 0\.5\)' at state \(0\.5,\), input \(0\.0,\): "
+         r"ZeroDivisionError: float division by zero$"),
     ]
     for plant, message in cases:
         for check in (check_opacity_barrier, check_lack_barrier):

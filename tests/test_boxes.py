@@ -1,12 +1,15 @@
 """Box geometry and lattice sampling."""
 
+import itertools
 import math
 import random
 import sys
 
 import pytest
 
-from opacue.boxes import Box, BoxUnion, grid, grid_interval, grid_size, nearest_lattice
+from opacue.boxes import (
+    Box, BoxUnion, grid, grid_axes, grid_interval, grid_members, grid_size, nearest_lattice,
+)
 from opacue.errors import QuantizationError, ValidationError
 
 
@@ -139,3 +142,35 @@ def test_grid_size_counts_the_grid_without_building_it():
         grid_size(Box(((0.0, 0.3), (0.0, 1e6))), 0.5)
     # past sys.maxsize points on one axis: counted, where len() would raise
     assert grid_size(Box(((0.0, 1e30),)), 1.0) > sys.maxsize
+
+
+def _face(rng, axis, step):
+    """A box face on a lattice value, halfway between two, or one ulp off one."""
+    v = rng.choice(axis)
+    return rng.choice((v, v + step / 2, v - step / 2,
+                       math.nextafter(v, math.inf), math.nextafter(v, -math.inf)))
+
+
+def test_grid_members_equal_point_by_point_containment():
+    """The per-axis windows pick exactly the grid points `contains` accepts,
+    on faces that lie on, between and one ulp off lattice points."""
+    rng = random.Random(2903)
+    for step, bounds in ((0.1, ((0.0, 1.0),)), (0.1, ((-0.3, 0.7), (0.0, 1.2))),
+                         (0.125, ((0.0, 1.875), (0.0, 0.875), (0.0, 1.0))),
+                         (1 / 3, ((0.0, 2.0), (-1.0, 1.0))), (0.05, ((0.2, 0.9),))):
+        axes = grid_axes(Box(bounds), step)
+        points = grid(Box(bounds), step)
+        assert points == [tuple(p) for p in itertools.product(*axes)]
+        for _ in range(60):
+            boxes = []
+            for _ in range(rng.randint(0, 3)):
+                sides = []
+                for axis in axes:
+                    lo, hi = sorted((_face(rng, axis, step), _face(rng, axis, step)))
+                    sides.append((lo, hi) if lo < hi else (lo, math.nextafter(lo, math.inf)))
+                boxes.append(Box(tuple(sides)))
+            region = BoxUnion(tuple(boxes))
+            want = tuple(i for i, p in enumerate(points) if region.contains(p))
+            assert grid_members(region, axes) == want
+    with pytest.raises(ValidationError, match="dimension mismatch"):
+        grid_members(BoxUnion((Box(((0.0, 1.0),)),)), grid_axes(Box(((0.0, 1.0),) * 2), 0.5))

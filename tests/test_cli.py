@@ -1000,7 +1000,8 @@ def test_abstract_rejects_non_finite_quantization(capsys, tmp_path, flag, value)
     ("1/x1", "ZeroDivisionError: float division by zero"),  # each used to exit 5
     ("exp(1000 + x1)", "OverflowError: math range error"),
     ("sin(x1*1e308*1e308)", "ValueError: math domain error"),  # sin(inf)
-], ids=["division", "overflow", "sin-inf"])
+    ("0.5*x1 + 1/(x1 - 0.5)", "ZeroDivisionError: float division by zero"),
+], ids=["division", "overflow", "sin-inf", "mid-grid-division"])
 def test_expression_errors_are_domain_errors(capsys, tmp_path, dynamics, error):
     plant = _write(tmp_path, "faulty.json", {**PLANT, "dynamics": [dynamics]})
     barrier = _barrier_argv(tmp_path)

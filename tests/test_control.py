@@ -18,7 +18,7 @@ from opacue.control import (
     parse_control_system,
 )
 from opacue.errors import DomainError, ParseError, ValidationError
-from opacue.expr import compile_expr
+from opacue.expr import compile_expr, compile_map
 
 
 # -- expression grammar --------------------------------------------------------
@@ -125,6 +125,23 @@ def test_compiled_expressions_match_the_dict_eval_path():
             if isinstance(want, type):  # the reference raised: the compiled path wraps it
                 want = DomainError, want
             assert got == want, (text, x, u)
+        # A map of this and up to two more expressions evaluates in one
+        # call, and a failure names the first failing expression.
+        texts = [text] + [_random_expr(rng, names, 2) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(texts)
+        whole = compile_map(texts, n_states, n_inputs)
+        for _ in range(4):
+            x = tuple(rng.choice(coords) for _ in range(n_states))
+            u = tuple(rng.choice(coords) for _ in range(n_inputs))
+            try:
+                got = whole(x, u)
+            except DomainError as exc:
+                got = str(exc)
+            try:
+                want = tuple(compile_expr(t, n_states, n_inputs)(x, u) for t in texts)
+            except DomainError as exc:
+                want = str(exc)
+            assert repr(got) == repr(want), (texts, x, u)
     assert {"Add", "Sub", "Mult", "Div", "USub", "Call", "Constant", "Name",
             "sin", "cos", "exp", "abs"} <= seen
 

@@ -418,3 +418,50 @@ def test_metric_system_rejects_bad_indices():
         tiny([(0, 5, 1)])
     with pytest.raises(ValidationError):
         MetricSystem(("a",), ("u",), ((0.0,),), (4,), (), ())
+
+
+def _rows_twin(sys: MetricSystem) -> MetricSystem:
+    return MetricSystem.from_rows(sys.names, sys.inputs, sys.outputs, sys.initial,
+                                  sys.secret, sys.post_bits)
+
+
+def test_a_system_built_from_rows_equals_its_triple_built_twin():
+    """Every derived table of a row-built system is its triple-built twin's,
+    bit for bit and in the same order, and the twins are equal."""
+    rng = random.Random(2901)
+    for _ in range(300):
+        triples = random_system(rng, max_states=12, max_inputs=4)
+        rows = _rows_twin(triples)
+        assert "transitions" not in vars(rows)  # read off the rows only when asked
+        for table in ("post_bits", "pre_bits", "succ_any", "pred_any", "transitions"):
+            assert getattr(rows, table) == getattr(triples, table), table
+        assert rows == triples and hash(rows) == hash(triples)
+        assert rows.n_transitions == len(triples.transitions)
+        assert serialize_system(rows) == serialize_system(triples)
+
+
+@pytest.mark.parametrize("post_bits, message", [
+    (((0b1, 0b10, 0b100),), "successor rows: 1 rows for 2 inputs"),
+    (((1, 2, 4), (1, 2, 4), (1, 2, 4)), "successor rows: 3 rows for 2 inputs"),
+    (((1, 2, 4), (1, 2)), "successor row 1: 2 bitsets for 3 states"),
+    (((1, 2, 4), (1, 0b1000, 4)), r"successor row 1: the bitset of state 's1' is not in \[0, 2\*\*3\)"),
+    (((1, 2, 4), (1, 2, 0b111)), None),  # every bit below n: accepted
+    (((1, 2, -1), (1, 2, 4)), r"successor row 0: the bitset of state 's2' is not in \[0, 2\*\*3\)"),
+], ids=["too-few-rows", "too-many-rows", "short-row", "bit-past-n", "all-bits", "negative"])
+def test_the_row_constructor_refuses_rows_of_the_wrong_shape_or_range(post_bits, message):
+    base = tiny([])
+    build = lambda: MetricSystem.from_rows(base.names, base.inputs, base.outputs,
+                                           base.initial, base.secret, post_bits)
+    if message is None:
+        assert build().post_bits == post_bits
+        return
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build()
+
+
+def test_systems_are_frozen():
+    for sys in (tiny([(0, 0, 1)]), _rows_twin(tiny([(0, 0, 1)]))):
+        with pytest.raises(AttributeError):
+            sys.names = ("x",)
+        with pytest.raises(AttributeError):
+            del sys.secret
