@@ -85,15 +85,15 @@ def _lattice_system(
     cs: DtControlSystem, eta: float, mu: float, cap: int, label: str, ball: bool,
 ) -> MetricSystem:
     """The finite system on the eta-lattice of the state box and the
-    mu-lattice of the input box. Every image f(x, u) is computed in grid
-    order and must be finite. With `ball`, (x, u) steps to every lattice
-    point within eta of its image, and the successor bitset rows that
-    `close_rows` gives are the system's rows; without it, to the nearest
-    lattice point alone, kept as a (src, input, dst) triple, since rows
-    would spend |U| ints per state on one successor per pair. The initial
-    and secret states are the lattice points in the plant's initial and
-    secret regions. More than `cap` states or inputs are refused before any
-    point is built."""
+    mu-lattice of the input box, built as successor bitset rows. Every
+    image f(x, u) is computed in grid order and must be finite. With
+    `ball`, (x, u) steps to every lattice point within eta of its image,
+    the rows that `close_rows` gives; without it, to the nearest lattice
+    point alone, whose one `1 << index` int is shared by every pair that
+    snaps to it, so the rows of a sampled system cost a reference per pair.
+    The initial and secret states are the lattice points in the plant's
+    initial and secret regions. More than `cap` states or inputs are
+    refused before any point is built."""
     for box, step, kind in ((cs.state_box, eta, "states"), (cs.input_box, mu, "inputs")):
         if grid_size(box, step) > cap:
             raise ResourceError(f"{label} exceeds the cap of {cap} {kind}")
@@ -102,16 +102,13 @@ def _lattice_system(
     inputs = grid(cs.input_box, mu)
     step, m = cs.step, len(inputs)
     images = [step(x, u) for x in points for u in inputs]
-    if not ball:
-        state_ids = tuple(range(len(points)))  # one int per state, shared by every triple
-        index = dict(zip(points, state_ids))
-        nearest = nearest_lattice(cs.state_box, eta)
-        pairs = product(state_ids, range(m))
-        transitions = tuple([(xi, ui, index[nearest(image)])
-                             for (xi, ui), image in zip(pairs, images)])
-        return MetricSystem(**_lattice_fields(cs, axes, points, inputs),
-                            transitions=transitions)
-    rows = close_rows(images, points, eta)
+    if ball:
+        rows = close_rows(images, points, eta)
+    else:
+        index = {p: i for i, p in enumerate(points)}
+        bits: dict[tuple[float, ...], int] = {}
+        rows = [bits.get(p) or bits.setdefault(p, 1 << index[p])
+                for p in map(nearest_lattice(cs.state_box, eta), images)]
     if not all(rows):
         k = rows.index(0)
         x, u = points[k // m], inputs[k % m]

@@ -160,11 +160,12 @@ def confirm_witness(
     states, inputs = witness.states, witness.inputs
     if len(states) != len(inputs) + 1:
         raise ValidationError("witness shape mismatch")
-    edges = set(sys.transitions)
-    for t, u in enumerate(inputs):
-        if (states[t], u, states[t + 1]) not in edges:
-            return False
-    if not all(0 <= x < sys.n_states for x in states):  # a one-state path
+    post = sys.post_bits
+    # indices in range first: a negative one would wrap around in the rows
+    if not (all(0 <= x < sys.n_states for x in states)
+            and all(0 <= u < len(post) for u in inputs)):
+        return False
+    if not all(post[u][src] >> dst & 1 for src, u, dst in zip(states, inputs, states[1:])):
         return False
     # the rows of the witness's own states, the only ones read
     close = {x: sys.close_bits(x, delta) for x in set(states)}

@@ -18,12 +18,11 @@ from typing import Callable, Sequence
 
 from .errors import DomainError, ParseError
 
-__all__ = ["compile_expr", "compile_map", "ExprFn", "MapFn"]
+__all__ = ["compile_map", "MapFn"]
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
-ExprFn = Callable[[Sequence[float], Sequence[float]], float]
 MapFn = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
 
 
@@ -106,8 +105,3 @@ def compile_map(texts: Sequence[str], n_states: int, n_inputs: int) -> MapFn:
 
     return run
 
-
-def compile_expr(text: str, n_states: int, n_inputs: int) -> ExprFn:
-    """Compile one expression over x1..xn, u1..um into a callable f(x, u)."""
-    run = compile_map([text], n_states, n_inputs)
-    return lambda x, u: run(x, u)[0]

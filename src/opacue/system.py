@@ -4,13 +4,14 @@ States are interned to dense integers 0..n-1 and every state set in this
 package is carried as a Python int used as a bitset (bit i == state i), so
 that the observer construction can hash sets of state pairs cheaply.
 
-A system holds its transitions as (src, input, dst) triples or as
-per-input successor bitset rows. Parsed files and `sample_system` hold
-triples: a sampled system has one successor per (state, input), and rows
-would spend an int per pair on it (2.8 GB of ints for the 3-D eta = 0.025
-stand-in of 68,921 states and 27 inputs, which peaks at 576 MB with
-triples). Lattice abstractions hold rows (`MetricSystem.from_rows`): their
-transition table is computed as rows, and the engine reads rows anyway.
+A system stores its transitions in one form, per-input successor bitset
+rows (`MetricSystem.post_bits`); its predecessor and any-input tables, its
+(src, input, dst) triples and its file are all derived from the rows.
+Triples given to the constructor, as a parsed file gives them, become rows
+in one pass. A bitset with one successor is that successor's one shared
+`1 << dst` int, so a system with one successor per (state, input) costs a
+reference per pair: `sample_system`'s 3-D eta = 0.025 stand-in (68,921
+states, 27 inputs, 2,744 distinct targets) peaks at 386 MB.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial, reduce
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional, Sequence
@@ -195,14 +196,13 @@ class OpacityNotion:
 class MetricSystem:
     """A finite transition system with real-vector outputs and a secret set.
 
-    Its transitions come in one of two forms. `MetricSystem(..., transitions)`
-    keeps (src, input, dst) index triples and derives its bitset tables from
-    them; `parse_system` and `sample_system` build systems this way. The
-    row constructor `MetricSystem.from_rows(..., post_bits)` keeps the
-    per-input successor bitsets themselves: the lattice abstraction computes
-    them as rows in one `close_rows` call, and its engine reads rows, so
-    such a system reads its triples off the rows only when something asks
-    for them. Equality compares all six fields, whatever the form.
+    Its transitions are stored in one form, `post_bits[u][x]`, the bitset of
+    the u-successors of x: one row per input, one bitset per state in each
+    row. `MetricSystem(..., transitions)` turns (src, input, dst) index
+    triples into rows in one pass, with one `1 << dst` int per distinct
+    target, shared by every bitset that holds it alone;
+    `MetricSystem.from_rows` takes the rows themselves. Every other table
+    is derived from the rows. Equality compares all six fields.
 
     Immutable after construction; safe to share across concurrent readers.
     """
@@ -212,37 +212,38 @@ class MetricSystem:
     outputs: tuple[tuple[float, ...], ...]
     initial: tuple[int, ...]
     secret: tuple[int, ...]
-    # (src, input, dst) indices: given, or read off the rows (the cached
-    # property below)
-    transitions: tuple[tuple[int, int, int], ...]
+    # post_bits[u][x] = bitset of u-successors of x
+    post_bits: tuple[tuple[int, ...], ...]
 
     def __init__(self, names, inputs, outputs, initial, secret, transitions):
         vars(self).update(names=names, inputs=inputs, outputs=outputs, initial=initial,
-                          secret=secret, transitions=transitions, _from_rows=False)
-        self._validate()
+                          secret=secret)
+        self._validate(transitions)
+        vars(self)["post_bits"] = _triple_rows(transitions, len(names), len(inputs))
 
     @classmethod
     def from_rows(cls, names, inputs, outputs, initial, secret,
                   post_bits: Sequence[Sequence[int]]) -> "MetricSystem":
-        """A system whose transitions are given as `post_bits[u][x]`, the
-        bitset of the u-successors of x: one row per input, one bitset per
-        state in each row, each bitset in [0, 2**n). Shape and range are
-        checked in bulk over all rows."""
+        """A system whose transitions are given as `post_bits[u][x]`, each
+        bitset in [0, 2**n). Shape and range are checked in bulk over all
+        rows."""
         system = cls.__new__(cls)
         vars(system).update(names=names, inputs=inputs, outputs=outputs, initial=initial,
-                            secret=secret, post_bits=tuple(map(tuple, post_bits)),
-                            _from_rows=True)
-        system._validate()
+                            secret=secret, post_bits=tuple(map(tuple, post_bits)))
+        system._validate(())  # no triples, so none repeated
+        system._validate_rows()
         return system
 
-    def _validate(self) -> None:
+    def _validate(self, transitions: Sequence[tuple[int, int, int]]) -> None:
+        """Check every field but the transitions' ranges, which are checked
+        as the rows are built or read, last."""
         n = len(self.names)
         if n == 0:
             raise ValidationError("a system must have at least one state")
         if len(set(self.names)) != n:
             raise ValidationError("duplicate state names")
         # before the input labels: a document names duplicate transitions first
-        if not self._from_rows and len(set(self.transitions)) != len(self.transitions):
+        if len(set(transitions)) != len(transitions):
             raise ValidationError("duplicate transitions")
         if len(set(self.inputs)) != len(self.inputs):
             raise ValidationError("duplicate input labels")
@@ -272,14 +273,6 @@ class MetricSystem:
             for i in group:
                 if not 0 <= i < n:
                     raise ValidationError(f"{label} state index {i} out of range")
-        if self._from_rows:
-            self._validate_rows()
-            return
-        for src, u, dst in self.transitions:
-            if not 0 <= src < n or not 0 <= dst < n:
-                raise ValidationError(f"transition ({src},{u},{dst}) endpoint unknown")
-            if not 0 <= u < len(self.inputs):
-                raise ValidationError(f"transition ({src},{u},{dst}) input unknown")
 
     def _validate_rows(self) -> None:
         n, rows = len(self.names), self.post_bits
@@ -303,9 +296,8 @@ class MetricSystem:
 
     @cached_property
     def transitions(self) -> tuple[tuple[int, int, int], ...]:
-        """The (src, input, dst) index triples. A system built from rows
-        reads them off its rows, in that sorted order, the first time they
-        are asked for."""
+        """The (src, input, dst) index triples, read off the rows in sorted
+        order the first time they are asked for."""
         post = self.post_bits
         return tuple((x, u, d) for x in range(self.n_states)
                      for u, row in enumerate(post) for d in iter_bits(row[x]))
@@ -332,51 +324,46 @@ class MetricSystem:
         return bits_of(self.secret)
 
     @cached_property
-    def post_bits(self) -> tuple[tuple[int, ...], ...]:
-        """post_bits[u][x] = bitset of u-successors of x (given to `from_rows`)."""
-        table = [[0] * self.n_states for _ in self.inputs]
-        for src, u, dst in self.transitions:
-            table[u][src] |= 1 << dst
-        return tuple(tuple(row) for row in table)
-
-    @cached_property
     def pre_bits(self) -> tuple[tuple[int, ...], ...]:
         """pre_bits[u][x] = bitset of u-predecessors of x."""
-        if self._from_rows:
-            return tuple(_transpose(row) for row in self.post_bits)
-        table = [[0] * self.n_states for _ in self.inputs]
-        for src, u, dst in self.transitions:
-            table[u][dst] |= 1 << src
-        return tuple(tuple(row) for row in table)
+        return tuple(_transpose(row) for row in self.post_bits)
 
     @cached_property
     def succ_any(self) -> tuple[int, ...]:
-        """succ_any[x] = bitset of successors of x under any input."""
-        if self._from_rows:
-            out = (0,) * self.n_states
-            for row in self.post_bits:
-                out = tuple(map(operator.or_, out, row))
-            return out
-        out = [0] * self.n_states
-        for src, _, dst in self.transitions:
-            out[src] |= 1 << dst
-        return tuple(out)
+        """succ_any[x] = bitset of successors of x under any input: the OR
+        of column x of the rows, one column at a time, and of a zero row
+        that keeps a system without inputs total."""
+        columns = zip(*self.post_bits, (0,) * self.n_states)
+        return tuple(map(partial(reduce, operator.or_), columns))
 
     @cached_property
     def pred_any(self) -> tuple[int, ...]:
         """pred_any[x] = bitset of predecessors of x under any input."""
-        if self._from_rows:
-            return _transpose(self.succ_any)
-        out = [0] * self.n_states
-        for src, _, dst in self.transitions:
-            out[dst] |= 1 << src
-        return tuple(out)
+        return _transpose(self.succ_any)
 
     def close_bits(self, reference: int, delta: float) -> int:
         """Bitset of states whose output is delta-close to that of `reference`,
         tested pair by pair by `delta_close`."""
         ref = self.outputs[reference]
         return bits_of(i for i, y in enumerate(self.outputs) if delta_close(ref, y, delta))
+
+
+def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
+                 ) -> tuple[tuple[int, ...], ...]:
+    """Successor rows of (src, input, dst) triples over n states and m
+    inputs, each triple's range checked in turn. A bitset holding one
+    target is that target's one shared `1 << dst` int."""
+    bits: dict[int, int] = {}
+    table = [[0] * n for _ in range(m)]
+    for src, u, dst in transitions:
+        if not 0 <= src < n or not 0 <= dst < n:
+            raise ValidationError(f"transition ({src},{u},{dst}) endpoint unknown")
+        if not 0 <= u < m:
+            raise ValidationError(f"transition ({src},{u},{dst}) input unknown")
+        bit = bits.get(dst) or bits.setdefault(dst, 1 << dst)
+        row = table[u]
+        row[src] = row[src] | bit if row[src] else bit
+    return tuple(map(tuple, table))
 
 
 def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
@@ -451,8 +438,9 @@ def parse_system(text: str | bytes) -> MetricSystem:
     that run per item build their message only when they fail.
     """
     # The decoded document and the transition tuples are many small
-    # containers that all stay alive: cyclic garbage collection, triggered
-    # over and over while they are allocated, would find nothing to free.
+    # containers that all stay alive while the system is built: cyclic
+    # garbage collection, triggered over and over while they are
+    # allocated, would find nothing to free.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -525,7 +513,7 @@ def _parse_system(text: str | bytes) -> MetricSystem:
         outputs=tuple(outputs),
         initial=initial,
         secret=secret,
-        transitions=tuple(sorted(transitions)),
+        transitions=transitions,
     )
 
 
@@ -602,19 +590,12 @@ def serialize_system(sys: MetricSystem) -> str:
         f'{{\n      "name": {name},\n      "output": {json_array([_json_text(v) for v in out], 3)}\n    }}'
         for name, out in zip(names3, sys.outputs)
     ]
-    if sys._from_rows:
-        triples = _row_triples(sys.post_bits, names3, labels3)
-    else:
-        triples = [
-            f"[\n      {names3[s]},\n      {labels3[u]},\n      {names3[d]}\n    ]"
-            for s, u, d in sorted(sys.transitions)
-        ]
     return (
         f'{{\n  "states": {json_array(states, 1)},'
         f'\n  "inputs": {json_array(_indented(labels, 2), 1)},'
         f'\n  "initial": {json_array([names2[i] for i in sorted(sys.initial)], 1)},'
         f'\n  "secret": {json_array([names2[i] for i in sorted(sys.secret)], 1)},'
-        f'\n  "transitions": {json_array(triples, 1)}\n}}\n'
+        f'\n  "transitions": {json_array(_row_triples(sys.post_bits, names3, labels3), 1)}\n}}\n'
     )
 
 

@@ -30,6 +30,10 @@ def gridworld_c2():
     return load_fixture("gridworld_c2.json")
 
 
+# The fields a system stores: the five given ones and its successor rows.
+STORED_FIELDS = {"names", "inputs", "outputs", "initial", "secret", "post_bits"}
+
+
 def random_system(
     rng: random.Random,
     max_states: int = 5,

@@ -16,7 +16,7 @@ from opacue.errors import DomainError, QuantizationError, ResourceError
 from opacue.simrel import max_initsop_relation
 from opacue.system import MetricSystem, close_rows, iter_bits, parse_system, serialize_system
 
-from .conftest import linear_plant
+from .conftest import STORED_FIELDS, linear_plant
 
 
 def linear_cs(a=0.5, b=1.0, secret=(0.0, 0.5)):
@@ -397,6 +397,32 @@ def test_sample_system_snaps_an_image_whose_quotient_by_eta_overflows():
         for x in range(11) for u in range(len(s.inputs)))
 
 
+def test_a_sampled_system_shares_one_int_per_distinct_target():
+    """Each (state, input) of a sampled system has one successor, and every
+    pair that snaps to the same lattice point holds that point's one int,
+    so the rows cost a reference per pair. A system built from the same
+    triples shares its ints the same way."""
+    cs = DtControlSystem(
+        state_box=Box(((0.0, 1.0), (0.0, 1.0))),
+        initial_region=BoxUnion((Box(((0.0, 1.0), (0.0, 1.0))),)),
+        secret_region=BoxUnion((Box(((0.0, 0.5), (0.0, 1.0))),)),
+        input_box=Box(((0.0, 0.1), (0.0, 0.1))),
+        dynamics=("0.5*x1 + u1", "0.25*x2 + 0.5*x1 + u2"),
+        output=("x1",),
+        iss_cert=IssCertificate(1.0, 0.75, 0.4, 1.0),
+    )
+    sampled = sample_system(cs, eta=0.05, mu=0.05)
+    twin = MetricSystem(sampled.names, sampled.inputs, sampled.outputs, sampled.initial,
+                        sampled.secret, sampled.transitions)
+    assert twin == sampled
+    for system in (sampled, twin):
+        cells = [bits for row in system.post_bits for bits in row]
+        assert len(cells) == 441 * 9 and all(bits.bit_count() == 1 for bits in cells)
+        targets = set(cells)
+        assert 1 < len(targets) < 441 and max(targets) > 1 << 256  # not small-int cached
+        assert len(set(map(id, cells))) == len(targets)
+
+
 # Lattice points per axis at eta = 0.125 on [0, (points - 1) * eta]: a row
 # of a byte's width, one past it, two bytes, one past them.
 AXIS_POINTS = (8, 9, 16, 17)
@@ -416,9 +442,10 @@ def _random_region(rng, bounds, eta, boxes):
 
 
 def test_a_row_built_abstraction_equals_its_parsed_twin():
-    """`build_abstraction` keeps the successor rows; parsing its file keeps
-    triples. The two systems, and every table derived from them, agree bit
-    for bit and in the same order. `sample_system` still builds triples."""
+    """`build_abstraction` builds the successor rows; parsing its file turns
+    the file's triples into rows. The two systems, and every table derived
+    from them, agree bit for bit and in the same order. Every one of them,
+    and `sample_system`'s, stores the rows and nothing else."""
     rng = random.Random(2902)
     eta, built, unions = 0.125, 0, 0
     while built < 12:
@@ -445,16 +472,15 @@ def test_a_row_built_abstraction_equals_its_parsed_twin():
         built += 1
         unions += len(cs.initial_region.boxes) + len(cs.secret_region.boxes) > 2
         system = a.system
-        assert "transitions" not in vars(system)  # rows, not triples
         assert system.n_states == math.prod(counts)
         twin = parse_system(serialize_system(system))
-        assert "post_bits" not in vars(twin)
+        sampled = sample_system(cs, eta, 0.125)
+        for stored in (system, twin, sampled):  # no table derived yet
+            assert set(vars(stored)) == STORED_FIELDS
         for table in ("post_bits", "pre_bits", "succ_any", "pred_any", "transitions"):
             assert getattr(system, table) == getattr(twin, table), table
         assert system == twin
         assert system.n_transitions == len(twin.transitions)
         assert serialize_system(twin) == serialize_system(system)
-        sampled = sample_system(cs, eta, 0.125)
-        assert "transitions" in vars(sampled) and "post_bits" not in vars(sampled)
         assert (sampled.initial, sampled.secret) == (system.initial, system.secret)
     assert unions

@@ -103,6 +103,12 @@ def test_confirm_witness_rejects_each_broken_claim():
     assert not confirm(initial, (1, 1)) and not confirm(initial, (2, 2))
     # a one-state path must name a state of the system
     assert not confirm(initial, (3,)) and not confirm(initial, (-1,))
+    # every step must stay in range: a negative index would wrap around to
+    # the real step (0, u, 2) or (2, u, 2), a large one raise
+    for states, inputs in (((0, 2), (-1,)), ((0, 2), (1,)), ((0, -1), (0,)),
+                           ((0, 3), (0,)), ((0, -3, 2), (0, 0)), ((0, 2), (float("nan"),))):
+        assert not confirm_witness(sys_, 0.0, initial, Witness(states, inputs))
+    assert not confirm(current, (-1, 2), 1) and not confirm(current, (2, -1), 1)
     # current-state: the path must end on a secret state
     assert confirm(current, (0, 2), 1)
     assert not confirm(current, (1, 1), 1)

@@ -18,20 +18,20 @@ from opacue.control import (
     parse_control_system,
 )
 from opacue.errors import DomainError, ParseError, ValidationError
-from opacue.expr import compile_expr, compile_map
+from opacue.expr import compile_map
 
 
 # -- expression grammar --------------------------------------------------------
 
 def test_expr_linear_and_functions():
-    f = compile_expr("0.5*x1 + u1", 1, 1)
-    assert f((1.0,), (0.1,)) == pytest.approx(0.6)
-    g = compile_expr("sin(x1) + cos(x2) - exp(u1) / 2 + abs(-x1)", 2, 1)
-    assert g((0.3, 0.4), (0.0,)) == pytest.approx(
+    f = compile_map(["0.5*x1 + u1"], 1, 1)
+    assert f((1.0,), (0.1,))[0] == pytest.approx(0.6)
+    g = compile_map(["sin(x1) + cos(x2) - exp(u1) / 2 + abs(-x1)"], 2, 1)
+    assert g((0.3, 0.4), (0.0,))[0] == pytest.approx(
         math.sin(0.3) + math.cos(0.4) - 0.5 + 0.3
     )
-    h = compile_expr("-x1", 1, 0)
-    assert h((2.0,), ()) == -2.0
+    h = compile_map(["-x1"], 1, 0)
+    assert h((2.0,), ())[0] == -2.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -48,7 +48,7 @@ def test_expr_linear_and_functions():
 ])
 def test_expr_rejects_out_of_grammar(bad):
     with pytest.raises(ParseError):
-        compile_expr(bad, 2, 1)
+        compile_map([bad], 2, 1)
 
 
 @pytest.mark.parametrize("depth", [1500, 5000])
@@ -57,7 +57,7 @@ def test_expr_nested_too_deeply_is_a_parse_error(depth):
     # in the parser at 5,000
     text = "-" * depth + "x1"
     with pytest.raises(ParseError) as info:
-        compile_expr(text, 1, 0)
+        compile_map([text], 1, 0)
     assert str(info.value) == f"expression {text!r}: nested too deeply"
 
 
@@ -95,7 +95,7 @@ def _random_expr(rng, names, depth):
 def _outcome(fn, x, u):
     try:
         value = fn(x, u)
-    except DomainError as exc:  # compile_expr raises it from the arithmetic error
+    except DomainError as exc:  # compile_map raises it from the arithmetic error
         return DomainError, type(exc.__cause__)
     except ArithmeticError as exc:  # division by zero, exp overflow
         return type(exc)
@@ -116,7 +116,8 @@ def test_compiled_expressions_match_the_dict_eval_path():
         nodes = list(ast.walk(ast.parse(text)))
         seen.update(type(node).__name__ for node in nodes)
         seen.update(node.id for node in nodes if isinstance(node, ast.Name))
-        compiled = compile_expr(text, n_states, n_inputs)
+        run = compile_map([text], n_states, n_inputs)
+        compiled = lambda x, u: run(x, u)[0]
         reference = _dict_eval_reference(text, n_states, n_inputs)
         for _ in range(4):
             x = tuple(rng.choice(coords) for _ in range(n_states))
@@ -138,7 +139,7 @@ def test_compiled_expressions_match_the_dict_eval_path():
             except DomainError as exc:
                 got = str(exc)
             try:
-                want = tuple(compile_expr(t, n_states, n_inputs)(x, u) for t in texts)
+                want = tuple(compile_map([t], n_states, n_inputs)(x, u)[0] for t in texts)
             except DomainError as exc:
                 want = str(exc)
             assert repr(got) == repr(want), (texts, x, u)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from opacue.compositional import parse_interconnection
 from opacue.control import parse_control_system
-from opacue.expr import compile_expr
+from opacue.expr import compile_map
 from opacue.polynomial import parse_polynomial
 
 EXPECTED = Path(__file__).resolve().parent / "format_errors.json"
@@ -164,7 +164,7 @@ def outcomes() -> dict:
     for name, doc in POLYNOMIAL.items():
         found[name] = _outcome(parse_polynomial, _text(doc))
     for name, text in EXPRESSION.items():
-        found[name] = _outcome(lambda t: compile_expr(t, 1, 1), text)
+        found[name] = _outcome(lambda t: compile_map([t], 1, 1), text)
     for name, doc in INTERCONNECTION.items():
         found[name] = _outcome(parse_interconnection, _text(doc))
     return found

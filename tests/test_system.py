@@ -26,7 +26,7 @@ from opacue.system import (
 from opacue.simrel import check_relation
 from opacue.verdict import Witness
 
-from .conftest import random_system, relation
+from .conftest import STORED_FIELDS, random_system, relation
 
 
 def tiny(transitions, n=3, inputs=("a", "b")):
@@ -61,10 +61,19 @@ def test_pre_gridworld_cell8_south_contains_2(gridworld):
 
 
 def test_post_matches_transition_scan_oracle():
+    """Every table derived from the rows, the decoded triples too, against
+    a naive scan of the triples the system was built from, given in
+    shuffled order."""
     rng = random.Random(101)
     for _ in range(100):
-        sys_ = random_system(rng)
-        edges = sys_.transitions
+        n, m = rng.randint(1, 5), rng.randint(1, 3)
+        edges = sorted({(rng.randrange(n), rng.randrange(m), rng.randrange(n))
+                        for _ in range(rng.randint(0, 2 * n * m))})
+        rng.shuffle(edges)
+        sys_ = MetricSystem(tuple(f"s{i}" for i in range(n)), tuple(f"u{j}" for j in range(m)),
+                            tuple((float(i),) for i in range(n)), (0,), (), tuple(edges))
+        assert sys_.transitions == tuple(sorted(edges))
+        assert sys_.n_transitions == len(edges)
         for x in range(sys_.n_states):
             for u in range(len(sys_.inputs)):
                 assert set(iter_bits(sys_.post_bits[u][x])) == {
@@ -427,17 +436,29 @@ def _rows_twin(sys: MetricSystem) -> MetricSystem:
 
 def test_a_system_built_from_rows_equals_its_triple_built_twin():
     """Every derived table of a row-built system is its triple-built twin's,
-    bit for bit and in the same order, and the twins are equal."""
-    rng = random.Random(2901)
+    bit for bit and in the same order, whatever the order of the triples,
+    and the twins are equal. Both store the rows alone; a repeated triple
+    is refused."""
+    rng, order = random.Random(2901), random.Random(2903)
     for _ in range(300):
         triples = random_system(rng, max_states=12, max_inputs=4)
         rows = _rows_twin(triples)
-        assert "transitions" not in vars(rows)  # read off the rows only when asked
+        edges = list(triples.transitions)
+        order.shuffle(edges)
+        fields = (triples.names, triples.inputs, triples.outputs, triples.initial,
+                  triples.secret)
+        shuffled = MetricSystem(*fields, tuple(edges))
+        assert set(vars(rows)) == set(vars(shuffled)) == STORED_FIELDS
         for table in ("post_bits", "pre_bits", "succ_any", "pred_any", "transitions"):
-            assert getattr(rows, table) == getattr(triples, table), table
-        assert rows == triples and hash(rows) == hash(triples)
+            want = getattr(triples, table)
+            assert getattr(rows, table) == want and getattr(shuffled, table) == want, table
+        assert rows == triples == shuffled and hash(rows) == hash(triples) == hash(shuffled)
         assert rows.n_transitions == len(triples.transitions)
-        assert serialize_system(rows) == serialize_system(triples)
+        assert serialize_system(rows) == serialize_system(triples) == serialize_system(shuffled)
+        if edges:
+            edges.insert(order.randrange(len(edges) + 1), order.choice(edges))
+            with pytest.raises(ValidationError, match="^duplicate transitions$"):
+                MetricSystem(*fields, tuple(edges))
 
 
 @pytest.mark.parametrize("post_bits, message", [
