@@ -13,12 +13,8 @@ result plugs directly into the finite-system verifiers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .boxes import (
-    BoxUnion, check_initial_spans, check_span, grid, grid_axes, grid_members, grid_size,
-    nearest_lattice,
-)
+from .boxes import BoxUnion, Lattice, check_initial_spans, check_span
 from .control import (
     DtControlSystem, QuantizationCheck, QuantizationParams, evaluate_quantization_inequality,
 )
@@ -94,12 +90,11 @@ def _lattice_system(
     The initial and secret states are the lattice points in the plant's
     initial and secret regions. More than `cap` states or inputs are
     refused before any point is built."""
-    for box, step, kind in ((cs.state_box, eta, "states"), (cs.input_box, mu, "inputs")):
-        if grid_size(box, step) > cap:
+    lattice, input_lattice = Lattice(cs.state_box, eta), Lattice(cs.input_box, mu)
+    for counted, kind in ((lattice, "states"), (input_lattice, "inputs")):
+        if counted.size > cap:
             raise ResourceError(f"{label} exceeds the cap of {cap} {kind}")
-    axes = grid_axes(cs.state_box, eta)
-    points = list(product(*axes))
-    inputs = grid(cs.input_box, mu)
+    points, inputs = lattice.points(), input_lattice.points()
     step, m = cs.step, len(inputs)
     images = [step(x, u) for x in points for u in inputs]
     if ball:
@@ -108,23 +103,13 @@ def _lattice_system(
         index = {p: i for i, p in enumerate(points)}
         bits: dict[tuple[float, ...], int] = {}
         rows = [bits.get(p) or bits.setdefault(p, 1 << index[p])
-                for p in map(nearest_lattice(cs.state_box, eta), images)]
+                for p in map(lattice.nearest(), images)]
     if not all(rows):
         k = rows.index(0)
         x, u = points[k // m], inputs[k % m]
         raise DomainError(f"f({x}, {u}) = {images[k]} leaves the state box by more than eta",
                           state=x, inp=u)
-    return MetricSystem.from_rows(**_lattice_fields(cs, axes, points, inputs),
-                                  post_bits=[rows[u::m] for u in range(m)])
-
-
-def _lattice_fields(cs: DtControlSystem, axes: list[list[float]],
-                    points: list[tuple[float, ...]], inputs: list[tuple[float, ...]]) -> dict:
-    """Names, outputs and the initial and secret states of a lattice system."""
-    return {
-        "names": tuple(map(_point_name, points)),
-        "inputs": tuple(map(_point_name, inputs)),
-        "outputs": tuple(map(cs.observe, points)),
-        "initial": grid_members(cs.initial_region, axes),
-        "secret": grid_members(cs.secret_region, axes),
-    }
+    return MetricSystem.from_rows(
+        names=tuple(map(_point_name, points)), inputs=tuple(map(_point_name, inputs)),
+        outputs=tuple(map(cs.observe, points)), initial=lattice.members(cs.initial_region),
+        secret=lattice.members(cs.secret_region), post_bits=[rows[u::m] for u in range(m)])

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid
+from .boxes import BoxUnion, Lattice, check_initial_spans, check_span
 from .control import DtControlSystem
 from .errors import DomainError
 from .polynomial import tabulate
-from .system import DEFAULT_MARGIN, check_delta, check_threshold, close_rows, iter_bits
+from .system import DEFAULT_MARGIN, bits_of, check_delta, check_threshold, close_rows, iter_bits
 
 __all__ = [
     "Evaluator",
@@ -85,22 +85,22 @@ def build_regions(
     check_span("resolution", resolution, cs.input_box.span, "input box")
     check_initial_spans("resolution", resolution, cs.initial_region, cs.secret_region,
                         "region")
-    points = grid(cs.state_box, resolution)
-    outputs = [cs.observe(p) for p in points]
-    return pair_regions(points, outputs, cs.initial_region, cs.secret_region, delta)
+    lattice = Lattice(cs.state_box, resolution)
+    outputs = [cs.observe(p) for p in lattice.points()]
+    return pair_regions(lattice, outputs, cs.initial_region, cs.secret_region, delta)
 
 
-def pair_regions(points: list[tuple[float, ...]], outputs: Sequence[Sequence[float]],
-                 initial: Box | BoxUnion, secret: Box | BoxUnion,
-                 delta: float) -> AugmentedRegions:
-    """The augmented regions of `points`, whose outputs are `outputs`, for
-    the given initial and secret sets; closeness is one `close_rows` table."""
+def pair_regions(lattice: Lattice, outputs: Sequence[Sequence[float]], initial: BoxUnion,
+                 secret: BoxUnion, delta: float) -> AugmentedRegions:
+    """The augmented regions of the lattice's points, whose outputs are
+    `outputs`, for the given initial and secret sets; closeness is one
+    `close_rows` table."""
     close = close_rows(outputs, outputs, delta)
-    in_initial = sum(1 << i for i, p in enumerate(points) if initial.contains(p))
-    in_secret = sum(1 << i for i, p in enumerate(points) if secret.contains(p))
+    in_initial = bits_of(lattice.members(initial))
+    in_secret = bits_of(lattice.members(secret))
     r0 = [row & in_initial & ~in_secret if (in_initial & in_secret) >> i & 1 else 0
           for i, row in enumerate(close)]
-    return AugmentedRegions(points=points, r0=r0, close=close)
+    return AugmentedRegions(points=lattice.points(), r0=r0, close=close)
 
 
 @dataclass(frozen=True)
@@ -252,7 +252,7 @@ def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
     raises, or makes the slack NaN where the quantifier's min and max would
     hide it.
     """
-    inputs = grid(cs.input_box, resolution)
+    inputs = Lattice(cs.input_box, resolution).points()
     succ = {x: [cs.step(x, u) for u in inputs] for x in points}
     outer, inner = _OVER_VALUES[quantify]
     n = len(inputs)

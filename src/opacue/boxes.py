@@ -1,6 +1,6 @@
 """Axis-aligned boxes, unions of boxes, and lattice sampling.
 
-Grid points are multiples k*step with the products evaluated in decimal,
+`Lattice` points are multiples k*step with the products evaluated in decimal,
 so a box bound written as a decimal literal (0.3) is hit exactly by the
 lattice point 3*0.1 instead of drifting past it in binary floating point.
 Boxes are closed: lattice points exactly on a face belong to the grid.
@@ -13,12 +13,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import QuantizationError, ValidationError
 
-__all__ = ["Box", "BoxUnion", "check_span", "grid_interval", "grid", "grid_axes",
-           "grid_members", "grid_size", "nearest_lattice"]
+__all__ = ["Box", "BoxUnion", "Lattice", "check_span", "grid"]
 
 
 @dataclass(frozen=True)
@@ -124,22 +124,6 @@ class BoxUnion:
         return BoxUnion(tuple(remaining))
 
 
-def _lattice_range(lo: float, hi: float, step: Decimal) -> range:
-    """Integer k with lo <= k*step <= hi, widened then re-checked exactly."""
-    kmin = math.ceil(Decimal(str(lo)) / step) - 1
-    kmax = math.floor(Decimal(str(hi)) / step) + 1
-    while float(kmin * step) < lo:
-        kmin += 1
-    while float(kmax * step) > hi:
-        kmax -= 1
-    return range(kmin, kmax + 1)
-
-
-def _check_step(step: float) -> None:
-    if not 0 < step < math.inf:
-        raise ValidationError(f"grid step must be a finite positive number, got {step}")
-
-
 def check_span(name: str, step: float, span: float, of: str) -> None:
     """Raise QuantizationError when a sampling step exceeds the span of the
     set it samples: such a lattice can miss the set entirely."""
@@ -156,73 +140,85 @@ def check_initial_spans(name: str, step: float, initial: BoxUnion, secret: BoxUn
     check_span(name, step, initial.subtract(secret).span, f"initial-minus-secret {of}")
 
 
-def grid_interval(lo: float, hi: float, step: float) -> list[float]:
-    """Lattice multiples of step inside the closed interval [lo, hi]."""
-    _check_step(step)
-    dstep = Decimal(str(step))
-    return [float(k * dstep) for k in _lattice_range(lo, hi, dstep)]
+@dataclass(frozen=True)
+class Lattice:
+    """The points k*step (component-wise) of a closed box, numbered in
+    row-major order, each axis ascending. The step must be finite, positive
+    and at most the box's span: a coarser lattice can miss the box."""
 
+    box: Box
+    step: float
 
-def grid_axes(box: Box, step: float) -> list[list[float]]:
-    """Per axis, the lattice values of the box, ascending and without
-    duplicates: `grid(box, step)` is their product in row-major order.
+    def __post_init__(self):
+        if not 0 < self.step < math.inf:
+            raise ValidationError(f"grid step must be a finite positive number, got {self.step}")
+        check_span("grid step", self.step, self.box.span, "region")
 
-    Raises QuantizationError when the step exceeds the box's span, since
-    such a grid can miss the box entirely.
-    """
-    _check_step(step)
-    check_span("grid step", step, box.span, "region")
-    return [sorted(set(grid_interval(lo, hi, step))) for lo, hi in box.bounds]
+    @cached_property
+    def _ks(self) -> list[range]:
+        """Per axis, the integers k with lo <= k*step <= hi: a range
+        widened, then narrowed by exact float comparisons."""
+        dstep, ranges = Decimal(str(self.step)), []
+        for lo, hi in self.box.bounds:
+            kmin = math.ceil(Decimal(str(lo)) / dstep) - 1
+            kmax = math.floor(Decimal(str(hi)) / dstep) + 1
+            while float(kmin * dstep) < lo:
+                kmin += 1
+            while float(kmax * dstep) > hi:
+                kmax -= 1
+            ranges.append(range(kmin, kmax + 1))
+        return ranges
+
+    def _values(self) -> list[list[float]]:
+        """Per axis, k*step for each k of `_ks`; rounding may repeat one."""
+        dstep = Decimal(str(self.step))
+        return [[float(k * dstep) for k in ks] for ks in self._ks]
+
+    @property
+    def size(self) -> int:
+        """How many points (at most, if rounding merges any), counted without building one."""
+        return math.prod(ks.stop - ks.start for ks in self._ks)  # len() stops at sys.maxsize
+
+    @cached_property
+    def axes(self) -> list[list[float]]:
+        """Per axis, the lattice values, ascending and without duplicates."""
+        return [sorted(set(values)) for values in self._values()]
+
+    def points(self) -> list[tuple[float, ...]]:
+        """Every point, the product of the axes in row-major order."""
+        return list(itertools.product(*self.axes))
+
+    def members(self, region: BoxUnion) -> tuple[int, ...]:
+        """The indices, ascending, of the points that `region.contains`.
+
+        No point is tested: per box, each axis contributes the window of its
+        values v with lo <= v <= hi, found by bisection with the same float
+        comparisons, and the box's points are the product of its windows.
+        """
+        axes = self.axes
+        members: set[int] = set()
+        for box in region.boxes:
+            if box.dim != len(axes):
+                raise ValidationError("point dimension mismatch")
+            indices = [0]
+            for axis, (lo, hi) in zip(axes, box.bounds):
+                window = range(bisect.bisect_left(axis, lo), bisect.bisect_right(axis, hi))
+                indices = [i * len(axis) + k for i in indices for k in window]
+            members.update(indices)
+        return tuple(sorted(members))
+
+    def nearest(self) -> Callable[[Sequence[float]], tuple[float, ...]]:
+        """The map from a point to its nearest lattice point, clamped into
+        the box; a tie rounds to the even multiple of step."""
+        axes = [(ks.start, ks.stop - 1, values) for ks, values in zip(self._ks, self._values())]
+        step = self.step
+        # The quotient is clamped to the axis's index range before `round`, which
+        # is monotone and fixes integers: the same index as clamping after it,
+        # and a finite point whose quotient overflows to infinity still snaps.
+        return lambda point: tuple(values[round(min(max(p / step, first), last)) - first]
+                                   for p, (first, last, values) in zip(point, axes))
 
 
 def grid(box: Box, step: float) -> list[tuple[float, ...]]:
-    """All lattice points k*step (component-wise) inside the box, sorted and
-    without duplicates; raises what `grid_axes` raises."""
-    return list(itertools.product(*grid_axes(box, step)))
-
-
-def grid_members(region: BoxUnion, axes: Sequence[Sequence[float]]) -> tuple[int, ...]:
-    """The indices, ascending, of the points of `product(*axes)` (row-major,
-    each axis ascending, as `grid_axes` gives them) that `region.contains`.
-
-    No point is tested: per box, each axis contributes the window of its
-    values v with lo <= v <= hi, found by bisection with the same float
-    comparisons, and the box's points are the product of its windows.
-    """
-    members: set[int] = set()
-    for box in region.boxes:
-        if box.dim != len(axes):
-            raise ValidationError("point dimension mismatch")
-        indices = [0]
-        for axis, (lo, hi) in zip(axes, box.bounds):
-            window = range(bisect.bisect_left(axis, lo), bisect.bisect_right(axis, hi))
-            indices = [i * len(axis) + k for i in indices for k in window]
-        members.update(indices)
-    return tuple(sorted(members))
-
-
-def grid_size(box: Box, step: float) -> int:
-    """How many points `grid(box, step)` returns (at most, if rounding merges
-    any), counted without building one; raises what `grid` raises first."""
-    _check_step(step)
-    check_span("grid step", step, box.span, "region")
-    dstep = Decimal(str(step))
-    ranges = [_lattice_range(lo, hi, dstep) for lo, hi in box.bounds]
-    return math.prod(k.stop - k.start for k in ranges)  # len() stops at sys.maxsize
-
-
-def nearest_lattice(box: Box, step: float) -> Callable[[Sequence[float]], tuple[float, ...]]:
-    """The map from a point to its nearest lattice point of the box grid,
-    clamped into the box; a tie rounds to the even multiple of step."""
-    dstep = Decimal(str(step))
-    axes = []
-    for lo, hi in box.bounds:
-        ks = _lattice_range(lo, hi, dstep)
-        if len(ks) == 0:
-            raise QuantizationError(f"no lattice point in [{lo}, {hi}] at step {step}")
-        axes.append((ks.start, ks.stop - 1, [float(k * dstep) for k in ks]))
-    # The quotient is clamped to the axis's index range before `round`, which
-    # is monotone and fixes integers: the same index as clamping after it,
-    # and a finite point whose quotient overflows to infinity still snaps.
-    return lambda point: tuple(values[round(min(max(p / step, first), last)) - first]
-                               for p, (first, last, values) in zip(point, axes))
+    """`Lattice(box, step).points()`."""
+    return Lattice(box, step).points()

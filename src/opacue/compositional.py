@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Callable, Iterator, Optional, Sequence
 
 from .barrier import Block, Scan, pair_regions, table_blocks
-from .boxes import Box, BoxUnion, check_initial_spans, check_span, grid_interval
+from .boxes import Box, BoxUnion, Lattice, check_initial_spans, check_span
 from .control import DtControlSystem, IssCertificate, affine_certificate
 from .errors import ParseError, SmallGainError, ValidationError
 from .polynomial import tabulate
@@ -174,10 +174,11 @@ def _barrier_conditions(
     margin: float,
 ) -> list[BarrierConditionCheck]:
     """Sample the four local-barrier conditions for one subsystem."""
-    xs = grid_interval(*sub.state.bounds[0], resolution)
-    ws = grid_interval(*partner.state.bounds[0], resolution)
-    points = [(x,) for x in xs]  # the output map is the identity
-    regions = pair_regions(points, points, sub.initial, sub.secret, delta)
+    lattice = Lattice(sub.state, resolution)
+    (xs,), (ws,) = lattice.axes, Lattice(partner.state, resolution).axes
+    points = lattice.points()  # the output map is the identity
+    regions = pair_regions(lattice, points, BoxUnion((sub.initial,)), BoxUnion((sub.secret,)),
+                           delta)
     values = tabulate(b, points, points)  # B once per (x, xh) pair, row by row
     pairs = partial(table_blocks, points, values)  # one block per nonempty row
     full = (1 << len(points)) - 1

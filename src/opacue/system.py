@@ -271,6 +271,8 @@ class MetricSystem:
                     )
         for label, group in (("initial", self.initial), ("secret", self.secret)):
             for i in group:
+                if not isinstance(i, int):
+                    raise ValidationError(f"{label} state index {i!r} is not an integer")
                 if not 0 <= i < n:
                     raise ValidationError(f"{label} state index {i} out of range")
 
@@ -282,11 +284,13 @@ class MetricSystem:
         for u, row in enumerate(rows):
             if len(row) != n:
                 raise ValidationError(f"successor row {u}: {len(row)} bitsets for {n} states")
-        if rows and not (min(map(min, rows)) >= 0 and max(map(max, rows)) >> n == 0):
-            u, x = next((u, x) for u, row in enumerate(rows)
-                        for x, bits in enumerate(row) if not 0 <= bits < 1 << n)
+        if rows and not (all(map(isinstance, chain.from_iterable(rows), repeat(int)))
+                         and min(map(min, rows)) >= 0 and max(map(max, rows)) >> n == 0):
+            u, x, bits = next((u, x, bits) for u, row in enumerate(rows) for x, bits in
+                              enumerate(row) if not (isinstance(bits, int) and 0 <= bits < 1 << n))
+            what = f"not in [0, 2**{n})" if isinstance(bits, int) else f"{bits!r}, not an int"
             raise ValidationError(f"successor row {u}: the bitset of state "
-                                  f"{self.names[x]!r} is not in [0, 2**{n})")
+                                  f"{self.names[x]!r} is {what}")
 
     # -- derived lookups (cached, read-only) --------------------------------
 
@@ -352,17 +356,24 @@ def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
                  ) -> tuple[tuple[int, ...], ...]:
     """Successor rows of (src, input, dst) triples over n states and m
     inputs, each triple's range checked in turn. A bitset holding one
-    target is that target's one shared `1 << dst` int."""
-    bits: dict[int, int] = {}
+    target is that target's one shared `1 << dst` int. Each index indexes
+    a list: only when one is not an int is the offending triple sought."""
+    bits = [0] * n
     table = [[0] * n for _ in range(m)]
-    for src, u, dst in transitions:
-        if not 0 <= src < n or not 0 <= dst < n:
-            raise ValidationError(f"transition ({src},{u},{dst}) endpoint unknown")
-        if not 0 <= u < m:
-            raise ValidationError(f"transition ({src},{u},{dst}) input unknown")
-        bit = bits.get(dst) or bits.setdefault(dst, 1 << dst)
-        row = table[u]
-        row[src] = row[src] | bit if row[src] else bit
+    try:
+        for src, u, dst in transitions:
+            if not 0 <= src < n or not 0 <= dst < n:
+                raise ValidationError(f"transition ({src},{u},{dst}) endpoint unknown")
+            if not 0 <= u < m:
+                raise ValidationError(f"transition ({src},{u},{dst}) input unknown")
+            bit = bits[dst]
+            if not bit:
+                bit = bits[dst] = 1 << dst
+            row = table[u]
+            row[src] = row[src] | bit if row[src] else bit
+    except TypeError:
+        bad = next(t for t in transitions if not all(isinstance(i, int) for i in t))
+        raise ValidationError(f"transition {bad!r} is not three integer indices") from None
     return tuple(map(tuple, table))
 
 
@@ -371,7 +382,8 @@ def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
     out = [0] * len(rows)
     for i, bits in enumerate(rows):
         bit = 1 << i
-        for j in iter_bits(bits):
+        # iter_bits would copy the whole int to find a lone member
+        for j in (bits.bit_length() - 1,) if bits.bit_count() == 1 else iter_bits(bits):
             out[j] |= bit
     return tuple(out)
 

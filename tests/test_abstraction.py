@@ -6,9 +6,8 @@ import random
 
 import pytest
 
-from opacue import abstraction
 from opacue.abstraction import build_abstraction, sample_system
-from opacue.boxes import Box, BoxUnion, grid, grid_interval
+from opacue.boxes import Box, BoxUnion, Lattice, grid
 from opacue.control import (
     DtControlSystem, IssCertificate, QuantizationParams, parse_control_system,
 )
@@ -82,8 +81,8 @@ def test_eta_ball_rows_match_the_linear_scan():
     rng = random.Random(802)
     for eta, bounds in ((0.1, ((0.0, 1.0),)), (0.05, ((0.0, 1.0), (-0.5, 0.5))),
                         (0.025, ((0.0, 1.0), (0.0, 0.5))), (1 / 3, ((0.0, 2.0),) * 3)):
-        axes = [grid_interval(lo, hi, eta) for lo, hi in bounds]
-        points = grid(Box(bounds), eta)
+        lattice = Lattice(Box(bounds), eta)
+        axes, points = lattice.axes, lattice.points()
         images = []
         for _ in range(400):
             image = []
@@ -277,11 +276,11 @@ def test_resource_cap():
 
 
 def test_resource_cap_refuses_before_the_lattice_is_built(monkeypatch):
-    def refusing_grid(box, step):  # fails where the state lattice would be built
-        raise AssertionError(f"grid called for a {box.dim}-D box")
+    def refusing(lattice, *args):  # fails where the state lattice would be built
+        raise AssertionError(f"a {lattice.box.dim}-D lattice is being built")
 
-    monkeypatch.setattr(abstraction, "grid", refusing_grid)
-    monkeypatch.setattr(abstraction, "grid_axes", refusing_grid)
+    monkeypatch.setattr(Lattice, "points", refusing)
+    monkeypatch.setattr(Lattice, "axes", property(refusing))
     # 3^9 = 19,683 lattice points against a cap of 1000
     cs = parse_control_system(json.dumps(linear_plant(9, 0.5, 1.0, (0.0, 0.5))))
     with pytest.raises(ResourceError, match="abstraction exceeds the cap of 1000 states"):
@@ -293,11 +292,11 @@ def test_resource_cap_refuses_before_the_lattice_is_built(monkeypatch):
 
 
 def test_resource_cap_refuses_before_the_input_lattice_is_built(monkeypatch):
-    def refusing_grid(box, step):  # fails where either lattice would be built
-        raise AssertionError(f"grid called for a {box.dim}-D box")
+    def refusing(lattice, *args):  # fails where either lattice would be built
+        raise AssertionError(f"a {lattice.box.dim}-D lattice is being built")
 
-    monkeypatch.setattr(abstraction, "grid", refusing_grid)
-    monkeypatch.setattr(abstraction, "grid_axes", refusing_grid)
+    monkeypatch.setattr(Lattice, "points", refusing)
+    monkeypatch.setattr(Lattice, "axes", property(refusing))
     # 3 states but 2,001 inputs on [0, 0.1] against a cap of 1000
     cs = parse_control_system(json.dumps(linear_plant(1, 0.5, 1.0, (0.0, 0.5))))
     with pytest.raises(ResourceError, match="abstraction exceeds the cap of 1000 inputs"):
@@ -314,7 +313,7 @@ def test_sample_system_snaps_each_image_to_its_nearest_in_box_point():
     # point by distance is the clamped one.
     rng = random.Random(2503)
     eta, bounds = 0.125, ((0.0, 1.0), (-0.5, 0.5))
-    levels = [grid_interval(lo, hi, eta) for lo, hi in bounds]
+    levels = Lattice(Box(bounds), eta).axes
     halves = outside = 0
     for _ in range(4):
         coefs = [[rng.randint(-12, 12) / 8 for _ in range(3)] for _ in bounds]
@@ -357,7 +356,7 @@ def test_outputs_evaluate_concrete_map_at_lattice():
 
 def test_sample_system_fails_closed_on_an_overflowing_image():
     # An infinite image used to raise a bare OverflowError from
-    # nearest_lattice; a NaN image must not become an empty eta-ball row.
+    # the nearest-point map; a NaN image must not become an empty eta-ball row.
     for fault in ("x1*1e308*1e308", "x1*1e308*1e308*0"):
         cs = DtControlSystem(
             state_box=Box(((0.0, 1.0),)),
@@ -378,7 +377,7 @@ def test_sample_system_fails_closed_on_an_overflowing_image():
 
 
 def test_sample_system_snaps_an_image_whose_quotient_by_eta_overflows():
-    # 1e308 / 0.1 overflows to infinity; nearest_lattice used to raise a bare
+    # 1e308 / 0.1 overflows to infinity; the nearest-point map used to raise a bare
     # OverflowError for such a finite image instead of clamping it
     cs = DtControlSystem(
         state_box=Box(((0.0, 1.0),)),

@@ -14,8 +14,9 @@ from opacue.barrier import (
     check_opacity_barrier,
     decrease_exists_forall,
     decrease_forall_exists,
+    pair_regions,
 )
-from opacue.boxes import Box, BoxUnion, grid
+from opacue.boxes import Box, BoxUnion, Lattice, grid
 from opacue.control import DtControlSystem, IssCertificate
 from opacue.errors import DomainError, QuantizationError, ValidationError
 from opacue.polynomial import Polynomial
@@ -370,6 +371,56 @@ def test_regions_match_the_pairwise_closeness_definition():
         signed_zeros += sum(v == 0 and math.copysign(1.0, v) < 0
                             for y in ys.values() for v in y)
     assert exact_gaps and signed_zeros
+
+
+def _face(rng: random.Random, axis: list[float], step: float) -> float:
+    """A lattice value, halfway to the next, or one ulp off one."""
+    v = rng.choice(axis)
+    return rng.choice((v, v + step / 2, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)))
+
+
+def _union(rng: random.Random, lattice: Lattice, most: int) -> BoxUnion:
+    """One to `most` boxes whose faces are `_face`s of the lattice's axes."""
+    boxes = []
+    for _ in range(rng.randint(1, most)):
+        sides = []
+        for axis, bounds in zip(lattice.axes, lattice.box.bounds):
+            lo, hi = sorted((_face(rng, axis, lattice.step), _face(rng, axis, lattice.step)))
+            sides.append((lo, hi) if lo < hi else bounds)
+        boxes.append(Box(tuple(sides)))
+    return BoxUnion(tuple(boxes))
+
+
+def test_pair_regions_equal_a_point_by_point_reference():
+    """r0 and close from the lattice's index windows equal the pairs that
+    `Box.contains` and `delta_close` accept one by one: intervals as
+    `compose` samples them, and unions of boxes with faces on, between and
+    one ulp off lattice points."""
+    rng = random.Random(3101)
+    seen = set()
+    for _ in range(80):
+        dim = rng.choice((1, 2))
+        step = rng.choice((0.1, 0.125, 0.2) if dim == 1 else (0.2, 0.25))
+        lattice = Lattice(Box(((-0.5, 0.5),) * dim), step)
+        points = lattice.points()
+        outputs = [tuple(rng.choice((p[0], sum(p), p[-1] - p[0])) for _ in range(2))
+                   for p in points]
+        most = 1 if dim == 1 and rng.random() < 0.5 else 3  # an interval, or a union
+        initial, secret = _union(rng, lattice, most), _union(rng, lattice, most)
+        a, b = rng.choice(outputs), rng.choice(outputs)
+        delta = rng.choice((0.0, max(abs(i - j) for i, j in zip(a, b)), rng.uniform(0, 0.6)))
+        regions = pair_regions(lattice, outputs, initial, secret, delta)
+        close = [sum(1 << j for j, y2 in enumerate(outputs) if delta_close(y, y2, delta))
+                 for y in outputs]
+        starts = [initial.contains(p) and secret.contains(p) for p in points]
+        partners = sum(1 << j for j, p in enumerate(points)
+                       if initial.contains(p) and not secret.contains(p))
+        assert regions.points == points
+        assert regions.close == close
+        assert regions.r0 == [row & partners if start else 0
+                              for start, row in zip(starts, close)]
+        seen.add(any(regions.r0))
+    assert seen == {False, True}  # some lattices sample initial pairs, some none
 
 
 # -- tabulated decrease scans --------------------------------------------------

@@ -7,9 +7,7 @@ import sys
 
 import pytest
 
-from opacue.boxes import (
-    Box, BoxUnion, grid, grid_axes, grid_interval, grid_members, grid_size, nearest_lattice,
-)
+from opacue.boxes import Box, BoxUnion, Lattice, grid
 from opacue.errors import QuantizationError, ValidationError
 
 
@@ -29,7 +27,7 @@ def test_grid_step_too_large():
 
 
 def test_grid_includes_exact_boundary_points():
-    pts = grid_interval(0.0, 0.3, 0.1)
+    (pts,) = Lattice(Box(((0.0, 0.3),)), 0.1).axes
     assert pts == [0.0, 0.1, 0.2, 0.30000000000000004] or pts == [0.0, 0.1, 0.2, 0.3]
     # decimal products make the boundary hit exact
     assert 0.3 in pts
@@ -107,26 +105,29 @@ def test_intersect_unions():
 
 
 def test_nearest_lattice_snaps_and_clamps():
-    nearest = nearest_lattice(Box(((0.0, 1.0),)), 0.5)
+    nearest = Lattice(Box(((0.0, 1.0),)), 0.5).nearest()
     assert nearest((0.26,)) == (0.5,)
     assert nearest((0.24,)) == (0.0,)
     assert nearest((7.0,)) == (1.0,)
     assert nearest((-3.0,)) == (0.0,)
     # a quotient by the step past the float range clamps, never overflows
-    nearest = nearest_lattice(Box(((0.0, 1.0),)), 0.1)
+    nearest = Lattice(Box(((0.0, 1.0),)), 0.1).nearest()
     assert nearest((1e308,)) == (1.0,)
     assert nearest((-1e308,)) == (0.0,)
+    # past 2**53 rounding merges lattice values: the size counts every k,
+    # the axis holds each value once, and the map still snaps by k
+    lattice = Lattice(Box(((1e16, 1e16 + 10),)), 1.0)
+    assert lattice.size == 12 and lattice.axes == [[1e16 + 2 * k for k in range(6)]]
+    assert lattice.nearest()((1e16 + 4,)) == (1e16 + 4,)
 
 
 @pytest.mark.parametrize("step", [math.nan, math.inf, 0.0, -0.1])
 def test_grids_reject_non_finite_or_non_positive_steps(step):
-    # grid_interval used to crash on NaN and 0 and return [] for a negative step
+    # the 1-D lattice used to crash on NaN and 0 and be empty for a negative step
     with pytest.raises(ValidationError, match="finite positive"):
-        grid_interval(0.0, 1.0, step)
+        Lattice(Box(((0.0, 1.0),)), step)
     with pytest.raises(ValidationError, match="finite positive"):
         grid(Box(((0.0, 1.0),)), step)
-    with pytest.raises(ValidationError, match="finite positive"):
-        grid_size(Box(((0.0, 1.0),)), step)
 
 
 def test_grid_size_counts_the_grid_without_building_it():
@@ -137,11 +138,11 @@ def test_grid_size_counts_the_grid_without_building_it():
             lo = round(rng.uniform(-3, 2), 2)
             bounds.append((lo, round(lo + rng.uniform(0.3, 3), 2)))
         box, step = Box(tuple(bounds)), round(rng.uniform(0.05, 0.3), 2)
-        assert grid_size(box, step) == len(grid(box, step))
-    with pytest.raises(QuantizationError):  # the span check, as in grid
-        grid_size(Box(((0.0, 0.3), (0.0, 1e6))), 0.5)
+        assert Lattice(box, step).size == len(grid(box, step))
+    with pytest.raises(QuantizationError):  # the span check, before any count
+        Lattice(Box(((0.0, 0.3), (0.0, 1e6))), 0.5)
     # past sys.maxsize points on one axis: counted, where len() would raise
-    assert grid_size(Box(((0.0, 1e30),)), 1.0) > sys.maxsize
+    assert Lattice(Box(((0.0, 1e30),)), 1.0).size > sys.maxsize
 
 
 def _face(rng, axis, step):
@@ -158,8 +159,8 @@ def test_grid_members_equal_point_by_point_containment():
     for step, bounds in ((0.1, ((0.0, 1.0),)), (0.1, ((-0.3, 0.7), (0.0, 1.2))),
                          (0.125, ((0.0, 1.875), (0.0, 0.875), (0.0, 1.0))),
                          (1 / 3, ((0.0, 2.0), (-1.0, 1.0))), (0.05, ((0.2, 0.9),))):
-        axes = grid_axes(Box(bounds), step)
-        points = grid(Box(bounds), step)
+        lattice = Lattice(Box(bounds), step)
+        axes, points = lattice.axes, lattice.points()
         assert points == [tuple(p) for p in itertools.product(*axes)]
         for _ in range(60):
             boxes = []
@@ -171,6 +172,6 @@ def test_grid_members_equal_point_by_point_containment():
                 boxes.append(Box(tuple(sides)))
             region = BoxUnion(tuple(boxes))
             want = tuple(i for i, p in enumerate(points) if region.contains(p))
-            assert grid_members(region, axes) == want
+            assert lattice.members(region) == want
     with pytest.raises(ValidationError, match="dimension mismatch"):
-        grid_members(BoxUnion((Box(((0.0, 1.0),)),)), grid_axes(Box(((0.0, 1.0),) * 2), 0.5))
+        Lattice(Box(((0.0, 1.0),) * 2), 0.5).members(BoxUnion((Box(((0.0, 1.0),)),)))

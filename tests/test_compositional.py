@@ -6,7 +6,7 @@ import random
 import pytest
 
 from opacue.barrier import check_opacity_barrier
-from opacue.boxes import Box, BoxUnion, grid_interval
+from opacue.boxes import Box, BoxUnion, Lattice
 from opacue.compositional import (
     LinearSubsystem,
     compose_barriers,
@@ -114,7 +114,7 @@ def test_compose_barriers_decrease_evaluates_each_pair_value_once():
     report = compose_barriers(counted, counted, s1, s2, delta=delta,
                               resolution=resolution)
     assert report.all_passed  # no condition stops its scan early
-    xs = grid_interval(0.0, 1.0, resolution)  # both state intervals
+    (xs,) = Lattice(Box(((0.0, 1.0),)), resolution).axes  # both state intervals
     pairs = [(x, xh) for x in xs for xh in xs]
     decrease = len(pairs) * len(xs) ** 2
     assert len(calls) == 2 * (len(pairs) + decrease)

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -478,6 +479,38 @@ def test_the_row_constructor_refuses_rows_of_the_wrong_shape_or_range(post_bits,
         return
     with pytest.raises(ValidationError, match=f"^{message}$"):
         build()
+
+
+@pytest.mark.parametrize("transitions, offender", [
+    (((0, 0, 1.0),), "(0, 0, 1.0)"),
+    (((0, 0, 1), (1.0, 1, 2)), "(1.0, 1, 2)"),
+    (((0, 1.0, 1),), "(0, 1.0, 1)"),
+    # the float target equals an int target seen before it
+    (((0, 0, 1), (2, 0, 2), (1, 1, 1.0)), "(1, 1, 1.0)"),
+    (((0, 0, 1), (1, 0, "2")), "(1, 0, '2')"),
+], ids=["float-target", "float-source", "float-input", "float-after-its-int", "str"])
+def test_the_constructor_refuses_an_index_that_is_not_an_int(transitions, offender):
+    with pytest.raises(ValidationError, match=f"^transition {re.escape(offender)} is not "
+                                              "three integer indices$"):
+        tiny(transitions)
+
+
+def test_the_constructors_refuse_a_float_state_set_or_bitset_and_keep_bools():
+    fields = (("s0", "s1"), ("u",), ((0.0,), (1.0,)))
+    for initial, secret, message in (((0.0,), (), "initial state index 0.0"),
+                                     ((0,), (1.0,), "secret state index 1.0")):
+        for build in (lambda: MetricSystem(*fields, initial, secret, ()),
+                      lambda: MetricSystem.from_rows(*fields, initial, secret, ((0, 0),))):
+            with pytest.raises(ValidationError, match=f"^{message} is not an integer$"):
+                build()
+    with pytest.raises(ValidationError, match="^successor row 0: the bitset of state 's0' "
+                                              "is 1.0, not an int$"):
+        MetricSystem.from_rows(*fields, (0,), (), ((1.0, 2),))
+    # a bool is an int: True is state 1 as an index and state 0 as a bitset
+    triples = MetricSystem(*fields, (True,), (False,), ((0, 0, True), (True, False, 0)))
+    rows = MetricSystem.from_rows(*fields, (True,), (False,), ((2, True),))
+    assert triples.post_bits == rows.post_bits == ((2, 1),)
+    assert triples.initial_bits == rows.initial_bits == 2
 
 
 def test_systems_are_frozen():
