@@ -7,11 +7,12 @@ that the observer construction can hash sets of state pairs cheaply.
 A system stores its transitions in one form, per-input successor bitset
 rows (`MetricSystem.post_bits`); its predecessor and any-input tables, its
 (src, input, dst) triples and its file are all derived from the rows.
-Triples given to the constructor, as a parsed file gives them, become rows
-in one pass. A bitset with one successor is that successor's one shared
-`1 << dst` int, so a system with one successor per (state, input) costs a
-reference per pair: `sample_system`'s 3-D eta = 0.025 stand-in (68,921
-states, 27 inputs, 2,744 distinct targets) peaks at 386 MB.
+`parse_system` builds the rows from a file's named triples, and the
+constructor from index triples, each in one pass. A bitset with one
+successor is that successor's one shared `1 << dst` int, so a system with
+one successor per (state, input) costs a reference per pair:
+`sample_system`'s 3-D eta = 0.025 stand-in (68,921 states, 27 inputs,
+2,744 distinct targets) peaks at 386 MB.
 """
 
 from __future__ import annotations
@@ -243,7 +244,11 @@ class MetricSystem:
         if len(set(self.names)) != n:
             raise ValidationError("duplicate state names")
         # before the input labels: a document names duplicate transitions first
-        if len(set(transitions)) != len(transitions):
+        try:
+            repeated = len(set(transitions)) != len(transitions)
+        except TypeError:  # an unhashable transition
+            raise _triple_error(transitions) from None
+        if repeated:
             raise ValidationError("duplicate transitions")
         if len(set(self.inputs)) != len(self.inputs):
             raise ValidationError("duplicate input labels")
@@ -357,7 +362,7 @@ def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
     """Successor rows of (src, input, dst) triples over n states and m
     inputs, each triple's range checked in turn. A bitset holding one
     target is that target's one shared `1 << dst` int. Each index indexes
-    a list: only when one is not an int is the offending triple sought."""
+    a list: only when a triple fails is the first malformed one sought."""
     bits = [0] * n
     table = [[0] * n for _ in range(m)]
     try:
@@ -371,10 +376,16 @@ def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
                 bit = bits[dst] = 1 << dst
             row = table[u]
             row[src] = row[src] | bit if row[src] else bit
-    except TypeError:
-        bad = next(t for t in transitions if not all(isinstance(i, int) for i in t))
-        raise ValidationError(f"transition {bad!r} is not three integer indices") from None
+    except (TypeError, ValueError):
+        raise _triple_error(transitions) from None
     return tuple(map(tuple, table))
+
+
+def _triple_error(transitions: Iterable) -> ValidationError:
+    """The error of the first transition that is not a tuple of three ints."""
+    bad = next(t for t in transitions if not (isinstance(t, tuple) and len(t) == 3
+                                              and all(isinstance(i, int) for i in t)))
+    return ValidationError(f"transition {bad!r} is not three integer indices")
 
 
 def _transpose(rows: Sequence[int]) -> tuple[int, ...]:
@@ -449,10 +460,9 @@ def parse_system(text: str | bytes) -> MetricSystem:
     The first failing check, in document order, names the error. Checks
     that run per item build their message only when they fail.
     """
-    # The decoded document and the transition tuples are many small
-    # containers that all stay alive while the system is built: cyclic
-    # garbage collection, triggered over and over while they are
-    # allocated, would find nothing to free.
+    # The decoded document is many small containers that all stay alive
+    # while the system is built: cyclic garbage collection, triggered over
+    # and over while they are allocated, would find nothing to free.
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -469,88 +479,113 @@ def _parse_system(text: str | bytes) -> MetricSystem:
         if not isinstance(doc[key], list):
             raise ParseError(f"{key}: must be an array")
 
-    names: list[str] = []
-    outputs: list[tuple[float, ...]] = []
-    for i, entry in enumerate(doc["states"]):
-        if not isinstance(entry, dict):
-            raise ParseError(f"states[{i}]: must be an object")
-        name = entry.get("name")
-        if not isinstance(name, str):
-            raise ParseError(f"states[{i}]: needs a string 'name'")
-        out = entry.get("output")
-        if not isinstance(out, list):
-            raise ParseError(f"states[{i}]: needs an array 'output'")
-        try:
-            outputs.append(tuple(map(json_number, out)))
-        except (TypeError, OverflowError):
-            raise _output_error(i, out) from None
-        names.append(name)
+    # Each per-item check runs in bulk first; only when one fails is the
+    # first offender looked for, one item at a time. A subscript that
+    # succeeds saw an object: every other JSON value raises TypeError.
+    states = doc["states"]
+    try:
+        names = list(map(operator.itemgetter("name"), states))
+        raw = list(map(operator.itemgetter("output"), states))
+        kinds = set(map(type, chain.from_iterable(raw)))
+        bulk_ok = (set(map(type, names)) <= {str} and set(map(type, raw)) <= {list}
+                   and kinds <= {float, int})  # a bool is neither
+        if bulk_ok:  # float() of a float is that float
+            outputs = (list(map(tuple, raw)) if int not in kinds
+                       else [tuple(map(float, out)) for out in raw])
+    except (KeyError, TypeError, OverflowError):
+        bulk_ok = False
+    if not bulk_ok:
+        raise _state_error(states)
 
     inputs: list[str] = doc["inputs"]
     for i, label in enumerate(inputs):
         if not isinstance(label, str):
             raise ParseError(f"inputs[{i}]: must be a string")
 
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
+    n = len(names)
+    index = dict(zip(names, range(n)))
+    if len(index) != n:
         raise ValidationError("duplicate state names")
-    input_index = {label: i for i, label in enumerate(inputs)}
 
     def resolve(key: str) -> tuple[int, ...]:
-        out = []
-        for i, name in enumerate(doc[key]):
-            if not isinstance(name, str):
-                raise ParseError(f"{key}[{i}]: must be a state name")
-            if name not in index:
-                raise ValidationError(f"{key}[{i}]: unknown state {name!r}")
-            out.append(index[name])
-        return tuple(sorted(set(out)))
+        try:
+            # A lookup that succeeds saw a name: only a str equals a str key.
+            return tuple(sorted(set(map(index.__getitem__, doc[key]))))
+        except (KeyError, TypeError):  # find the first offender
+            for i, name in enumerate(doc[key]):
+                if not isinstance(name, str):
+                    raise ParseError(f"{key}[{i}]: must be a state name") from None
+                if name not in index:
+                    raise ValidationError(f"{key}[{i}]: unknown state {name!r}") from None
+            raise
 
     initial = resolve("initial")
     secret = resolve("secret")
 
+    # Each triple ORs its target's one shared `1 << dst` int into its row,
+    # as `_triple_rows` does for index triples.
     triples = doc["transitions"]
+    bits = [0] * n
+    table = [[0] * n for _ in inputs]
+    row_of = dict(zip(inputs, table))
     try:
-        # A lookup that succeeds saw a name: only a str equals a str key.
-        transitions = [(index[s], input_index[u], index[d]) for s, u, d in triples]
+        for s, u, d in triples:
+            dst = index[d]
+            bit = bits[dst]
+            if not bit:
+                bit = bits[dst] = 1 << dst
+            row, src = row_of[u], index[s]
+            row[src] = row[src] | bit if row[src] else bit
         well_formed = all(type(t) is list for t in triples)
     except (TypeError, ValueError, KeyError):
         well_formed = False
     if not well_formed:  # find the first offender, one triple at a time
-        transitions = _resolve_transitions(triples, index, input_index)
+        raise _transition_error(triples, index, row_of)
+    # a repeated triple set a bit that was already set
+    if sum(map(int.bit_count, chain.from_iterable(table))) != len(triples):
+        raise ValidationError("duplicate transitions")
 
-    return MetricSystem(
-        names=tuple(names),
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        initial=initial,
-        secret=secret,
-        transitions=transitions,
-    )
+    return MetricSystem.from_rows(tuple(names), tuple(inputs), tuple(outputs), initial,
+                                  secret, table)
 
 
-def _resolve_transitions(
-    triples: list, index: dict[str, int], input_index: dict[str, int]
-) -> list[tuple[int, int, int]]:
-    """Index triples, checking each [src, input, dst] in turn."""
-    out = []
+def _state_error(states: list) -> ParseError:
+    """The error of the first state entry that is not a {"name": str,
+    "output": [number, ...]} object, checking each in turn."""
+    for i, entry in enumerate(states):
+        if not isinstance(entry, dict):
+            return ParseError(f"states[{i}]: must be an object")
+        if not isinstance(entry.get("name"), str):
+            return ParseError(f"states[{i}]: needs a string 'name'")
+        out = entry.get("output")
+        if not isinstance(out, list):
+            return ParseError(f"states[{i}]: needs an array 'output'")
+        try:
+            tuple(map(json_number, out))
+        except (TypeError, OverflowError):
+            return _output_error(i, out)
+    raise AssertionError("every state entry is well formed")
+
+
+def _transition_error(triples: list, index: dict[str, int], labels: dict) -> Exception:
+    """The error of the first triple that is not [src, input, dst] over
+    known names, checking each in turn."""
     for i, triple in enumerate(triples):
         where = f"transitions[{i}]"
         if not (isinstance(triple, list) and len(triple) == 3):
-            raise ParseError(f"{where}: must be a [src, input, dst] triple")
+            return ParseError(f"{where}: must be a [src, input, dst] triple")
         src, label, dst = triple
         if not (isinstance(src, str) and isinstance(dst, str)):
-            raise ParseError(f"{where}: endpoints must be state names")
+            return ParseError(f"{where}: endpoints must be state names")
         if not isinstance(label, str):
-            raise ParseError(f"{where}: input must be a label string")
+            return ParseError(f"{where}: input must be a label string")
         if src not in index:
-            raise ValidationError(f"{where}: unknown source state {src!r}")
+            return ValidationError(f"{where}: unknown source state {src!r}")
         if dst not in index:
-            raise ValidationError(f"{where}: unknown target state {dst!r}")
-        if label not in input_index:
-            raise ValidationError(f"{where}: unknown input {label!r}")
-        out.append((index[src], input_index[label], index[dst]))
-    return out
+            return ValidationError(f"{where}: unknown target state {dst!r}")
+        if label not in labels:
+            return ValidationError(f"{where}: unknown input {label!r}")
+    raise AssertionError("every transition is well formed")
 
 
 def _json_text(value) -> str:

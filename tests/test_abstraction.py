@@ -400,7 +400,7 @@ def test_a_sampled_system_shares_one_int_per_distinct_target():
     """Each (state, input) of a sampled system has one successor, and every
     pair that snaps to the same lattice point holds that point's one int,
     so the rows cost a reference per pair. A system built from the same
-    triples shares its ints the same way."""
+    triples, or parsed from its file, shares its ints the same way."""
     cs = DtControlSystem(
         state_box=Box(((0.0, 1.0), (0.0, 1.0))),
         initial_region=BoxUnion((Box(((0.0, 1.0), (0.0, 1.0))),)),
@@ -413,8 +413,9 @@ def test_a_sampled_system_shares_one_int_per_distinct_target():
     sampled = sample_system(cs, eta=0.05, mu=0.05)
     twin = MetricSystem(sampled.names, sampled.inputs, sampled.outputs, sampled.initial,
                         sampled.secret, sampled.transitions)
-    assert twin == sampled
-    for system in (sampled, twin):
+    parsed = parse_system(serialize_system(sampled))
+    assert twin == sampled == parsed
+    for system in (sampled, twin, parsed):
         cells = [bits for row in system.post_bits for bits in row]
         assert len(cells) == 441 * 9 and all(bits.bit_count() == 1 for bits in cells)
         targets = set(cells)

@@ -11,6 +11,9 @@ Every error branch of `parse_system` and `MetricSystem` has one malformed
 document in `MALFORMED`, pinned to its exception class and exact message
 in `parse_errors.json`. Regenerate that file with
 `python -m tests.test_canonical_io` (only when a message is meant to change).
+Beyond one case per branch, `parse_system` must answer as an item-by-item
+reference route does on seeded documents broken at the JSON level, in one
+or several ways, which pins which error a document names first.
 """
 
 from __future__ import annotations
@@ -20,11 +23,14 @@ import io
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from opacue.cli import main
+from opacue.errors import ParseError, ValidationError
 from opacue.simrel import max_initsop_relation, opacity_via_abstraction
 from opacue.system import MetricSystem, parse_system, serialize_system
 
@@ -273,6 +279,13 @@ BAD_SYSTEMS = {
                              ((0, 0, 1), (0, 3, 0), (5, 0, 0))),
     "constructor output nan": (("a", "b"), ("u",), ((0.0,), (math.nan,)), (), (), ()),
     "constructor empty": ((), (), (), (), (), ()),
+    # a transition that is not a tuple of three ints, named as given
+    "constructor transition too short": (("a", "b"), ("u",), ((0.0,), (1.0,)), (0,), (),
+                                         ((0, 0),)),
+    "constructor transition a list": (("a", "b"), ("u",), ((0.0,), (1.0,)), (0,), (),
+                                      ([0, 0, 0],)),
+    "constructor transition none": (("a", "b"), ("u",), ((0.0,), (1.0,)), (0,), (),
+                                    (None,)),
 }
 
 
@@ -301,6 +314,150 @@ def test_malformed_documents_fail_with_pinned_messages():
     for name in expected:
         assert found[name] == expected[name], name
     assert not any(kind == "accepted" for kind, _ in found.values())
+
+
+# -- the parser against the item-by-item route ------------------------------
+
+
+def reference_parse(text: str) -> MetricSystem:
+    """The item-by-item route to a system: check and resolve each state,
+    label, name and triple in document order, then build the system with
+    the keyword constructor from index triples. Documents here are valid
+    JSON objects holding every key, as `mutated_documents` writes them."""
+    doc = json.loads(text)
+    for key in ("states", "inputs", "initial", "secret", "transitions"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{key}: must be an array")
+    names, outputs = [], []
+    for i, entry in enumerate(doc["states"]):
+        if not isinstance(entry, dict):
+            raise ParseError(f"states[{i}]: must be an object")
+        if not isinstance(entry.get("name"), str):
+            raise ParseError(f"states[{i}]: needs a string 'name'")
+        out = entry.get("output")
+        if not isinstance(out, list):
+            raise ParseError(f"states[{i}]: needs an array 'output'")
+        for j, value in enumerate(out):
+            if type(value) not in (int, float):
+                raise ParseError(f"states[{i}].output[{j}]: must be a number")
+        try:
+            outputs.append(tuple(map(float, out)))
+        except OverflowError:
+            raise ParseError(f"states[{i}].output: a number is past float range") from None
+        names.append(entry["name"])
+    for i, label in enumerate(doc["inputs"]):
+        if not isinstance(label, str):
+            raise ParseError(f"inputs[{i}]: must be a string")
+    if len(set(names)) != len(names):
+        raise ValidationError("duplicate state names")
+    index = {name: i for i, name in enumerate(names)}
+    labels = {label: u for u, label in enumerate(doc["inputs"])}
+    sets = {}
+    for key in ("initial", "secret"):
+        for i, name in enumerate(doc[key]):
+            if not isinstance(name, str):
+                raise ParseError(f"{key}[{i}]: must be a state name")
+            if name not in index:
+                raise ValidationError(f"{key}[{i}]: unknown state {name!r}")
+        sets[key] = tuple(sorted({index[name] for name in doc[key]}))
+    for i, triple in enumerate(doc["transitions"]):
+        where = f"transitions[{i}]"
+        if not (isinstance(triple, list) and len(triple) == 3):
+            raise ParseError(f"{where}: must be a [src, input, dst] triple")
+        src, label, dst = triple
+        if not (isinstance(src, str) and isinstance(dst, str)):
+            raise ParseError(f"{where}: endpoints must be state names")
+        if not isinstance(label, str):
+            raise ParseError(f"{where}: input must be a label string")
+        for what, name, known in (("source state", src, index), ("target state", dst, index),
+                                  ("input", label, labels)):
+            if name not in known:
+                raise ValidationError(f"{where}: unknown {what} {name!r}")
+    return MetricSystem(tuple(names), tuple(doc["inputs"]), tuple(outputs), sets["initial"],
+                        sets["secret"], tuple((index[s], labels[u], index[d])
+                                              for s, u, d in doc["transitions"]))
+
+
+UNKNOWN = "\x00not a name"  # no `_text` draw: ALPHABET strings are at most 6 long
+
+
+def _mutate(doc: dict, rng: random.Random) -> str:
+    """Break `doc` in one of its ways, in place; return the way's name."""
+    states, inputs, triples = doc["states"], doc["inputs"], doc["transitions"]
+    lists = [triple for triple in triples if type(triple) is list]
+    outs = [state["output"] for state in states if type(state["output"]) is list]
+    ways = ["unknown initial", "unknown secret", "non-array output", "non-list triple",
+            "string triple"]
+    if outs:
+        ways.append("bad output")
+    if lists:
+        ways += ["repeated triple", "unknown source", "unknown input", "unknown target"]
+    if inputs:
+        ways.append("duplicate input label")
+    if len(states) > 1:
+        ways.append("duplicate state name")
+    way = rng.choice(ways)
+    if way == "repeated triple":
+        triples.insert(rng.randrange(len(triples) + 1), list(rng.choice(lists)))
+    elif way.startswith("unknown "):
+        slot = way[len("unknown "):]
+        if slot in ("initial", "secret"):
+            doc[slot].insert(rng.randrange(len(doc[slot]) + 1), UNKNOWN)
+        else:
+            rng.choice(lists)[["source", "input", "target"].index(slot)] = UNKNOWN
+    elif way == "bad output":
+        out = rng.choice(outs)
+        out[rng.randrange(len(out))] = rng.choice([True, False, "1", None, 10 ** 400])
+    elif way == "non-array output":  # empty ones too, which hold no bad value
+        rng.choice(states)["output"] = rng.choice(["", {}, "1", 1.0, None])
+    elif way == "non-list triple":
+        triples.insert(rng.randrange(len(triples) + 1), rng.choice([None, 7, {"a": 1}, "ab"]))
+    elif way == "string triple":
+        # three one-character names and labels, where there are any, so that
+        # unpacking the string and looking up its characters succeeds
+        short = [s["name"] for s in states if len(s["name"]) == 1] or ["a"]
+        labels = [label for label in inputs if len(label) == 1] or ["u"]
+        text = rng.choice(short) + rng.choice(labels) + rng.choice(short)
+        triples.insert(rng.randrange(len(triples) + 1), text)
+    elif way == "duplicate input label":
+        inputs.insert(rng.randrange(len(inputs) + 1), rng.choice(inputs))
+    else:
+        i, j = rng.sample(range(len(states)), 2)
+        states[i]["name"] = states[j]["name"]
+    return way
+
+
+def mutated_documents(seed: int, count: int):
+    """(ways, text) for `count` seeded `nasty_system` documents, each broken
+    in none, one or several ways at the JSON level."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        doc = json.loads(serialize_system(nasty_system(rng)))
+        ways = [_mutate(doc, rng) for _ in range(rng.choice([0, 1, 1, 1, 2, 3]))]
+        yield ways, json.dumps(doc)
+
+
+def test_the_parser_answers_as_the_item_by_item_route():
+    """On valid documents and on documents broken in one or several ways,
+    `parse_system` gives the reference route's system, all six fields and
+    the sign of every zero, or raises its exception class with its message:
+    the first failing check wins, as the reference's order names it."""
+    messages, accepted, seen = set(), 0, set()
+    for ways, text in mutated_documents(3201, 1500):
+        seen.update(ways)
+        try:
+            want = reference_parse(text)
+        except (ParseError, ValidationError) as exc:
+            with pytest.raises((ParseError, ValidationError)) as got:
+                parse_system(text)
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc)), (ways, text)
+            messages.add(re.sub(r"\[\d+\]|'.*'|\(.*\)", "", str(exc)))
+            continue
+        system = parse_system(text)
+        assert system == want and repr(system.outputs) == repr(want.outputs), (ways, text)
+        accepted += 1
+    # every way of breaking a document was drawn, and named by its own message
+    assert len(seen) == len(messages) == 12 and accepted >= 200
 
 
 if __name__ == "__main__":
