@@ -82,21 +82,20 @@ def _lattice_system(
 ) -> MetricSystem:
     """The finite system on the eta-lattice of the state box and the
     mu-lattice of the input box, built as successor bitset rows. Every
-    image f(x, u) is computed in grid order and must be finite. With
-    `ball`, (x, u) steps to every lattice point within eta of its image,
-    the rows that `close_rows` gives; without it, to the nearest lattice
-    point alone, whose one `1 << index` int is shared by every pair that
-    snaps to it, so the rows of a sampled system cost a reference per pair.
-    The initial and secret states are the lattice points in the plant's
-    initial and secret regions. More than `cap` states or inputs are
-    refused before any point is built."""
+    image f(x, u) is computed, in grid order, by one `images` call and must
+    be finite. With `ball`, (x, u) steps to every lattice point within eta
+    of its image, the rows that `close_rows` gives; without it, to the
+    nearest lattice point alone, whose one `1 << index` int is shared by
+    every pair that snaps to it, so the rows of a sampled system cost a
+    reference per pair. The initial and secret states are the lattice
+    points in the plant's initial and secret regions. More than `cap`
+    states or inputs are refused before any point is built."""
     lattice, input_lattice = Lattice(cs.state_box, eta), Lattice(cs.input_box, mu)
     for counted, kind in ((lattice, "states"), (input_lattice, "inputs")):
         if counted.size > cap:
             raise ResourceError(f"{label} exceeds the cap of {cap} {kind}")
     points, inputs = lattice.points(), input_lattice.points()
-    step, m = cs.step, len(inputs)
-    images = [step(x, u) for x in points for u in inputs]
+    m, images = len(inputs), cs.images(points, inputs)
     if ball:
         rows = close_rows(images, points, eta)
     else:
@@ -109,7 +108,8 @@ def _lattice_system(
         x, u = points[k // m], inputs[k % m]
         raise DomainError(f"f({x}, {u}) = {images[k]} leaves the state box by more than eta",
                           state=x, inp=u)
-    return MetricSystem.from_rows(
+    # the rows are bitsets of the lattice points by construction: no range check
+    return MetricSystem._of_rows(
         names=tuple(map(_point_name, points)), inputs=tuple(map(_point_name, inputs)),
-        outputs=tuple(map(cs.observe, points)), initial=lattice.members(cs.initial_region),
+        outputs=tuple(cs.outputs(points)), initial=lattice.members(cs.initial_region),
         secret=lattice.members(cs.secret_region), post_bits=[rows[u::m] for u in range(m)])

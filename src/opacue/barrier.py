@@ -86,8 +86,8 @@ def build_regions(
     check_initial_spans("resolution", resolution, cs.initial_region, cs.secret_region,
                         "region")
     lattice = Lattice(cs.state_box, resolution)
-    outputs = [cs.observe(p) for p in lattice.points()]
-    return pair_regions(lattice, outputs, cs.initial_region, cs.secret_region, delta)
+    return pair_regions(lattice, cs.outputs(lattice.points()), cs.initial_region,
+                        cs.secret_region, delta)
 
 
 def pair_regions(lattice: Lattice, outputs: Sequence[Sequence[float]], initial: BoxUnion,
@@ -225,12 +225,9 @@ def table_blocks(points: list[tuple[float, ...]], table: list[list[float]],
 _OVER_VALUES = {decrease_forall_exists: (max, min), decrease_exists_forall: (min, max)}
 
 # No value or margin past this bound can make (base - v) - margin overflow.
+# A block whose absolute values sum to at most it has each value within it;
+# a NaN or an infinity fails the sum's comparison.
 _SAFE = 2.0 ** 1021
-
-
-def _bounded(values: list[float]) -> bool:
-    """Every value is finite and within the bound (a NaN makes the sum NaN)."""
-    return not math.isnan(sum(values)) and -_SAFE <= min(values) and max(values) <= _SAFE
 
 
 def _pick(pick: Callable, lists: list[list[float]]) -> list[float]:
@@ -246,22 +243,23 @@ def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
     """At each pair of the region's rows, quantify (rows u, columns u_hat)
     the decrease slack B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The
     bases B(x, xh) are the blocks `table_blocks` reads off `table`. The
-    successors f(x, u) come from a table over the points and grid inputs,
-    built once per check. The candidate is tabulated at the successors once
-    per nonempty row, and each row is one block. A value that is not finite
-    raises, or makes the slack NaN where the quantifier's min and max would
-    hide it.
+    successors f(x, u) over the points and grid inputs come from one
+    `images` call per check. The candidate is tabulated at the successors
+    once per nonempty row, and each row is one block. A value that is not
+    finite raises, or makes the slack NaN where the quantifier's min and
+    max would hide it.
     """
     inputs = Lattice(cs.input_box, resolution).points()
-    succ = {x: [cs.step(x, u) for u in inputs] for x in points}
-    outer, inner = _OVER_VALUES[quantify]
     n = len(inputs)
+    images = cs.images(points, inputs)
+    succ = {x: images[i * n:i * n + n] for i, x in enumerate(points)}
+    outer, inner = _OVER_VALUES[quantify]
 
     def blocks() -> Iterator[Block]:
         for x, partners, bases in table_blocks(points, table, region):
             # row u, columns j*n .. j*n + n - 1: B(f(x, u), f(partners[j], .))
             values = tabulate(candidate, succ[x], [nxh for xh in partners for nxh in succ[xh]])
-            if margin <= _SAFE and _bounded(bases) and all(map(_bounded, values)):
+            if margin <= _SAFE and sum(map(abs, chain(bases, *values))) <= _SAFE:
                 picked = _pick(outer, [_pick(inner, [vs[s::n] for s in range(n)])
                                        for vs in values])
                 yield x, partners, [base - v - margin for base, v in zip(bases, picked)]

@@ -1,8 +1,9 @@
 """Discrete-time control systems on box domains with stability certificates.
 
-A plant's `step` and `observe` alone check that its values are finite: a
+A plant's `images` and `outputs` alone check that its values are finite: a
 coordinate that is not finite raises DomainError naming the point. Each
-evaluates its whole map with one compiled call per point (see `expr`).
+evaluates its map over a whole grid of points with one compiled call (see
+`expr`); `step` and `observe` are their one-point calls.
 
 The incremental-stability certificate is parametric: trajectories from
 states r apart under inputs v apart stay within c*lambda^k*r + g*v, and
@@ -16,11 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 from .boxes import Box, BoxUnion
 from .errors import DomainError, ParseError, ValidationError
-from .expr import compile_map
+from .expr import MapFn, Points, compile_map
 from .system import json_number, read_object
 
 __all__ = [
@@ -161,20 +163,47 @@ class DtControlSystem:
     def _outputs(self):
         return compile_map(self.output, self.dim, 0)
 
+    def images(self, xs: Points, us: Points) -> list[tuple[float, ...]]:
+        """f(x, u) at each x of xs and u of us, x-major. DomainError names
+        the first pair, in that order, whose image raises or is not finite."""
+        return _finite(self._dynamics, xs, us, lambda x, u, image: DomainError(
+            f"f({tuple(x)}, {tuple(u)}) = {image} is not finite",
+            state=tuple(x), inp=tuple(u)))
+
+    def outputs(self, xs: Points) -> list[tuple[float, ...]]:
+        """H(x) at each x of xs, in order. DomainError names the first x
+        whose output raises or is not finite."""
+        return _finite(self._outputs, xs, ((),), lambda x, _, y: DomainError(
+            f"H({tuple(x)}) = {y} is not finite", state=tuple(x)))
+
     def step(self, x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
-        """f(x, u); DomainError, naming x and u, unless every coordinate is finite."""
-        image = self._dynamics(x, u)
-        if not all(map(math.isfinite, image)):
-            raise DomainError(f"f({tuple(x)}, {tuple(u)}) = {image} is not finite",
-                              state=tuple(x), inp=tuple(u))
-        return image
+        """f(x, u): a one-point `images`."""
+        return self.images((x,), (u,))[0]
 
     def observe(self, x: Sequence[float]) -> tuple[float, ...]:
-        """H(x); DomainError, naming x, unless every coordinate is finite."""
-        y = self._outputs(x, ())
-        if not all(map(math.isfinite, y)):
-            raise DomainError(f"H({tuple(x)}) = {y} is not finite", state=tuple(x))
-        return y
+        """H(x): a one-point `outputs`."""
+        return self.outputs((x,))[0]
+
+
+def _finite(fn: MapFn, xs: Points, us: Points, error: Callable) -> list[tuple[float, ...]]:
+    """fn(xs, us) when every coordinate is finite. Otherwise, or when it
+    raises DomainError, the grid is walked again point by point, in order,
+    so the first point that raises or is not finite is the one named:
+    error(x, u, value) for a value that is not finite."""
+    try:
+        values = fn(xs, us)
+        if all(map(math.isfinite, chain.from_iterable(values))):
+            return values
+    except DomainError:
+        pass
+    values = []
+    for x in xs:
+        for u in us:
+            value = fn((x,), (u,))[0]
+            if not all(map(math.isfinite, value)):
+                raise error(x, u, value)
+            values.append(value)
+    return values
 
 
 def _parse_box(value, where: str) -> Box:

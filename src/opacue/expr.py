@@ -3,11 +3,12 @@
 Allowed: variables x1..xn and u1..um, numeric constants, + - * /, unary
 minus, and the functions sin, cos, exp, abs. Anything else, and nesting
 past the interpreter's recursion limit, is rejected at parse time, after
-which the expressions of a map are compiled once into one function of the
-variables, positionally, in an empty-builtins environment, that returns
-all their values. An evaluation that fails in the arithmetic (a division
-by zero, a math range error, sin of inf) raises DomainError naming the
-expression, the state and the input.
+which the expressions of a map are compiled once, in an empty-builtins
+environment, into one list comprehension over a list of states and a list
+of inputs that returns the tuple of all their values at each pair,
+x-major. An evaluation that fails in the arithmetic (a division by zero, a
+math range error, sin of inf) raises DomainError naming the first failing
+pair in that order, its first failing expression, the state and the input.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ __all__ = ["compile_map", "MapFn"]
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
-MapFn = Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
+Points = Sequence[Sequence[float]]
+MapFn = Callable[[Points, Points], list[tuple[float, ...]]]
 
 
 def _validate(node: ast.AST, names: set[str], text: str) -> None:
@@ -55,28 +57,36 @@ def _validate(node: ast.AST, names: set[str], text: str) -> None:
         )
 
 
-def _compile(texts: Sequence[str], n_states: int, n_inputs: int) -> Callable:
-    """Validate each expression, in order, then compile the lambda over
-    x1..xn, u1..um that returns the tuple of their values as floats."""
-    names = [f"x{i + 1}" for i in range(n_states)] + [f"u{j + 1}" for j in range(n_inputs)]
+def _compile(texts: Sequence[str], n_states: int, n_inputs: int, grid: bool) -> Callable:
+    """Validate each expression, in order, then compile the lambda that
+    returns the tuple of their values as floats: over x1..xn, u1..um,
+    positionally, each taking exactly its dimension; or, with `grid`, over
+    a state list and an input list, the one list comprehension
+    [(float(e1), ...) for (x1, ...) in xs for (u1, ...) in us], x-major."""
+    xs = [f"x{i + 1}" for i in range(n_states)]
+    us = [f"u{j + 1}" for j in range(n_inputs)]
     values = []
     for text in texts:
         if not isinstance(text, str) or not text.strip():
             raise ParseError("expression must be a nonempty string")
         try:
             tree = ast.parse(text, mode="eval")
-            _validate(tree, set(names), text)
+            _validate(tree, set(xs + us), text)
         except SyntaxError as exc:
             raise ParseError(f"expression {text!r}: {exc.msg} (column {exc.offset})") from exc
         except (RecursionError, MemoryError) as exc:
             # each stage recurses per nesting level; the parser's own overflow is a MemoryError
             raise ParseError(f"expression {text!r}: nested too deeply") from exc
         values.append(ast.Call(ast.Name("float", ast.Load()), [tree.body], []))
-    # f(x, u) passes x then u positionally: each needs exactly its dimension.
+    body, names = ast.Tuple(values, ast.Load()), xs + us
+    if grid:
+        loops = [ast.comprehension(ast.Tuple([ast.Name(name, ast.Store()) for name in group],
+                                             ast.Store()), ast.Name(source, ast.Load()), [], 0)
+                 for group, source in ((xs, "xs"), (us, "us"))]
+        body, names = ast.ListComp(body, loops), ["xs", "us"]
     params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
-    lam = ast.fix_missing_locations(
-        ast.Expression(ast.Lambda(params, ast.Tuple(values, ast.Load()))))
+    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
     # The compiler's nesting limit is three times the interpreter's, which
     # `_validate` has already kept each expression under.
     return eval(compile(lam, filename=f"<expr {', '.join(texts)}>", mode="eval"),
@@ -84,24 +94,32 @@ def _compile(texts: Sequence[str], n_states: int, n_inputs: int) -> Callable:
 
 
 def compile_map(texts: Sequence[str], n_states: int, n_inputs: int) -> MapFn:
-    """Compile expressions over x1..xn, u1..um into one callable f(x, u)
-    that returns the tuple of their values with one call of one compiled
-    lambda. Only when that call fails is each expression evaluated alone,
-    in turn, to name the first that fails in the DomainError."""
-    fn = _compile(texts, n_states, n_inputs)
+    """Compile expressions over x1..xn, u1..um into one callable f(xs, us)
+    that returns, x-major, the tuple of their values at each pair of a state
+    of xs and an input of us, with one call of one compiled comprehension;
+    f((x,), (u,))[0] is the map at one point. Only when that call fails is
+    the grid walked again in order, each expression evaluated alone at each
+    point in turn, to name the first failing point and expression in the
+    DomainError."""
+    grid = _compile(texts, n_states, n_inputs, grid=True)
 
-    def run(x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
+    def at(x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
         try:
-            return fn(*x, *u)
+            return grid((x,), (u,))[0]
         except (ArithmeticError, ValueError):  # 1/0, exp(1000), sin(inf)
             for text in texts:
                 try:
-                    _compile([text], n_states, n_inputs)(*x, *u)
+                    _compile([text], n_states, n_inputs, grid=False)(*x, *u)
                 except (ArithmeticError, ValueError) as exc:
                     raise DomainError(f"expression {text!r} at state {tuple(x)}, input "
                                       f"{tuple(u)}: {type(exc).__name__}: {exc}",
                                       state=tuple(x), inp=tuple(u)) from exc
             raise
 
-    return run
+    def run(xs: Points, us: Points) -> list[tuple[float, ...]]:
+        try:
+            return grid(xs, us)
+        except (ArithmeticError, ValueError):  # or a point of the wrong dimension
+            return [at(x, u) for x in xs for u in us]
 
+    return run

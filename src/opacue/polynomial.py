@@ -20,6 +20,10 @@ __all__ = ["MAX_EXPONENT", "Polynomial", "parse_polynomial", "tabulate"]
 # Python 3.11).
 MAX_EXPONENT = 100_000
 
+# The most terms one generated sum adds: each term nests the sum one level
+# deeper, and the compiler refuses a few thousand levels.
+_CHUNK = 100
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -79,7 +83,8 @@ class Polynomial:
         float operations of a power-table evaluation in their order: powers
         v^1 = 1.0*v and v^e = v^(e-1)*v, bound for the exponents that occur
         only, each monomial as ((coef*P0)*P1)... over the variables with
-        a nonzero exponent, and the sum ((0.0 + m0) + m1)... in term order.
+        a nonzero exponent, and the sum ((0.0 + m0) + m1)... in term order,
+        a row of sums at a time.
         Each monomial's row prefix (coef*P0)*...*P(split-1) is taken once per
         row, the column powers once per call. Coefficients come in as a
         tuple, never as source text."""
@@ -92,6 +97,16 @@ class Polynomial:
             heads.append(f"m{k}" if factors else f"c{k}")
             if factors:
                 prefixes.append(f"m{k} = c{k}{factors}")
+        # A row is one comprehension over the column powers per chunk of at
+        # most _CHUNK terms, each adding its terms to the running sums of the
+        # one before: a single sum of a few thousand terms would nest past the
+        # compiler's recursion limit.
+        terms = [f" + {head}{_factors(exps, col_vars)}"
+                 for head, (exps, _) in zip(heads, self.terms)]
+        chunks = [terms[k:k + _CHUNK] for k in range(0, len(terms), _CHUNK)] or [[]]
+        sums = [f"    row = [0.0{''.join(chunks[0])} for {col_powers} in powers]",
+                *(f"    row = [total{''.join(chunk)} for total, {col_powers} "
+                  f"in zip(row, powers)]" for chunk in chunks[1:])]
         return self._compile([
             "powers = []",
             f"for {_targets(f'x{i}' for i in col_vars)} in cols:",
@@ -100,14 +115,7 @@ class Polynomial:
             "out = []",
             f"for {_targets(f'x{i}' for i in row_vars)} in rows:",
             *(f"    {line}" for line in (*self._powers(row_vars), *prefixes)),
-            "    row = []",
-            f"    for {col_powers} in powers:",
-            # one statement per term: a single long sum would nest past the
-            # compiler's recursion limit for a few thousand terms
-            "        total = 0.0",
-            *(f"        total += {head}{_factors(exps, col_vars)}"
-              for head, (exps, _) in zip(heads, self.terms)),
-            "        row.append(total)",
+            *sums,
             "    out.append(row)",
             "return out",
         ])
@@ -139,7 +147,7 @@ class Polynomial:
             *(f"        {line}" for line in body),
             "    return f",
         ])
-        namespace = {"__builtins__": {}, "range": range}
+        namespace = {"__builtins__": {}, "range": range, "zip": zip}
         exec(compile(source, "<polynomial>", "exec"), namespace)
         return namespace["bind"](tuple(coef for _, coef in self.terms))
 

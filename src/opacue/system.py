@@ -228,11 +228,20 @@ class MetricSystem:
         """A system whose transitions are given as `post_bits[u][x]`, each
         bitset in [0, 2**n). Shape and range are checked in bulk over all
         rows."""
+        system = cls._of_rows(names, inputs, outputs, initial, secret, post_bits)
+        system._validate_rows()
+        return system
+
+    @classmethod
+    def _of_rows(cls, names, inputs, outputs, initial, secret,
+                 post_bits: Sequence[Sequence[int]]) -> "MetricSystem":
+        """`from_rows` without the rows' checks, for in-package builders
+        whose rows hold one int in [0, 2**n) per state per input by
+        construction; every other field is checked."""
         system = cls.__new__(cls)
         vars(system).update(names=names, inputs=inputs, outputs=outputs, initial=initial,
                             secret=secret, post_bits=tuple(map(tuple, post_bits)))
         system._validate(())  # no triples, so none repeated
-        system._validate_rows()
         return system
 
     def _validate(self, transitions: Sequence[tuple[int, int, int]]) -> None:
@@ -545,8 +554,8 @@ def _parse_system(text: str | bytes) -> MetricSystem:
     if sum(map(int.bit_count, chain.from_iterable(table))) != len(triples):
         raise ValidationError("duplicate transitions")
 
-    return MetricSystem.from_rows(tuple(names), tuple(inputs), tuple(outputs), initial,
-                                  secret, table)
+    return MetricSystem._of_rows(tuple(names), tuple(inputs), tuple(outputs), initial,
+                                 secret, table)
 
 
 def _state_error(states: list) -> ParseError:

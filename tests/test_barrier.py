@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from opacue import barrier
 from opacue.barrier import (
     Violation,
     build_regions,
@@ -258,9 +259,9 @@ def test_dynamics_evaluated_once_per_grid_point_and_input():
     calls = []
 
     class Counted(DtControlSystem):
-        def step(self, x, u):
-            calls.append((x, u))
-            return super().step(x, u)
+        def images(self, xs, us):
+            calls.extend((x, u) for x in xs for u in us)
+            return super().images(xs, us)
 
     base = simple_cs()
     cs = Counted(**{f: getattr(base, f) for f in base.__dataclass_fields__})
@@ -312,9 +313,9 @@ def test_lack_check_observes_each_lattice_point_once():
     calls = []
 
     class Counted(DtControlSystem):
-        def observe(self, x):
-            calls.append(x)
-            return super().observe(x)
+        def outputs(self, xs):
+            calls.extend(xs)
+            return super().outputs(xs)
 
     base = simple_cs()
     cs = Counted(**{f: getattr(base, f) for f in base.__dataclass_fields__})
@@ -512,3 +513,24 @@ def test_tabulated_decrease_raises_where_the_pointwise_scan_did():
         with pytest.raises(DomainError) as info:
             check(candidate, cs, 0.15, 0.1)
         assert str(info.value) == f"decrease: slack nan is not finite at {point}"
+
+
+def test_a_block_summing_past_the_bound_takes_the_fallback_with_the_same_report(monkeypatch):
+    # every value lies within barrier._SAFE = 2**1021, but each block's
+    # absolute values sum past it, so every block takes the slack-table
+    # fallback; its report must be the one the value quantifiers give
+    big = 2.0 ** 1019
+    candidate = poly({(0, 0): big, (2, 0): big / 4, (0, 2): -big / 4, (1, 1): big / 8})
+    cs = simple_cs(dyn="0.5*x1 + 0.25*u1")
+    picks = []
+    pick = barrier._pick
+    monkeypatch.setattr(barrier, "_pick", lambda *args: picks.append(args) or pick(*args))
+    for check in (check_opacity_barrier, check_lack_barrier):
+        picks.clear()
+        slow = check(candidate, cs, 0.15, 0.1)
+        assert not picks and slow.sample_counts["decrease"]
+        with monkeypatch.context() as patch:
+            patch.setattr(barrier, "_SAFE", math.inf)  # every finite block passes the bound
+            fast = check(candidate, cs, 0.15, 0.1)
+        assert picks
+        assert slow.to_report() == fast.to_report() and slow.violations == fast.violations

@@ -25,13 +25,13 @@ from opacue.expr import compile_map
 
 def test_expr_linear_and_functions():
     f = compile_map(["0.5*x1 + u1"], 1, 1)
-    assert f((1.0,), (0.1,))[0] == pytest.approx(0.6)
+    assert f([(1.0,)], [(0.1,)])[0][0] == pytest.approx(0.6)
     g = compile_map(["sin(x1) + cos(x2) - exp(u1) / 2 + abs(-x1)"], 2, 1)
-    assert g((0.3, 0.4), (0.0,))[0] == pytest.approx(
+    assert g([(0.3, 0.4)], [(0.0,)])[0][0] == pytest.approx(
         math.sin(0.3) + math.cos(0.4) - 0.5 + 0.3
     )
     h = compile_map(["-x1"], 1, 0)
-    assert h((2.0,), ())[0] == -2.0
+    assert h([(2.0,)], [()])[0][0] == -2.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -117,7 +117,7 @@ def test_compiled_expressions_match_the_dict_eval_path():
         seen.update(type(node).__name__ for node in nodes)
         seen.update(node.id for node in nodes if isinstance(node, ast.Name))
         run = compile_map([text], n_states, n_inputs)
-        compiled = lambda x, u: run(x, u)[0]
+        compiled = lambda x, u: run([x], [u])[0][0]
         reference = _dict_eval_reference(text, n_states, n_inputs)
         for _ in range(4):
             x = tuple(rng.choice(coords) for _ in range(n_states))
@@ -135,16 +135,80 @@ def test_compiled_expressions_match_the_dict_eval_path():
             x = tuple(rng.choice(coords) for _ in range(n_states))
             u = tuple(rng.choice(coords) for _ in range(n_inputs))
             try:
-                got = whole(x, u)
+                got = whole([x], [u])[0]
             except DomainError as exc:
                 got = str(exc)
             try:
-                want = tuple(compile_map([t], n_states, n_inputs)(x, u)[0] for t in texts)
+                want = tuple(compile_map([t], n_states, n_inputs)([x], [u])[0][0]
+                             for t in texts)
             except DomainError as exc:
                 want = str(exc)
             assert repr(got) == repr(want), (texts, x, u)
     assert {"Add", "Sub", "Mult", "Div", "USub", "Call", "Constant", "Name",
             "sin", "cos", "exp", "abs"} <= seen
+
+
+def _first_error(evaluate):
+    """evaluate(), or the text of the DomainError it raises."""
+    try:
+        return evaluate()
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_grid_maps_match_one_point_evaluation_of_each_expression():
+    rng = random.Random(31415)
+    coords = [0, 3, 0.0, -0.0, 0.25, -1.5, 1e200, -1e200]
+    seen = set()
+    for _ in range(400):
+        n_states, n_inputs = rng.randint(1, 3), rng.randint(0, 2)
+        names = ([f"x{i + 1}" for i in range(n_states)]
+                 + [f"u{j + 1}" for j in range(n_inputs)])
+        texts = [_random_expr(rng, names, 4) for _ in range(rng.randint(1, 3))]
+        alone = [compile_map([text], n_states, n_inputs) for text in texts]
+        xs = [tuple(rng.choice(coords) for _ in range(n_states))
+              for _ in range(rng.randint(0, 5))]
+        us = [tuple(rng.choice(coords) for _ in range(n_inputs))
+              for _ in range(rng.randint(1, 3))]
+        got = _first_error(lambda: compile_map(texts, n_states, n_inputs)(xs, us))
+        # x-major, then each expression alone, one point at a time: the
+        # first failure is the first failing point's first failing expression
+        want = _first_error(lambda: [tuple(f([x], [u])[0][0] for f in alone)
+                                     for x in xs for u in us])
+        assert repr(got) == repr(want), (texts, xs, us)  # bit for bit, signed zeros too
+        if isinstance(got, str):
+            seen.add("error")
+        else:
+            values = [v for image in got for v in image]
+            assert {type(v) for v in values} <= {float}, texts  # int constants too
+            seen.update(repr(v) for v in values if repr(v) in ("-0.0", "inf", "nan"))
+            seen.update("int constant" for text in texts if text in ("0", "2", "7"))
+    assert seen == {"error", "-0.0", "inf", "nan", "int constant"}
+
+
+@pytest.mark.parametrize("fault, message", [
+    # a non-finite image at x1 = 0.25 before a division by zero at x1 = 0.75
+    ("1/(x1 - 0.75) + x1*1e308*1e308*(0.5 - x1)", "{f}((0.25,){u}) = (inf,) is not finite"),
+    # a division by zero at x1 = 0.25 before a non-finite image at x1 = 0.75
+    ("1/(x1 - 0.25) + x1*1e308*1e308*(x1 - 0.5)",
+     "expression '1/(x1 - 0.25) + x1*1e308*1e308*(x1 - 0.5)' at state (0.25,), input "
+     "{u_only}: ZeroDivisionError: float division by zero"),
+])
+def test_grid_images_name_the_first_failing_point_in_grid_order(fault, message):
+    cs = make_cs(dynamics=(fault,), output=(fault,))
+    xs = [(0.0,), (0.25,), (0.5,), (0.75,), (1.0,)]
+    us = [(0.0,), (0.05,), (0.1,)]
+    for evaluate, want in (
+        (lambda: cs.images(xs, us), message.format(f="f", u=", (0.0,)", u_only="(0.0,)")),
+        (lambda: cs.outputs(xs), message.format(f="H", u="", u_only="()")),
+    ):
+        assert _first_error(evaluate) == want
+    # the one-point calls, walked in the same order, fail at the same point
+    assert _first_error(lambda: [cs.step(x, u) for x in xs for u in us]) == _first_error(
+        lambda: cs.images(xs, us))
+    assert _first_error(lambda: [cs.observe(x) for x in xs]) == _first_error(
+        lambda: cs.outputs(xs))
+    assert cs.images(xs[:1], us) == [cs.step(xs[0], u) for u in us]
 
 
 # -- certificates ---------------------------------------------------------------

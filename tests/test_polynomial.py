@@ -8,7 +8,7 @@ import random
 import pytest
 
 from opacue.errors import ParseError, ValidationError
-from opacue.polynomial import MAX_EXPONENT, Polynomial, parse_polynomial, tabulate
+from opacue.polynomial import _CHUNK, MAX_EXPONENT, Polynomial, parse_polynomial, tabulate
 
 
 def test_parse_and_evaluate():
@@ -222,6 +222,26 @@ def test_table_of_many_terms_and_after_pickling():
     rows, cols = [(0.99,), (-0.5,)], [(-1.01,), (0.25,), (1.0,)]
     assert poly.table(rows, cols) == [[poly(r + c) for c in cols] for r in rows]
     assert poly.table([], cols) == [] and poly.table(rows, []) == [[], []]
+
+
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1, 3000])
+def test_row_sums_are_bit_identical_across_chunk_boundaries(count):
+    # a row's sum is built one chunk of at most _CHUNK terms at a time;
+    # every term count must give the one left-to-right sum of a power table
+    rng = random.Random(count)
+    exps = rng.sample([(a, b, c) for a in range(15) for b in range(15) for c in range(15)],
+                      count)
+    terms = tuple((e, rng.choice([1e300, -0.0, 0.5]) if rng.random() < 0.1
+                   else rng.uniform(-2, 2)) for e in exps)
+    poly = Polynomial(3, terms)
+    coords = [0.0, -0.0, 1.0, -1.0, 1e60, 0.999, -1.001]
+    points = [tuple(rng.choice(coords) if rng.random() < 0.3 else rng.uniform(-1.5, 1.5)
+                    for _ in range(3)) for _ in range(6)]
+    for split in range(4):
+        rows, cols = [p[:split] for p in points], [p[split:] for p in points]
+        got = [repr(v) for row in poly.table(rows, cols) for v in row]
+        want = [repr(_power_table_reference(poly, r + c)) for r in rows for c in cols]
+        assert got == want, split
 
 
 def test_exponents_up_to_the_bound_are_accepted_and_past_it_refused():
