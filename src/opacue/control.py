@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from .boxes import Box, BoxUnion
 from .errors import DomainError, ParseError, ValidationError
-from .expr import MapFn, Points, compile_map
+from .expr import CompiledMap, Points, compile_map
 from .system import json_number, read_object
 
 __all__ = [
@@ -185,21 +185,22 @@ class DtControlSystem:
         return self.outputs((x,))[0]
 
 
-def _finite(fn: MapFn, xs: Points, us: Points, error: Callable) -> list[tuple[float, ...]]:
-    """fn(xs, us) when every coordinate is finite. Otherwise, or when it
-    raises DomainError, the grid is walked again point by point, in order,
-    so the first point that raises or is not finite is the one named:
-    error(x, u, value) for a value that is not finite."""
+def _finite(fn: CompiledMap, xs: Points, us: Points,
+            error: Callable) -> list[tuple[float, ...]]:
+    """fn.grid(xs, us) when every coordinate is finite. Otherwise, or when
+    it raises, the grid is walked again with `fn.at`, in order, so the first
+    point that raises or is not finite is the one named: error(x, u, value)
+    for a value that is not finite."""
     try:
-        values = fn(xs, us)
+        values = fn.grid(xs, us)
         if all(map(math.isfinite, chain.from_iterable(values))):
             return values
-    except DomainError:
+    except (ArithmeticError, ValueError):  # 1/0, exp(1000), sin(inf)
         pass
     values = []
     for x in xs:
         for u in us:
-            value = fn((x,), (u,))[0]
+            value = fn.at(x, u)
             if not all(map(math.isfinite, value)):
                 raise error(x, u, value)
             values.append(value)

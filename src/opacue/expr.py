@@ -6,26 +6,26 @@ past the interpreter's recursion limit, is rejected at parse time, after
 which the expressions of a map are compiled once, in an empty-builtins
 environment, into one list comprehension over a list of states and a list
 of inputs that returns the tuple of all their values at each pair,
-x-major. An evaluation that fails in the arithmetic (a division by zero, a
-math range error, sin of inf) raises DomainError naming the first failing
-pair in that order, its first failing expression, the state and the input.
+x-major. A one-point evaluation that fails in the arithmetic (a division
+by zero, a math range error, sin of inf) raises DomainError naming its
+first failing expression, the state and the input.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, ParseError
 
-__all__ = ["compile_map", "MapFn"]
+__all__ = ["compile_map", "CompiledMap"]
 
 _FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "abs": abs}
 _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
 Points = Sequence[Sequence[float]]
-MapFn = Callable[[Points, Points], list[tuple[float, ...]]]
+Grid = Callable[[Points, Points], list[tuple[float, ...]]]
 
 
 def _validate(node: ast.AST, names: set[str], text: str) -> None:
@@ -57,11 +57,9 @@ def _validate(node: ast.AST, names: set[str], text: str) -> None:
         )
 
 
-def _compile(texts: Sequence[str], n_states: int, n_inputs: int, grid: bool) -> Callable:
-    """Validate each expression, in order, then compile the lambda that
-    returns the tuple of their values as floats: over x1..xn, u1..um,
-    positionally, each taking exactly its dimension; or, with `grid`, over
-    a state list and an input list, the one list comprehension
+def _compile(texts: Sequence[str], n_states: int, n_inputs: int) -> Grid:
+    """Validate each expression, in order, then compile the lambda over a
+    state list and an input list that is the one list comprehension
     [(float(e1), ...) for (x1, ...) in xs for (u1, ...) in us], x-major."""
     xs = [f"x{i + 1}" for i in range(n_states)]
     us = [f"u{j + 1}" for j in range(n_inputs)]
@@ -78,14 +76,12 @@ def _compile(texts: Sequence[str], n_states: int, n_inputs: int, grid: bool) -> 
             # each stage recurses per nesting level; the parser's own overflow is a MemoryError
             raise ParseError(f"expression {text!r}: nested too deeply") from exc
         values.append(ast.Call(ast.Name("float", ast.Load()), [tree.body], []))
-    body, names = ast.Tuple(values, ast.Load()), xs + us
-    if grid:
-        loops = [ast.comprehension(ast.Tuple([ast.Name(name, ast.Store()) for name in group],
-                                             ast.Store()), ast.Name(source, ast.Load()), [], 0)
-                 for group, source in ((xs, "xs"), (us, "us"))]
-        body, names = ast.ListComp(body, loops), ["xs", "us"]
-    params = ast.arguments(posonlyargs=[], args=[ast.arg(name) for name in names],
+    loops = [ast.comprehension(ast.Tuple([ast.Name(name, ast.Store()) for name in group],
+                                         ast.Store()), ast.Name(source, ast.Load()), [], 0)
+             for group, source in ((xs, "xs"), (us, "us"))]
+    params = ast.arguments(posonlyargs=[], args=[ast.arg("xs"), ast.arg("us")],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
+    body = ast.ListComp(ast.Tuple(values, ast.Load()), loops)
     lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
     # The compiler's nesting limit is three times the interpreter's, which
     # `_validate` has already kept each expression under.
@@ -93,15 +89,21 @@ def _compile(texts: Sequence[str], n_states: int, n_inputs: int, grid: bool) -> 
                 {"__builtins__": {}, "float": float, **_FUNCS})
 
 
-def compile_map(texts: Sequence[str], n_states: int, n_inputs: int) -> MapFn:
-    """Compile expressions over x1..xn, u1..um into one callable f(xs, us)
-    that returns, x-major, the tuple of their values at each pair of a state
-    of xs and an input of us, with one call of one compiled comprehension;
-    f((x,), (u,))[0] is the map at one point. Only when that call fails is
-    the grid walked again in order, each expression evaluated alone at each
-    point in turn, to name the first failing point and expression in the
-    DomainError."""
-    grid = _compile(texts, n_states, n_inputs, grid=True)
+class CompiledMap(NamedTuple):
+    """A compiled map: `grid(xs, us)` is the tuple of its values at each
+    pair of a state of xs and an input of us, x-major, in one call of one
+    compiled comprehension, and raises the arithmetic error itself;
+    `at(x, u)` is its value at one point, and raises DomainError."""
+
+    grid: Grid
+    at: Callable[[Sequence[float], Sequence[float]], tuple[float, ...]]
+
+
+def compile_map(texts: Sequence[str], n_states: int, n_inputs: int) -> CompiledMap:
+    """Compile expressions over x1..xn, u1..um into a CompiledMap. When
+    `at` fails, each expression is evaluated alone at the point, in order,
+    to name the first failing one in the DomainError."""
+    grid = _compile(texts, n_states, n_inputs)
 
     def at(x: Sequence[float], u: Sequence[float]) -> tuple[float, ...]:
         try:
@@ -109,17 +111,11 @@ def compile_map(texts: Sequence[str], n_states: int, n_inputs: int) -> MapFn:
         except (ArithmeticError, ValueError):  # 1/0, exp(1000), sin(inf)
             for text in texts:
                 try:
-                    _compile([text], n_states, n_inputs, grid=False)(*x, *u)
+                    _compile([text], n_states, n_inputs)((x,), (u,))
                 except (ArithmeticError, ValueError) as exc:
                     raise DomainError(f"expression {text!r} at state {tuple(x)}, input "
                                       f"{tuple(u)}: {type(exc).__name__}: {exc}",
                                       state=tuple(x), inp=tuple(u)) from exc
             raise
 
-    def run(xs: Points, us: Points) -> list[tuple[float, ...]]:
-        try:
-            return grid(xs, us)
-        except (ArithmeticError, ValueError):  # or a point of the wrong dimension
-            return [at(x, u) for x in xs for u in us]
-
-    return run
+    return CompiledMap(grid, at)

@@ -25,13 +25,13 @@ from opacue.expr import compile_map
 
 def test_expr_linear_and_functions():
     f = compile_map(["0.5*x1 + u1"], 1, 1)
-    assert f([(1.0,)], [(0.1,)])[0][0] == pytest.approx(0.6)
+    assert f.grid([(1.0,)], [(0.1,)])[0][0] == pytest.approx(0.6)
     g = compile_map(["sin(x1) + cos(x2) - exp(u1) / 2 + abs(-x1)"], 2, 1)
-    assert g([(0.3, 0.4)], [(0.0,)])[0][0] == pytest.approx(
+    assert g.grid([(0.3, 0.4)], [(0.0,)])[0][0] == pytest.approx(
         math.sin(0.3) + math.cos(0.4) - 0.5 + 0.3
     )
     h = compile_map(["-x1"], 1, 0)
-    assert h([(2.0,)], [()])[0][0] == -2.0
+    assert h.grid([(2.0,)], [()])[0][0] == -2.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -117,15 +117,17 @@ def test_compiled_expressions_match_the_dict_eval_path():
         seen.update(type(node).__name__ for node in nodes)
         seen.update(node.id for node in nodes if isinstance(node, ast.Name))
         run = compile_map([text], n_states, n_inputs)
-        compiled = lambda x, u: run([x], [u])[0][0]
+        on_grid = lambda x, u: run.grid([x], [u])[0][0]
+        at_point = lambda x, u: run.at(x, u)[0]
         reference = _dict_eval_reference(text, n_states, n_inputs)
         for _ in range(4):
             x = tuple(rng.choice(coords) for _ in range(n_states))
             u = tuple(rng.choice(coords) for _ in range(n_inputs))
-            got, want = _outcome(compiled, x, u), _outcome(reference, x, u)
-            if isinstance(want, type):  # the reference raised: the compiled path wraps it
+            want = _outcome(reference, x, u)
+            assert _outcome(on_grid, x, u) == want, (text, x, u)  # the grid raises it bare
+            if isinstance(want, type):  # the reference raised: the one-point call wraps it
                 want = DomainError, want
-            assert got == want, (text, x, u)
+            assert _outcome(at_point, x, u) == want, (text, x, u)
         # A map of this and up to two more expressions evaluates in one
         # call, and a failure names the first failing expression.
         texts = [text] + [_random_expr(rng, names, 2) for _ in range(rng.randint(0, 2))]
@@ -135,15 +137,16 @@ def test_compiled_expressions_match_the_dict_eval_path():
             x = tuple(rng.choice(coords) for _ in range(n_states))
             u = tuple(rng.choice(coords) for _ in range(n_inputs))
             try:
-                got = whole([x], [u])[0]
+                got = whole.at(x, u)
             except DomainError as exc:
                 got = str(exc)
             try:
-                want = tuple(compile_map([t], n_states, n_inputs)([x], [u])[0][0]
-                             for t in texts)
+                want = tuple(compile_map([t], n_states, n_inputs).at(x, u)[0] for t in texts)
             except DomainError as exc:
                 want = str(exc)
             assert repr(got) == repr(want), (texts, x, u)
+            if not isinstance(got, str):
+                assert repr(whole.grid([x], [u])[0]) == repr(got), (texts, x, u)
     assert {"Add", "Sub", "Mult", "Div", "USub", "Call", "Constant", "Name",
             "sin", "cos", "exp", "abs"} <= seen
 
@@ -170,15 +173,25 @@ def test_grid_maps_match_one_point_evaluation_of_each_expression():
               for _ in range(rng.randint(0, 5))]
         us = [tuple(rng.choice(coords) for _ in range(n_inputs))
               for _ in range(rng.randint(1, 3))]
-        got = _first_error(lambda: compile_map(texts, n_states, n_inputs)(xs, us))
+        whole = compile_map(texts, n_states, n_inputs)
+        try:
+            got = whole.grid(xs, us)
+        except (ArithmeticError, ValueError) as exc:
+            got = exc
         # x-major, then each expression alone, one point at a time: the
         # first failure is the first failing point's first failing expression
-        want = _first_error(lambda: [tuple(f([x], [u])[0][0] for f in alone)
-                                     for x in xs for u in us])
-        assert repr(got) == repr(want), (texts, xs, us)  # bit for bit, signed zeros too
-        if isinstance(got, str):
+        try:
+            want = [tuple(f.at(x, u)[0] for f in alone) for x in xs for u in us]
+        except DomainError as exc:
+            want = exc
+        if isinstance(want, DomainError):
+            # the grid raises that expression's own error, and the map's
+            # one-point calls, walked in the same order, name it
+            assert (type(got), str(got)) == (type(want.__cause__), str(want.__cause__))
+            assert _first_error(lambda: [whole.at(x, u) for x in xs for u in us]) == str(want)
             seen.add("error")
         else:
+            assert repr(got) == repr(want), (texts, xs, us)  # bit for bit, signed zeros too
             values = [v for image in got for v in image]
             assert {type(v) for v in values} <= {float}, texts  # int constants too
             seen.update(repr(v) for v in values if repr(v) in ("-0.0", "inf", "nan"))
