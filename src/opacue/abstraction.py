@@ -12,6 +12,7 @@ result plugs directly into the finite-system verifiers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .boxes import BoxUnion, Lattice, check_initial_spans, check_span
@@ -47,7 +48,8 @@ def build_abstraction(
 
     Refuses to build when the quantization inequality fails unless
     `allow_unsound` is set, in which case the result is stamped
-    certificate-free.
+    certificate-free. Refuses always when a side of the inequality or its
+    slack is not finite: an overflow decides nothing.
     """
     complement = BoxUnion((cs.state_box,)).subtract(cs.secret_region)
     check_span("eta", params.eta, min(cs.secret_region.span, complement.span),
@@ -56,6 +58,11 @@ def build_abstraction(
     check_initial_spans("eta", params.eta, cs.initial_region, cs.secret_region, "region")
     qcheck = evaluate_quantization_inequality(cs.iss_cert, params.eta, params.mu,
                                               params.epsilon)
+    if not all(map(math.isfinite, (qcheck.lhs, qcheck.rhs, qcheck.slack))):
+        raise QuantizationError(
+            f"quantization inequality overflows (lhs={qcheck.lhs}, rhs={qcheck.rhs}, "
+            f"slack={qcheck.slack}): it certifies nothing, even with allow_unsound"
+        )
     if not qcheck.passed and not allow_unsound:
         raise QuantizationError(
             f"quantization inequality fails (lhs={qcheck.lhs} > rhs={qcheck.rhs}); "

@@ -43,11 +43,13 @@ def _emit(doc: dict, pairs: str | None = None) -> None:
     """Print `doc` as indent-2, key-sorted JSON. `pairs`, when given, is a
     top-level "pairs" value already rendered one level deep, spliced in
     place of a null. `json` escapes quotes and line breaks inside strings,
-    so a line break, two spaces and "pairs": can only begin that entry."""
+    so a line break, two spaces and "pairs": can only begin that entry. A
+    NaN or an infinity is not JSON: it raises ValueError, an internal
+    error, before anything is printed."""
     if pairs is None:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
         return
-    text = json.dumps({**doc, "pairs": None}, indent=2, sort_keys=True)
+    text = json.dumps({**doc, "pairs": None}, indent=2, sort_keys=True, allow_nan=False)
     print(text.replace('\n  "pairs": null', '\n  "pairs": ' + pairs, 1))
 
 
@@ -248,92 +250,67 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return EXIT_INCONCLUSIVE  # sampled evidence only
 
 
-def _common(p: argparse.ArgumentParser, delta_required=True, cap=True) -> None:
-    p.add_argument("--system", required=True, help="input file")
-    if delta_required:
-        p.add_argument("--delta", type=float, required=True,
-                       help="measurement precision threshold (no default)")
-    if cap:
-        p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP,
-                       help=f"state cap, at least 1 (default: {DEFAULT_STATE_CAP:,})")
+# The options shared by several commands, each a (flag, add_argument
+# keywords) pair as in every command's entry below.
+_SYSTEM = ("--system", dict(required=True, help="input file"))
+_DELTA = ("--delta", dict(type=float, required=True,
+                          help="measurement precision threshold (no default)"))
+_CAP = ("--cap", dict(type=int, default=DEFAULT_STATE_CAP,
+                      help=f"state cap, at least 1 (default: {DEFAULT_STATE_CAP:,})"))
+_EXPORT_DOT = ("--export-dot", dict(default=None, metavar="PATH"))
 
-
-def _define_verify(p: argparse.ArgumentParser) -> None:
-    _common(p)
-    p.add_argument("--notion", required=True, choices=sorted(k.value for k in NotionKind))
-    p.add_argument("--k", type=int, default=None, help="delay bound for k-step")
-    p.add_argument("--oracle", action="store_true",
-                   help="cross-check with the brute-force oracle")
-    p.add_argument("--timing", action="store_true",
-                   help="include wall_ms in the report (breaks byte-identity)")
-    p.set_defaults(fn=_cmd_verify)
-
-
-def _define_observer(p: argparse.ArgumentParser) -> None:
-    _common(p)
-    p.add_argument("--notion", default="initial-state",
-                   choices=["initial-state", "current-state"])
-    p.add_argument("--export-dot", default=None, metavar="PATH")
-    p.set_defaults(fn=_cmd_observer)
-
-
-def _define_estimator(p: argparse.ArgumentParser) -> None:
-    _common(p)
-    p.add_argument("--export-dot", default=None, metavar="PATH")
-    p.set_defaults(fn=_cmd_estimator)
-
-
-def _define_simrel(p: argparse.ArgumentParser) -> None:
-    _common(p, delta_required=False)
-    p.add_argument("--abstract", required=True, help="abstract system file")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--delta", type=float, default=None,
-                   help="also transfer an opacity verdict at this threshold")
-    p.set_defaults(fn=_cmd_simrel)
-
-
-def _define_abstract(p: argparse.ArgumentParser) -> None:
-    _common(p, delta_required=False)
-    p.add_argument("--eta", type=float, required=True, help="state grid step")
-    p.add_argument("--mu", type=float, required=True, help="input grid step")
-    p.add_argument("--epsilon", type=float, required=True, help="target precision")
-    p.add_argument("--unsound", action="store_true",
-                   help="build even if the quantization inequality fails")
-    p.add_argument("--out", default=None, help="write the abstraction here")
-    p.set_defaults(fn=_cmd_abstract)
-
-
-def _define_barrier(p: argparse.ArgumentParser) -> None:
-    _common(p, cap=False)
-    p.add_argument("--candidate", required=True, help="polynomial file")
-    p.add_argument("--kind", required=True, choices=["opacity", "lack"])
-    p.add_argument("--resolution", type=float, required=True)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN,
-                   help="strictness margin for strict inequalities")
-    p.set_defaults(fn=_cmd_barrier)
-
-
-def _define_compose(p: argparse.ArgumentParser) -> None:
-    _common(p, delta_required=False, cap=False)
-    p.add_argument("--barrier1", default=None, help="local barrier for subsystem 1")
-    p.add_argument("--barrier2", default=None, help="local barrier for subsystem 2")
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--margin", type=float, default=None)
-    p.set_defaults(fn=_cmd_compose)
-
-
-# Each command's help line and the function that adds its options and its
-# body to its parser, or to a `_Declared` that records them, in the order
-# `opacue -h` lists them.
+# Each command's help line, its body and its options, in the order `opacue
+# -h` and the command's own help list them. The full parser and the plain
+# reader both read the options from here.
 _COMMANDS = {
-    "verify": ("decide opacity of a finite system", _define_verify),
-    "observer": ("build the paper's forward pair observer", _define_observer),
-    "estimator": ("build the backward initial-state estimator", _define_estimator),
-    "simrel": ("compute the greatest InitSOP simulation relation", _define_simrel),
-    "abstract": ("build a grid abstraction of a control system", _define_abstract),
-    "barrier": ("check a candidate barrier certificate", _define_barrier),
-    "compose": ("small-gain composition of two subsystems", _define_compose),
+    "verify": ("decide opacity of a finite system", _cmd_verify, (
+        _SYSTEM, _DELTA, _CAP,
+        ("--notion", dict(required=True, choices=sorted(k.value for k in NotionKind))),
+        ("--k", dict(type=int, default=None, help="delay bound for k-step")),
+        ("--oracle", dict(action="store_true", help="cross-check with the brute-force oracle")),
+        ("--timing", dict(action="store_true",
+                          help="include wall_ms in the report (breaks byte-identity)")),
+    )),
+    "observer": ("build the paper's forward pair observer", _cmd_observer, (
+        _SYSTEM, _DELTA, _CAP,
+        ("--notion", dict(default="initial-state", choices=["initial-state", "current-state"])),
+        _EXPORT_DOT,
+    )),
+    "estimator": ("build the backward initial-state estimator", _cmd_estimator, (
+        _SYSTEM, _DELTA, _CAP, _EXPORT_DOT,
+    )),
+    "simrel": ("compute the greatest InitSOP simulation relation", _cmd_simrel, (
+        _SYSTEM, _CAP,
+        ("--abstract", dict(required=True, help="abstract system file")),
+        ("--epsilon", dict(type=float, required=True)),
+        ("--delta", dict(type=float, default=None,
+                         help="also transfer an opacity verdict at this threshold")),
+    )),
+    "abstract": ("build a grid abstraction of a control system", _cmd_abstract, (
+        _SYSTEM, _CAP,
+        ("--eta", dict(type=float, required=True, help="state grid step")),
+        ("--mu", dict(type=float, required=True, help="input grid step")),
+        ("--epsilon", dict(type=float, required=True, help="target precision")),
+        ("--unsound", dict(action="store_true",
+                           help="build even if the quantization inequality fails")),
+        ("--out", dict(default=None, help="write the abstraction here")),
+    )),
+    "barrier": ("check a candidate barrier certificate", _cmd_barrier, (
+        _SYSTEM, _DELTA,
+        ("--candidate", dict(required=True, help="polynomial file")),
+        ("--kind", dict(required=True, choices=["opacity", "lack"])),
+        ("--resolution", dict(type=float, required=True)),
+        ("--margin", dict(type=float, default=DEFAULT_MARGIN,
+                          help="strictness margin for strict inequalities")),
+    )),
+    "compose": ("small-gain composition of two subsystems", _cmd_compose, (
+        _SYSTEM,
+        ("--barrier1", dict(default=None, help="local barrier for subsystem 1")),
+        ("--barrier2", dict(default=None, help="local barrier for subsystem 2")),
+        ("--delta", dict(type=float, default=None)),
+        ("--resolution", dict(type=float, default=None)),
+        ("--margin", dict(type=float, default=None)),
+    )),
 }
 
 
@@ -346,41 +323,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"opacue {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, define) in _COMMANDS.items():
-        define(sub.add_parser(name, help=help_line))
+    for name, (help_line, body, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(fn=body)
     return parser
-
-
-class _Declared:
-    """What a `_define_<command>` declares, recorded as it calls an
-    ArgumentParser's `add_argument(flag, **kwargs)` and `set_defaults`."""
-
-    def __init__(self):
-        self.options: dict[str, dict] = {}
-        self.defaults: dict[str, object] = {}
-
-    def add_argument(self, flag: str, **kwargs) -> None:
-        self.options[flag] = kwargs
-
-    def set_defaults(self, **kwargs) -> None:
-        self.defaults.update(kwargs)
 
 
 def _read_plain(command: str, argv: list[str]) -> argparse.Namespace | None:
     """The namespace the full parser gives for a plain `argv` after
-    `command`, read off the command's declarations; None if it is not
-    plain. Plain means: each token is one of the command's flags, spelled
-    in full, and each store option takes one value that does not begin
-    with "-" and passes its `type` and `choices`; every required flag is
-    given, and a repeated flag's last value wins."""
-    declared = _Declared()
-    _COMMANDS[command][1](declared)
-    options = declared.options
+    `command`, read off the command's options in `_COMMANDS`; None if it
+    is not plain. Plain means: each token is one of the command's flags,
+    spelled in full, and each store option takes one value that does not
+    begin with "-" and passes its `type` and `choices`; every required flag
+    is given, and a repeated flag's last value wins."""
+    _, body, declared = _COMMANDS[command]
+    options = dict(declared)
     dest = {flag: flag[2:].replace("-", "_") for flag in options}
     switch = {flag for flag, kwargs in options.items() if kwargs.get("action") == "store_true"}
     values = {dest[flag]: kwargs.get("default", False if flag in switch else None)
               for flag, kwargs in options.items()}
-    values.update(declared.defaults)
+    values["fn"] = body
     missing = {flag for flag, kwargs in options.items() if kwargs.get("required")}
     tokens = iter(argv)
     for flag in tokens:
@@ -405,8 +369,8 @@ def _read_plain(command: str, argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`argv` as the full parser parses it: read off the command's
-    declarations when it is plain, else by the full parser, which answers
+    """`argv` as the full parser parses it: read off the command's entry
+    in `_COMMANDS` when it is plain, else by the full parser, which answers
     -h, --version, --opt=value, abbreviations, values beginning with "-"
     and every usage error."""
     if argv and argv[0] in _COMMANDS:

@@ -51,6 +51,9 @@ class LinearSubsystem:
             raise ValidationError(f"subsystem needs |a| < 1, got a={self.a}")
         if not math.isfinite(self.b):
             raise ValidationError(f"subsystem needs a finite b, got b={self.b}")
+        if not math.isfinite(self.gain):
+            raise ValidationError(
+                f"subsystem gain |b/(1-a)| overflows, with a={self.a} and b={self.b}")
         if self.state.dim != 1:
             raise ValidationError(f"subsystem needs a 1-D state box, got {self.state.dim}-D")
         for label, box in (("initial", self.initial), ("secret", self.secret)):
@@ -99,9 +102,13 @@ class GainReport:
 
 
 def small_gain(sub1: LinearSubsystem, sub2: LinearSubsystem) -> GainReport:
-    """Gains gamma_i = |b_i / (1 - a_i)| and the product test gamma1*gamma2 < 1."""
+    """Gains gamma_i = |b_i / (1 - a_i)| and the product test gamma1*gamma2 < 1.
+    A product that overflows is refused: a report cannot carry it."""
     g1, g2 = sub1.gain, sub2.gain
     product = g1 * g2
+    if not math.isfinite(product):
+        raise ValidationError(f"gain product gamma1*gamma2 overflows, with "
+                              f"gamma1={g1} and gamma2={g2}")
     return GainReport(gamma1=g1, gamma2=g2, product=product,
                       small_gain_ok=product < 1)
 

@@ -1,8 +1,10 @@
 """Grid abstraction construction: ball rule, completeness, trajectory tracking."""
 
+import dataclasses
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -194,6 +196,28 @@ def test_quantization_gate_and_unsound_flag():
     result = build_abstraction(cs, bad, allow_unsound=True)
     assert not result.certified
     assert result.check.slack < 0
+
+
+@pytest.mark.parametrize("a,sides", [
+    (5e-324, "lhs=inf, rhs=inf, slack=nan"),  # used to be certified
+    (6e-309, "lhs=inf, rhs=1.6666666666666664e+308, slack=-inf"),
+], ids=["epsilon-over-a", "decay-term"])
+@pytest.mark.parametrize("allow_unsound", [False, True])
+def test_an_overflowing_quantization_inequality_is_refused(monkeypatch, a, sides,
+                                                           allow_unsound):
+    # c*lambda = 1.2, so the inequality holds for no epsilon/a; epsilon/a
+    # or the decay term overflows to inf, and inf <= inf used to pass
+    def refusing(lattice, *args):
+        raise AssertionError("a lattice is being built")
+
+    monkeypatch.setattr(Lattice, "points", refusing)
+    monkeypatch.setattr(Lattice, "axes", property(refusing))
+    cs = dataclasses.replace(linear_cs(a=0.3, b=0.2),
+                             iss_cert=IssCertificate(2.0, 0.6, 0.2857, a))
+    message = re.escape(f"quantization inequality overflows ({sides})")
+    with pytest.raises(QuantizationError, match=f"^{message}"):
+        build_abstraction(cs, QuantizationParams(eta=0.1, mu=0.1, epsilon=1.0),
+                          allow_unsound=allow_unsound)
 
 
 def test_span_guards():

@@ -29,9 +29,17 @@ C1 = str(FIXTURES / "gridworld_c1.json")
 C2 = str(FIXTURES / "gridworld_c2.json")
 
 
+def _not_json(constant):
+    raise AssertionError(f"the report holds {constant}, which is not JSON")
+
+
 def run(capsys, *argv):
+    """main's exit code, stdout and stderr; a verdict's report (exit 0, 1
+    or 2) must parse as strict JSON, without NaN or Infinity."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    if code in (0, 1, 2) and captured.out.startswith("{"):
+        json.loads(captured.out, parse_constant=_not_json)
     return code, captured.out, captured.err
 
 
@@ -842,6 +850,20 @@ def test_compose_rejects_non_finite_interconnections(capsys, tmp_path, field, va
     _rejected(capsys, *_compose_argv(tmp_path, subs))
 
 
+@pytest.mark.parametrize("gains,reason", [
+    # used to exit 1 with "product": Infinity
+    ({"sub1": (0.0, 1e308), "sub2": (0.0, 1e308)}, "gain product gamma1*gamma2 overflows"),
+    # used to exit 1 with "gamma1": Infinity and "product": NaN
+    ({"sub1": (0.9999999999999999, 1e300), "sub2": (-0.5, 0.0)},
+     "sub1: subsystem gain |b/(1-a)| overflows"),
+], ids=["product", "gamma1"])
+def test_compose_refuses_gains_that_overflow(capsys, tmp_path, gains, reason):
+    subs = {key: {**sub, "a": gains[key][0], "b": gains[key][1]}
+            for key, sub in SUBS.items()}
+    _rejected(capsys, "compose", "--system", _write(tmp_path, "ic.json", subs), reason=reason)
+    _rejected(capsys, *_compose_argv(tmp_path, subs), reason=reason)
+
+
 @pytest.mark.parametrize("bounds", [
     [0.0, 10 ** 400],  # an int past float range: used to pass the small-gain check
     [0, True],  # used to be taken as the interval [0, 1]
@@ -972,6 +994,19 @@ def test_abstract_rejects_non_finite_plants(capsys, tmp_path, field, value):
               "--epsilon", "1.5", "--unsound")
 
 
+@pytest.mark.parametrize("a", [5e-324, 6e-309], ids=["epsilon-over-a", "decay-term"])
+@pytest.mark.parametrize("unsound", [[], ["--unsound"]], ids=["certified", "unsound"])
+def test_abstract_refuses_an_overflowing_quantization_inequality(capsys, tmp_path, a,
+                                                                 unsound):
+    # c*lambda = 1.2 holds for no epsilon/a, but epsilon/a or the decay term
+    # overflows: this used to exit 0 with "lhs": Infinity and "slack": NaN
+    # or -Infinity, certified at a = 5e-324
+    cert = {"c": 2.0, "lambda": 0.6, "g": 0.2857, "a": a}
+    plant = _write(tmp_path, "plant.json", {**PLANT, "iss_cert": cert})
+    _rejected(capsys, "abstract", "--system", plant, "--eta", "0.1", "--mu", "0.1",
+              "--epsilon", "1", *unsound, reason="quantization inequality overflows")
+
+
 @pytest.mark.parametrize("field,value", [
     ("state_box", [[0, 10 ** 400]]),  # an int past float range
     ("iss_cert", {**PLANT["iss_cert"], "c": "abc"}),
@@ -1077,11 +1112,26 @@ def test_unexpected_errors_exit_with_the_internal_code(capsys, monkeypatch, exc)
     def fail(args):
         raise exc
 
-    monkeypatch.setattr(opacue.cli, "_cmd_verify", fail)
+    help_line, _, options = opacue.cli._COMMANDS["verify"]
+    monkeypatch.setitem(opacue.cli._COMMANDS, "verify", (help_line, fail, options))
     code, out, err = run(capsys, "verify", "--system", C1, "--delta", "0",
                          "--notion", "initial-state")
     assert (code, out) == (5, "")
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_report_value_is_an_internal_error(capsys, monkeypatch, tmp_path,
+                                                         value):
+    # a report is JSON: a NaN or an infinity that reaches one is a defect,
+    # never a verdict's exit code over a report no JSON reader accepts
+    compositional = importlib.import_module("opacue.compositional")
+    real = compositional.small_gain
+    monkeypatch.setattr(compositional, "small_gain", lambda sub1, sub2: dataclasses.replace(
+        real(sub1, sub2), product=value))
+    code, out, err = run(capsys, "compose", "--system", _write(tmp_path, "ic.json", SUBS))
+    assert (code, out) == (5, "")
+    assert err.startswith("internal error: ValueError:") and err.count("\n") == 1, err
 
 
 def test_source_has_no_assert_statements():

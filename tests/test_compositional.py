@@ -1,5 +1,6 @@
 """Small-gain reasoning and max-composition of local certificates."""
 
+import json
 import math
 import random
 
@@ -11,6 +12,7 @@ from opacue.compositional import (
     LinearSubsystem,
     compose_barriers,
     interconnect,
+    parse_interconnection,
     small_gain,
 )
 from opacue.control import DtControlSystem, IssCertificate
@@ -59,6 +61,28 @@ def test_validation_rejects_non_contractive_a():
         sub(a=-1.2)
     with pytest.raises(ValidationError):
         sub(initial=(0.0, 2.0))
+
+
+def test_a_gain_that_overflows_is_refused():
+    # |b/(1-a)| = 1e300/1.1e-16 is inf: the report used to carry
+    # "gamma1": Infinity and, times a zero gain, "product": NaN
+    with pytest.raises(ValidationError, match=r"^subsystem gain \|b/\(1-a\)\| overflows"):
+        sub(a=0.9999999999999999, b=1e300)
+    doc = {key: {"a": a, "b": b, "state": [0.0, 1.0], "initial": [0.0, 0.2],
+                 "secret": [0.6, 1.0]}
+           for key, a, b in (("sub1", 0.5, 0.2), ("sub2", 0.9999999999999999, 1e300))}
+    with pytest.raises(ValidationError, match=r"^sub2: subsystem gain"):
+        parse_interconnection(json.dumps(doc))
+
+
+def test_a_gain_product_that_overflows_is_refused():
+    # 1e308 * 1e308 is inf: the report used to carry "product": Infinity
+    with pytest.raises(ValidationError, match=r"^gain product gamma1\*gamma2 overflows"):
+        small_gain(sub(a=0.0, b=1e308), sub(a=0.0, b=1e308))
+    with pytest.raises(ValidationError, match="overflows"):
+        compose_barriers(Polynomial(2, (((0, 0), 1.0),)), Polynomial(2, (((0, 0), 1.0),)),
+                         sub(a=0.0, b=1e308), sub(a=0.0, b=1e308),
+                         delta=0.5, resolution=0.2)
 
 
 def test_max_composition_properties():
