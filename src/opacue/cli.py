@@ -89,7 +89,6 @@ def _cap_from(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .api import verify_opacity
-    from .brute import brute_force_opacity, confirm_witness
 
     system = parse_system(_read(args.system))
     notion = _notion_from(args)
@@ -101,6 +100,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.timing:
         report["stats"]["wall_ms"] = wall_ms
     if args.oracle:
+        from .brute import brute_force_opacity, confirm_witness
+
         other = brute_force_opacity(system, args.delta, notion, cap)
         report["oracle_agrees"] = other.opaque == verdict.opaque
         if verdict.witness is not None:

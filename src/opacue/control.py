@@ -92,11 +92,14 @@ def evaluate_quantization_inequality(
     radius epsilon/a plus the input-gain and state-grid contributions fits
     back inside epsilon/a:  c*lambda*(eps/a) + g*mu + eta <= eps/a.
     Takes bare values (degenerate eta = mu = 0 allowed, where the inequality
-    reduces to c*lambda < 1 for positive epsilon).
+    reduces to c*lambda < 1 for positive epsilon). It passes only when lhs,
+    rhs and slack are all finite: a side that overflows decides nothing.
     """
     rhs = epsilon / cert.a
     lhs = cert.c * cert.lam * rhs + cert.g * mu + eta
-    return QuantizationCheck(passed=lhs <= rhs, lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    slack = rhs - lhs
+    passed = lhs <= rhs and all(map(math.isfinite, (lhs, rhs, slack)))
+    return QuantizationCheck(passed=passed, lhs=lhs, rhs=rhs, slack=slack)
 
 
 def affine_certificate(

@@ -27,9 +27,8 @@ sets is entirely secret.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .estimator import build_initial_estimator
 from .observer import build_observer, current_state_search
-from .search import search
+from .search import Step, search
 from .system import (DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion,
                      check_delta, close_rows)
 from .verdict import Verdict, Witness
@@ -53,13 +52,15 @@ def verify_delayed_opacity(
 ) -> Verdict:
     """Decide delta-approximate K-step or infinite-step opacity exactly.
 
-    Both search phases count their classes against one `cap`. A witness
-    is a shortest exposing prefix followed by a shortest suffix from it.
+    Both search phases run on one `search.Step`, so the survivor phase
+    reuses the forward phase's step tables, and both count their classes
+    against one `cap`. A witness is a shortest exposing prefix followed by
+    a shortest suffix from it.
     """
     _check_delayed_notion(notion)
     check_delta(delta)
-    close = close_rows(sys.outputs, sys.outputs, delta)
-    forward = current_state_search(sys, close, cap)
+    step = Step(sys, close_rows(sys.outputs, sys.outputs, delta))
+    forward = current_state_search(step, cap)
     if forward.hit is not None:
         witness = Witness(*forward.path(forward.hit), forward.depths[forward.hit])
         return Verdict(False, notion, delta, witness,
@@ -71,7 +72,7 @@ def verify_delayed_opacity(
         if (secret >> x) & 1:
             origins.setdefault((x, bits & ~secret), i)
     survivors = search(
-        sys, close, origins, lambda x, bits: bits == 0, cap,
+        step, origins, lambda x, bits: bits == 0, cap,
         max_depth=notion.k,
         spent=len(forward.classes),
     )
@@ -91,6 +92,8 @@ def product_opacity(
 ) -> Verdict:
     """Decide K-step or infinite-step opacity by the observer x estimator
     product. Slower than `verify_delayed_opacity`; kept as its oracle."""
+    from .estimator import build_initial_estimator
+
     _check_delayed_notion(notion)
     obs = build_observer(sys, delta, cap)
     est = build_initial_estimator(sys, delta, cap)

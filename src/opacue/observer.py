@@ -30,9 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .brute import explore, subset_step, union
 from .errors import InternalError, ValidationError
-from .search import search
+from .search import Step, search
 from .system import (
     DEFAULT_STATE_CAP, MetricSystem, NotionKind, OpacityNotion, check_delta, close_rows,
     iter_bits,
@@ -99,6 +98,8 @@ def build_observer(
     to the new reference state. Raises ResourceError past `cap` interned
     states.
     """
+    from .brute import explore, subset_step, union
+
     check_delta(delta)
     n = sys.n_states
     ones = sum(1 << (i * n) for i in range(n))
@@ -127,12 +128,13 @@ def _check_state_notion(notion: OpacityNotion) -> bool:
     return notion.kind is NotionKind.INITIAL_STATE
 
 
-def current_state_search(sys: MetricSystem, close: list[int], cap: int) -> Forest:
-    """Search for a class whose reference state is secret and whose set of
-    current states lies inside the secret set."""
+def current_state_search(step: Step, cap: int) -> Forest:
+    """Search `step` for a class whose reference state is secret and whose
+    set of current states lies inside the secret set."""
+    sys, close = step.sys, step.close
     secret = sys.secret_bits
     return search(
-        sys, close,
+        step,
         [(x, sys.initial_bits & close[x]) for x in sorted(sys.initial)],
         lambda x, bits: (secret >> x) & 1 and bits & ~secret == 0,
         cap,
@@ -155,14 +157,15 @@ def verify_state_opacity(
     initial_notion = _check_state_notion(notion)
     check_delta(delta)
     close = close_rows(sys.outputs, sys.outputs, delta)
+    step = Step(sys, close)
     if initial_notion:
         secret = sys.secret_bits
         nonsecret = sys.initial_bits & ~secret
         seeds = [(x, nonsecret & close[x]) for x in sorted(sys.initial)
                  if (secret >> x) & 1]
-        found = search(sys, close, seeds, lambda x, bits: bits == 0, cap)
+        found = search(step, seeds, lambda x, bits: bits == 0, cap)
     else:
-        found = current_state_search(sys, close, cap)
+        found = current_state_search(step, cap)
     stats = {"classes": len(found.classes)}
     if found.hit is None:
         return Verdict(True, notion, delta, None, stats)

@@ -271,6 +271,14 @@ def test_quantization_degenerate_grid_limit():
     assert not evaluate_quantization_inequality(bad, 0.0, 0.0, 0.7).passed
 
 
+def test_quantization_inequality_that_overflows_does_not_pass():
+    # c*lambda = 1.2 holds for no epsilon/a, but epsilon/a = inf at a = 5e-324
+    cert = IssCertificate(c=2.0, lam=0.6, g=0.2857, a=5e-324)
+    chk = evaluate_quantization_inequality(cert, eta=0.1, mu=0.1, epsilon=1.0)
+    assert (chk.lhs, chk.rhs) == (math.inf, math.inf) and math.isnan(chk.slack)
+    assert not chk.passed
+
+
 def test_quantization_inequality_is_its_formula_bit_for_bit():
     # c*lambda*(eps/a) + g*mu + eta <= eps/a, in the order the decay term
     # beta(r, k) = c*lambda**k*r at k = 1 and the gain g*r were evaluated
@@ -294,7 +302,8 @@ def test_quantization_inequality_is_its_formula_bit_for_bit():
         rhs = eps / cert.a
         lhs = cert.c * cert.lam**1 * rhs + cert.g * mu + eta
         chk = evaluate_quantization_inequality(cert, eta, mu, eps)
-        assert chk.passed == (lhs <= rhs)
+        finite = all(map(math.isfinite, (lhs, rhs, rhs - lhs)))
+        assert chk.passed == (lhs <= rhs and finite)
         assert [bits(chk.lhs), bits(chk.rhs), bits(chk.slack)] == [
             bits(lhs), bits(rhs), bits(rhs - lhs)]
 

@@ -46,7 +46,7 @@ PUBLIC_NAMES = [(module, name) for module, names in PUBLIC.items()
 # What `import opacue.cli` loads: the package, the CLI, and the modules the
 # CLI imports at module level with theirs.
 CLI_MODULES = {"opacue", "opacue.cli", "opacue.errors", "opacue.system",
-               "opacue.observer", "opacue.brute", "opacue.search", "opacue.verdict"}
+               "opacue.observer", "opacue.search", "opacue.verdict"}
 CONTINUOUS_MODULES = {"opacue.compositional", "opacue.barrier", "opacue.control",
                       "opacue.expr", "opacue.polynomial", "opacue.abstraction",
                       "opacue.boxes", "opacue.simrel", "opacue.dotexport"}
@@ -119,6 +119,17 @@ def test_verify_loads_no_continuous_layer():
     assert set(codes) <= {0, 1} and 1 in codes
     assert "opacue.delayed" in modules  # k-step and infinite-step ran
     assert modules & CONTINUOUS_MODULES == set()
+
+
+def test_plain_verify_loads_no_oracle():
+    argvs = [["verify", "--system", system, "--notion", notion, "--delta", "0", *extra]
+             for system in (C1, C2)
+             for notion, extra in (("initial-state", []), ("current-state", []),
+                                   ("k-step", ["--k", "2"]), ("infinite-step", []))]
+    modules, codes = _loaded_after(_main_codes(*argvs))
+    assert set(codes) <= {0, 1} and 1 in codes
+    assert "opacue.delayed" in modules  # k-step and infinite-step ran
+    assert modules & {"opacue.brute", "opacue.estimator"} == set()
 
 
 def test_barrier_loads_no_finite_decision_layer(tmp_path):

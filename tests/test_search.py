@@ -17,7 +17,7 @@ from opacue.control import QuantizationParams, parse_control_system
 from opacue.delayed import product_opacity, verify_delayed_opacity
 from opacue.errors import ResourceError
 from opacue.observer import build_observer, observer_verdict, verify_state_opacity
-from opacue.search import search
+from opacue.search import Step, search
 from opacue.system import MetricSystem, OpacityNotion
 
 from .conftest import linear_plant, random_system
@@ -90,18 +90,18 @@ def test_search_stops_at_the_first_revealing_class_and_honours_depth():
         transitions=((0, 0, 1), (1, 0, 2), (2, 0, 3), (3, 0, 0)),
     )
     close = [0b1111] * 4
-    at_c = search(ring, close, [(0, 0b1)], lambda x, bits: x == 2, cap=10)
+    at_c = search(Step(ring, close), [(0, 0b1)], lambda x, bits: x == 2, cap=10)
     assert at_c.classes == [(0, 0b1), (1, 0b10), (2, 0b100)]
     assert at_c.hit == 2
     assert at_c.path(2) == ((0, 1, 2), (0, 0))
     assert at_c.root(2) == 0
 
-    shallow = search(ring, close, [(0, 0b1)], lambda x, bits: x == 2, cap=10,
+    shallow = search(Step(ring, close), [(0, 0b1)], lambda x, bits: x == 2, cap=10,
                      max_depth=1)
     assert shallow.hit is None and len(shallow.classes) == 2
 
     with pytest.raises(ResourceError):
-        search(ring, close, [(0, 0b1)], lambda x, bits: False, cap=4, spent=1)
+        search(Step(ring, close), [(0, 0b1)], lambda x, bits: False, cap=4, spent=1)
 
 
 def test_3d_plant_abstraction_class_counts():

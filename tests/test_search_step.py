@@ -9,7 +9,8 @@ the image every time. Both must intern the same classes in the same order,
 with the same parents, depths and hit, and must run out of room at the
 same class, for the seeds of all four notions: initial-state,
 current-state, and the delayed notions' survivor phase with and without a
-depth bound.
+depth bound. A `Step`'s tables outlive one search, so a search on a step
+that another search has filled must leave the forest a fresh step leaves.
 """
 
 import json
@@ -20,12 +21,12 @@ import pytest
 from opacue.abstraction import build_abstraction
 from opacue.control import QuantizationParams, parse_control_system
 from opacue.errors import ResourceError
-from opacue.search import search
+from opacue.search import _BYTE_MEMBERS, Step, search
 from opacue.system import MetricSystem, close_rows, iter_bits
 from opacue.verdict import Forest
 
 from .conftest import linear_plant, random_system
-from .test_search import corpus
+from .test_search import DELTAS, corpus
 
 
 def post_step(sys, close):
@@ -111,7 +112,7 @@ def assert_same_search(sys: MetricSystem, delta: float) -> int:
     for label, close, seeds, reveal, max_depth, spent in searches(sys, delta):
         want = reference_search(seeds, post_step(sys, close), reveal, 10**9,
                                 max_depth, spent)
-        got = search(sys, close, seeds, reveal, 10**9, max_depth, spent)
+        got = search(Step(sys, close), seeds, reveal, 10**9, max_depth, spent)
         assert (got.classes, got.parents, got.depths, got.hit) == \
             (want.classes, want.parents, want.depths, want.hit), label
         compared += len(want.classes)
@@ -120,7 +121,7 @@ def assert_same_search(sys: MetricSystem, delta: float) -> int:
         for cap in {spent + len(want.classes) - 1, spent + len(want.classes) // 2}:
             engine_tested, reference_tested = [], []
             with pytest.raises(ResourceError) as engine_error:
-                search(sys, close, seeds, recording(reveal, engine_tested), cap,
+                search(Step(sys, close), seeds, recording(reveal, engine_tested), cap,
                        max_depth, spent)
             with pytest.raises(ResourceError) as reference_error:
                 reference_search(seeds, post_step(sys, close),
@@ -185,7 +186,7 @@ def test_engine_step_on_a_dead_end_reached_with_two_sets():
         transitions=((0, 0, 2), (0, 0, 3), (1, 0, 2), (3, 0, 3)),
     )
     close = [0b1111] * 4
-    found = search(sys_, close, [(0, 0b1), (1, 0b10)], lambda x, bits: False, cap=100)
+    found = search(Step(sys_, close), [(0, 0b1), (1, 0b10)], lambda x, bits: False, cap=100)
     assert found.classes == [(0, 0b1), (1, 0b10), (2, 0b1100), (3, 0b1100),
                              (2, 0b100), (3, 0b1000)]
     assert found.hit is None
@@ -201,7 +202,7 @@ def test_engine_step_records_the_first_input_to_each_successor():
                      (0, 2, 3)),
     )
     close = close_rows(sys_.outputs, sys_.outputs, 0.0)
-    found = search(sys_, close, [(0, 0b1)], lambda x, bits: False, cap=100)
+    found = search(Step(sys_, close), [(0, 0b1)], lambda x, bits: False, cap=100)
     assert found.classes == [(0, 0b1), (1, 0b10), (3, 0b1100), (2, 0b1100)]
     assert found.parents == [None, (0, 0), (0, 1), (0, 2)]
     assert_same_search(sys_, 0.0)
@@ -213,3 +214,51 @@ def test_engine_step_matches_the_plain_step_on_a_plant_abstraction():
     cs = parse_control_system(json.dumps(linear_plant(2, 0.3, 0.2, (0.4, 0.7))))
     abstraction = build_abstraction(cs, QuantizationParams(0.1, 0.1, 0.23))
     assert assert_same_search(abstraction.system, 0.3) > 1_000
+
+
+def test_survivor_phase_on_the_forward_phase_step_matches_a_fresh_step():
+    # verify_delayed_opacity runs its survivor phase on the Step its forward
+    # phase filled: same forest as a fresh Step and as the reference, with
+    # the forward classes spent, and the same failure one class short
+    def empty(x, bits):
+        return bits == 0
+
+    compared = 0
+    for sys_ in corpus():
+        for delta in DELTAS:
+            close = close_rows(sys_.outputs, sys_.outputs, delta)
+            secret = sys_.secret_bits
+            current = [(x, sys_.initial_bits & close[x]) for x in sorted(sys_.initial)]
+            for k in (0, 1, 2, None):
+                step = Step(sys_, close)
+                forward = search(step, current, lambda x, bits: False, 10**9)
+                origins = {}
+                for x, bits in forward.classes:
+                    if (secret >> x) & 1:
+                        origins.setdefault((x, bits & ~secret), None)
+                spent = len(forward.classes)
+                want = reference_search(list(origins), post_step(sys_, close), empty,
+                                        10**9, k, spent)
+                need = spent + len(want.classes)
+                for cap in (10**9, need):
+                    for got in (search(step, origins, empty, cap, k, spent),
+                                search(Step(sys_, close), origins, empty, cap, k, spent)):
+                        assert (got.classes, got.parents, got.depths, got.hit) == \
+                            (want.classes, want.parents, want.depths, want.hit)
+                compared += len(want.classes)
+                if not want.classes:
+                    continue
+                tested = {}
+                for label, on in (("shared", step), ("fresh", Step(sys_, close))):
+                    tested[label] = []
+                    with pytest.raises(ResourceError, match=f"cap of {need - 1} "):
+                        search(on, origins, recording(empty, tested[label]), need - 1,
+                               k, spent)
+                assert tested["shared"] == tested["fresh"] == want.classes[:-1]
+    assert compared > 4_000
+
+
+def test_byte_members_list_the_bits_of_every_byte():
+    assert len(_BYTE_MEMBERS) == 256
+    for b in range(256):
+        assert tuple(_BYTE_MEMBERS[b]) == tuple(iter_bits(b))
