@@ -86,6 +86,8 @@ def build_regions(
     check_initial_spans("resolution", resolution, cs.initial_region, cs.secret_region,
                         "region")
     lattice = Lattice(cs.state_box, resolution)
+    lattice.check_pairs("state lattice")
+    Lattice(cs.input_box, resolution).check_pairs("input lattice")  # the decrease's u, u_hat
     return pair_regions(lattice, cs.outputs(lattice.points()), cs.initial_region,
                         cs.secret_region, delta)
 

@@ -16,7 +16,8 @@ from decimal import Decimal
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .errors import QuantizationError, ValidationError
+from .errors import QuantizationError, ResourceError, ValidationError
+from .system import DEFAULT_STATE_CAP
 
 __all__ = ["Box", "BoxUnion", "Lattice", "check_span", "grid"]
 
@@ -183,6 +184,12 @@ class Lattice:
     def axes(self) -> list[list[float]]:
         """Per axis, the lattice values, ascending and without duplicates."""
         return [sorted(set(values)) for values in self._values()]
+
+    def check_pairs(self, what: str) -> None:
+        """Raise ResourceError when the pairs of points, counted from `size`
+        before any point is built, exceed the state cap."""
+        if self.size ** 2 > DEFAULT_STATE_CAP:
+            raise ResourceError(f"{what} exceeds the cap of {DEFAULT_STATE_CAP} pairs")
 
     def points(self) -> list[tuple[float, ...]]:
         """Every point, the product of the axes in row-major order."""

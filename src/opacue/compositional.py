@@ -255,6 +255,8 @@ def compose_barriers(
     if not gains.small_gain_ok:
         raise SmallGainError(
             f"small-gain condition failed: gamma1*gamma2 = {gains.product} >= 1")
+    for idx, sub in enumerate((sub1, sub2), 1):  # each is the other's partner too
+        Lattice(sub.state, resolution).check_pairs(f"state lattice of subsystem {idx}")
     checks = _barrier_conditions(1, sub1, sub2, b1, delta, resolution, margin)
     checks += _barrier_conditions(2, sub2, sub1, b2, delta, resolution, margin)
 

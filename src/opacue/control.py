@@ -21,7 +21,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .boxes import Box, BoxUnion
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, InternalError, ParseError, ValidationError
 from .expr import CompiledMap, Points, compile_map
 from .system import json_number, read_object
 
@@ -193,21 +193,20 @@ def _finite(fn: CompiledMap, xs: Points, us: Points,
     """fn.grid(xs, us) when every coordinate is finite. Otherwise, or when
     it raises, the grid is walked again with `fn.at`, in order, so the first
     point that raises or is not finite is the one named: error(x, u, value)
-    for a value that is not finite."""
+    for a value that is not finite. `grid` and `at` run one compiled
+    comprehension, so a walk that names no point is a defect."""
     try:
         values = fn.grid(xs, us)
         if all(map(math.isfinite, chain.from_iterable(values))):
             return values
     except (ArithmeticError, ValueError):  # 1/0, exp(1000), sin(inf)
         pass
-    values = []
     for x in xs:
         for u in us:
             value = fn.at(x, u)
             if not all(map(math.isfinite, value)):
                 raise error(x, u, value)
-            values.append(value)
-    return values
+    raise InternalError("the grid call failed, but no point fails alone")
 
 
 def _parse_box(value, where: str) -> Box:

@@ -3,7 +3,8 @@
 The greatest relation satisfying the output-closeness and mutual
 step-matching conditions is computed by refining the bitset rows of the
 epsilon-close table until stable, one row per concrete state, and stays
-rows up to the report; the existence conditions on secret/non-secret
+rows up to the report, whose pairs `system.json_rows` writes (the writer of
+a system file's triples too); the existence conditions on secret/non-secret
 initial states are then checked against the survivors. When everything
 holds, a verdict for the related (coarser) system at a reduced threshold
 transfers soundly to the finer system.
@@ -15,13 +16,13 @@ import enum
 from dataclasses import dataclass
 from decimal import Decimal
 from itertools import chain, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
 from .observer import verify_state_opacity
 from .system import (
     DEFAULT_STATE_CAP, MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows,
-    delta_close, iter_bits, json_array, json_texts,
+    delta_close, iter_bits, json_array, json_rows, json_texts,
 )
 from .verdict import Verdict
 
@@ -48,31 +49,18 @@ class SimRelation:
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The related (concrete, abstract) pairs in row-major order."""
+        """The related (concrete, abstract) pairs in row-major order; the
+        members of each distinct row value (rows often share one) are listed once."""
+        listed = {bits: tuple(iter_bits(bits)) for bits in set(self.rows)}
         return tuple(chain.from_iterable(
-            zip(repeat(i), members) for i, members in enumerate(_listed(self.rows))))
+            zip(repeat(i), listed[bits]) for i, bits in enumerate(self.rows)))
 
     def pairs_json(self, concrete: MetricSystem, abstract: MetricSystem) -> str:
         """The report's "pairs" value, `[[concrete name, abstract name], ...]`,
-        as `json.dumps(report, indent=2)` writes it one level deep. Each name
-        is encoded once; no list of name pairs is built."""
+        as `json.dumps(report, indent=2)` writes it one level deep: `json_rows`
+        with a head per concrete state and the abstract states' names."""
         heads = [f"[\n      {name},\n      " for name in json_texts(concrete.names, 3)]
-        tails = [f"{name}\n    ]" for name in json_texts(abstract.names, 3)]
-        items: list[str] = []
-        for head, members in zip(heads, _listed(self.rows)):
-            items += map(head.__add__, map(tails.__getitem__, members))
-        return json_array(items, 1)
-
-
-def _listed(rows: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The members of each row in turn; each distinct row value is listed
-    once (with output x1 most rows of a lattice relation share a value)."""
-    seen: dict[int, tuple[int, ...]] = {}
-    for bits in rows:
-        members = seen.get(bits)
-        if members is None:
-            members = seen[bits] = tuple(iter_bits(bits))
-        yield members
+        return json_array(json_rows(heads, self.rows, json_texts(abstract.names, 3)), 1)
 
 
 @dataclass(frozen=True)

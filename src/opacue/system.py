@@ -12,7 +12,8 @@ constructor from index triples, each in one pass. A bitset with one
 successor is that successor's one shared `1 << dst` int, so a system with
 one successor per (state, input) costs a reference per pair:
 `sample_system`'s 3-D eta = 0.025 stand-in (68,921 states, 27 inputs,
-2,744 distinct targets) peaks at 386 MB.
+2,744 distinct targets) peaks at 386 MB. One writer, `json_rows`, renders
+bitset rows as JSON name rows: the file's triples and a relation's pairs.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "iter_bits",
     "json_array",
     "json_number",
+    "json_rows",
     "json_texts",
     "read_object",
 ]
@@ -628,6 +630,19 @@ def json_array(items: Sequence[str], depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
 
 
+def json_rows(heads: Iterable[str], rows: Iterable[int], names: Sequence[str]) -> list[str]:
+    """The items of an array of name rows, as `json.dumps(..., indent=2)`
+    writes them one level deep. For each nonempty row, one text holds an
+    item per member j: the row's head, then `names[j]` (rendered three
+    levels deep) as the item's last name, each joined to the next as
+    `json_array` joins items. Each distinct row value's members are listed once."""
+    tails = [f"{name}\n    ]" for name in names]
+    listed: dict[int, list[str]] = {}
+    return [head + (",\n    " + head).join(
+                listed.get(bits) or listed.setdefault(bits, [tails[j] for j in iter_bits(bits)]))
+            for head, bits in zip(heads, rows) if bits]
+
+
 def serialize_system(sys: MetricSystem) -> str:
     """Emit the canonical JSON document for a system.
 
@@ -635,8 +650,9 @@ def serialize_system(sys: MetricSystem) -> str:
     state index, transitions sorted by (src, input, dst) index triples. The
     text is exactly `json.dumps(doc, indent=2) + "\n"` of that document,
     written without `json`'s token-by-token encoder: each name and label is
-    encoded once and reused. serialize(parse(doc)) is the identity on
-    canonical documents.
+    encoded once and reused, and the triples are the name rows `json_rows`
+    writes, one head per (src, input) and one name per successor.
+    serialize(parse(doc)) is the identity on canonical documents.
     """
     names = [_json_text(name) for name in sys.names]
     labels = [_json_text(label) for label in sys.inputs]
@@ -646,30 +662,12 @@ def serialize_system(sys: MetricSystem) -> str:
         f'{{\n      "name": {name},\n      "output": {json_array([_json_text(v) for v in out], 3)}\n    }}'
         for name, out in zip(names3, sys.outputs)
     ]
+    heads = (f"[\n      {name},\n      {label},\n      " for name in names3 for label in labels3)
+    rows = chain.from_iterable(zip(*sys.post_bits))
     return (
         f'{{\n  "states": {json_array(states, 1)},'
         f'\n  "inputs": {json_array(_indented(labels, 2), 1)},'
         f'\n  "initial": {json_array([names2[i] for i in sorted(sys.initial)], 1)},'
         f'\n  "secret": {json_array([names2[i] for i in sorted(sys.secret)], 1)},'
-        f'\n  "transitions": {json_array(_row_triples(sys.post_bits, names3, labels3), 1)}\n}}\n'
+        f'\n  "transitions": {json_array(json_rows(heads, rows, names3), 1)}\n}}\n'
     )
-
-
-def _row_triples(post: Sequence[Sequence[int]], names3: list[str], labels3: list[str]
-                 ) -> list[str]:
-    """The transition triples as `serialize_system` writes them, read off
-    successor rows: one text per (src, input) holds all its triples, each
-    triple item joined to the next as `json_array` joins items. Rows share
-    values, so the members of each distinct row are listed once."""
-    tails = [f"{name}\n    ]" for name in names3]
-    listed: dict[int, list[str]] = {}
-    texts = []
-    for x, column in enumerate(zip(*post)):
-        for u, bits in enumerate(column):
-            if bits:
-                members = listed.get(bits)
-                if members is None:
-                    members = listed[bits] = [tails[d] for d in iter_bits(bits)]
-                head = f"[\n      {names3[x]},\n      {labels3[u]},\n      "
-                texts.append(head + (",\n    " + head).join(members))
-    return texts

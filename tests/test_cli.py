@@ -785,6 +785,39 @@ def test_barrier_and_compose_flags_accept_the_valid_cases(capsys, tmp_path):
     assert code == 2 and json.loads(out)["all_passed"] is True
 
 
+def _cap_argvs(tmp_path):
+    """(argv, refused lattice) of each sampled lattice whose pairs pass the
+    cap: [0, 1] at resolution 1e-6 has 1,000,001 points, 10^12 pairs (once
+    a MemoryError, exit 5); at 0.001 its 1,002,001 pairs fit, but those of
+    an input box [0, 2] (2,001 points) or of a partner's state interval
+    [0, 200] at 0.1 do not."""
+    wide_input = _write(tmp_path, "wide.json", {**PLANT, "input_box": [[0.0, 2.0]]})
+    wide_partner = {**SUBS, "sub2": {**SUBS["sub2"], "state": [0.0, 200.0]}}
+    return [
+        (_barrier_argv(tmp_path, resolution="1e-6"), "state lattice"),
+        (_barrier_argv(tmp_path, kind="lack", resolution="1e-6"), "state lattice"),
+        (_compose_argv(tmp_path, resolution="1e-6"), "state lattice of subsystem 1"),
+        (["barrier", "--system", wide_input, "--candidate", _write(tmp_path, "b.json", GAP),
+          "--kind", "opacity", "--delta", "0.15", "--resolution", "0.001"], "input lattice"),
+        (_compose_argv(tmp_path, wide_partner), "state lattice of subsystem 2"),
+    ]
+
+
+@pytest.mark.parametrize("build_points", [True, False], ids=["points", "no-points"])
+def test_barrier_and_compose_refuse_lattice_pairs_past_the_cap(capsys, monkeypatch, tmp_path,
+                                                              build_points):
+    # the pairs are counted from Lattice.size: with Lattice.points raising,
+    # the refusal is the same, so it comes before any point is built
+    from opacue.boxes import Lattice
+    from opacue.system import DEFAULT_STATE_CAP
+
+    if not build_points:
+        monkeypatch.setattr(Lattice, "points", lambda self: 1 / 0)
+    for argv, lattice in _cap_argvs(tmp_path):
+        assert run(capsys, *argv) == (
+            4, "", f"error: {lattice} exceeds the cap of {DEFAULT_STATE_CAP} pairs\n")
+
+
 @pytest.mark.parametrize("flags", [
     {"delta": "nan"},  # used to check 0 samples and report sample-passed
     {"delta": "inf"},  # used to report falsified

@@ -17,8 +17,8 @@ from opacue.control import (
     evaluate_quantization_inequality,
     parse_control_system,
 )
-from opacue.errors import DomainError, ParseError, ValidationError
-from opacue.expr import compile_map
+from opacue.errors import DomainError, InternalError, ParseError, ValidationError
+from opacue.expr import CompiledMap, compile_map
 
 
 # -- expression grammar --------------------------------------------------------
@@ -361,6 +361,16 @@ def test_step_and_observe_refuse_non_finite_coordinates(fault, shown):
         cs.observe((0.5,))
     assert str(exc.value) == f"H((0.5,)) = (0.5, {shown}) is not finite"
     assert exc.value.state == (0.5,) and exc.value.inp is None
+
+
+def test_a_grid_failure_that_no_point_repeats_is_an_internal_error():
+    # grid and at run one compiled comprehension, so a failed grid call
+    # whose walk finds no failing point is a defect, never a value list
+    from opacue.control import _finite
+
+    fn = CompiledMap(grid=lambda xs, us: 1 / 0, at=lambda x, u: (0.5,))
+    with pytest.raises(InternalError, match="no point fails alone"):
+        _finite(fn, [(0.0,), (1.0,)], [()], lambda x, u, value: DomainError("unused"))
 
 
 CS_DOC = {
