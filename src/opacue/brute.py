@@ -114,7 +114,7 @@ def brute_force_opacity(sys: MetricSystem, delta: float, notion: OpacityNotion,
     close = [sys.close_bits(x, delta) for x in range(sys.n_states)]
     step = subset_step(lambda bits: union(bits, sys.succ_any), close, sys.post_bits)
     secret = sys.secret_bits
-    seeds = [(x, sys.initial_bits & close[x]) for x in sorted(sys.initial)]
+    seeds = [(x, sys.initial_bits & close[x]) for x in sys.initial]
     searches = []
     witness = None
 

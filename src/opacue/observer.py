@@ -105,7 +105,7 @@ def build_observer(
     ones = sum(1 << (i * n) for i in range(n))
     close = [sys.close_bits(x, delta) for x in range(n)]
     seeds = [(x, sum(1 << (i * n + i) for i in iter_bits(sys.initial_bits & close[x])))
-             for x in sorted(sys.initial)]
+             for x in sys.initial]
     # every tracked run takes one step under an arbitrary input
     step = subset_step(lambda z: sum(union(row, sys.succ_any) << (i * n)
                                      for i, row in Observer.rows(z, n)),
@@ -135,7 +135,7 @@ def current_state_search(step: Step, cap: int) -> Forest:
     secret = sys.secret_bits
     return search(
         step,
-        [(x, sys.initial_bits & close[x]) for x in sorted(sys.initial)],
+        [(x, sys.initial_bits & close[x]) for x in sys.initial],
         lambda x, bits: (secret >> x) & 1 and bits & ~secret == 0,
         cap,
     )
@@ -161,7 +161,7 @@ def verify_state_opacity(
     if initial_notion:
         secret = sys.secret_bits
         nonsecret = sys.initial_bits & ~secret
-        seeds = [(x, nonsecret & close[x]) for x in sorted(sys.initial)
+        seeds = [(x, nonsecret & close[x]) for x in sys.initial
                  if (secret >> x) & 1]
         found = search(step, seeds, lambda x, bits: bits == 0, cap)
     else:

@@ -36,7 +36,7 @@ class Polynomial:
         if self.n_vars < 1:
             raise ValidationError("a polynomial needs at least one variable")
         seen = set()
-        for exps, _coef in self.terms:
+        for exps, coef in self.terms:
             if len(exps) != self.n_vars:
                 raise ValidationError(
                     f"term {exps} has {len(exps)} exponents, expected {self.n_vars}"
@@ -47,6 +47,11 @@ class Polynomial:
                 raise ValidationError(
                     f"term {exps}: exponents must be at most MAX_EXPONENT = {MAX_EXPONENT}"
                 )
+            try:  # exactly a float or an int, as a parsed file's coefficient is
+                if not math.isfinite(json_number(coef)):
+                    raise ValidationError(f"term {exps}: coefficient {coef} is not finite")
+            except (TypeError, OverflowError) as exc:
+                raise ValidationError(f"term {exps}: coefficient: {exc}") from None
             if exps in seen:
                 raise ValidationError(f"duplicate term {exps}")
             seen.add(exps)

@@ -15,14 +15,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import reduce
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .errors import DimensionError, PrecisionError
 from .observer import verify_state_opacity
 from .system import (
     DEFAULT_STATE_CAP, MetricSystem, OpacityNotion, check_delta, check_threshold, close_rows,
-    delta_close, iter_bits, json_array, json_rows, json_texts,
+    delta_close, iter_bits, json_array, json_rows,
 )
 from .verdict import Verdict
 
@@ -59,8 +61,9 @@ class SimRelation:
         """The report's "pairs" value, `[[concrete name, abstract name], ...]`,
         as `json.dumps(report, indent=2)` writes it one level deep: `json_rows`
         with a head per concrete state and the abstract states' names."""
-        heads = [f"[\n      {name},\n      " for name in json_texts(concrete.names, 3)]
-        return json_array(json_rows(heads, self.rows, json_texts(abstract.names, 3)), 1)
+        encode = encode_basestring_ascii
+        heads = [f"[\n      {encode(name)},\n      " for name in concrete.names]
+        return json_array(json_rows(heads, self.rows, list(map(encode, abstract.names))), 1)
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,7 @@ def _check_existence(
     """Condition 1: secret initial states and non-secret abstract initial
     states must each have a related counterpart of the right kind."""
     secret_init_a = abstract.initial_bits & abstract.secret_bits
-    for i in sorted(concrete.initial):
+    for i in concrete.initial:
         if (concrete.secret_bits >> i) & 1 and rows[i] & secret_init_a == 0:
             return RelationFailure(
                 "1a", concrete=i,
@@ -173,7 +176,7 @@ def _check_existence(
     for i in concrete.initial:
         if not (concrete.secret_bits >> i) & 1:
             partners |= rows[i]
-    for j in sorted(abstract.initial):
+    for j in abstract.initial:
         if not (abstract.secret_bits >> j) & 1 and not (partners >> j) & 1:
             return RelationFailure(
                 "1b", abstract=j,
@@ -206,32 +209,33 @@ def check_relation(
     abstract: MetricSystem,
     relation: SimRelation,
 ) -> Optional[RelationFailure]:
-    """Re-check a given relation pair by pair; None means all conditions hold.
-    A bad epsilon or a dimension mismatch raises, as in `delta_close`."""
+    """Re-check a given relation pair by pair, in row-major order; None
+    means all conditions hold. A bad epsilon or a dimension mismatch
+    raises, as in `delta_close`."""
     eps = relation.epsilon
     check_threshold("epsilon", eps)
     if len(concrete.outputs[0]) != len(abstract.outputs[0]):
         raise DimensionError("the two systems' outputs differ in dimension")
-    rows, pairs = relation.rows, relation.pairs
-    for i, j in pairs:
-        if not delta_close(concrete.outputs[i], abstract.outputs[j], eps):
-            return RelationFailure("2", concrete=i, abstract=j,
-                                   detail="outputs not epsilon-close")
+    rows = relation.rows
+    for i, row in enumerate(rows):
+        for j in iter_bits(row):
+            if not delta_close(concrete.outputs[i], abstract.outputs[j], eps):
+                return RelationFailure("2", concrete=i, abstract=j,
+                                       detail="outputs not epsilon-close")
     succ_c = concrete.succ_any
     succ_a = abstract.succ_any
-    for i, j in pairs:
-        for i2 in iter_bits(succ_c[i]):
-            if rows[i2] & succ_a[j] == 0:
-                return RelationFailure(
-                    "3a", concrete=i, abstract=j,
-                    detail=f"concrete step to {concrete.names[i2]} unmatched",
-                )
-        for j2 in iter_bits(succ_a[j]):
-            if not any((rows[i2] >> j2) & 1 for i2 in iter_bits(succ_c[i])):
-                return RelationFailure(
-                    "3b", concrete=i, abstract=j,
-                    detail=f"abstract step to {abstract.names[j2]} unmatched",
-                )
+    for i, row in enumerate(rows):
+        succ = list(iter_bits(succ_c[i]))
+        reach = reduce(int.__or__, map(rows.__getitem__, succ), 0)  # partners of i's steps
+        for j in iter_bits(row):
+            for i2 in succ:
+                if rows[i2] & succ_a[j] == 0:
+                    return RelationFailure("3a", concrete=i, abstract=j, detail=f"concrete "
+                                           f"step to {concrete.names[i2]} unmatched")
+            unmatched = succ_a[j] & ~reach
+            if unmatched:
+                return RelationFailure("3b", concrete=i, abstract=j, detail=f"abstract step "
+                                       f"to {abstract.names[next(iter_bits(unmatched))]} unmatched")
     return _check_existence(concrete, abstract, rows)
 
 

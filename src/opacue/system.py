@@ -12,8 +12,10 @@ constructor from index triples, each in one pass. A bitset with one
 successor is that successor's one shared `1 << dst` int, so a system with
 one successor per (state, input) costs a reference per pair:
 `sample_system`'s 3-D eta = 0.025 stand-in (68,921 states, 27 inputs,
-2,744 distinct targets) peaks at 386 MB. One writer, `json_rows`, renders
-bitset rows as JSON name rows: the file's triples and a relation's pairs.
+2,744 distinct targets) peaks at 386 MB. Names and labels are `str` and
+outputs `float` or `int`, so every system reads back from its file as
+itself. One writer, `json_rows`, renders bitset rows as JSON name rows:
+the file's triples and a relation's pairs.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "json_array",
     "json_number",
     "json_rows",
-    "json_texts",
     "read_object",
 ]
 
@@ -205,7 +206,10 @@ class MetricSystem:
     triples into rows in one pass, with one `1 << dst` int per distinct
     target, shared by every bitset that holds it alone;
     `MetricSystem.from_rows` takes the rows themselves. Every other table
-    is derived from the rows. Equality compares all six fields.
+    is derived from the rows. Both constructors refuse, with a
+    ValidationError, a name or label that is not a `str` and an output
+    value that is not a finite `float` or `int`; they keep `initial` and
+    `secret` sorted, each index once. Equality compares all six fields.
 
     Immutable after construction; safe to share across concurrent readers.
     """
@@ -248,10 +252,14 @@ class MetricSystem:
 
     def _validate(self, transitions: Sequence[tuple[int, int, int]]) -> None:
         """Check every field but the transitions' ranges, which are checked
-        as the rows are built or read, last."""
+        as the rows are built or read, last; keep each as its file reads it
+        back: tuples, surrogate pairs joined, `initial`/`secret` sorted once."""
+        # Each per-item check runs in bulk first; only when one fails is
+        # the first offender looked for, one item at a time.
         n = len(self.names)
         if n == 0:
             raise ValidationError("a system must have at least one state")
+        vars(self)["names"] = _as_read("state name", self.names)
         if len(set(self.names)) != n:
             raise ValidationError("duplicate state names")
         # before the input labels: a document names duplicate transitions first
@@ -261,6 +269,7 @@ class MetricSystem:
             raise _triple_error(transitions) from None
         if repeated:
             raise ValidationError("duplicate transitions")
+        vars(self)["inputs"] = _as_read("input label", self.inputs)
         if len(set(self.inputs)) != len(self.inputs):
             raise ValidationError("duplicate input labels")
         if len(self.outputs) != n:
@@ -268,29 +277,29 @@ class MetricSystem:
         dim = len(self.outputs[0]) if self.outputs else 0
         if dim < 1:
             raise ValidationError("output dimension must be positive")
-        # Each per-item check runs in bulk first; only when one fails is
-        # the first offender looked for, one item at a time.
         try:
             outputs_ok = (all(len(y) == dim for y in self.outputs)
+                          and set(map(type, chain.from_iterable(self.outputs))) <= {float, int}
                           and all(map(math.isfinite, chain.from_iterable(self.outputs))))
-        except TypeError:
+        except (TypeError, OverflowError):  # OverflowError: an int past float range
             outputs_ok = False
         if not outputs_ok:
-            for i, y in enumerate(self.outputs):
+            for name, y in zip(self.names, self.outputs):
                 if len(y) != dim:
-                    raise ValidationError(
-                        f"state {self.names[i]!r}: output arity {len(y)} != {dim}"
-                    )
-                if not all(math.isfinite(v) for v in y):
-                    raise ValidationError(
-                        f"state {self.names[i]!r}: output {list(y)} is not finite"
-                    )
+                    raise ValidationError(f"state {name!r}: output arity {len(y)} != {dim}")
+                try:
+                    if not all(map(math.isfinite, map(json_number, y))):
+                        raise ValidationError(f"state {name!r}: output {list(y)} is not finite")
+                except (TypeError, OverflowError) as exc:
+                    raise ValidationError(f"state {name!r}: output: {exc}") from None
+        vars(self)["outputs"] = tuple(map(tuple, self.outputs))
         for label, group in (("initial", self.initial), ("secret", self.secret)):
             for i in group:
                 if not isinstance(i, int):
                     raise ValidationError(f"{label} state index {i!r} is not an integer")
                 if not 0 <= i < n:
                     raise ValidationError(f"{label} state index {i} out of range")
+            vars(self)[label] = tuple(sorted(set(group)))  # each once, in state order
 
     def _validate_rows(self) -> None:
         n, rows = len(self.names), self.post_bits
@@ -368,6 +377,18 @@ class MetricSystem:
         return bits_of(i for i, y in enumerate(self.outputs) if delta_close(ref, y, delta))
 
 
+def _as_read(what: str, items: Sequence[str]) -> tuple[str, ...]:
+    """`items` as a file reads them back, where `json` joins the escapes of
+    a surrogate pair; ValidationError names the first item not a `str`."""
+    if not set(map(type, items)) <= {str}:
+        bad = next(item for item in items if type(item) is not str)
+        raise ValidationError(f"{what} {bad!r} is not a string")
+    if not "".join(items).isascii():  # one bulk test: most names hold no surrogate
+        items = [item.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+                 for item in items]
+    return tuple(items)
+
+
 def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
                  ) -> tuple[tuple[int, ...], ...]:
     """Successor rows of (src, input, dst) triples over n states and m
@@ -442,23 +463,11 @@ def read_object(text: str | bytes, keys: Sequence[str]) -> dict:
 
 
 def json_number(value) -> float:
-    """A JSON number as a float: TypeError for a bool, a string or any
-    other non-number, OverflowError for an int past the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A JSON number, exactly a `float` or an `int`, as a float: TypeError
+    for any other value, OverflowError for an int past the float range."""
+    if type(value) not in (float, int):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
-
-
-def _output_error(i: int, out: list) -> ParseError:
-    """The error of states[i].output: its first non-number, else overflow."""
-    for j, value in enumerate(out):
-        try:
-            json_number(value)
-        except TypeError:
-            return ParseError(f"states[{i}].output[{j}]: must be a number")
-        except OverflowError:
-            pass
-    return ParseError(f"states[{i}].output: a number is past float range")
 
 
 def parse_system(text: str | bytes) -> MetricSystem:
@@ -521,7 +530,7 @@ def _parse_system(text: str | bytes) -> MetricSystem:
     def resolve(key: str) -> tuple[int, ...]:
         try:
             # A lookup that succeeds saw a name: only a str equals a str key.
-            return tuple(sorted(set(map(index.__getitem__, doc[key]))))
+            return tuple(map(index.__getitem__, doc[key]))
         except (KeyError, TypeError):  # find the first offender
             for i, name in enumerate(doc[key]):
                 if not isinstance(name, str):
@@ -571,10 +580,13 @@ def _state_error(states: list) -> ParseError:
         out = entry.get("output")
         if not isinstance(out, list):
             return ParseError(f"states[{i}]: needs an array 'output'")
+        for j, value in enumerate(out):  # its first non-number, else overflow
+            if type(value) not in (float, int):
+                return ParseError(f"states[{i}].output[{j}]: must be a number")
         try:
-            tuple(map(json_number, out))
-        except (TypeError, OverflowError):
-            return _output_error(i, out)
+            tuple(map(float, out))
+        except OverflowError:
+            return ParseError(f"states[{i}].output: a number is past float range")
     raise AssertionError("every state entry is well formed")
 
 
@@ -599,28 +611,6 @@ def _transition_error(triples: list, index: dict[str, int], labels: dict) -> Exc
     raise AssertionError("every transition is well formed")
 
 
-def _json_text(value) -> str:
-    """`value` as `json.dumps(value, indent=2)` writes it."""
-    if type(value) is str:
-        return encode_basestring_ascii(value)
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    return json.dumps(value, indent=2)
-
-
-def _indented(texts: list[str], depth: int) -> list[str]:
-    """Texts rendered at depth 0, moved `depth` levels deeper: every line
-    break gains 2*depth spaces. `json` escapes line breaks inside strings,
-    so only a container's own lines move; a string's text stays as it is."""
-    pad = "\n" + "  " * depth
-    return [text.replace("\n", pad) for text in texts]
-
-
-def json_texts(values: Iterable, depth: int) -> list[str]:
-    """Each value as `json.dumps(..., indent=2)` writes it `depth` levels deep."""
-    return _indented([_json_text(value) for value in values], depth)
-
-
 def json_array(items: Sequence[str], depth: int) -> str:
     """An array as `json.dumps(..., indent=2)` writes it `depth` levels
     deep, from items already rendered one level deeper."""
@@ -633,9 +623,9 @@ def json_array(items: Sequence[str], depth: int) -> str:
 def json_rows(heads: Iterable[str], rows: Iterable[int], names: Sequence[str]) -> list[str]:
     """The items of an array of name rows, as `json.dumps(..., indent=2)`
     writes them one level deep. For each nonempty row, one text holds an
-    item per member j: the row's head, then `names[j]` (rendered three
-    levels deep) as the item's last name, each joined to the next as
-    `json_array` joins items. Each distinct row value's members are listed once."""
+    item per member j: the row's head, then the encoded name `names[j]` as
+    the item's last name, each joined to the next as `json_array` joins
+    items. Each distinct row value's members are listed once."""
     tails = [f"{name}\n    ]" for name in names]
     listed: dict[int, list[str]] = {}
     return [head + (",\n    " + head).join(
@@ -650,24 +640,24 @@ def serialize_system(sys: MetricSystem) -> str:
     state index, transitions sorted by (src, input, dst) index triples. The
     text is exactly `json.dumps(doc, indent=2) + "\n"` of that document,
     written without `json`'s token-by-token encoder: each name and label is
-    encoded once and reused, and the triples are the name rows `json_rows`
-    writes, one head per (src, input) and one name per successor.
-    serialize(parse(doc)) is the identity on canonical documents.
+    encoded once and reused, each output value is its `repr`, and the
+    triples are the name rows `json_rows` writes, one head per (src, input)
+    and one name per successor. serialize(parse(doc)) is the identity on
+    canonical documents, and parse(serialize(system)) equals the system
+    (past 2**53, an int output reads back as its nearest float).
     """
-    names = [_json_text(name) for name in sys.names]
-    labels = [_json_text(label) for label in sys.inputs]
-    names2, names3 = _indented(names, 2), _indented(names, 3)
-    labels3 = _indented(labels, 3)
+    names = list(map(encode_basestring_ascii, sys.names))
+    labels = list(map(encode_basestring_ascii, sys.inputs))
     states = [
-        f'{{\n      "name": {name},\n      "output": {json_array([_json_text(v) for v in out], 3)}\n    }}'
-        for name, out in zip(names3, sys.outputs)
+        f'{{\n      "name": {name},\n      "output": {json_array(list(map(repr, out)), 3)}\n    }}'
+        for name, out in zip(names, sys.outputs)
     ]
-    heads = (f"[\n      {name},\n      {label},\n      " for name in names3 for label in labels3)
+    heads = (f"[\n      {name},\n      {label},\n      " for name in names for label in labels)
     rows = chain.from_iterable(zip(*sys.post_bits))
     return (
         f'{{\n  "states": {json_array(states, 1)},'
-        f'\n  "inputs": {json_array(_indented(labels, 2), 1)},'
-        f'\n  "initial": {json_array([names2[i] for i in sorted(sys.initial)], 1)},'
-        f'\n  "secret": {json_array([names2[i] for i in sorted(sys.secret)], 1)},'
-        f'\n  "transitions": {json_array(json_rows(heads, rows, names3), 1)}\n}}\n'
+        f'\n  "inputs": {json_array(labels, 1)},'
+        f'\n  "initial": {json_array([names[i] for i in sys.initial], 1)},'
+        f'\n  "secret": {json_array([names[i] for i in sys.secret], 1)},'
+        f'\n  "transitions": {json_array(json_rows(heads, rows, names), 1)}\n}}\n'
     )

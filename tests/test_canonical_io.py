@@ -103,17 +103,89 @@ def test_writer_matches_json_dumps_on_empty_lists():
 
 
 def test_writer_matches_json_dumps_on_values_of_other_types():
-    # MetricSystem checks no types: names and labels may be any hashable
-    # value, outputs any finite number, and json renders each its own way
+    # Names and labels are exactly str and outputs exactly float or int, as
+    # a parsed file's are: an int output json writes its own way stays
+    # legal, and every other type is refused by both constructors.
     sys_ = MetricSystem(
-        names=(1, ("a", (2, None)), None, "s"),
-        inputs=(True, ("u", 0.5)),
-        outputs=((True,), (np.float64(0.1),), (2 ** 70,), (-0.0,)),
+        names=("a", "b", "c", "s"),
+        inputs=("u", "v"),
+        outputs=((2 ** 70,), (0.1,), (-7,), (-0.0,)),
         initial=(1, 0),
         secret=(1,),
         transitions=((0, 1, 1), (1, 0, 1), (3, 1, 2)),
     )
     assert serialize_system(sys_) == reference_document(sys_)
+    assert parse_system(serialize_system(sys_)) == sys_
+    for names, inputs, outputs in ((("a", 1, None, "s"), ("u", "v"), sys_.outputs),
+                                   (sys_.names, (True, ("u", 0.5)), sys_.outputs),
+                                   (sys_.names, sys_.inputs, ((True,), (np.float64(0.1),),
+                                                             (2 ** 70,), (-0.0,)))):
+        for build in _CONSTRUCTORS:
+            with pytest.raises(ValidationError):
+                build(names, inputs, outputs, sys_.initial, sys_.secret, sys_.transitions)
+
+
+def _by_rows(names, inputs, outputs, initial, secret, transitions) -> MetricSystem:
+    """`MetricSystem.from_rows` of the rows the index triples make."""
+    rows = [[0] * len(names) for _ in inputs]
+    for src, u, dst in transitions:
+        rows[u][src] |= 1 << dst
+    return MetricSystem.from_rows(names, inputs, outputs, initial, secret, rows)
+
+
+_CONSTRUCTORS = (MetricSystem, _by_rows)
+
+# field -> (value, the message it is refused with); each replaces one field
+# of the two-state system in `test_both_constructors_refuse_what_no_file_holds`
+REFUSED = {
+    "int name": ("names", ("a", 7), "state name 7 is not a string"),
+    "list name": ("names", (["a"], "b"), "state name ['a'] is not a string"),
+    "int label": ("inputs", (7,), "input label 7 is not a string"),
+    "bool label": ("inputs", (True,), "input label True is not a string"),
+    "none label": ("inputs", (None,), "input label None is not a string"),
+    "bool output": ("outputs", ((0.0,), (True,)),
+                    "state 'b': output: expected a number, got True"),
+    "str output": ("outputs", ((0.0,), ("1",)), "state 'b': output: expected a number, got '1'"),
+    "none output": ("outputs", ((None,), (1.0,)),
+                    "state 'a': output: expected a number, got None"),
+    "numpy output": ("outputs", ((0.0,), (np.float64(0.5),)),
+                     f"state 'b': output: expected a number, got {np.float64(0.5)!r}"),
+    "output past float range": ("outputs", ((0.0,), (10 ** 400,)),
+                                "state 'b': output: int too large to convert to float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+@pytest.mark.parametrize("build", _CONSTRUCTORS, ids=["triples", "rows"])
+def test_both_constructors_refuse_what_no_file_holds(case, build):
+    field, value, message = REFUSED[case]
+    fields = {"names": ("a", "b"), "inputs": ("u",), "outputs": ((0.0,), (1.0,)),
+              "initial": (0,), "secret": (1,), "transitions": ((0, 0, 1), (1, 0, 0))}
+    fields[field] = value
+    with pytest.raises(ValidationError) as refused:
+        build(**fields)
+    assert str(refused.value) == message
+
+
+def test_every_system_reads_back_from_its_file():
+    rng = random.Random(8805)
+    for _ in range(400):
+        sys_ = nasty_system(rng)
+        assert parse_system(serialize_system(sys_)) == sys_
+
+
+def test_a_system_keeps_its_fields_as_its_file_reads_them_back():
+    # json reads the escapes of a surrogate pair back as the one character
+    # they encode, arrays back as tuples, and a file lists the initial and
+    # secret states once each, in state order
+    sys_ = MetricSystem(["\ud800\udfff", "b"], ["\udbff\udc00", "\udfff\ud800"],
+                        [[0.0], [1.0]], [1, 0, 1], [1, 1], ())
+    assert sys_.names == ("\U000103ff", "b")
+    assert sys_.inputs == ("\U0010fc00", "\udfff\ud800")
+    assert sys_.outputs == ((0.0,), (1.0,))
+    assert (sys_.initial, sys_.secret) == ((0, 1), (1,))
+    assert parse_system(serialize_system(sys_)) == sys_
+    assert hash(sys_) == hash(parse_system(serialize_system(sys_)))
 
 
 # -- simrel stdout ----------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from opacue.errors import ParseError, ValidationError
@@ -82,6 +83,30 @@ def test_parse_rejects_non_finite_coefficients(coef, error):
     text = '{"vars": 1, "terms": [{"exps": [1], "coef": %s}]}' % coef
     with pytest.raises(ParseError, match=error):
         parse_polynomial(text)
+
+
+@pytest.mark.parametrize("coef", [
+    math.nan, math.inf, -math.inf, True, "1", None, np.float64(1.0), 10 ** 400, [1.0],
+], ids=["nan", "inf", "-inf", "bool", "str", "none", "numpy", "huge-int", "list"])
+def test_constructor_refuses_a_coefficient_no_file_holds(coef):
+    # a file's coefficient is a finite JSON number: `to_json` could write
+    # none of these so that `parse_polynomial` reads it back
+    with pytest.raises(ValidationError, match=r"^term \(1,\): coefficient"):
+        Polynomial(1, (((1,), coef),))
+
+
+def test_seeded_polynomials_read_back_from_their_files():
+    rng = random.Random(4242)
+    coefs = [0.0, -0.0, 5e-324, -1e300, 1 / 3, -2.5, 3, -7, 2 ** 60]
+    for _ in range(400):
+        n_vars = rng.randint(1, 4)
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exps = tuple(rng.randint(0, 6) for _ in range(n_vars))
+            terms.setdefault(exps, rng.choice(coefs) if rng.random() < 0.5
+                             else rng.uniform(-3, 3))
+        poly = Polynomial(n_vars, tuple(terms.items()))
+        assert parse_polynomial(poly.to_json()) == poly
 
 
 def _power_table_reference(poly, point):

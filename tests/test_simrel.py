@@ -304,6 +304,43 @@ def test_check_relation_rejects_mismatched_dimensions_and_far_outputs():
     assert check_relation(a, a, relation(a.n_states, ((0, 0), (1, 1)), 0.5)) is None
 
 
+def _first_failure(concrete, abstract, pairs, eps):
+    """The first failed condition, read off the definition pair by pair in
+    row-major order: condition 2 over every pair, then 3a and 3b per pair,
+    then the initial-state conditions."""
+    for i, j in pairs:
+        if not delta_close(concrete.outputs[i], abstract.outputs[j], eps):
+            return ("2", i, j, "outputs not epsilon-close")
+    related = set(pairs)
+    for i, j in pairs:
+        steps_c = list(iter_bits(concrete.succ_any[i]))
+        for i2 in steps_c:
+            if not any((i2, j2) in related for j2 in iter_bits(abstract.succ_any[j])):
+                return ("3a", i, j, f"concrete step to {concrete.names[i2]} unmatched")
+        for j2 in iter_bits(abstract.succ_any[j]):
+            if not any((i2, j2) in related for i2 in steps_c):
+                return ("3b", i, j, f"abstract step to {abstract.names[j2]} unmatched")
+    found = _existence_failure(concrete, abstract, related)
+    return found and (*found, found[0] == "1a" and "secret initial state has no related "
+                      "abstract secret initial state" or "abstract non-secret initial state "
+                      "has no related concrete one")
+
+
+def test_check_relation_names_the_first_failure_of_the_definition():
+    rng = random.Random(607)
+    seen = set()
+    for _ in range(400):
+        concrete, abstract = random_system(rng, max_states=5), random_system(rng, max_states=5)
+        eps = rng.choice([0.0, 0.1, 0.3, 1.0])
+        pairs = sorted((i, j) for i in range(concrete.n_states)
+                       for j in range(abstract.n_states) if rng.random() < 0.6)
+        failure = check_relation(concrete, abstract, relation(concrete.n_states, pairs, eps))
+        got = failure and (failure.condition, failure.concrete, failure.abstract, failure.detail)
+        assert got == _first_failure(concrete, abstract, pairs, eps)
+        seen.add(got and got[0])
+    assert seen == {None, "1a", "1b", "2", "3a", "3b"}
+
+
 def test_dimension_mismatch_rejected():
     a = MetricSystem(("x",), ("u",), ((0.0,),), (0,), (), ())
     b = MetricSystem(("y",), ("u",), ((0.0, 1.0),), (0,), (), ())
