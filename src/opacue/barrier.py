@@ -10,7 +10,10 @@ verdicts are explicitly non-conclusive: sampling is not a proof.
 Each check tabulates the candidate once over every pair of lattice points.
 Its conditions read their blocks off that table with `table_blocks`, as
 `compose` does over its own pair grid; the decrease condition takes its
-bases B(x, x_hat) from there too.
+bases B(x, x_hat) from there too. Its successor values are one table per
+state x, against one column set per run of consecutive states that share
+their partners (the partners' successors), whose column stage is formed
+once per run (`tabulate_blocks`).
 
 The two theorems quantify their input choices in opposite orders (for every
 adversarial input there is a matching one, versus there is an input beating
@@ -22,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .boxes import BoxUnion, Lattice, check_initial_spans, check_span
 from .control import DtControlSystem
 from .errors import DomainError
-from .polynomial import tabulate
+from .polynomial import tabulate, tabulate_blocks
 from .system import DEFAULT_MARGIN, bits_of, check_delta, check_threshold, close_rows, iter_bits
 
 __all__ = [
@@ -244,32 +248,42 @@ def _decrease(candidate: Evaluator, cs: DtControlSystem, resolution: float,
               margin: float) -> Iterator[Block]:
     """At each pair of the region's rows, quantify (rows u, columns u_hat)
     the decrease slack B(x, xh) - B(f(x, u), f(xh, u_hat)) - margin. The
-    bases B(x, xh) are the blocks `table_blocks` reads off `table`. The
+    bases B(x, xh) are read off `table`, as `table_blocks` reads them. The
     successors f(x, u) over the points and grid inputs come from one
-    `images` call per check. The candidate is tabulated at the successors
-    once per nonempty row, and each row is one block. A value that is not
-    finite raises, or makes the slack NaN where the quantifier's min and
-    max would hide it.
+    `images` call per check. The partners' successors are one column set
+    per run of consecutive states with the same region row (one run when
+    every row is full), and the candidate is tabulated against it one
+    state's successors at a time; each nonempty row is one block. A value
+    that is not finite raises, or makes the slack NaN where the
+    quantifier's min and max would hide it.
     """
     inputs = Lattice(cs.input_box, resolution).points()
     n = len(inputs)
     images = cs.images(points, inputs)
-    succ = {x: images[i * n:i * n + n] for i, x in enumerate(points)}
+    succ = [images[i * n:i * n + n] for i in range(len(points))]
     outer, inner = _OVER_VALUES[quantify]
 
     def blocks() -> Iterator[Block]:
-        for x, partners, bases in table_blocks(points, table, region):
-            # row u, columns j*n .. j*n + n - 1: B(f(x, u), f(partners[j], .))
-            values = tabulate(candidate, succ[x], [nxh for xh in partners for nxh in succ[xh]])
-            if margin <= _SAFE and sum(map(abs, chain(bases, *values))) <= _SAFE:
-                picked = _pick(outer, [_pick(inner, [vs[s::n] for s in range(n)])
-                                       for vs in values])
-                yield x, partners, [base - v - margin for base, v in zip(bases, picked)]
+        for row, run in groupby(zip(points, succ, region, table), itemgetter(2)):
+            if not row:
                 continue
-            tables = ([[base - v - margin for v in vs[j * n:j * n + n]] for vs in values]
-                      for j, base in enumerate(bases))
-            yield x, partners, [quantify(t) if all(map(math.isfinite, chain(*t))) else math.nan
-                                for t in tables]
+            partners = list(iter_bits(row))
+            heads = [points[j] for j in partners]
+            states = list(run)
+            # row u, columns j*n .. j*n + n - 1: B(f(x, u), f(partners[j], .))
+            tables = tabulate_blocks(candidate, [rows for _, rows, _, _ in states],
+                                     [nxh for j in partners for nxh in succ[j]])
+            for (x, _, _, row_values), values in zip(states, tables):
+                bases = [row_values[j] for j in partners]
+                if margin <= _SAFE and sum(map(abs, chain(bases, *values))) <= _SAFE:
+                    picked = _pick(outer, [_pick(inner, [vs[s::n] for s in range(n)])
+                                           for vs in values])
+                    yield x, heads, [base - v - margin for base, v in zip(bases, picked)]
+                    continue
+                slacks = ([[base - v - margin for v in vs[j * n:j * n + n]] for vs in values]
+                          for j, base in enumerate(bases))
+                yield x, heads, [quantify(t) if all(map(math.isfinite, chain(*t))) else math.nan
+                                 for t in slacks]
 
     return blocks()
 

@@ -21,7 +21,7 @@ from .barrier import Block, Scan, pair_regions, table_blocks
 from .boxes import Box, BoxUnion, Lattice, check_initial_spans, check_span
 from .control import DtControlSystem, IssCertificate, affine_certificate
 from .errors import ParseError, SmallGainError, ValidationError
-from .polynomial import tabulate
+from .polynomial import tabulate, tabulate_blocks
 from .system import DEFAULT_MARGIN, check_delta, check_threshold, json_number, read_object
 
 __all__ = [
@@ -34,6 +34,13 @@ __all__ = [
     "BarrierConditionCheck",
     "BarrierCompositionReport",
 ]
+
+# The most cells one table of the decrease condition holds. A table covers
+# one x against a run of as many partners as fit, whose columns are formed
+# once per check; the bound keeps each table small, so the peak memory of a
+# check does not grow with its grid.
+_CELLS = 1 << 10
+
 
 @dataclass(frozen=True)
 class LinearSubsystem:
@@ -195,16 +202,26 @@ def _barrier_conditions(
 
     def decrease() -> Iterator[Block]:
         # each factor is computed outside the loops it does not depend on;
-        # a block is one (x, xh) pair's table, row w by row, column wh
+        # a block is one (x, xh) pair, row w by row, column wh
+        n = len(ws)
         gains = [sub.b * norm(w, wh) for w in ws for wh in ws]
         tails = [(w, wh) for w in ws for wh in ws]
         steps = [[(sub.step(x, w),) for w in ws] for x in xs]
-        for x, x_steps, row_values in zip(xs, steps, values):
-            for xh, xh_steps, base in zip(xs, steps, row_values):
-                kept = (1 - sub.a) * base
-                # one table per pair, so a scan that stops early wastes one
-                table = chain.from_iterable(tabulate(b, x_steps, xh_steps))
-                yield (x, xh), tails, [kept + gain - v for gain, v in zip(gains, table)]
+        # one table per x against the steps of every partner, or of each run
+        # of `width` partners: B(step(x, w), step(xh, wh)) at row w, column
+        # j*n + wh for the j-th partner of the run; a scan that stops early
+        # wastes at most one table
+        width = max(1, _CELLS // (n * n))
+        runs = [(k, tabulate_blocks(b, steps, [s for xh_steps in steps[k:k + width]
+                                               for s in xh_steps]))
+                for k in range(0, len(xs), width)]
+        for x, row_values in zip(xs, values):
+            for k, run in runs:
+                table = next(run)
+                for j, (xh, base) in enumerate(zip(xs[k:k + width], row_values[k:k + width])):
+                    kept = (1 - sub.a) * base
+                    cells = chain.from_iterable(vs[j * n:j * n + n] for vs in table)
+                    yield (x, xh), tails, [kept + gain - v for gain, v in zip(gains, cells)]
 
     conditions = (
         # Lower bound by the augmented norm on the whole region.

@@ -27,6 +27,10 @@ _BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 Points = Sequence[Sequence[float]]
 Grid = Callable[[Points, Points], list[tuple[float, ...]]]
 
+# The source position of every node the compiler wraps around the parsed
+# expressions, given as each is built: no walk of the tree adds them later.
+_AT = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
+
 
 def _validate(node: ast.AST, names: set[str], text: str) -> None:
     if isinstance(node, ast.Expression):
@@ -75,18 +79,25 @@ def _compile(texts: Sequence[str], n_states: int, n_inputs: int) -> Grid:
         except (RecursionError, MemoryError) as exc:
             # each stage recurses per nesting level; the parser's own overflow is a MemoryError
             raise ParseError(f"expression {text!r}: nested too deeply") from exc
-        values.append(ast.Call(ast.Name("float", ast.Load()), [tree.body], []))
-    loops = [ast.comprehension(ast.Tuple([ast.Name(name, ast.Store()) for name in group],
-                                         ast.Store()), ast.Name(source, ast.Load()), [], 0)
+        values.append(ast.Call(ast.Name("float", ast.Load(), **_AT), [tree.body], [], **_AT))
+    loops = [ast.comprehension(ast.Tuple([ast.Name(name, ast.Store(), **_AT) for name in group],
+                                         ast.Store(), **_AT),
+                               ast.Name(source, ast.Load(), **_AT), [], 0)
              for group, source in ((xs, "xs"), (us, "us"))]
-    params = ast.arguments(posonlyargs=[], args=[ast.arg("xs"), ast.arg("us")],
+    params = ast.arguments(posonlyargs=[], args=[ast.arg("xs", **_AT), ast.arg("us", **_AT)],
                            kwonlyargs=[], kw_defaults=[], defaults=[])
-    body = ast.ListComp(ast.Tuple(values, ast.Load()), loops)
-    lam = ast.fix_missing_locations(ast.Expression(ast.Lambda(params, body)))
-    # The compiler's nesting limit is three times the interpreter's, which
-    # `_validate` has already kept each expression under.
-    return eval(compile(lam, filename=f"<expr {', '.join(texts)}>", mode="eval"),
-                {"__builtins__": {}, "float": float, **_FUNCS})
+    body = ast.ListComp(ast.Tuple(values, ast.Load(), **_AT), loops, **_AT)
+    lam = ast.Expression(ast.Lambda(params, body, **_AT))
+    try:
+        code = compile(lam, filename=f"<expr {', '.join(texts)}>", mode="eval")
+    except (RecursionError, MemoryError) as exc:
+        # The compiler takes the tree in at the interpreter's recursion
+        # limit, a few levels deeper than `_validate` went: name the first
+        # expression it refuses alone.
+        for text in texts[:-1]:
+            _compile([text], n_states, n_inputs)
+        raise ParseError(f"expression {texts[-1]!r}: nested too deeply") from exc
+    return eval(code, {"__builtins__": {}, "float": float, **_FUNCS})
 
 
 class CompiledMap(NamedTuple):

@@ -6,12 +6,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ParseError, ValidationError
 from .system import json_number, read_object
 
-__all__ = ["MAX_EXPONENT", "Polynomial", "parse_polynomial", "tabulate"]
+__all__ = ["MAX_EXPONENT", "Polynomial", "parse_polynomial", "tabulate", "tabulate_blocks"]
 
 # The largest exponent a term may carry. The table kernel reaches each power
 # by one product at a time, as bit-identity with power tables requires, so
@@ -67,63 +67,95 @@ class Polynomial:
         Every row holds the same leading variables and every column the
         rest; the dimension is checked on the first of each only.
         """
-        if not rows or not cols:
-            return [[] for _ in rows]
-        split = len(rows[0])
-        if split + len(cols[0]) != self.n_vars:
-            raise ValidationError(f"point has {split + len(cols[0])} coordinates, "
-                                  f"expected {self.n_vars}")
-        kernel = self._tables.get(split)
-        if kernel is None:
-            kernel = self._tables[split] = self._table_kernel(split)
-        return kernel(rows, cols)
+        return next(self.tables((rows,), cols))
+
+    def tables(self, row_lists: Iterable[Sequence[Sequence[float]]],
+               cols: Sequence[Sequence[float]]) -> Iterator[list[list[float]]]:
+        """`table(rows, cols)` for each `rows` of `row_lists`, lazily; the
+        column stage is formed once and serves every block."""
+        stage = None
+        for rows in row_lists:
+            if not rows or not cols:
+                yield [[] for _ in rows]
+                continue
+            split = len(rows[0])
+            if split + len(cols[0]) != self.n_vars:
+                raise ValidationError(f"point has {split + len(cols[0])} coordinates, "
+                                      f"expected {self.n_vars}")
+            kernel = self._tables.get(split)
+            if kernel is None:
+                kernel = self._tables[split] = self._table_kernel(split)
+            columns, table = kernel
+            if stage is None:
+                stage = columns(cols)
+            yield table(rows, stage)
 
     @cached_property
-    def _tables(self) -> dict[int, Callable]:
+    def _tables(self) -> dict[int, tuple[Callable, Callable]]:
         """The table kernels generated so far, by the number of row variables."""
         return {}
 
-    def _table_kernel(self, split: int) -> Callable:
-        """The kernel for rows of the first `split` variables. It does the
-        float operations of a power-table evaluation in their order: powers
-        v^1 = 1.0*v and v^e = v^(e-1)*v, bound for the exponents that occur
-        only, each monomial as ((coef*P0)*P1)... over the variables with
-        a nonzero exponent, and the sum ((0.0 + m0) + m1)... in term order,
-        a row of sums at a time.
-        Each monomial's row prefix (coef*P0)*...*P(split-1) is taken once per
-        row, the column powers once per call. Coefficients come in as a
-        tuple, never as source text."""
+    def _table_kernel(self, split: int) -> tuple[Callable, Callable]:
+        """The kernel for rows of the first `split` variables, as a column
+        stage `columns(cols)` and a row stage `table(rows, stage)`. They do
+        the float operations of a power-table evaluation in their order:
+        powers v^1 = 1.0*v and v^e = v^(e-1)*v, bound for the exponents that
+        occur only, each monomial as ((coef*P0)*P1)..., and the sum
+        ((0.0 + m0) + m1)... in term order. Each is done once: per column,
+        the column-only monomials (kept in place of the powers only they
+        use) and the powers; per row, the sum of the leading run of
+        row-only terms and each row prefix (coef*P0)*...*P(split-1); per
+        cell, only the rest. Coefficients come in as a tuple, never as
+        source text."""
         row_vars, col_vars = range(split), range(split, self.n_vars)
-        col_powers = _targets(f"p{i}_{e}" for i in col_vars for e in self._exps[i])
-        heads = []  # each term's row prefix: a name bound per row, or its coefficient
-        prefixes = []
+        kept = []  # per column: (name, value) of each column-only monomial, then powers
+        shared = set()  # the column powers of the monomials with row factors
+        lead, prefixes, cells = [], [], []
         for k, (exps, _) in enumerate(self.terms):
-            factors = _factors(exps, row_vars)
-            heads.append(f"m{k}" if factors else f"c{k}")
-            if factors:
-                prefixes.append(f"m{k} = c{k}{factors}")
-        # A row is one comprehension over the column powers per chunk of at
-        # most _CHUNK terms, each adding its terms to the running sums of the
-        # one before: a single sum of a few thousand terms would nest past the
-        # compiler's recursion limit.
-        terms = [f" + {head}{_factors(exps, col_vars)}"
-                 for head, (exps, _) in zip(heads, self.terms)]
-        chunks = [terms[k:k + _CHUNK] for k in range(0, len(terms), _CHUNK)] or [[]]
-        sums = [f"    row = [0.0{''.join(chunks[0])} for {col_powers} in powers]",
-                *(f"    row = [total{''.join(chunk)} for total, {col_powers} "
-                  f"in zip(row, powers)]" for chunk in chunks[1:])]
-        return self._compile([
-            "powers = []",
-            f"for {_targets(f'x{i}' for i in col_vars)} in cols:",
-            *(f"    {line}" for line in self._powers(col_vars)),
-            f"    powers.append({col_powers})",
-            "out = []",
-            f"for {_targets(f'x{i}' for i in row_vars)} in rows:",
-            *(f"    {line}" for line in (*self._powers(row_vars), *prefixes)),
-            *sums,
-            "    out.append(row)",
-            "return out",
-        ])
+            row, col = _factors(exps, row_vars), _factors(exps, col_vars)
+            if not col and len(lead) == k:  # still in the leading row-only run
+                lead.append(f" + c{k}{row}")
+                continue
+            if row:
+                prefixes.append(f"m{k} = c{k}{row}")
+            if not col:
+                cells.append(f" + {f'm{k}' if row else f'c{k}'}")
+            elif not row:
+                kept.append((f"q{k}", f"c{k}{col}"))
+                cells.append(f" + q{k}")
+            else:
+                shared.update((i, exps[i]) for i in col_vars if exps[i])
+                cells.append(f" + m{k}{col}")
+        kept += [(f"p{i}_{e}", f"p{i}_{e}") for i, e in sorted(shared)]
+        # Sums run in chunks of at most _CHUNK terms, each adding to the sums
+        # of the one before: one sum of a few thousand terms would nest past
+        # the compiler's recursion limit. A row is one comprehension a chunk.
+        start = "s" if lead else "0.0"
+        sums = [f"s = {'0.0' if k == 0 else 's'}{''.join(lead[k:k + _CHUNK])}"
+                for k in range(0, len(lead), _CHUNK)]
+        names = _targets(name for name, _ in kept)
+        if not cells:
+            sums.append(f"row = [{start}] * len(stage)")
+        for k in range(0, len(cells), _CHUNK):
+            chunk = "".join(cells[k:k + _CHUNK])
+            sums.append(f"row = [{start}{chunk} for {names} in stage]" if k == 0 else
+                        f"row = [total{chunk} for total, {names} in zip(row, stage)]")
+        return self._compile(
+            columns=[
+                "stage = []",
+                f"for {_targets(f'x{i}' for i in col_vars)} in cols:",
+                *(f"    {line}" for line in self._powers(col_vars)),
+                f"    stage.append({_targets(value for _, value in kept)})",
+                "return stage",
+            ],
+            table=[
+                "out = []",
+                f"for {_targets(f'x{i}' for i in row_vars)} in rows:",
+                *(f"    {line}" for line in (*self._powers(row_vars), *prefixes, *sums)),
+                "    out.append(row)",
+                "return out",
+            ],
+        )
 
     @cached_property
     def _exps(self) -> list[list[int]]:
@@ -143,16 +175,18 @@ class Polynomial:
                 prev, below = f"p{i}_{e}", e
         return lines
 
-    def _compile(self, body: list[str]) -> Callable:
-        """`def f(rows, cols): body`, with the coefficients bound as c0, c1, ..."""
+    def _compile(self, columns: list[str], table: list[str]) -> tuple[Callable, Callable]:
+        """`columns(cols)` and `table(rows, stage)`, coefficients bound as c0, c1, ..."""
         source = "\n".join([
             "def bind(coefs):",
             f"    {_targets(f'c{k}' for k in range(len(self.terms)))} = coefs",
-            "    def f(rows, cols):",
-            *(f"        {line}" for line in body),
-            "    return f",
+            "    def columns(cols):",
+            *(f"        {line}" for line in columns),
+            "    def table(rows, stage):",
+            *(f"        {line}" for line in table),
+            "    return columns, table",
         ])
-        namespace = {"__builtins__": {}, "range": range, "zip": zip}
+        namespace = {"__builtins__": {}, "len": len, "range": range, "zip": zip}
         exec(compile(source, "<polynomial>", "exec"), namespace)
         return namespace["bind"](tuple(coef for _, coef in self.terms))
 
@@ -180,12 +214,19 @@ def _factors(exps: tuple[int, ...], variables: range) -> str:
 
 def tabulate(f: Callable[[Sequence[float]], float], rows: Sequence[Sequence[float]],
              cols: Sequence[Sequence[float]]) -> list[list[float]]:
-    """values[i][j] == f(rows[i] + cols[j]): one `table` call when `f` has
-    one (a Polynomial), otherwise one call of `f` per point."""
-    table = getattr(f, "table", None)
-    if table is not None:
-        return table(rows, cols)
-    return [[f(r + c) for c in cols] for r in rows]
+    """values[i][j] == f(rows[i] + cols[j]): one block of `tabulate_blocks`."""
+    return next(tabulate_blocks(f, (rows,), cols))
+
+
+def tabulate_blocks(f: Callable[[Sequence[float]], float],
+                    row_lists: Iterable[Sequence[Sequence[float]]],
+                    cols: Sequence[Sequence[float]]) -> Iterator[list[list[float]]]:
+    """A table per `rows` of `row_lists`, lazily: `f.tables` when `f` has
+    it (a Polynomial), otherwise one call of `f` per point."""
+    tables = getattr(f, "tables", None)
+    if tables is not None:
+        return tables(row_lists, cols)
+    return ([[f(r + c) for c in cols] for r in rows] for rows in row_lists)
 
 
 def parse_polynomial(text: str | bytes) -> Polynomial:

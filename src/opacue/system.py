@@ -207,9 +207,11 @@ class MetricSystem:
     target, shared by every bitset that holds it alone;
     `MetricSystem.from_rows` takes the rows themselves. Every other table
     is derived from the rows. Both constructors refuse, with a
-    ValidationError, a name or label that is not a `str` and an output
-    value that is not a finite `float` or `int`; they keep `initial` and
-    `secret` sorted, each index once. Equality compares all six fields.
+    ValidationError, a field that is not a sequence, a name or label that
+    is not a `str`, an output value that is not a finite `float` or an
+    `int` that a float holds exactly, and an index or bitset that is not
+    exactly an `int` (never a bool); they keep `initial` and `secret`
+    sorted, each index once. Equality compares all six fields.
 
     Immutable after construction; safe to share across concurrent readers.
     """
@@ -256,6 +258,13 @@ class MetricSystem:
         back: tuples, surrogate pairs joined, `initial`/`secret` sorted once."""
         # Each per-item check runs in bulk first; only when one fails is
         # the first offender looked for, one item at a time.
+        for field, value in (("names", self.names), ("inputs", self.inputs),
+                             ("outputs", self.outputs), ("initial", self.initial),
+                             ("secret", self.secret), ("transitions", transitions)):
+            try:
+                len(value)
+            except TypeError:
+                raise ValidationError(f"{field}: {value!r} is not a sequence") from None
         n = len(self.names)
         if n == 0:
             raise ValidationError("a system must have at least one state")
@@ -272,33 +281,35 @@ class MetricSystem:
         vars(self)["inputs"] = _as_read("input label", self.inputs)
         if len(set(self.inputs)) != len(self.inputs):
             raise ValidationError("duplicate input labels")
-        if len(self.outputs) != n:
+        outputs = tuple(self.outputs)
+        if len(outputs) != n:
             raise ValidationError("outputs must be total on states")
-        dim = len(self.outputs[0]) if self.outputs else 0
-        if dim < 1:
-            raise ValidationError("output dimension must be positive")
+        dim = None
         try:
-            outputs_ok = (all(len(y) == dim for y in self.outputs)
-                          and set(map(type, chain.from_iterable(self.outputs))) <= {float, int}
-                          and all(map(math.isfinite, chain.from_iterable(self.outputs))))
+            dim = len(outputs[0])
+            kinds = set(map(type, chain.from_iterable(outputs)))
+            outputs_ok = (all(len(y) == dim for y in outputs) and kinds <= {float, int}
+                          and all(map(math.isfinite, chain.from_iterable(outputs)))
+                          # an int reads back as its float, which must be the int
+                          and (int not in kinds
+                               or all(map(operator.eq, map(float, chain.from_iterable(outputs)),
+                                          chain.from_iterable(outputs)))))
         except (TypeError, OverflowError):  # OverflowError: an int past float range
             outputs_ok = False
+        if dim == 0:
+            raise ValidationError("output dimension must be positive")
         if not outputs_ok:
-            for name, y in zip(self.names, self.outputs):
-                if len(y) != dim:
-                    raise ValidationError(f"state {name!r}: output arity {len(y)} != {dim}")
-                try:
-                    if not all(map(math.isfinite, map(json_number, y))):
-                        raise ValidationError(f"state {name!r}: output {list(y)} is not finite")
-                except (TypeError, OverflowError) as exc:
-                    raise ValidationError(f"state {name!r}: output: {exc}") from None
-        vars(self)["outputs"] = tuple(map(tuple, self.outputs))
+            for name, y in zip(self.names, outputs):
+                _check_output(name, y, dim)
+        vars(self)["outputs"] = tuple(map(tuple, outputs))
         for label, group in (("initial", self.initial), ("secret", self.secret)):
-            for i in group:
-                if not isinstance(i, int):
-                    raise ValidationError(f"{label} state index {i!r} is not an integer")
-                if not 0 <= i < n:
-                    raise ValidationError(f"{label} state index {i} out of range")
+            if not (set(map(type, group)) <= {int}
+                    and (not group or 0 <= min(group) and max(group) < n)):
+                for i in group:  # a bool is not an index
+                    if type(i) is not int:
+                        raise ValidationError(f"{label} state index {i!r} is not an integer")
+                    if not 0 <= i < n:
+                        raise ValidationError(f"{label} state index {i} out of range")
             vars(self)[label] = tuple(sorted(set(group)))  # each once, in state order
 
     def _validate_rows(self) -> None:
@@ -309,11 +320,11 @@ class MetricSystem:
         for u, row in enumerate(rows):
             if len(row) != n:
                 raise ValidationError(f"successor row {u}: {len(row)} bitsets for {n} states")
-        if rows and not (all(map(isinstance, chain.from_iterable(rows), repeat(int)))
+        if rows and not (set(map(type, chain.from_iterable(rows))) <= {int}  # never a bool
                          and min(map(min, rows)) >= 0 and max(map(max, rows)) >> n == 0):
             u, x, bits = next((u, x, bits) for u, row in enumerate(rows) for x, bits in
-                              enumerate(row) if not (isinstance(bits, int) and 0 <= bits < 1 << n))
-            what = f"not in [0, 2**{n})" if isinstance(bits, int) else f"{bits!r}, not an int"
+                              enumerate(row) if not (type(bits) is int and 0 <= bits < 1 << n))
+            what = f"not in [0, 2**{n})" if type(bits) is int else f"{bits!r}, not an int"
             raise ValidationError(f"successor row {u}: the bitset of state "
                                   f"{self.names[x]!r} is {what}")
 
@@ -377,6 +388,26 @@ class MetricSystem:
         return bits_of(i for i, y in enumerate(self.outputs) if delta_close(ref, y, delta))
 
 
+def _check_output(name: str, y, dim: int) -> None:
+    """Raise the ValidationError of state `name`'s output `y` when it is
+    not `dim` finite numbers, each read back from a file as itself."""
+    try:
+        arity = len(y)
+    except TypeError:
+        raise ValidationError(f"state {name!r}: output {y!r} is not a sequence") from None
+    if arity != dim:
+        raise ValidationError(f"state {name!r}: output arity {arity} != {dim}")
+    try:
+        if not all(map(math.isfinite, map(json_number, y))):
+            raise ValidationError(f"state {name!r}: output {list(y)} is not finite")
+    except (TypeError, OverflowError) as exc:
+        raise ValidationError(f"state {name!r}: output: {exc}") from None
+    for value in y:
+        if float(value) != value:
+            raise ValidationError(f"state {name!r}: output {value} reads back as "
+                                  f"{float(value)!r}")
+
+
 def _as_read(what: str, items: Sequence[str]) -> tuple[str, ...]:
     """`items` as a file reads them back, where `json` joins the escapes of
     a surrogate pair; ValidationError names the first item not a `str`."""
@@ -394,7 +425,8 @@ def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
     """Successor rows of (src, input, dst) triples over n states and m
     inputs, each triple's range checked in turn. A bitset holding one
     target is that target's one shared `1 << dst` int. Each index indexes
-    a list: only when a triple fails is the first malformed one sought."""
+    a list, and every index is exactly an int, checked in bulk after the
+    loop: only when a triple fails is the first malformed one sought."""
     bits = [0] * n
     table = [[0] * n for _ in range(m)]
     try:
@@ -408,15 +440,18 @@ def _triple_rows(transitions: Iterable[tuple[int, int, int]], n: int, m: int
                 bit = bits[dst] = 1 << dst
             row = table[u]
             row[src] = row[src] | bit if row[src] else bit
+        exact = set(map(type, chain.from_iterable(transitions))) <= {int}  # never a bool
     except (TypeError, ValueError):
-        raise _triple_error(transitions) from None
+        exact = False
+    if not exact:
+        raise _triple_error(transitions)
     return tuple(map(tuple, table))
 
 
 def _triple_error(transitions: Iterable) -> ValidationError:
     """The error of the first transition that is not a tuple of three ints."""
     bad = next(t for t in transitions if not (isinstance(t, tuple) and len(t) == 3
-                                              and all(isinstance(i, int) for i in t)))
+                                              and all(type(i) is int for i in t)))
     return ValidationError(f"transition {bad!r} is not three integer indices")
 
 

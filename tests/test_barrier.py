@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from itertools import chain, groupby
 
 import numpy as np
 import pytest
@@ -534,3 +535,66 @@ def test_a_block_summing_past_the_bound_takes_the_fallback_with_the_same_report(
             fast = check(candidate, cs, 0.15, 0.1)
         assert picks
         assert slow.to_report() == fast.to_report() and slow.violations == fast.violations
+
+
+# -- partner columns shared by a run of states --------------------------------
+
+def _per_state_decrease(candidate, cs, resolution, points, table, region, quantify, margin):
+    """The decrease blocks as they were built before a run of states shared
+    its partners' columns: the candidate tabulated afresh for every state
+    against its own partners' successors."""
+    inputs = Lattice(cs.input_box, resolution).points()
+    n = len(inputs)
+    images = cs.images(points, inputs)
+    succ = {x: images[i * n:i * n + n] for i, x in enumerate(points)}
+    outer, inner = barrier._OVER_VALUES[quantify]
+    for x, partners, bases in barrier.table_blocks(points, table, region):
+        values = barrier.tabulate(candidate, succ[x],
+                                  [nxh for xh in partners for nxh in succ[xh]])
+        if margin <= barrier._SAFE and sum(map(abs, chain(bases, *values))) <= barrier._SAFE:
+            picked = barrier._pick(outer, [barrier._pick(inner, [vs[s::n] for s in range(n)])
+                                           for vs in values])
+            yield x, partners, [base - v - margin for base, v in zip(bases, picked)]
+            continue
+        tables = ([[base - v - margin for v in vs[j * n:j * n + n]] for vs in values]
+                  for j, base in enumerate(bases))
+        yield x, partners, [quantify(t) if all(map(math.isfinite, chain(*t))) else math.nan
+                            for t in tables]
+
+
+def _shared_and_per_state(monkeypatch, check, candidate, cs, delta, resolution):
+    shared = check(candidate, cs, delta, resolution)
+    with monkeypatch.context() as patch:
+        patch.setattr(barrier, "_decrease", _per_state_decrease)
+        per_state = check(candidate, cs, delta, resolution)
+    assert shared.to_report() == per_state.to_report()
+    assert shared.violations == per_state.violations
+    return shared
+
+
+def test_lack_decrease_over_runs_and_single_rows_matches_per_state_tables(monkeypatch):
+    # at delta 0.75 the points 0.3 .. 0.7 are close to every point: one run
+    # of five equal close rows, between rows that differ from both neighbours
+    cs = simple_cs(dyn="0.5*x1 + 0.25*u1")
+    runs = [len(list(run)) for _, run in groupby(build_regions(cs, 0.75, 0.1).close)]
+    assert 5 in runs and 1 in runs
+    bowl = poly({(2, 0): 1.0, (1, 0): -1.0, (0, 2): 1.0, (0, 1): -1.0, (0, 0): 0.35})
+    report = _shared_and_per_state(monkeypatch, check_lack_barrier, bowl, cs, 0.75, 0.1)
+    decrease = [v for v in report.violations if v.condition == "decrease"]
+    assert decrease and len(decrease) < report.sample_counts["decrease"]
+
+
+def test_a_run_partly_past_the_bound_matches_per_state_tables(monkeypatch):
+    # the opacity check's region is one run of full rows; the states near 1.0
+    # see values whose absolute sum passes barrier._SAFE and take the
+    # slack-table fallback, the others the value quantifiers
+    big = 2.0 ** 1017
+    candidate = poly({(4, 0): big, (0, 4): -big / 2, (1, 1): big / 8, (0, 0): 1.0})
+    cs = simple_cs(dyn="0.5*x1 + 0.25*u1")
+    picks = []
+    pick = barrier._pick
+    monkeypatch.setattr(barrier, "_pick", lambda f, lists: picks.append(f) or pick(f, lists))
+    report = _shared_and_per_state(monkeypatch, check_opacity_barrier, candidate, cs, 0.15, 0.1)
+    fast = picks.count(max) // 2  # once per state with the shared columns, once without
+    assert 0 < fast < len(build_regions(cs, 0.15, 0.1).points)
+    assert any(v.condition == "decrease" for v in report.violations)

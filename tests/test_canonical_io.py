@@ -126,8 +126,9 @@ def test_writer_matches_json_dumps_on_values_of_other_types():
 
 
 def _by_rows(names, inputs, outputs, initial, secret, transitions) -> MetricSystem:
-    """`MetricSystem.from_rows` of the rows the index triples make."""
-    rows = [[0] * len(names) for _ in inputs]
+    """`MetricSystem.from_rows` of the rows the index triples make, one
+    bitset per output (names may be refused for not being a sequence)."""
+    rows = [[0] * len(outputs) for _ in inputs]
     for src, u, dst in transitions:
         rows[u][src] |= 1 << dst
     return MetricSystem.from_rows(names, inputs, outputs, initial, secret, rows)
@@ -152,6 +153,15 @@ REFUSED = {
                      f"state 'b': output: expected a number, got {np.float64(0.5)!r}"),
     "output past float range": ("outputs", ((0.0,), (10 ** 400,)),
                                 "state 'b': output: int too large to convert to float"),
+    # a file reads an int output back as its float: it must be that int
+    "output no float holds": ("outputs", ((0.0,), (2 ** 53 + 1,)),
+                              "state 'b': output 9007199254740993 reads back as "
+                              "9007199254740992.0"),
+    "output not a sequence": ("outputs", (1.0, 2.0), "state 'a': output 1.0 is not a sequence"),
+    "names not a sequence": ("names", 5, "names: 5 is not a sequence"),
+    "initial not a sequence": ("initial", None, "initial: None is not a sequence"),
+    "bool initial index": ("initial", (True,), "initial state index True is not an integer"),
+    "bool secret index": ("secret", (False,), "secret state index False is not an integer"),
 }
 
 

@@ -1124,6 +1124,27 @@ def test_dynamics_nested_too_deeply_is_a_parse_error(capsys, tmp_path, depth):
         3, "", f"error: expression {dynamics!r}: nested too deeply\n")
 
 
+def test_expressions_nested_near_the_recursion_limit_never_exit_5(capsys, tmp_path):
+    # past the grammar check, the compiler took the expressions in a few
+    # levels deeper: an internal error (exit 5) in a window just below the
+    # depth the grammar check refuses
+    limit = sys.getrecursionlimit()
+    candidate = _write(tmp_path, "b.json", GAP)
+    # a box symmetric about 0 holds -x1 as well as x1
+    symmetric = {**PLANT, "state_box": [[-1.0, 1.0]], "initial_box": [[-1.0, 1.0]]}
+    for depth in range(limit - 80, limit + 11):
+        text = "-" * depth + "x1"
+        for field in ("dynamics", "output"):
+            plant = _write(tmp_path, "deep.json", {**symmetric, field: [text]})
+            for argv in (["abstract", "--system", plant, "--eta", "0.5", "--mu", "0.1",
+                          "--epsilon", "1.5", "--unsound"],
+                         ["barrier", "--system", plant, "--candidate", candidate,
+                          "--kind", "opacity", "--delta", "0.15", "--resolution", "0.1"]):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2) and err == "" or (code, err) == (
+                    3, f"error: expression {text!r}: nested too deeply\n"), (depth, argv, err)
+
+
 def test_compose_rejects_resolution_wider_than_a_part_of_an_initial_interval(
         capsys, tmp_path):
     # the initial conditions used to see no sample: all_passed, exit 2

@@ -3,10 +3,12 @@
 import json
 import math
 import random
+from itertools import chain
 
 import pytest
 
-from opacue.barrier import check_opacity_barrier
+from opacue import compositional
+from opacue.barrier import Scan, check_opacity_barrier
 from opacue.boxes import Box, BoxUnion, Lattice
 from opacue.compositional import (
     LinearSubsystem,
@@ -17,7 +19,7 @@ from opacue.compositional import (
 )
 from opacue.control import DtControlSystem, IssCertificate
 from opacue.errors import DomainError, QuantizationError, SmallGainError, ValidationError
-from opacue.polynomial import Polynomial
+from opacue.polynomial import Polynomial, tabulate
 
 
 def sub(a=0.5, b=0.2, state=(0.0, 1.0), initial=(0.0, 0.2), secret=(0.6, 1.0)):
@@ -258,3 +260,44 @@ def test_compose_barriers_tables_match_pointwise_calls():
         pointwise = compose_barriers(lambda p: b(p), lambda p: b(p), *args)
         assert tabulated.checks == pointwise.checks
         assert tabulated.to_report() == pointwise.to_report()
+
+
+def _per_pair_decrease(idx, sub_, partner, b, resolution):
+    """(passed, min_margin, witness) of the decrease condition as it was
+    scanned before a table covered one x against many partners: one
+    table per (x, xh) pair."""
+    lattice = Lattice(sub_.state, resolution)
+    (xs,), (ws,) = lattice.axes, Lattice(partner.state, resolution).axes
+    points = lattice.points()
+    values = tabulate(b, points, points)
+    gains = [sub_.b * max(abs(w), abs(wh)) for w in ws for wh in ws]
+    tails = [(w, wh) for w in ws for wh in ws]
+    steps = [[(sub_.step(x, w),) for w in ws] for x in xs]
+
+    def blocks():
+        for x, x_steps, row_values in zip(xs, steps, values):
+            for xh, xh_steps, base in zip(xs, steps, row_values):
+                kept = (1 - sub_.a) * base
+                table = chain.from_iterable(tabulate(b, x_steps, xh_steps))
+                yield (x, xh), tails, [kept + gain - v for gain, v in zip(gains, table)]
+
+    scan = Scan(f"subsystem {idx} decrease", blocks(), 0.0, False)
+    hit = next(iter(scan), None)
+    return hit is None, scan.worst, hit and hit[0]
+
+
+@pytest.mark.parametrize("partners", [None, 1, 3])
+def test_a_decrease_violation_in_mid_grid_matches_per_pair_tables(monkeypatch, partners):
+    # one table per x against as many partners as fit in compositional._CELLS
+    # cells: all of them by default, or runs of 1 or 3 partners
+    s1, s2 = sub(a=-0.6, b=0.2), sub(a=-0.5, b=0.2)
+    tilted = Polynomial(2, (((0, 0), 1.0), ((1, 0), -0.5), ((0, 1), 2.0)))
+    if partners is not None:
+        monkeypatch.setattr(compositional, "_CELLS", partners * 11 * 11)
+    report = compose_barriers(tilted, tilted, s1, s2, delta=0.1, resolution=0.1)
+    decrease = [c for c in report.checks if c.condition == "decrease"]
+    assert [(c.passed, c.min_margin, c.witness) for c in decrease] == [
+        _per_pair_decrease(idx, s, partner, tilted, 0.1)
+        for idx, s, partner in ((1, s1, s2), (2, s2, s1))]
+    x, xh, w, wh = decrease[0].witness  # past the passing tables of x = 0.0 .. 0.3
+    assert 0.0 < x < 1.0

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import struct
+import sys
 
 import pytest
 
@@ -59,6 +60,25 @@ def test_expr_nested_too_deeply_is_a_parse_error(depth):
     with pytest.raises(ParseError) as info:
         compile_map([text], 1, 0)
     assert str(info.value) == f"expression {text!r}: nested too deeply"
+
+
+def test_expr_nested_near_the_recursion_limit_names_the_deep_expression():
+    # the compiler takes a map's tree in a few levels deeper than the
+    # grammar check goes: a depth in between used to raise RecursionError
+    limit = sys.getrecursionlimit()
+    refused = 0
+    for depth in range(limit - 80, limit + 11):
+        deep = "-" * depth + "x1"
+        for texts in (["x1", deep], [deep, "x1"]):
+            try:
+                grid = compile_map(texts, 1, 0).grid
+            except ParseError as exc:
+                assert str(exc) == f"expression {deep!r}: nested too deeply"
+                refused += 1
+            else:
+                value = -2.0 if depth % 2 else 2.0
+                assert grid([(2.0,)], [()]) == [tuple(value if t == deep else 2.0 for t in texts)]
+    assert refused
 
 
 def _dict_eval_reference(text, n_states, n_inputs):

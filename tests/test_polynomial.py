@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from opacue.errors import ParseError, ValidationError
-from opacue.polynomial import _CHUNK, MAX_EXPONENT, Polynomial, parse_polynomial, tabulate
+from opacue.polynomial import (
+    _CHUNK, MAX_EXPONENT, Polynomial, parse_polynomial, tabulate, tabulate_blocks,
+)
 
 
 def test_parse_and_evaluate():
@@ -273,3 +275,106 @@ def test_exponents_up_to_the_bound_are_accepted_and_past_it_refused():
     assert Polynomial(2, (((MAX_EXPONENT, 0), 1.0),))((1.0, 0.5)) == 1.0
     with pytest.raises(ValidationError, match=f"at most MAX_EXPONENT = {MAX_EXPONENT}"):
         Polynomial(2, (((0, MAX_EXPONENT + 1), 1.0),))
+
+
+# -- the staged kernel: column stage once, row stage per block ----------------
+
+# -0.0, subnormals, and coefficients whose products overflow
+_COEFS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, 1.0, -2.5]
+# 1e-160 squares to a subnormal, 1e200 to inf
+_COORDS = [0.0, -0.0, 1e-160, 1e200, -1e200, 0.5, -1.25, 3.0]
+
+
+def _term_list(rng, n_vars, split, lead, count, top=4):
+    """Up to `count` distinct terms over n_vars variables, exponents at most
+    `top`: first up to `lead` row-only terms (over the first `split`
+    variables, constants included), then terms of every kind in a random
+    order: row-only, constant, column-only with 1-3 column factors, and
+    mixed."""
+    def exps(row_factors, col_factors):
+        e = [0] * n_vars
+        for i in rng.sample(range(split), min(row_factors, split)):
+            e[i] = rng.randint(1, top)
+        for i in rng.sample(range(split, n_vars), min(col_factors, n_vars - split)):
+            e[i] = rng.randint(1, top)
+        return tuple(e)
+
+    factors = {"row": lambda: (rng.randint(1, 3), 0), "const": lambda: (0, 0),
+               "col": lambda: (0, rng.randint(1, 3)),
+               "mixed": lambda: (rng.randint(1, 2), rng.randint(1, 2))}
+    terms = {}
+    for _ in range(20 * count):
+        if len(terms) == count:
+            break
+        kinds = ["row", "row", "const"] if len(terms) < lead else list(factors)
+        e = exps(*factors[rng.choice(kinds)]())
+        if e not in terms:
+            terms[e] = rng.choice(_COEFS) if rng.random() < 0.4 else rng.uniform(-3, 3)
+    return tuple(terms.items())
+
+
+def _assert_staged_tables_match(rng, poly):
+    """At every split, each cell of `tables` and `table` has the repr of
+    the per-point power-table value, block by block, empty blocks and
+    empty columns included."""
+    def points(dim, count):
+        return [tuple(rng.choice(_COORDS) if rng.random() < 0.5 else rng.uniform(-2, 2)
+                      for _ in range(dim)) for _ in range(count)]
+
+    for split in range(poly.n_vars + 1):
+        cols = points(poly.n_vars - split, rng.choice([0, 1, 2, 4]))
+        blocks = [points(split, rng.choice([0, 1, 3])) for _ in range(rng.randint(0, 3))]
+        want = [[[repr(_power_table_reference(poly, r + c)) for c in cols] for r in rows]
+                for rows in blocks]
+        staged = [[[repr(v) for v in row] for row in table]
+                  for table in poly.tables(blocks, cols)]
+        assert staged == want, (poly, split, blocks, cols)
+        for rows, table in zip(blocks, want):
+            assert [[repr(v) for v in row] for row in poly.table(rows, cols)] == table
+        fallback = tabulate_blocks(lambda p: _power_table_reference(poly, p), blocks, cols)
+        assert [[[repr(v) for v in row] for row in t] for t in fallback] == want
+
+
+def test_staged_tables_are_bit_identical_to_power_tables_on_seeded_term_lists():
+    rng = random.Random(20261022)
+    for _ in range(600):
+        n_vars = rng.randint(1, 5)
+        split = rng.randint(0, n_vars)
+        lead = rng.randint(0, 3)
+        poly = Polynomial(n_vars, _term_list(rng, n_vars, split, lead, lead + rng.randint(0, 6)))
+        _assert_staged_tables_match(rng, poly)
+
+
+@pytest.mark.parametrize("lead", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+def test_a_leading_row_only_run_across_chunk_boundaries_is_bit_identical(lead):
+    # the leading run is summed once per row, one chunk of at most _CHUNK
+    # terms at a time; the terms after it run in chunks of their own
+    rng = random.Random(lead)
+    poly = Polynomial(5, _term_list(rng, 5, 3, lead, lead + _CHUNK + 7, top=6))
+    run = next((k for k, (exps, _) in enumerate(poly.terms) if any(exps[3:])), len(poly.terms))
+    assert run == lead and len(poly.terms) == lead + _CHUNK + 7
+    for _ in range(3):
+        _assert_staged_tables_match(rng, poly)
+
+
+def test_tables_forms_the_columns_once_and_each_block_when_reached():
+    poly = Polynomial(2, (((2, 0), 1.0), ((0, 2), -0.5), ((1, 1), 2.0), ((0, 0), 0.25)))
+    cols = [(0.5,), (-1.0,), (2.0,)]
+    stages = []
+    columns, table = poly._tables.setdefault(1, poly._table_kernel(1))
+    poly._tables[1] = (lambda cs: stages.append(cs) or columns(cs)), table
+
+    def blocks():
+        yield [(1.0,), (0.0,)]
+        yield []
+        yield [(0.25,)]
+        yield [(1.0, 2.0)]  # a point of three coordinates
+
+    tables = poly.tables(blocks(), cols)
+    assert next(tables) == [[poly((x, y)) for (y,) in cols] for x in (1.0, 0.0)]
+    assert next(tables) == []
+    assert next(tables) == [[poly((0.25, y)) for (y,) in cols]]
+    assert stages == [cols]
+    with pytest.raises(ValidationError, match="point has 3 coordinates, expected 2"):
+        next(tables)
+    assert list(poly.tables([[(1.0,)], []], [])) == [[[]], []]

@@ -495,22 +495,26 @@ def test_the_constructor_refuses_an_index_that_is_not_an_int(transitions, offend
         tiny(transitions)
 
 
-def test_the_constructors_refuse_a_float_state_set_or_bitset_and_keep_bools():
+def test_the_constructors_refuse_a_float_or_bool_state_set_or_bitset():
     fields = (("s0", "s1"), ("u",), ((0.0,), (1.0,)))
     for initial, secret, message in (((0.0,), (), "initial state index 0.0"),
-                                     ((0,), (1.0,), "secret state index 1.0")):
+                                     ((0,), (1.0,), "secret state index 1.0"),
+                                     ((True,), (), "initial state index True"),
+                                     ((0,), (False,), "secret state index False")):
         for build in (lambda: MetricSystem(*fields, initial, secret, ()),
                       lambda: MetricSystem.from_rows(*fields, initial, secret, ((0, 0),))):
             with pytest.raises(ValidationError, match=f"^{message} is not an integer$"):
                 build()
-    with pytest.raises(ValidationError, match="^successor row 0: the bitset of state 's0' "
-                                              "is 1.0, not an int$"):
-        MetricSystem.from_rows(*fields, (0,), (), ((1.0, 2),))
-    # a bool is an int: True is state 1 as an index and state 0 as a bitset
-    triples = MetricSystem(*fields, (True,), (False,), ((0, 0, True), (True, False, 0)))
-    rows = MetricSystem.from_rows(*fields, (True,), (False,), ((2, True),))
-    assert triples.post_bits == rows.post_bits == ((2, 1),)
-    assert triples.initial_bits == rows.initial_bits == 2
+    for bits in ((1.0, 2), (True, 2)):
+        with pytest.raises(ValidationError, match=f"^successor row 0: the bitset of state "
+                                                  f"'s0' is {bits[0]}, not an int$"):
+            MetricSystem.from_rows(*fields, (0,), (), (bits,))
+    # a bool is an int, but no file names a state or a target set by one:
+    # True used to be state 1 as an index and state 0 as a bitset
+    for triple in ((0, 0, True), (True, False, 0)):
+        message = f"transition {triple!r} is not three integer indices"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            MetricSystem(*fields, (0,), (), ((1, 0, 1), triple))
 
 
 def test_systems_are_frozen():
